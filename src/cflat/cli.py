@@ -505,10 +505,12 @@ def cmd_landscape(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = SeededRng(args.probe_seed)
 
+    # one gradient at theta serves the report and every HVP below
+    g = oracle.grad(theta, batch)
     report = flatness_report(
         oracle, theta, batch, rho=args.rho, rng=rng,
         power_iters=args.iters, trace_probes=args.probes,
-        ball_samples=args.samples,
+        ball_samples=args.samples, base_grad=g,
     )
     doc = report.to_dict()
     doc["r0_le_r1"] = bool(report.r0_sample <= report.r1_sample * 1.02 + 1e-12)
@@ -518,7 +520,9 @@ def cmd_landscape(args) -> int:
         json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
     )
 
-    (l1, v1), (l2, v2) = top2_eigenpairs(oracle, theta, batch, rng=rng.spawn(9))
+    (l1, v1), (l2, v2) = top2_eigenpairs(
+        oracle, theta, batch, rng=rng.spawn(9), base_grad=g
+    )
     a_axis, b_axis, losses = landscape_slice_2d(
         oracle, theta, batch, v1, v2, extent=args.extent, grid_n=args.grid
     )

@@ -19,6 +19,7 @@ from .objective import (
     MlpOracle,
     MlpSpec,
     ObjectiveOracle,
+    _ce_output_error,
     _softmax,
     fd_hvp,
 )
@@ -173,6 +174,9 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a CSV with an integer label in the first column, features after.
 
     A header row is skipped if its first cell does not parse as a number.
+    Rows must all have the first data row's width, labels must be integers
+    and features finite; a ``ValueError`` names the first offending data row,
+    counted from 1 after the header, skipping blank lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -184,8 +188,24 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     except ValueError:
         start = 1
     rows = [ln.split(",") for ln in lines[start:]]
-    y = np.array([int(float(r[0])) for r in rows], dtype=np.int64)
-    x = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    width = len(rows[0])
+    values = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        where = f"{path}: data row {i + 1}"
+        if len(row) != width:
+            raise ValueError(f"{where} has {len(row)} columns, expected {width}")
+        try:
+            values[i] = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"{where} has a non-numeric cell") from None
+        if not np.isfinite(values[i, 1:]).all():
+            raise ValueError(f"{where} has a non-finite feature")
+        if not float(values[i, 0]).is_integer():
+            raise ValueError(f"{where} has non-integer label {row[0]!r}")
+    x = values[:, 1:].copy()
+    y = values[:, 0].astype(np.int64)
     if (y < 0).any():
         raise ValueError("labels must be nonnegative")
     return x, y
@@ -387,14 +407,15 @@ class DistillObjective(ObjectiveOracle):
         return ce + kl
 
     def grad(self, theta, batch=None) -> ParamVector:
-        z = self.base.logits(theta, batch.x)
-        G = _softmax(z)
-        G[np.arange(batch.n), batch.y] -= 1.0
-        G /= batch.n
         p = self._old_probs(batch.x)
-        q = _softmax(z[:, : self.n_old] / self.temperature)
-        G[:, : self.n_old] += (q - p) / (self.temperature * batch.n)
-        return self.base.grad_from_output_error(theta, batch.x, G, include_l2=True)
+
+        def output_error(z):
+            G = _ce_output_error(z, batch.y)
+            q = _softmax(z[:, : self.n_old] / self.temperature)
+            G[:, : self.n_old] += (q - p) / (self.temperature * batch.n)
+            return G
+
+        return self.base._grad_with_output_error(theta, batch.x, output_error)
 
     def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
         delta_fd = getattr(self.base, "delta_fd", 1e-4)

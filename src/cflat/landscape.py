@@ -2,7 +2,9 @@
 neighborhood sharpness measurements, and 2-D loss-surface slices.
 
 All estimators consume only the oracle's hvp/grad/loss entry points and are
-deterministic given their probe seed.
+deterministic given their probe seed. The HVP estimators evaluate the gradient
+at theta once, or take it as ``base_grad``, and pass it to every product, so
+a forward-difference HVP costs one gradient instead of two.
 """
 from __future__ import annotations
 
@@ -45,6 +47,12 @@ class FlatnessReport:
         return asdict(self)
 
 
+def _hessian_matvec(oracle, theta, batch, base_grad):
+    """v -> H v at theta, every product sharing one base gradient."""
+    g = base_grad if base_grad is not None else oracle.grad(theta, batch)
+    return lambda v: oracle.hvp(theta, v, batch, base_grad=g)
+
+
 def _power_iteration(theta, iters, tol, rng, matvec):
     """Rayleigh-quotient power iteration on the given symmetric operator."""
     if iters < 1:
@@ -82,11 +90,12 @@ def power_iter_lambda_max(
     iters: int = 200,
     tol: float = 1e-10,
     rng: SeededRng | None = None,
+    base_grad: ParamVector | None = None,
 ) -> float:
     """Signed Rayleigh quotient of the magnitude-dominant Hessian eigenvalue."""
     rng = rng if rng is not None else SeededRng(0, 0)
     val, _ = _power_iteration(
-        theta, iters, tol, rng, lambda v: oracle.hvp(theta, v, batch)
+        theta, iters, tol, rng, _hessian_matvec(oracle, theta, batch, base_grad)
     )
     return val
 
@@ -98,15 +107,15 @@ def top2_eigenpairs(
     iters: int = 200,
     tol: float = 1e-10,
     rng: SeededRng | None = None,
+    base_grad: ParamVector | None = None,
 ):
     """Top-2 eigenpairs by magnitude; the second via deflation H - l1 v1 v1^T."""
     rng = rng if rng is not None else SeededRng(0, 0)
-    l1, v1 = _power_iteration(
-        theta, iters, tol, rng, lambda v: oracle.hvp(theta, v, batch)
-    )
+    hvp = _hessian_matvec(oracle, theta, batch, base_grad)
+    l1, v1 = _power_iteration(theta, iters, tol, rng, hvp)
 
     def deflated(v):
-        hv = oracle.hvp(theta, v, batch)
+        hv = hvp(v)
         return hv.with_data(hv.data - l1 * float(v1.data @ v.data) * v1.data)
 
     l2, v2 = _power_iteration(theta, iters, tol, rng, deflated)
@@ -119,15 +128,17 @@ def hutchinson_trace(
     batch: Batch | None,
     probes: int = 100,
     rng: SeededRng | None = None,
+    base_grad: ParamVector | None = None,
 ) -> float:
     """Unbiased trace estimate: mean of z^T H z over Rademacher probes."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     rng = rng if rng is not None else SeededRng(0, 0)
+    hvp = _hessian_matvec(oracle, theta, batch, base_grad)
     total = 0.0
     for _ in range(probes):
         z = rng.rademacher(theta.dim)
-        hz = oracle.hvp(theta, theta.with_data(z), batch)
+        hz = hvp(theta.with_data(z))
         total += float(z @ hz.data)
     return total / probes
 
@@ -213,13 +224,18 @@ def flatness_report(
     power_iters: int = 200,
     trace_probes: int = 200,
     ball_samples: int = 2000,
+    base_grad: ParamVector | None = None,
 ) -> FlatnessReport:
-    """Assemble the per-checkpoint diagnostics with per-purpose probe streams."""
-    g = oracle.grad(theta, batch)
+    """Assemble the per-checkpoint diagnostics with per-purpose probe streams.
+
+    The gradient at theta (``base_grad``, or one evaluation) gives the squared
+    gradient norm and is shared by every HVP of both estimators.
+    """
+    g = base_grad if base_grad is not None else oracle.grad(theta, batch)
     lam_max = power_iter_lambda_max(
-        oracle, theta, batch, power_iters, 1e-10, rng.spawn(1)
+        oracle, theta, batch, power_iters, 1e-10, rng.spawn(1), base_grad=g
     )
-    trace = hutchinson_trace(oracle, theta, batch, trace_probes, rng.spawn(2))
+    trace = hutchinson_trace(oracle, theta, batch, trace_probes, rng.spawn(2), base_grad=g)
     r0 = r0_bruteforce(oracle, theta, batch, rho, ball_samples, rng.spawn(3))
     r1 = r1_bruteforce(oracle, theta, batch, rho, ball_samples, rng.spawn(4))
     return FlatnessReport(

@@ -3,8 +3,10 @@
 Every oracle exposes ``loss``, ``grad`` and ``hvp`` on a batch. The quadratic
 and logistic oracles return exact Hessian-vector products; the MLP
 approximates them with a forward difference of gradients, which is all the
-optimizers ever consume. Losses are mean-reduced over the batch so step
-sizes and perturbation radii transfer across batch sizes.
+optimizers ever consume. A softmax-model gradient costs one forward and one
+backward pass, and an MLP HVP costs one gradient beyond the base gradient at
+theta, which callers share through ``base_grad``. Losses are mean-reduced over
+the batch so step sizes and perturbation radii transfer across batch sizes.
 """
 from __future__ import annotations
 
@@ -156,6 +158,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _ce_output_error(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Logit gradient of the mean cross-entropy: (softmax(z) - onehot(y)) / n."""
+    g = _softmax(z)
+    g[np.arange(len(y)), y] -= 1.0
+    g /= len(y)
+    return g
+
+
 def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
     """Segments (W0, b0, W1, b1, ...) for consecutive layer widths."""
     segs = []
@@ -171,26 +181,74 @@ def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
 class LogitModel(ObjectiveOracle):
     """Shared plumbing for softmax cross-entropy models with a logit head.
 
-    Subclasses provide ``logits`` and the data-term gradient given an
-    output-layer error signal; composed losses (distillation, replay) reuse
-    that hook instead of reimplementing backprop.
+    The model is a stack of ``n_layers`` affine blocks (W{l}, b{l}) with the
+    subclass's activation between them. ``grad_from_output_error``
+    backpropagates a given output-layer error. ``_grad_with_output_error``
+    backpropagates an error computed from the logits of the same forward
+    pass; cross-entropy and composed losses (distillation) use it so that a
+    gradient costs one forward pass instead of two.
     """
 
     n_classes: int
+    n_layers: int
     l2: float
     manifest: tuple[Segment, ...]
 
-    def logits(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
+    def with_head(self, n_classes: int) -> "LogitModel":
         raise NotImplementedError
+
+    def _act(self, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _act_deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _forward(self, theta: ParamVector, x: np.ndarray):
+        """(acts, pre): each block's input and its affine output; pre[-1] is the logits."""
+        acts = [x]
+        pre = []
+        a = x
+        for layer in range(self.n_layers):
+            z = a @ theta.view(f"W{layer}").T + theta.view(f"b{layer}")
+            pre.append(z)
+            if layer < self.n_layers - 1:
+                a = self._act(z)
+                acts.append(a)
+        return acts, pre
+
+    def _backprop(self, theta, acts, pre, dlogits, include_l2) -> ParamVector:
+        grads: dict[str, np.ndarray] = {}
+        G = dlogits
+        for layer in range(self.n_layers - 1, -1, -1):
+            grads[f"W{layer}"] = G.T @ acts[layer]
+            grads[f"b{layer}"] = G.sum(axis=0)
+            if layer > 0:
+                G = (G @ theta.view(f"W{layer}")) * self._act_deriv(
+                    pre[layer - 1], acts[layer]
+                )
+        flat = np.concatenate([grads[seg.name].ravel() for seg in self.manifest])
+        if include_l2 and self.l2 > 0:
+            flat = flat + self.l2 * theta.data
+        return ParamVector(flat, self.manifest)
+
+    def logits(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
+        _, pre = self._forward(theta, x)
+        return pre[-1]
 
     def grad_from_output_error(
         self, theta: ParamVector, x: np.ndarray, dlogits: np.ndarray,
         include_l2: bool = False,
     ) -> ParamVector:
-        raise NotImplementedError
+        acts, pre = self._forward(theta, x)
+        return self._backprop(theta, acts, pre, dlogits, include_l2)
 
-    def with_head(self, n_classes: int) -> "LogitModel":
-        raise NotImplementedError
+    def _grad_with_output_error(
+        self, theta: ParamVector, x: np.ndarray, output_error,
+    ) -> ParamVector:
+        """Gradient, L2 term included, of a loss whose logit gradient is
+        ``output_error(logits)``; one forward pass."""
+        acts, pre = self._forward(theta, x)
+        return self._backprop(theta, acts, pre, output_error(pre[-1]), include_l2=True)
 
     def loss(self, theta, batch=None) -> float:
         self._require_dim(theta)
@@ -202,11 +260,9 @@ class LogitModel(ObjectiveOracle):
     def grad(self, theta, batch=None) -> ParamVector:
         self._require_dim(theta)
         self._check_labels(batch)
-        z = self.logits(theta, batch.x)
-        g_out = _softmax(z)
-        g_out[np.arange(batch.n), batch.y] -= 1.0
-        g_out /= batch.n
-        return self.grad_from_output_error(theta, batch.x, g_out, include_l2=True)
+        return self._grad_with_output_error(
+            theta, batch.x, lambda z: _ce_output_error(z, batch.y)
+        )
 
     def predict(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(theta, x), axis=1)
@@ -247,22 +303,10 @@ class LogisticOracle(LogitModel):
         self.l2 = float(l2)
         self.manifest = mlp_manifest((d_in, n_classes))
         self.dim = sum(seg.size for seg in self.manifest)
+        self.n_layers = 1
 
     def with_head(self, n_classes: int) -> "LogisticOracle":
         return LogisticOracle(self.d_in, n_classes, self.l2)
-
-    def logits(self, theta, x):
-        W = theta.view("W0")
-        b = theta.view("b0")
-        return x @ W.T + b
-
-    def grad_from_output_error(self, theta, x, dlogits, include_l2=False):
-        dW = dlogits.T @ x
-        db = dlogits.sum(axis=0)
-        flat = np.concatenate([dW.ravel(), db])
-        if include_l2 and self.l2 > 0:
-            flat = flat + self.l2 * theta.data
-        return ParamVector(flat, self.manifest)
 
     def hvp(self, theta, v, batch=None, base_grad=None):
         self._require_dim(theta)
@@ -316,9 +360,11 @@ class MlpSpec:
 class MlpOracle(LogitModel):
     """Fully-connected softmax classifier with backprop gradients.
 
-    The HVP is a forward difference of gradients (one extra gradient per
-    product); relative step ``delta_fd`` defaults to 1e-4 and is scaled by
-    (1 + ||theta||).
+    A gradient costs one forward and one backward pass. The HVP is a forward
+    difference of gradients: one gradient at the shifted point beyond the
+    base gradient at theta, which callers pass as ``base_grad`` to share it
+    across products (it is recomputed when omitted). The relative step
+    ``delta_fd`` defaults to 1e-4 and is scaled by (1 + ||theta||).
     """
 
     def __init__(self, spec: MlpSpec, delta_fd: float = 1e-4):
@@ -354,44 +400,12 @@ class MlpOracle(LogitModel):
         # subgradient 0 at exactly 0
         return (z > 0.0).astype(np.float64)
 
-    def _forward(self, theta: ParamVector, x: np.ndarray):
-        acts = [x]
-        pre = []
-        a = x
-        for layer in range(self.n_layers):
-            z = a @ theta.view(f"W{layer}").T + theta.view(f"b{layer}")
-            pre.append(z)
-            if layer < self.n_layers - 1:
-                a = self._act(z)
-                acts.append(a)
-        return acts, pre
-
-    def logits(self, theta, x):
-        _, pre = self._forward(theta, x)
-        return pre[-1]
-
     def representations(self, theta: ParamVector, x: np.ndarray, layer: int) -> np.ndarray:
         """Input activations feeding weight block W{layer} (layer 0 sees x)."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range")
         acts, _ = self._forward(theta, x)
         return acts[layer]
-
-    def grad_from_output_error(self, theta, x, dlogits, include_l2=False):
-        acts, pre = self._forward(theta, x)
-        grads: dict[str, np.ndarray] = {}
-        G = dlogits
-        for layer in range(self.n_layers - 1, -1, -1):
-            grads[f"W{layer}"] = G.T @ acts[layer]
-            grads[f"b{layer}"] = G.sum(axis=0)
-            if layer > 0:
-                G = (G @ theta.view(f"W{layer}")) * self._act_deriv(
-                    pre[layer - 1], acts[layer]
-                )
-        flat = np.concatenate([grads[seg.name].ravel() for seg in self.manifest])
-        if include_l2 and self.l2 > 0:
-            flat = flat + self.l2 * theta.data
-        return ParamVector(flat, self.manifest)
 
     def hvp(self, theta, v, batch=None, base_grad=None):
         self._require_dim(theta)

@@ -153,6 +153,20 @@ def test_csv_loader_roundtrip(tmp_path):
     assert y2.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("body, match", [
+    ("0,1.0,2.0\n1,nan,3.0\n", "data row 2 has a non-finite feature"),
+    ("0,1.0,2.0\n1,0.5,3.0\n0,inf,1.0\n", "data row 3 has a non-finite feature"),
+    ("0,1.0,2.0\n1,0.5\n", "data row 2 has 2 columns, expected 3"),
+    ("0,1.0,2.0\n1.7,0.5,3.0\n", "data row 2 has non-integer label '1.7'"),
+    ("0,1.0,2.0\n1,0.5,x\n", "data row 2 has a non-numeric cell"),
+], ids=["nan_feature", "inf_feature", "ragged_row", "fractional_label", "non_numeric"])
+def test_csv_loader_rejects_bad_rows_by_data_row(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("label,f0,f1\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        load_csv_dataset(str(path))
+
+
 def test_split_dataset_stratified():
     rng = SeededRng(1)
     x = rng.normal(size=(50, 3))

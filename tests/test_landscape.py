@@ -12,7 +12,7 @@ from cflat.landscape import (
     track_sq_grad_norm,
 )
 from cflat.numcore import ParamVector, SeededRng
-from cflat.objective import ObjectiveOracle, make_quadratic
+from cflat.objective import Batch, MlpSpec, ObjectiveOracle, make_mlp, make_quadratic
 from cflat.optim import StepStats
 
 
@@ -118,6 +118,55 @@ def test_estimators_deterministic_given_probe_seed():
     ra = r0_bruteforce(q, theta, None, 0.1, 500, SeededRng(9))
     rb = r0_bruteforce(q, theta, None, 0.1, 500, SeededRng(9))
     assert ra == rb
+
+
+def test_hvp_estimators_share_one_base_gradient(monkeypatch):
+    rng = SeededRng(21)
+    oracle = make_mlp(MlpSpec(3, (5,), 3), rng.spawn(0))
+    theta = oracle.theta0
+    batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
+    estimators = {
+        "power": lambda **kw: power_iter_lambda_max(
+            oracle, theta, batch, iters=25, rng=SeededRng(1), **kw),
+        "trace": lambda **kw: hutchinson_trace(
+            oracle, theta, batch, probes=7, rng=SeededRng(2), **kw),
+        "top2": lambda **kw: top2_eigenpairs(
+            oracle, theta, batch, iters=25, rng=SeededRng(3), **kw),
+    }
+
+    def values(result):
+        if isinstance(result, float):
+            return [result]
+        (l1, v1), (l2, v2) = result
+        return [l1, *v1.data, l2, *v2.data]
+
+    grad, hvp = oracle.grad, oracle.hvp
+    # reference: every product evaluates the gradient at theta afresh
+    monkeypatch.setattr(oracle, "hvp", lambda th, v, b=None, base_grad=None: hvp(th, v, b))
+    reference = {name: values(run()) for name, run in estimators.items()}
+
+    counts = {"grad": 0, "hvp": 0}
+
+    def counted_grad(th, b=None):
+        counts["grad"] += 1
+        return grad(th, b)
+
+    def counted_hvp(th, v, b=None, base_grad=None):
+        counts["hvp"] += 1
+        return hvp(th, v, b, base_grad)
+
+    monkeypatch.setattr(oracle, "grad", counted_grad)
+    monkeypatch.setattr(oracle, "hvp", counted_hvp)
+    g = grad(theta, batch)
+    for name, run in estimators.items():
+        counts.update(grad=0, hvp=0)
+        assert values(run(base_grad=g)) == reference[name], name
+        assert counts["hvp"] > 0
+        assert counts["grad"] == counts["hvp"], name
+        # without base_grad the estimator evaluates theta's gradient once
+        counts.update(grad=0, hvp=0)
+        assert values(run()) == reference[name], name
+        assert counts["grad"] == counts["hvp"] + 1, name
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cflat.continual import DistillObjective
 from cflat.numcore import ParamVector, SeededRng, norm2
 from cflat.objective import (
     Batch,
@@ -229,6 +230,64 @@ def test_mlp_gradient_matches_central_differences(activation):
     fd = central_diff_grad(lambda th: oracle.loss(th, batch), theta, 1e-5)
     rel = np.max(np.abs(fd - g.data)) / np.max(np.abs(g.data))
     assert rel <= 1e-4
+
+
+def count_forward_passes(monkeypatch, oracle):
+    calls = []
+    forward = oracle._forward
+
+    def counted(theta, x):
+        calls.append(x.shape[0])
+        return forward(theta, x)
+
+    monkeypatch.setattr(oracle, "_forward", counted)
+    return calls
+
+
+def softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_grad_is_one_forward_pass_and_matches_output_error_hook(monkeypatch, activation):
+    rng = SeededRng(13)
+    spec = MlpSpec(d_in=4, hidden=(6, 5), n_classes=3, activation=activation, l2=0.03)
+    oracle = make_mlp(spec, rng.spawn(0))
+    theta = oracle.theta0
+    batch = random_batch(rng, 9, 4, 3)
+    dlogits = softmax_rows(oracle.logits(theta, batch.x))
+    dlogits[np.arange(batch.n), batch.y] -= 1.0
+    dlogits /= batch.n
+    expected = oracle.grad_from_output_error(theta, batch.x, dlogits, include_l2=True)
+
+    calls = count_forward_passes(monkeypatch, oracle)
+    got = oracle.grad(theta, batch)
+    assert calls == [batch.n]
+    assert got.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_distill_grad_is_one_forward_pass_of_the_current_model(monkeypatch, activation):
+    rng = SeededRng(14)
+    oracle = make_mlp(MlpSpec(3, (5,), 4, activation=activation, l2=0.02), rng.spawn(0))
+    old = oracle.with_head(2)
+    theta_old = ParamVector(rng.normal(size=old.dim), old.manifest)
+    obj = DistillObjective(oracle, theta_old, temperature=2.0)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    batch = random_batch(rng, 6, 3, 4)
+    G = softmax_rows(oracle.logits(theta, batch.x))
+    G[np.arange(batch.n), batch.y] -= 1.0
+    G /= batch.n
+    p = softmax_rows(old.logits(theta_old, batch.x) / 2.0)
+    q = softmax_rows(oracle.logits(theta, batch.x)[:, :2] / 2.0)
+    G[:, :2] += (q - p) / (2.0 * batch.n)
+    expected = oracle.grad_from_output_error(theta, batch.x, G, include_l2=True)
+
+    calls = count_forward_passes(monkeypatch, oracle)
+    got = obj.grad(theta, batch)
+    assert calls == [batch.n]
+    assert got.data.tobytes() == expected.data.tobytes()
 
 
 def test_mlp_hvp_zero_direction():
