@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,6 +26,7 @@ from .continual import (
     Dataset,
     load_csv_dataset,
     make_stream,
+    merge_experiment_results,
     run_cl_experiment,
     split_dataset,
     synth_dataset,
@@ -351,14 +354,26 @@ def _run_to_manifest(cfg: dict, result, n_tasks: int) -> dict:
     }
 
 
-def run_experiment_from_config(cfg: dict, out_dir: Path) -> dict:
-    """Execute a resolved config and write manifest/metrics/trace/checkpoints."""
+def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
+    """Execute a resolved config and write manifest/metrics/trace/checkpoints.
+
+    With ``jobs`` > 1 the seeds run in up to that many worker processes and
+    their results are merged in seed order, so every file but the manifest's
+    timing is byte-identical to a one-job run.
+    """
     dataset = _build_dataset(cfg)
     stream = make_stream(dataset, cfg["protocol"], cfg["increment"], cfg["perm_seed"])
-    result = run_cl_experiment(
-        stream, cfg["method"], cfg["optimizer"],
-        _build_optim(cfg), _build_cl(cfg), cfg["seeds"],
+    experiment = functools.partial(
+        run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
+        _build_optim(cfg), _build_cl(cfg),
     )
+    seeds = cfg["seeds"]
+    if jobs > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            result = merge_experiment_results(list(pool.map(experiment, [[s] for s in seeds])))
+    else:
+        result = experiment(seeds)
     n_tasks = len(stream.tasks)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _run_to_manifest(cfg, result, n_tasks)
@@ -398,7 +413,7 @@ def _apply_overrides(cfg_doc: dict, args) -> dict:
 def cmd_run(args) -> int:
     cfg_doc = _apply_overrides(_load_config_file(args.config), args)
     cfg = resolve_config(cfg_doc)
-    run_experiment_from_config(cfg, Path(cfg["out_dir"]))
+    run_experiment_from_config(cfg, Path(cfg["out_dir"]), jobs=args.jobs)
     return 0
 
 

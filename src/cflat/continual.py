@@ -72,6 +72,7 @@ __all__ = [
     "gpm_project",
     "gpm_cflat_step",
     "GpmStepper",
+    "merge_experiment_results",
     "run_cl_experiment",
     "METHOD_NAMES",
 ]
@@ -394,20 +395,28 @@ class DistillObjective(ObjectiveOracle):
         self.old_oracle = oracle.with_head(n_old)
         self.theta_old = theta_old
         self.temperature = float(temperature)
+        self._probs_batch: Batch | None = None
+        self._probs: np.ndarray | None = None
 
-    def _old_probs(self, x: np.ndarray) -> np.ndarray:
-        z_old = self.old_oracle.logits(self.theta_old, x)
-        return _softmax(z_old / self.temperature)
+    def _old_probs(self, batch: Batch) -> np.ndarray:
+        """Old model's softened distribution on ``batch``; kept for the last
+        batch object, since an optimizer step queries one batch several times."""
+        if self._probs_batch is not batch:
+            z_old = self.old_oracle.logits(self.theta_old, batch.x)
+            self._probs = _softmax(z_old / self.temperature)
+            self._probs.setflags(write=False)
+            self._probs_batch = batch
+        return self._probs
 
     def loss(self, theta, batch=None) -> float:
-        ce = self.base.loss(theta, batch)
-        p = self._old_probs(batch.x)
-        q = _softmax(self.base.logits(theta, batch.x)[:, : self.n_old] / self.temperature)
+        ce, z = self.base._loss_and_logits(theta, batch)
+        p = self._old_probs(batch)
+        q = _softmax(z[:, : self.n_old] / self.temperature)
         kl = float(np.mean((p * (np.log(p) - np.log(q))).sum(axis=1)))
         return ce + kl
 
     def grad(self, theta, batch=None) -> ParamVector:
-        p = self._old_probs(batch.x)
+        p = self._old_probs(batch)
 
         def output_error(z):
             G = _ce_output_error(z, batch.y)
@@ -926,10 +935,21 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
     results = [_run_seed(stream, method, optimizer, cfg, cl, int(s)) for s in seeds]
-    T = len(stream.tasks)
+    return _experiment_result(method, optimizer, results, len(stream.tasks))
+
+
+def merge_experiment_results(parts: list[ExperimentResult]) -> ExperimentResult:
+    """One result from per-seed-group runs of the same experiment, in the given order."""
+    results = [r for part in parts for r in part.results]
+    return _experiment_result(parts[0].method, parts[0].optimizer, results,
+                              len(parts[0].mean_matrix))
+
+
+def _experiment_result(method: str, optimizer: str, results: list[SeedResult],
+                       n_tasks: int) -> ExperimentResult:
     mean_matrix = [
         [float(np.mean([r.matrix[t][i] for r in results])) for i in range(t + 1)]
-        for t in range(T)
+        for t in range(n_tasks)
     ]
     return ExperimentResult(method=method, optimizer=optimizer, results=results,
                             mean_matrix=mean_matrix)

@@ -143,12 +143,23 @@ def hutchinson_trace(
     return total / probes
 
 
+# Rows normalised per block in _ball_samples; bounds the norm's temporaries.
+_BALL_BLOCK_ROWS = 64
+
+
 def _ball_samples(rng: SeededRng, d: int, rho: float, n: int) -> np.ndarray:
-    """n points uniform in the radius-rho ball (gaussian direction, u^{1/d} radius)."""
+    """n points uniform in the radius-rho ball (gaussian direction, u^{1/d} radius).
+
+    The draws are normalised and scaled in place, a block of rows at a time,
+    so the (n, d) draw is the only full-size array.
+    """
     dirs = rng.normal(0.0, 1.0, (n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for start in range(0, n, _BALL_BLOCK_ROWS):
+        block = dirs[start:start + _BALL_BLOCK_ROWS]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
     radii = rho * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
-    return dirs * radii[:, None]
+    dirs *= radii[:, None]
+    return dirs
 
 
 def r0_bruteforce(

@@ -84,6 +84,10 @@ class ParamVector:
         """New vector with the same manifest and different values."""
         return ParamVector(data, self.manifest)
 
+    def __reduce__(self):
+        # Rebuild through the constructor so an unpickled vector stays read-only.
+        return (ParamVector, (self.data, self.manifest))
+
     def __repr__(self) -> str:
         names = ",".join(seg.name for seg in self.manifest)
         return f"ParamVector(dim={self.dim}, segments=[{names}])"

@@ -7,6 +7,14 @@ optimizers ever consume. A softmax-model gradient costs one forward and one
 backward pass, and an MLP HVP costs one gradient beyond the base gradient at
 theta, which callers share through ``base_grad``. Losses are mean-reduced over
 the batch so step sizes and perturbation radii transfer across batch sizes.
+
+Workspace contract of the softmax models: an oracle keeps one set of hidden-
+layer buffers per batch row count (for the last few row counts it has seen)
+and its forward and backward passes write into them instead of allocating.
+Every array an oracle returns (logits, representations, gradients) is fresh,
+so no caller sees a buffer that a later call overwrites. The price is that an
+``output_error`` callback must not call back into the same oracle: the
+buffers of the pass it sits in would be overwritten.
 """
 from __future__ import annotations
 
@@ -178,6 +186,10 @@ def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
     return tuple(segs)
 
 
+# Row counts whose buffers an oracle keeps; the oldest set is dropped first.
+_WORKSPACE_ROW_COUNTS = 8
+
+
 class LogitModel(ObjectiveOracle):
     """Shared plumbing for softmax cross-entropy models with a logit head.
 
@@ -187,45 +199,73 @@ class LogitModel(ObjectiveOracle):
     backpropagates an error computed from the logits of the same forward
     pass; cross-entropy and composed losses (distillation) use it so that a
     gradient costs one forward pass instead of two.
+
+    Each hidden layer's pre-activation, activation, back-propagated error and
+    activation derivative live in a workspace kept per batch row count, so a
+    pass at a row count seen before allocates only the logits and the flat
+    gradient. Outputs are always fresh arrays; an ``output_error`` callback
+    must not call back into the same oracle (see the module docstring).
     """
 
     n_classes: int
     n_layers: int
     l2: float
     manifest: tuple[Segment, ...]
+    _workspaces: dict
 
     def with_head(self, n_classes: int) -> "LogitModel":
         raise NotImplementedError
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
+    def _act(self, z: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _act_deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _workspace(self, n: int) -> list[tuple[np.ndarray, ...]]:
+        """Per hidden layer: (pre-activation, activation, G @ W, derivative), n rows."""
+        cache = self._workspaces
+        buffers = cache.get(n)
+        if buffers is None:
+            if len(cache) >= _WORKSPACE_ROW_COUNTS:
+                del cache[next(iter(cache))]
+            widths = [self.manifest[2 * layer + 1].shape[0] for layer in range(self.n_layers - 1)]
+            buffers = cache[n] = [tuple(np.empty((n, w)) for _ in range(4)) for w in widths]
+        return buffers
 
     def _forward(self, theta: ParamVector, x: np.ndarray):
-        """(acts, pre): each block's input and its affine output; pre[-1] is the logits."""
+        """(acts, pre): each block's input and its affine output; pre[-1] is the logits.
+
+        Hidden-layer entries are workspace buffers; the logits are fresh.
+        """
+        buffers = self._workspace(len(x))
         acts = [x]
         pre = []
         a = x
         for layer in range(self.n_layers):
-            z = a @ theta.view(f"W{layer}").T + theta.view(f"b{layer}")
+            hidden = layer < self.n_layers - 1
+            W = theta.view(f"W{layer}").T
+            z = np.matmul(a, W, out=buffers[layer][0]) if hidden else a @ W
+            z += theta.view(f"b{layer}")
             pre.append(z)
-            if layer < self.n_layers - 1:
-                a = self._act(z)
+            if hidden:
+                a = buffers[layer][1]
+                self._act(z, out=a)
                 acts.append(a)
         return acts, pre
 
     def _backprop(self, theta, acts, pre, dlogits, include_l2) -> ParamVector:
+        buffers = self._workspace(len(acts[0]))
         grads: dict[str, np.ndarray] = {}
         G = dlogits
         for layer in range(self.n_layers - 1, -1, -1):
             grads[f"W{layer}"] = G.T @ acts[layer]
             grads[f"b{layer}"] = G.sum(axis=0)
             if layer > 0:
-                G = (G @ theta.view(f"W{layer}")) * self._act_deriv(
-                    pre[layer - 1], acts[layer]
-                )
+                _, _, GW, deriv = buffers[layer - 1]
+                np.matmul(G, theta.view(f"W{layer}"), out=GW)
+                GW *= self._act_deriv(pre[layer - 1], acts[layer], out=deriv)
+                G = GW
         flat = np.concatenate([grads[seg.name].ravel() for seg in self.manifest])
         if include_l2 and self.l2 > 0:
             flat = flat + self.l2 * theta.data
@@ -246,16 +286,21 @@ class LogitModel(ObjectiveOracle):
         self, theta: ParamVector, x: np.ndarray, output_error,
     ) -> ParamVector:
         """Gradient, L2 term included, of a loss whose logit gradient is
-        ``output_error(logits)``; one forward pass."""
+        ``output_error(logits)``; one forward pass. ``output_error`` must not
+        call this oracle."""
         acts, pre = self._forward(theta, x)
         return self._backprop(theta, acts, pre, output_error(pre[-1]), include_l2=True)
 
-    def loss(self, theta, batch=None) -> float:
+    def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
+        """Mean cross-entropy plus the L2 term, and the logits it was computed from."""
         self._require_dim(theta)
         self._check_labels(batch)
         z = self.logits(theta, batch.x)
         ce = float(np.mean(_logsumexp(z) - z[np.arange(batch.n), batch.y]))
-        return ce + 0.5 * self.l2 * float(theta.data @ theta.data)
+        return ce + 0.5 * self.l2 * float(theta.data @ theta.data), z
+
+    def loss(self, theta, batch=None) -> float:
+        return self._loss_and_logits(theta, batch)[0]
 
     def grad(self, theta, batch=None) -> ParamVector:
         self._require_dim(theta)
@@ -304,6 +349,7 @@ class LogisticOracle(LogitModel):
         self.manifest = mlp_manifest((d_in, n_classes))
         self.dim = sum(seg.size for seg in self.manifest)
         self.n_layers = 1
+        self._workspaces = {}
 
     def with_head(self, n_classes: int) -> "LogisticOracle":
         return LogisticOracle(self.d_in, n_classes, self.l2)
@@ -375,6 +421,7 @@ class MlpOracle(LogitModel):
         self.dim = sum(seg.size for seg in self.manifest)
         self.delta_fd = delta_fd
         self.n_layers = len(spec.widths) - 1
+        self._workspaces = {}
 
     def with_head(self, n_classes: int) -> "MlpOracle":
         return MlpOracle(replace(self.spec, n_classes=n_classes), self.delta_fd)
@@ -389,23 +436,25 @@ class MlpOracle(LogitModel):
             parts.append(np.zeros(d_out))
         return ParamVector(np.concatenate(parts), self.manifest)
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
+    def _act(self, z: np.ndarray, out: np.ndarray) -> None:
         if self.spec.activation == "tanh":
-            return np.tanh(z)
-        return np.maximum(z, 0.0)
+            np.tanh(z, out=out)
+        else:
+            np.maximum(z, 0.0, out=out)
 
-    def _act_deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.spec.activation == "tanh":
-            return 1.0 - a * a
+            np.multiply(a, a, out=out)
+            return np.subtract(1.0, out, out=out)
         # subgradient 0 at exactly 0
-        return (z > 0.0).astype(np.float64)
+        return np.greater(z, 0.0, out=out)
 
     def representations(self, theta: ParamVector, x: np.ndarray, layer: int) -> np.ndarray:
-        """Input activations feeding weight block W{layer} (layer 0 sees x)."""
+        """Input activations feeding weight block W{layer} (layer 0 sees x), as a copy."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range")
         acts, _ = self._forward(theta, x)
-        return acts[layer]
+        return np.array(acts[layer], dtype=np.float64)
 
     def hvp(self, theta, v, batch=None, base_grad=None):
         self._require_dim(theta)

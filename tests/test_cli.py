@@ -53,6 +53,36 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
 
 
+def test_run_jobs_writes_the_same_files_as_one_job(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from cflat import cli
+
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    outs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        cfg = write_config(tmp_path, base_config(out, seeds=[0, 1, 2]), f"j{jobs}.json")
+        assert main(["run", "--config", cfg, "--jobs", str(jobs)]) == 0
+        outs[jobs] = out
+    assert pools == [2]
+    names = ["metrics.csv", "trace.csv"] + [f"checkpoint_seed{s}.json" for s in (0, 1, 2)]
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    manifests = [json.loads((outs[j] / "manifest.json").read_text()) for j in (1, 2)]
+    for manifest in manifests:
+        del manifest["timing"]
+        manifest["config"].pop("out_dir")
+    assert manifests[0] == manifests[1]
+
+
 def test_subprocess_run_matches_in_process(tmp_path):
     import subprocess
     import sys

@@ -308,6 +308,49 @@ def test_distill_rejects_wider_old_head_and_bad_labels():
         obj.loss(theta, bad)
 
 
+def count_forward_rows(monkeypatch, oracle):
+    rows = []
+    forward = oracle._forward
+
+    def counted(theta, x):
+        rows.append(x.shape[0])
+        return forward(theta, x)
+
+    monkeypatch.setattr(oracle, "_forward", counted)
+    return rows
+
+
+def test_distill_loss_is_one_forward_pass_and_old_probs_once_per_batch(monkeypatch):
+    rng = SeededRng(11)
+    oracle = make_mlp(MlpSpec(3, (5,), 4, l2=0.01), rng.spawn(0))
+    old = oracle.with_head(2)
+    theta_old = ParamVector(rng.normal(size=old.dim), old.manifest)
+    obj = DistillObjective(oracle, theta_old, temperature=2.0)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 4, 6))
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    p = softmax(old.logits(theta_old, batch.x) / 2.0)
+    q = softmax(oracle.logits(theta, batch.x)[:, :2] / 2.0)
+    expected = oracle.loss(theta, batch) + float(np.mean((p * (np.log(p) - np.log(q))).sum(axis=1)))
+
+    current = count_forward_rows(monkeypatch, oracle)
+    previous = count_forward_rows(monkeypatch, obj.old_oracle)
+    assert obj.loss(theta, batch) == expected
+    assert current == [6] and previous == [6]
+    v = theta.with_data(rng.normal(size=theta.dim))
+    obj.grad(theta, batch)
+    obj.hvp(theta, v, batch)
+    obj.loss(theta, batch)
+    assert previous == [6]
+    other = Batch(batch.x.copy(), batch.y.copy())
+    obj.grad(theta, other)
+    assert previous == [6, 6]
+
+
 def test_distill_gradient_matches_finite_differences():
     rng = SeededRng(10)
     oracle = make_mlp(MlpSpec(3, (4,), 4), rng.spawn(0))

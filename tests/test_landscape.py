@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cflat.landscape import (
+    _ball_samples,
     flatness_report,
     hutchinson_trace,
     landscape_slice_2d,
@@ -172,6 +173,17 @@ def test_hvp_estimators_share_one_base_gradient(monkeypatch):
 # ---------------------------------------------------------------------------
 # brute-force neighborhood sharpness
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (64, 3), (130, 50), (300, 257)])
+def test_ball_samples_equal_the_one_shot_formula(n, d):
+    rng = SeededRng(21, 4)
+    dirs = rng.normal(0.0, 1.0, (n, d))
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    expected = dirs * (0.3 * rng.uniform(0.0, 1.0, n) ** (1.0 / d))[:, None]
+    got = _ball_samples(SeededRng(21, 4), d, 0.3, n)
+    assert got.shape == (n, d)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_r0_quadratic_minimum_closed_form():

@@ -142,6 +142,16 @@ def test_param_vector_manifest_validation():
         v.view("missing")
 
 
+def test_param_vector_pickle_round_trip_stays_read_only():
+    import pickle
+
+    segs = (Segment("W", 0, (2, 2)), Segment("b", 4, (2,)))
+    v = pickle.loads(pickle.dumps(ParamVector(np.arange(6.0), segs)))
+    assert v.manifest == segs
+    assert v.data.tobytes() == np.arange(6.0).tobytes()
+    assert not v.data.flags.writeable
+
+
 def test_all_finite():
     assert all_finite(ParamVector([1.0, 2.0]))
     assert not all_finite(ParamVector([1.0, np.nan]))

@@ -290,6 +290,69 @@ def test_distill_grad_is_one_forward_pass_of_the_current_model(monkeypatch, acti
     assert got.data.tobytes() == expected.data.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_returned_arrays_survive_later_oracle_calls(activation):
+    rng = SeededRng(15)
+    oracle = make_mlp(MlpSpec(4, (6, 5), 3, activation=activation, l2=0.01), rng.spawn(0))
+    theta = oracle.theta0
+    batch = random_batch(rng, 12, 4, 3)
+    logits = oracle.logits(theta, batch.x)
+    reps = [oracle.representations(theta, batch.x, layer) for layer in range(3)]
+    kept = [logits.copy()] + [r.copy() for r in reps]
+
+    other = random_batch(rng, 12, 4, 3)
+    shifted = theta.with_data(theta.data + rng.normal(size=theta.dim))
+    oracle.loss(shifted, other)
+    oracle.grad(shifted, other)
+    oracle.hvp(shifted, theta, other)
+    oracle.representations(shifted, other.x, 1)
+    for got, want in zip([logits] + reps, kept):
+        assert got.tobytes() == want.tobytes()
+    assert reps[0] is not batch.x
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_workspace_results_match_a_fresh_oracle_across_row_counts(activation):
+    rng = SeededRng(16)
+    spec = MlpSpec(8, (16, 12), 5, activation=activation, l2=0.02)
+    oracle = make_mlp(spec, rng.spawn(0))
+    theta = oracle.theta0
+    for n in (32, 512, 32, 512, 32):
+        batch = random_batch(rng, n, 8, 5)
+        v = theta.with_data(rng.normal(size=theta.dim))
+        fresh = make_mlp(spec, rng.spawn(0))
+        assert oracle.loss(theta, batch) == fresh.loss(theta, batch)
+        assert oracle.grad(theta, batch).data.tobytes() == fresh.grad(theta, batch).data.tobytes()
+        fresh = make_mlp(spec, rng.spawn(0))
+        assert oracle.hvp(theta, v, batch).data.tobytes() == fresh.hvp(theta, v, batch).data.tobytes()
+        theta = theta.with_data(theta.data - 0.1 * oracle.grad(theta, batch).data)
+
+
+def test_repeated_grads_reuse_the_workspace_buffers():
+    rng = SeededRng(17)
+    oracle = make_mlp(MlpSpec(4, (6, 5), 3), rng.spawn(0))
+    theta = oracle.theta0
+    small, large = random_batch(rng, 32, 4, 3), random_batch(rng, 64, 4, 3)
+    oracle.grad(theta, small)
+    buffers = [buf for layer in oracle._workspace(32) for buf in layer]
+    assert len(buffers) == 8
+    for batch in (small, large, small):
+        oracle.grad(theta, batch)
+    again = [buf for layer in oracle._workspace(32) for buf in layer]
+    assert all(a is b for a, b in zip(again, buffers))
+    acts, pre = oracle._forward(theta, small.x)
+    assert acts[1] is buffers[1] and pre[0] is buffers[0]
+
+
+def test_workspace_keeps_a_bounded_number_of_row_counts():
+    rng = SeededRng(18)
+    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    for n in range(1, 21):
+        oracle.grad(oracle.theta0, random_batch(rng, n, 3, 2))
+    assert 1 <= len(oracle._workspaces) <= 8
+    assert 20 in oracle._workspaces
+
+
 def test_mlp_hvp_zero_direction():
     rng = SeededRng(10)
     oracle = make_mlp(MlpSpec(3, (4,), 2), rng)
