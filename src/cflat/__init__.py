@@ -39,6 +39,7 @@ from .continual import (
     CLConfig,
     Dataset,
     GpmState,
+    GpmStepper,
     MemoryBuffer,
     SyntheticSpec,
     Task,
@@ -47,9 +48,7 @@ from .continual import (
     grow_head,
     gpm_cflat_step,
     gpm_extract_basis,
-    icarl_loss,
     make_stream,
-    replay_loss,
     run_cl_experiment,
     synth_dataset,
     wa_align,
@@ -71,7 +70,6 @@ from .metrics import (
     fwt,
     last_accuracy,
     relative_return,
-    throughput,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import itertools
 import json
@@ -48,6 +49,48 @@ from .optim import DivergenceError, OptimConfig, ProxyState, OPTIMIZER_NAMES
 
 SCHEMA_VERSION = 1
 
+# The CLI trains with a larger step than OptimConfig's library default (0.1).
+_CLI_ETA = 0.5
+
+# Config keys that set a dataclass field: JSON path -> (dataclass, field).
+# Their defaults come from the dataclass (optim.eta aside, see _CLI_ETA), and
+# _build_optim / _build_cl build the dataclasses from them.
+_DATACLASS_KEYS = (
+    *((f"optim.{f.name}", OptimConfig, f.name) for f in dataclasses.fields(OptimConfig)),
+    ("model.hidden", CLConfig, "hidden"),
+    ("model.activation", CLConfig, "activation"),
+    ("model.l2", CLConfig, "l2"),
+    ("train.epochs", CLConfig, "epochs"),
+    ("train.batch_size", CLConfig, "batch_size"),
+    ("train.milestones", CLConfig, "milestones"),
+    ("train.lr_decay", CLConfig, "lr_decay"),
+    ("memory.capacity_per_class", CLConfig, "memory_capacity"),
+    ("icarl.temperature", CLConfig, "temperature"),
+    ("proxy.A", ProxyState, "A"),
+    ("proxy.k", ProxyState, "k"),
+    ("proxy.i0", ProxyState, "i0"),
+    ("proxy.eta0", ProxyState, "eta0"),
+    ("proxy.reset_per_task", CLConfig, "proxy_reset_per_task"),
+    ("hybrid.p", CLConfig, "hybrid_p"),
+    ("hybrid.ordering", CLConfig, "hybrid_ordering"),
+    ("gpm.energy_threshold", CLConfig, "gpm_energy_threshold"),
+    ("gpm.eta1", CLConfig, "gpm_eta1"),
+    ("gpm.eta2", CLConfig, "gpm_eta2"),
+    ("gpm.sample", CLConfig, "gpm_sample"),
+)
+
+
+def _dataclass_sections() -> dict:
+    """The config sections of _DATACLASS_KEYS, at the dataclass defaults."""
+    sections: dict = {}
+    for path, cls, name in _DATACLASS_KEYS:
+        section, key = path.split(".")
+        value = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+        sections.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+    sections["optim"]["eta"] = _CLI_ETA
+    return sections
+
+
 _DEFAULT_CONFIG = {
     "dataset": {
         "kind": "synthetic",
@@ -67,33 +110,9 @@ _DEFAULT_CONFIG = {
     "perm_seed": 1993,
     "method": "replay",
     "optimizer": "cflat",
-    "optim": {
-        "eta": 0.5,
-        "rho": 0.2,
-        "lam": 0.2,
-        "eps_guard": 1e-12,
-        "rho_min": None,
-        "rho_max": None,
-        "eta_min": None,
-        "eta_max": None,
-    },
-    "model": {"hidden": [32], "activation": "tanh", "l2": 0.0},
-    "train": {"epochs": 8, "batch_size": 32, "milestones": [], "lr_decay": 0.1},
-    "memory": {"capacity_per_class": 20},
-    "icarl": {"temperature": 2.0},
-    "proxy": {"A": 5.0, "k": 0.01, "i0": 80, "eta0": 0.005, "reset_per_task": True},
-    "hybrid": {"p": 0.5, "ordering": "cflat_last"},
-    "gpm": {"energy_threshold": 0.95, "eta1": 0.0, "eta2": None, "sample": 256},
+    **_dataclass_sections(),
     "seeds": [0, 1, 2],
     "out_dir": "runs/out",
-}
-
-_OPTIONAL_FLOAT_KEYS = {
-    "optim.rho_min",
-    "optim.rho_max",
-    "optim.eta_min",
-    "optim.eta_max",
-    "gpm.eta2",
 }
 
 _ENUMS = {
@@ -113,7 +132,7 @@ class ConfigError(ValueError):
 
 
 def _check_leaf(path: str, default, value):
-    if path in _OPTIONAL_FLOAT_KEYS:
+    if default is None:  # an optional number
         if value is None or isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value) if value is not None else None
         raise ConfigError(f"{path} must be a number or null", path)
@@ -194,39 +213,23 @@ def _build_dataset(cfg: dict) -> Dataset:
     return split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
 
 
+def _dataclass_kwargs(cfg: dict, cls) -> dict:
+    kwargs = {}
+    for path, owner, name in _DATACLASS_KEYS:
+        if owner is cls:
+            section, key = path.split(".")
+            value = cfg[section][key]
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return kwargs
+
+
 def _build_optim(cfg: dict) -> OptimConfig:
-    o = cfg["optim"]
-    return OptimConfig(
-        eta=o["eta"], rho=o["rho"], lam=o["lam"], eps_guard=o["eps_guard"],
-        rho_min=o["rho_min"], rho_max=o["rho_max"],
-        eta_min=o["eta_min"], eta_max=o["eta_max"],
-    )
+    return OptimConfig(**_dataclass_kwargs(cfg, OptimConfig))
 
 
 def _build_cl(cfg: dict) -> CLConfig:
-    proxy = ProxyState(
-        A=cfg["proxy"]["A"], k=cfg["proxy"]["k"],
-        i0=cfg["proxy"]["i0"], eta0=cfg["proxy"]["eta0"],
-    )
-    return CLConfig(
-        hidden=tuple(cfg["model"]["hidden"]),
-        activation=cfg["model"]["activation"],
-        l2=cfg["model"]["l2"],
-        epochs=cfg["train"]["epochs"],
-        batch_size=cfg["train"]["batch_size"],
-        milestones=tuple(cfg["train"]["milestones"]),
-        lr_decay=cfg["train"]["lr_decay"],
-        memory_capacity=cfg["memory"]["capacity_per_class"],
-        temperature=cfg["icarl"]["temperature"],
-        gpm_energy_threshold=cfg["gpm"]["energy_threshold"],
-        gpm_eta1=cfg["gpm"]["eta1"],
-        gpm_eta2=cfg["gpm"]["eta2"],
-        gpm_sample=cfg["gpm"]["sample"],
-        hybrid_p=cfg["hybrid"]["p"],
-        hybrid_ordering=cfg["hybrid"]["ordering"],
-        proxy=proxy,
-        proxy_reset_per_task=cfg["proxy"]["reset_per_task"],
-    )
+    proxy = ProxyState(**_dataclass_kwargs(cfg, ProxyState))
+    return CLConfig(proxy=proxy, **_dataclass_kwargs(cfg, CLConfig))
 
 
 def _fmt(value) -> str:
@@ -354,6 +357,20 @@ def _run_to_manifest(cfg: dict, result, n_tasks: int) -> dict:
     }
 
 
+def _map_jobs(fn, items: list, jobs: int) -> list:
+    """``fn`` over ``items``, results in order; with ``jobs`` > 1 in up to that
+    many worker processes.
+
+    Workers are spawned, not forked, so none inherits the parent's BLAS
+    threads; ``fn`` and ``items`` must pickle.
+    """
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Execute a resolved config and write manifest/metrics/trace/checkpoints.
 
@@ -369,9 +386,7 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     )
     seeds = cfg["seeds"]
     if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            result = merge_experiment_results(list(pool.map(experiment, [[s] for s in seeds])))
+        result = merge_experiment_results(_map_jobs(experiment, [[s] for s in seeds], jobs))
     else:
         result = experiment(seeds)
     n_tasks = len(stream.tasks)
@@ -443,9 +458,8 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _sweep_cell(payload) -> dict:
-    cfg, out_dir = payload
-    return run_experiment_from_config(cfg, Path(out_dir))
+def _sweep_cell(cfg: dict) -> dict:
+    return run_experiment_from_config(cfg, Path(cfg["out_dir"]))
 
 
 def cmd_sweep(args) -> int:
@@ -460,15 +474,11 @@ def cmd_sweep(args) -> int:
         for (key, _), value in zip(axes, combo):
             _set_path(doc, key, value)
             slug_parts.append(f"{key.replace('.', '_')}={value}")
-        cell_dir = base_out / ("cell_" + "__".join(slug_parts).replace("/", "_"))
-        doc["out_dir"] = str(cell_dir)
-        cells.append((resolve_config(doc), str(cell_dir), combo))
+        cell_dir = "cell_" + "__".join(slug_parts).replace("/", "_")
+        doc["out_dir"] = str(base_out / cell_dir)
+        cells.append((resolve_config(doc), cell_dir, combo))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            manifests = list(pool.map(_sweep_cell, [(c, d) for c, d, _ in cells]))
-    else:
-        manifests = [_sweep_cell((c, d)) for c, d, _ in cells]
+    manifests = _map_jobs(_sweep_cell, [cfg for cfg, _, _ in cells], args.jobs)
 
     lines = [
         ",".join([key for key, _ in axes]

@@ -1,8 +1,9 @@
 """Class-incremental task streams and the CL methods the optimizers plug into.
 
-Methods: naive fine-tuning, replay, distillation, weight alignment, and a
-gradient-projection variant. Swapping the optimizer never touches the data
-path: every method trains through the same stepper interface.
+Methods: naive fine-tuning, replay, distillation, weight alignment, and
+gradient projection. Swapping the optimizer never touches the data path:
+every method trains through the same stepper interface, and gradient
+projection is GpmStepper wrapped around the optimizer's own stepper.
 """
 from __future__ import annotations
 
@@ -24,21 +25,15 @@ from .objective import (
     fd_hvp,
 )
 from .optim import (
+    DescentStepper,
     DivergenceError,
     OptimConfig,
     ProxyState,
     StepStats,
     Stepper,
-    _cflat_combined,
     _require_finite,
-    cflat_perturbation,
-    cflat_step,
-    cflatpp_step,
-    hybrid_step_plan,
-    proxy_value,
-    sam_perturb,
-    sam_step,
-    sgd_step,
+    ascent_point,
+    make_stepper,
     train_epochs,
 )
 
@@ -58,12 +53,7 @@ __all__ = [
     "make_stream",
     "buffer_update",
     "buffer_contents",
-    "combine_batches",
-    "replay_loss",
-    "replay_grad",
-    "replay_hvp",
     "DistillObjective",
-    "icarl_loss",
     "wa_align",
     "scale_new_logits",
     "grow_head",
@@ -356,28 +346,6 @@ def buffer_contents(buf: MemoryBuffer) -> tuple[np.ndarray, np.ndarray] | None:
     return xs, ys
 
 
-def combine_batches(new_batch: Batch, memory_batch: Batch | None) -> Batch:
-    if memory_batch is None:
-        return new_batch
-    return Batch(
-        np.concatenate([new_batch.x, memory_batch.x]),
-        np.concatenate([new_batch.y, memory_batch.y]),
-    )
-
-
-def replay_loss(oracle, theta, new_batch: Batch, memory_batch: Batch | None) -> float:
-    """Mean loss over the union of new and memory examples."""
-    return oracle.loss(theta, combine_batches(new_batch, memory_batch))
-
-
-def replay_grad(oracle, theta, new_batch: Batch, memory_batch: Batch | None) -> ParamVector:
-    return oracle.grad(theta, combine_batches(new_batch, memory_batch))
-
-
-def replay_hvp(oracle, theta, v, new_batch: Batch, memory_batch: Batch | None) -> ParamVector:
-    return oracle.hvp(theta, v, combine_batches(new_batch, memory_batch))
-
-
 class DistillObjective(ObjectiveOracle):
     """Cross-entropy on the full head plus temperature-softened KL to the
     previous model's distribution, restricted to old classes. Both terms
@@ -429,14 +397,6 @@ class DistillObjective(ObjectiveOracle):
     def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
         delta_fd = getattr(self.base, "delta_fd", 1e-4)
         return fd_hvp(lambda th: self.grad(th, batch), theta, v, delta_fd, base_grad)
-
-
-def icarl_loss(oracle: LogitModel, theta: ParamVector, theta_old: ParamVector | None,
-               batch: Batch, temperature: float = 2.0) -> float:
-    """Combined CE + distillation loss; plain CE when there is no old model."""
-    if theta_old is None:
-        return oracle.loss(theta, batch)
-    return DistillObjective(oracle, theta_old, temperature).loss(theta, batch)
 
 
 def wa_align(w_old: np.ndarray, w_new: np.ndarray) -> float:
@@ -595,153 +555,54 @@ def _significance_update(oracle, theta, batch, state: GpmState, g_c: ParamVector
     return np.clip(lam - eta1 * sens, 0.0, 1.0)
 
 
-def _gpm_apply(oracle, theta, batch, state: GpmState, eps_c: ParamVector | None,
-               eta1: float, eta2: float,
-               g_pre: ParamVector | None = None) -> tuple[ParamVector, GpmState, float, float, int]:
-    """Shared projected update: gradient at theta + eps_c, block projection."""
-    extra_evals = 0
-    if eps_c is None and g_pre is not None:
-        g_c = g_pre
-    else:
-        point = theta if eps_c is None else axpy(1.0, eps_c, theta)
-        g_c = oracle.grad(point, batch)
-        extra_evals = 1
-    _require_finite(g_c.data, "perturbed gradient")
-    if eta1 != 0.0 and state.rank > 0:
-        new_sig = _significance_update(oracle, theta, batch, state, g_c, eta1, eta2)
-        state = replace(state, significance=new_sig)
-    proj, in_span = gpm_project(state, g_c)
-    new_theta = axpy(-eta2, proj, theta)
-    return new_theta, state, in_span, norm2(g_c), extra_evals
+class GpmStepper(Stepper):
+    """Gradient projection wrapped around any descent stepper.
+
+    Until a basis exists (first task) it is the inner stepper. With a basis it
+    takes the inner direction d and projects g_c: d itself, or, when d is a
+    C-Flat combined direction, the gradient at the neighborhood point along d.
+    Significances adapt by loss sensitivity (eta1), and the step is
+    theta - eta2 * P(g_c), with eta2 defaulting to the learning rate.
+    """
+
+    def __init__(self, inner: DescentStepper, eta1: float, eta2: float | None):
+        self.inner = inner
+        self.eta1 = eta1
+        self.eta2 = eta2
+        self.gpm_state: GpmState | None = None
+
+    def prepare(self, total_steps: int):
+        self.inner.prepare(total_steps)
+
+    def reset_task(self):
+        self.inner.reset_task()
+
+    def step(self, oracle, theta, batch, cfg):
+        d, stats = self.inner.direction(oracle, theta, batch, cfg)
+        if self.gpm_state is None:
+            return axpy(-cfg.eta, d, theta), stats
+        g_c = d
+        if stats.used_cflat:
+            g_c = oracle.grad(ascent_point(theta, d, cfg), batch)
+            _require_finite(g_c.data, "perturbed gradient")
+            stats = replace(stats, grad_evals=stats.grad_evals + 1)
+        eta2 = self.eta2 if self.eta2 is not None else cfg.eta
+        if self.eta1 != 0.0 and self.gpm_state.rank > 0:
+            new_sig = _significance_update(oracle, theta, batch, self.gpm_state, g_c,
+                                           self.eta1, eta2)
+            self.gpm_state = replace(self.gpm_state, significance=new_sig)
+        proj, in_span = gpm_project(self.gpm_state, g_c)
+        stats = replace(stats, gpm_in_span=in_span, gpm_src_norm=norm2(g_c))
+        return axpy(-eta2, proj, theta), stats
 
 
 def gpm_cflat_step(oracle, theta, batch, cfg: OptimConfig, state: GpmState,
                    eta1: float, eta2: float) -> tuple[ParamVector, GpmState, StepStats]:
-    """Projected flatness step: perturb along the combined direction, update
-    significances by loss sensitivity, then step with the projected gradient."""
-    eps_c, base_stats = cflat_perturbation(oracle, theta, batch, cfg)
-    new_theta, new_state, in_span, src_norm, extra = _gpm_apply(
-        oracle, theta, batch, state, eps_c, eta1, eta2
-    )
-    stats = replace(
-        base_stats,
-        grad_evals=base_stats.grad_evals + extra,
-        gpm_in_span=in_span,
-        gpm_src_norm=src_norm,
-    )
-    return new_theta, new_state, stats
-
-
-class GpmStepper(Stepper):
-    """Projected training steps with the perturbation chosen per optimizer.
-
-    Until a basis exists (first task) it behaves as the plain optimizer. With
-    a basis, the gradient is taken at theta + eps_c where eps_c is zero for
-    sgd, the ascent perturbation for sam, and the combined-direction
-    perturbation for the flatness optimizers.
-    """
-
-    name = "gpm"
-
-    def __init__(self, optimizer: str, eta1: float, eta2: float | None,
-                 proxy: ProxyState | None = None, proxy_reset_per_task: bool = True,
-                 hybrid_p: float = 0.5, hybrid_ordering: str = "cflat_last"):
-        self.kind = optimizer.lower().replace("cflatpp", "cflat++")
-        if self.kind not in ("sgd", "sam", "cflat", "cflat++", "hybrid"):
-            raise ValueError(f"unknown optimizer {optimizer!r}")
-        self.eta1 = eta1
-        self.eta2 = eta2
-        self.gpm_state: GpmState | None = None
-        self.proxy_initial = proxy if proxy is not None else ProxyState()
-        self.proxy = self.proxy_initial
-        self.proxy_reset_per_task = proxy_reset_per_task
-        self.hybrid_p = hybrid_p
-        self.hybrid_ordering = hybrid_ordering
-        self.plan = np.zeros(0, dtype=bool)
-        self.plan_idx = 0
-
-    def prepare(self, total_steps: int):
-        if self.kind == "hybrid":
-            self.plan = hybrid_step_plan(total_steps, self.hybrid_p, self.hybrid_ordering)
-            self.plan_idx = 0
-
-    def reset_task(self):
-        if self.proxy_reset_per_task:
-            self.proxy = self.proxy_initial
-
-    def _hybrid_wants_cflat(self) -> bool:
-        use = bool(self.plan[self.plan_idx]) if self.plan_idx < len(self.plan) else False
-        self.plan_idx += 1
-        return use
-
-    def step(self, oracle, theta, batch, cfg):
-        if self.gpm_state is None:
-            return self._plain_step(oracle, theta, batch, cfg)
-        eta2 = self.eta2 if self.eta2 is not None else cfg.eta
-
-        eps_c: ParamVector | None = None
-        g_pre: ParamVector | None = None
-        if self.kind == "cflat" or (self.kind == "hybrid" and self._hybrid_wants_cflat()):
-            eps_c, base = cflat_perturbation(oracle, theta, batch, cfg)
-        elif self.kind == "cflat++":
-            eps_c, base, g_pre = self._gated_perturbation(oracle, theta, batch, cfg)
-        elif self.kind == "sam":
-            loss = oracle.loss(theta, batch)
-            g = oracle.grad(theta, batch)
-            _require_finite(g.data, "gradient")
-            eps_c = sam_perturb(g, cfg.rho, cfg.eps_guard)
-            base = StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
-        else:  # sgd, or the sgd share of hybrid
-            loss = oracle.loss(theta, batch)
-            g = oracle.grad(theta, batch)
-            _require_finite(g.data, "gradient")
-            g_pre = g
-            base = StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
-
-        new_theta, self.gpm_state, in_span, src_norm, extra = _gpm_apply(
-            oracle, theta, batch, self.gpm_state, eps_c, self.eta1, eta2, g_pre
-        )
-        stats = replace(
-            base,
-            grad_evals=base.grad_evals + extra,
-            gpm_in_span=in_span,
-            gpm_src_norm=src_norm,
-        )
-        return new_theta, stats
-
-    def _gated_perturbation(self, oracle, theta, batch, cfg):
-        """C-Flat++ gating for the projected path: same proxy/error feedback."""
-        loss = oracle.loss(theta, batch)
-        g = oracle.grad(theta, batch)
-        _require_finite(g.data, "gradient")
-        s = norm2(g) ** 2
-        proxy = proxy_value(self.proxy)
-        feedback = proxy - s
-        self.proxy = replace(
-            self.proxy, A=self.proxy.A - self.proxy.eta0 * feedback, i=self.proxy.i + 1
-        )
-        if feedback <= 0:
-            combined, cstats = _cflat_combined(oracle, theta, batch, cfg, g, loss)
-            eps_c = combined.with_data(
-                cfg.rho * combined.data / (norm2(combined) + cfg.eps_guard)
-            )
-            return eps_c, replace(cstats, proxy_value=proxy), None
-        base = StepStats(loss=loss, sq_grad_norm=s, proxy_value=proxy, grad_evals=1)
-        return None, base, g
-
-    def _plain_step(self, oracle, theta, batch, cfg):
-        if self.kind == "sgd":
-            return sgd_step(oracle, theta, batch, cfg)
-        if self.kind == "sam":
-            return sam_step(oracle, theta, batch, cfg)
-        if self.kind == "cflat":
-            return cflat_step(oracle, theta, batch, cfg)
-        if self.kind == "cflat++":
-            theta, self.proxy, stats = cflatpp_step(oracle, theta, batch, cfg, self.proxy)
-            return theta, stats
-        if self._hybrid_wants_cflat():
-            return cflat_step(oracle, theta, batch, cfg)
-        return sgd_step(oracle, theta, batch, cfg)
+    """One projected C-Flat step from ``state`` (see GpmStepper)."""
+    stepper = GpmStepper(make_stepper("cflat"), eta1, eta2)
+    stepper.gpm_state = state
+    new_theta, stats = stepper.step(oracle, theta, batch, cfg)
+    return new_theta, stepper.gpm_state, stats
 
 
 @dataclass(frozen=True)
@@ -798,28 +659,6 @@ def _accuracy(oracle: LogitModel, theta: ParamVector, x: np.ndarray, y: np.ndarr
     return float(np.mean(np.argmax(z, axis=1) == y))
 
 
-def _make_stepper_for(method: str, optimizer: str, cl: CLConfig) -> Stepper:
-    from .optim import make_stepper
-
-    if method == "gpm":
-        return GpmStepper(
-            optimizer,
-            eta1=cl.gpm_eta1,
-            eta2=cl.gpm_eta2,
-            proxy=cl.proxy,
-            proxy_reset_per_task=cl.proxy_reset_per_task,
-            hybrid_p=cl.hybrid_p,
-            hybrid_ordering=cl.hybrid_ordering,
-        )
-    return make_stepper(
-        optimizer,
-        proxy=cl.proxy,
-        proxy_reset_per_task=cl.proxy_reset_per_task,
-        hybrid_p=cl.hybrid_p,
-        hybrid_ordering=cl.hybrid_ordering,
-    )
-
-
 def _run_seed(stream: TaskStream, method: str, optimizer: str, cfg: OptimConfig,
               cl: CLConfig, seed: int) -> SeedResult:
     tasks = stream.tasks
@@ -837,7 +676,10 @@ def _run_seed(stream: TaskStream, method: str, optimizer: str, cfg: OptimConfig,
 
     oracle = MlpOracle(MlpSpec(d_in, cl.hidden, tasks[0].n_new, cl.activation, cl.l2))
     theta = oracle.init_theta(root.spawn(_STREAM_INIT))
-    stepper = _make_stepper_for(method, optimizer, cl)
+    stepper = make_stepper(optimizer, proxy=cl.proxy, proxy_reset_per_task=cl.proxy_reset_per_task,
+                           hybrid_p=cl.hybrid_p, hybrid_ordering=cl.hybrid_ordering)
+    if method == "gpm":
+        stepper = GpmStepper(stepper, cl.gpm_eta1, cl.gpm_eta2)
 
     buffer = MemoryBuffer(cl.memory_capacity)
     theta_prev: ParamVector | None = None

@@ -1,4 +1,4 @@
-"""Continual-learning scoreboard: accuracy aggregates, transfer, throughput.
+"""Continual-learning scoreboard: accuracy aggregates, transfer, C-Flat share.
 
 The accuracy matrix is a lower-triangular list of rows: a[t][i] is the
 accuracy on task i's test set after training task t (0-indexed, i <= t).
@@ -17,7 +17,6 @@ __all__ = [
     "bwt",
     "fwt",
     "cflat_proportion",
-    "throughput",
     "relative_return",
 ]
 
@@ -79,15 +78,6 @@ def cflat_proportion(trace: list[StepStats]) -> float:
     if not trace:
         raise ValueError("trace is empty")
     return float(np.mean([1.0 if s.used_cflat else 0.0 for s in trace]))
-
-
-def throughput(example_counts, wall_times) -> float:
-    """Total examples over total wall-clock seconds."""
-    total_examples = float(np.sum(example_counts))
-    total_time = float(np.sum(wall_times))
-    if total_time <= 0:
-        raise ValueError("elapsed time must be positive")
-    return total_examples / total_time
 
 
 def relative_return(value: float, sgd_value: float) -> float:

@@ -14,6 +14,12 @@ neighborhood gradient-norm growth (first-order flatness):
 C-Flat++ applies that update selectively: only when the batch squared
 gradient norm exceeds a sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}),
 whose bound A adapts by error feedback A <- A - eta0 * E.
+
+Each optimizer is implemented once, as a DescentStepper whose ``direction``
+returns the step's direction d with its StepStats (and advances the proxy or
+the hybrid plan); a plain step is theta - eta * d. The ``*_step`` functions
+are entry points over the steppers, and a projection method
+(continual.GpmStepper) wraps any stepper's direction instead of stepping.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ __all__ = [
     "StepStats",
     "DivergenceError",
     "sam_perturb",
+    "ascent_point",
     "sgd_step",
     "sam_step",
     "cflat_gradient",
@@ -42,6 +49,7 @@ __all__ = [
     "hybrid_step_plan",
     "train_epochs",
     "Stepper",
+    "DescentStepper",
     "SgdStepper",
     "SamStepper",
     "CflatStepper",
@@ -141,14 +149,22 @@ class StepStats:
     gpm_src_norm: float | None = None
 
 
-def _require_finite_theta(theta: ParamVector) -> None:
-    if not all_finite(theta):
-        raise DivergenceError("parameters contain NaN/Inf")
-
-
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise DivergenceError(f"non-finite {what} encountered")
+
+
+def _loss_and_grad(oracle: ObjectiveOracle, theta: ParamVector,
+                   batch: Batch) -> tuple[float, ParamVector]:
+    """Every step's prologue: finite theta, finite loss, finite gradient."""
+    if not all_finite(theta):
+        raise DivergenceError("parameters contain NaN/Inf")
+    loss = oracle.loss(theta, batch)
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite loss")
+    g = oracle.grad(theta, batch)
+    _require_finite(g.data, "gradient")
+    return loss, g
 
 
 def sam_perturb(g: ParamVector, rho: float, eps_guard: float) -> ParamVector:
@@ -158,51 +174,27 @@ def sam_perturb(g: ParamVector, rho: float, eps_guard: float) -> ParamVector:
     return g.with_data(rho * g.data / (norm2(g) + eps_guard))
 
 
-def sgd_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-             cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """theta - eta * grad(theta)."""
-    _require_finite_theta(theta)
-    loss = oracle.loss(theta, batch)
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite loss")
-    g = oracle.grad(theta, batch)
-    _require_finite(g.data, "gradient")
-    new_theta = axpy(-cfg.eta, g, theta)
-    stats = StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
-    return new_theta, stats
+def ascent_point(theta: ParamVector, d: ParamVector, cfg: OptimConfig) -> ParamVector:
+    """theta + rho * d / (||d|| + eps): the neighborhood point along d."""
+    return axpy(1.0, sam_perturb(d, cfg.rho, cfg.eps_guard), theta)
 
 
-def sam_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-             cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """theta - eta * grad(theta + ascent perturbation)."""
-    _require_finite_theta(theta)
-    loss = oracle.loss(theta, batch)
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite loss")
-    g = oracle.grad(theta, batch)
-    _require_finite(g.data, "gradient")
-    eps0 = sam_perturb(g, cfg.rho, cfg.eps_guard)
-    g0 = oracle.grad(axpy(1.0, eps0, theta), batch)
-    _require_finite(g0.data, "perturbed gradient")
-    new_theta = axpy(-cfg.eta, g0, theta)
-    stats = StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=2)
-    return new_theta, stats
+def _sgd_direction(loss: float, g: ParamVector) -> tuple[ParamVector, StepStats]:
+    return g, StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
 
 
-def _cflat_combined(oracle, theta, batch, cfg, g: ParamVector, loss: float):
+def _cflat_direction(oracle, theta, batch, cfg, loss: float, g: ParamVector):
     """Combined direction g0 + lam*g1 given the already-computed base gradient."""
     eps = cfg.eps_guard
     gnorm = norm2(g)
 
-    eps0 = sam_perturb(g, cfg.rho, eps)
-    g0 = oracle.grad(axpy(1.0, eps0, theta), batch)
+    g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
     _require_finite(g0.data, "perturbed gradient")
 
     ghat = g.with_data(g.data / (gnorm + eps))
     h = oracle.hvp(theta, ghat, batch, base_grad=g)
     _require_finite(h.data, "hvp")
-    eps1 = h.with_data(cfg.rho * h.data / (norm2(h) + eps))
-    theta1 = axpy(1.0, eps1, theta)
+    theta1 = ascent_point(theta, h, cfg)
     g_at1 = oracle.grad(theta1, batch)
     _require_finite(g_at1.data, "gradient at flatness point")
     ghat1 = g_at1.with_data(g_at1.data / (norm2(g_at1) + eps))
@@ -218,39 +210,6 @@ def _cflat_combined(oracle, theta, batch, cfg, g: ParamVector, loss: float):
         hvp_evals=2,
     )
     return combined, stats
-
-
-def cflat_gradient(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-                   cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """The combined update direction g0 + lam * g1 (see module docstring)."""
-    _require_finite_theta(theta)
-    loss = oracle.loss(theta, batch)
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite loss")
-    g = oracle.grad(theta, batch)
-    _require_finite(g.data, "gradient")
-    return _cflat_combined(oracle, theta, batch, cfg, g, loss)
-
-
-def cflat_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-               cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """theta - eta * (g0 + lam * g1)."""
-    combined, stats = cflat_gradient(oracle, theta, batch, cfg)
-    return axpy(-cfg.eta, combined, theta), stats
-
-
-def cflat_perturbation(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-                       cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """Neighborhood perturbation along the combined direction, norm <= rho.
-
-    Used by the projected (GPM-family) step, which evaluates its gradient at
-    theta + eps_c rather than applying the combined direction directly.
-    """
-    combined, stats = cflat_gradient(oracle, theta, batch, cfg)
-    eps_c = combined.with_data(
-        cfg.rho * combined.data / (norm2(combined) + cfg.eps_guard)
-    )
-    return eps_c, stats
 
 
 def rho_schedule(cfg: OptimConfig, eta_i: float) -> float:
@@ -273,40 +232,6 @@ def proxy_value(state: ProxyState) -> float:
     if x > 700.0:  # exp would overflow; the sigmoid is ~0 here
         return 0.0
     return state.A / (1.0 + math.exp(x))
-
-
-def cflatpp_step(
-    oracle: ObjectiveOracle,
-    theta: ParamVector,
-    batch: Batch,
-    cfg: OptimConfig,
-    state: ProxyState,
-) -> tuple[ParamVector, ProxyState, StepStats]:
-    """Selective flatness step gated by the sharpness proxy.
-
-    E = proxy - ||g||^2 decides the branch (C-Flat when E <= 0, plain SGD
-    otherwise); the bound updates to A - eta0 * E either way, and i advances.
-    """
-    _require_finite_theta(theta)
-    loss = oracle.loss(theta, batch)
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite loss")
-    g = oracle.grad(theta, batch)
-    _require_finite(g.data, "gradient")
-    s = norm2(g) ** 2
-    proxy = proxy_value(state)
-    feedback = proxy - s
-    new_state = replace(state, A=state.A - state.eta0 * feedback, i=state.i + 1)
-
-    if feedback <= 0:
-        direction, cstats = _cflat_combined(oracle, theta, batch, cfg, g, loss)
-        stats = replace(cstats, proxy_value=proxy)
-    else:
-        direction = g
-        stats = StepStats(
-            loss=loss, sq_grad_norm=s, proxy_value=proxy, grad_evals=1
-        )
-    return axpy(-cfg.eta, direction, theta), new_state, stats
 
 
 def hybrid_step_plan(total_steps: int, p: float, ordering: str) -> np.ndarray:
@@ -333,8 +258,6 @@ def hybrid_step_plan(total_steps: int, p: float, ordering: str) -> np.ndarray:
 class Stepper:
     """Per-run optimizer wrapper: owns any cross-step state."""
 
-    name = "base"
-
     def prepare(self, total_steps: int) -> None:
         """Called once before a training run with the planned step count."""
 
@@ -345,29 +268,51 @@ class Stepper:
         raise NotImplementedError
 
 
-class SgdStepper(Stepper):
-    name = "sgd"
+class DescentStepper(Stepper):
+    """A stepper whose update is theta - eta * d for a per-step direction d.
+
+    ``direction`` returns (d, stats) and advances any cross-step state, so a
+    wrapper (such as gradient projection) can use d without stepping.
+    """
+
+    def direction(self, oracle, theta, batch, cfg) -> tuple[ParamVector, StepStats]:
+        raise NotImplementedError
 
     def step(self, oracle, theta, batch, cfg):
-        return sgd_step(oracle, theta, batch, cfg)
+        d, stats = self.direction(oracle, theta, batch, cfg)
+        return axpy(-cfg.eta, d, theta), stats
 
 
-class SamStepper(Stepper):
-    name = "sam"
+class SgdStepper(DescentStepper):
+    """d = grad(theta)."""
 
-    def step(self, oracle, theta, batch, cfg):
-        return sam_step(oracle, theta, batch, cfg)
-
-
-class CflatStepper(Stepper):
-    name = "cflat"
-
-    def step(self, oracle, theta, batch, cfg):
-        return cflat_step(oracle, theta, batch, cfg)
+    def direction(self, oracle, theta, batch, cfg):
+        return _sgd_direction(*_loss_and_grad(oracle, theta, batch))
 
 
-class CflatPPStepper(Stepper):
-    name = "cflat++"
+class SamStepper(DescentStepper):
+    """d = grad(theta + ascent perturbation)."""
+
+    def direction(self, oracle, theta, batch, cfg):
+        loss, g = _loss_and_grad(oracle, theta, batch)
+        g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
+        _require_finite(g0.data, "perturbed gradient")
+        return g0, StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=2)
+
+
+class CflatStepper(DescentStepper):
+    """d = g0 + lam * g1 (see module docstring)."""
+
+    def direction(self, oracle, theta, batch, cfg):
+        return _cflat_direction(oracle, theta, batch, cfg, *_loss_and_grad(oracle, theta, batch))
+
+
+class CflatPPStepper(DescentStepper):
+    """The C-Flat direction when the sharpness proxy gates it on, else the gradient.
+
+    E = proxy - ||g||^2 decides the branch (C-Flat when E <= 0); the bound
+    updates to A - eta0 * E either way, and i advances.
+    """
 
     def __init__(self, proxy: ProxyState | None = None, reset_per_task: bool = True):
         self.initial = proxy if proxy is not None else ProxyState()
@@ -378,13 +323,21 @@ class CflatPPStepper(Stepper):
         if self.reset_per_task:
             self.state = self.initial
 
-    def step(self, oracle, theta, batch, cfg):
-        theta, self.state, stats = cflatpp_step(oracle, theta, batch, cfg, self.state)
-        return theta, stats
+    def direction(self, oracle, theta, batch, cfg):
+        loss, g = _loss_and_grad(oracle, theta, batch)
+        state = self.state
+        proxy = proxy_value(state)
+        feedback = proxy - norm2(g) ** 2
+        self.state = replace(state, A=state.A - state.eta0 * feedback, i=state.i + 1)
+        if feedback <= 0:
+            d, stats = _cflat_direction(oracle, theta, batch, cfg, loss, g)
+        else:
+            d, stats = _sgd_direction(loss, g)
+        return d, replace(stats, proxy_value=proxy)
 
 
-class HybridStepper(Stepper):
-    name = "hybrid"
+class HybridStepper(DescentStepper):
+    """The C-Flat direction on the planned share of steps, the gradient elsewhere."""
 
     def __init__(self, p: float, ordering: str = "cflat_last"):
         self.p = p
@@ -396,12 +349,61 @@ class HybridStepper(Stepper):
         self.plan = hybrid_step_plan(total_steps, self.p, self.ordering)
         self.idx = 0
 
-    def step(self, oracle, theta, batch, cfg):
+    def direction(self, oracle, theta, batch, cfg):
         use_cflat = bool(self.plan[self.idx]) if self.idx < len(self.plan) else False
         self.idx += 1
+        loss, g = _loss_and_grad(oracle, theta, batch)
         if use_cflat:
-            return cflat_step(oracle, theta, batch, cfg)
-        return sgd_step(oracle, theta, batch, cfg)
+            return _cflat_direction(oracle, theta, batch, cfg, loss, g)
+        return _sgd_direction(loss, g)
+
+
+def sgd_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
+             cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
+    """theta - eta * grad(theta)."""
+    return SgdStepper().step(oracle, theta, batch, cfg)
+
+
+def sam_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
+             cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
+    """theta - eta * grad(theta + ascent perturbation)."""
+    return SamStepper().step(oracle, theta, batch, cfg)
+
+
+def cflat_gradient(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
+                   cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
+    """The combined update direction g0 + lam * g1 (see module docstring)."""
+    return CflatStepper().direction(oracle, theta, batch, cfg)
+
+
+def cflat_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
+               cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
+    """theta - eta * (g0 + lam * g1)."""
+    return CflatStepper().step(oracle, theta, batch, cfg)
+
+
+def cflat_perturbation(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
+                       cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
+    """Neighborhood perturbation along the combined direction, norm <= rho.
+
+    A projected step evaluates its gradient at theta plus this perturbation
+    rather than applying the combined direction directly.
+    """
+    combined, stats = cflat_gradient(oracle, theta, batch, cfg)
+    return sam_perturb(combined, cfg.rho, cfg.eps_guard), stats
+
+
+def cflatpp_step(
+    oracle: ObjectiveOracle,
+    theta: ParamVector,
+    batch: Batch,
+    cfg: OptimConfig,
+    state: ProxyState,
+) -> tuple[ParamVector, ProxyState, StepStats]:
+    """Selective flatness step gated by the sharpness proxy (see CflatPPStepper)."""
+    stepper = CflatPPStepper(state)
+    new_theta, stats = stepper.step(oracle, theta, batch, cfg)
+    return new_theta, stepper.state, stats
 
 
 OPTIMIZER_NAMES = ("sgd", "sam", "cflat", "cflat++", "hybrid")
@@ -413,7 +415,7 @@ def make_stepper(
     proxy_reset_per_task: bool = True,
     hybrid_p: float = 0.5,
     hybrid_ordering: str = "cflat_last",
-) -> Stepper:
+) -> DescentStepper:
     key = name.lower().replace("cflatpp", "cflat++")
     if key == "sgd":
         return SgdStepper()

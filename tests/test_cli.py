@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cflat.cli import ConfigError, main, resolve_config
+from cflat.cli import ConfigError, _build_cl, _build_optim, main, resolve_config
+from cflat.continual import CLConfig
+from cflat.optim import OptimConfig
 
 
 def base_config(out_dir, **overrides):
@@ -167,6 +170,38 @@ def test_resolve_config_fills_defaults():
         resolve_config({"seeds": []})
 
 
+def test_dataclasses_built_from_the_default_config_are_the_library_defaults():
+    cfg = resolve_config({})
+    assert _build_cl(cfg) == CLConfig()
+    assert _build_optim(cfg) == OptimConfig(eta=0.5)
+
+
+def test_gpm_cflatpp_run_replays_its_gate_from_trace(tmp_path):
+    doc = base_config(tmp_path / "run", method="gpm", optimizer="cflat++", seeds=[0, 1])
+    doc["dataset"].update(classes=6, dims=8, per_class=60, cluster_std=1.2, seed=9,
+                          label_noise=0.2, feature_scale=3.0)
+    doc["optim"] = {"eta": 0.1}
+    doc["model"] = {"hidden": [16], "activation": "relu"}
+    doc["train"] = {"epochs": 4, "batch_size": 16}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    proxy_cfg = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]["proxy"]
+
+    lines = (tmp_path / "run" / "trace.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    state = {}  # (seed, task) -> (A, i)
+    for row in rows:
+        A, i = state.get((row["seed"], row["task"]), (proxy_cfg["A"], 1))
+        proxy = A / (1.0 + math.exp(-proxy_cfg["k"] * (i - proxy_cfg["i0"])))
+        feedback = proxy - float(row["sq_grad_norm"])
+        assert float(row["proxy_value"]) == proxy
+        assert (row["used_cflat"] == "true") == (feedback <= 0)
+        state[(row["seed"], row["task"])] = (A - proxy_cfg["eta0"] * feedback, i + 1)
+    projected = [r for r in rows if r["gpm_in_span"]]
+    fired = [r for r in projected if r["used_cflat"] == "true"]
+    assert 0 < len(fired) < len(projected)
+    assert all(r["grad_evals"] == "5" for r in fired)  # the C-Flat step plus g_c
+
+
 def test_sweep_lambda_zero_cell_matches_sam_run_byte_identically(tmp_path):
     sweep_out = tmp_path / "sweep"
     cfg = write_config(tmp_path, base_config(sweep_out), "sweep.json")
@@ -203,7 +238,19 @@ def test_sweep_hybrid_grid_structure(tmp_path):
     assert len(lines) == 11  # header + cells
 
 
-def test_parallel_sweep_matches_sequential(tmp_path):
+def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from cflat import cli
+
+    start_methods = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None):
+            start_methods.append(mp_context.get_start_method() if mp_context else None)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
     seq_out = tmp_path / "seq"
     par_out = tmp_path / "par"
     doc = base_config(seq_out)
@@ -216,6 +263,8 @@ def test_parallel_sweep_matches_sequential(tmp_path):
         a = (seq_out / cell / "metrics.csv").read_bytes()
         b = (par_out / cell / "metrics.csv").read_bytes()
         assert a == b
+    assert (seq_out / "sweep.csv").read_bytes() == (par_out / "sweep.csv").read_bytes()
+    assert start_methods == ["spawn"]
 
 
 def test_landscape_on_quadratic_checkpoint(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,20 +7,18 @@ import pytest
 from cflat.continual import (
     CLConfig,
     DistillObjective,
+    GpmStepper,
     MemoryBuffer,
     SyntheticSpec,
     buffer_contents,
     buffer_update,
-    combine_batches,
     gpm_cflat_step,
     gpm_extract_basis,
     gpm_project,
     gpm_update_basis,
     grow_head,
-    icarl_loss,
     load_csv_dataset,
     make_stream,
-    replay_loss,
     run_cl_experiment,
     scale_new_logits,
     split_dataset,
@@ -29,7 +28,7 @@ from cflat.continual import (
 from cflat.metrics import last_accuracy
 from cflat.numcore import ParamVector, SeededRng, axpy, norm2
 from cflat.objective import Batch, MlpSpec, make_logreg, make_mlp
-from cflat.optim import OptimConfig, sgd_step
+from cflat.optim import OptimConfig, ProxyState, make_stepper, sam_step, sgd_step, train_epochs
 
 
 def quick_dataset(classes=4, dims=6, per_class=40, std=1.0, seed=11, noise=0.0):
@@ -210,39 +209,6 @@ def test_buffer_counts_after_three_tasks():
     assert all(v <= 10 for v in counts.values())
 
 
-def test_replay_loss_empty_memory_equals_plain():
-    rng = SeededRng(5)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
-    assert replay_loss(oracle, oracle.theta0, batch, None) == oracle.loss(oracle.theta0, batch)
-
-
-def test_replay_loss_duplicated_memory_idempotent():
-    rng = SeededRng(6)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    batch = Batch(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
-    doubled = replay_loss(oracle, oracle.theta0, batch, batch)
-    assert doubled == pytest.approx(oracle.loss(oracle.theta0, batch), rel=1e-12)
-
-
-def test_replay_loss_weighted_mean_identity():
-    rng = SeededRng(7)
-    oracle = make_logreg(3, 2)
-    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
-    a = Batch(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))
-    b = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
-    combined = replay_loss(oracle, theta, a, b)
-    expected = (4 * oracle.loss(theta, a) + 6 * oracle.loss(theta, b)) / 10
-    assert combined == pytest.approx(expected, rel=1e-12)
-
-
-def test_combine_batches_shapes():
-    a = Batch(np.zeros((2, 3)), np.array([0, 1]))
-    b = Batch(np.ones((3, 3)), np.array([1, 0, 1]))
-    c = combine_batches(a, b)
-    assert c.n == 5 and c.d_in == 3
-
-
 # ---------------------------------------------------------------------------
 # distillation
 # ---------------------------------------------------------------------------
@@ -253,15 +219,8 @@ def test_icarl_loss_self_distillation_identity():
     oracle = make_mlp(MlpSpec(4, (5,), 3), rng.spawn(0))
     theta = oracle.theta0
     batch = Batch(rng.normal(size=(7, 4)), rng.integers(0, 3, 7))
-    value = icarl_loss(oracle, theta, theta, batch, temperature=1.0)
+    value = DistillObjective(oracle, theta, temperature=1.0).loss(theta, batch)
     assert value == pytest.approx(oracle.loss(theta, batch), rel=1e-12)
-
-
-def test_icarl_loss_no_old_model_is_pure_ce():
-    rng = SeededRng(9)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    batch = Batch(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))
-    assert icarl_loss(oracle, oracle.theta0, None, batch) == oracle.loss(oracle.theta0, batch)
 
 
 def test_distill_kl_matches_hand_arithmetic():
@@ -524,6 +483,47 @@ def test_gpm_significance_update_clamped():
                                      eta1=50.0, eta2=0.1)
     assert (new_state.significance >= 0.0).all()
     assert (new_state.significance <= 1.0).all()
+
+
+@pytest.mark.parametrize("name", ["sgd", "sam", "cflat", "cflat++", "hybrid"])
+def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
+    rng = SeededRng(21)
+    oracle = make_mlp(MlpSpec(4, (6,), 3), rng.spawn(0))
+    x = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, 60)
+    kw = dict(proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3), hybrid_p=0.4)
+    plain = make_stepper(name, **kw)
+    wrapped = GpmStepper(make_stepper(name, **kw), eta1=0.5, eta2=0.05)
+    runs = []
+    for stepper in (plain, wrapped):
+        theta, trace = oracle.theta0, []
+        for task in range(2):  # two tasks: reset_task and a fresh plan in between
+            stepper.reset_task()
+            theta, part = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.2), stepper,
+                                       epochs=2, batch_size=10, rng=rng.spawn(1, task))
+            trace += part
+        runs.append((theta, trace))
+    assert np.array_equal(runs[0][0].data, runs[1][0].data)
+    assert runs[0][1] == runs[1][1]
+    if name == "cflat++":
+        assert plain.state == wrapped.inner.state
+        assert 0 < sum(s.used_cflat for s in runs[0][1]) < len(runs[0][1])
+    if name == "hybrid":
+        assert plain.idx == wrapped.inner.idx
+        assert np.array_equal(plain.plan, wrapped.inner.plan)
+
+
+@pytest.mark.parametrize("name, plain_step", [("sgd", sgd_step), ("sam", sam_step)])
+def test_projection_with_zero_significance_is_the_plain_step_at_eta2(name, plain_step):
+    rng, oracle, theta, batch = gpm_setup()
+    state = gpm_extract_basis(oracle, theta, batch, 0.95)
+    stepper = GpmStepper(make_stepper(name), eta1=0.0, eta2=0.07)
+    stepper.gpm_state = replace(state, significance=np.zeros(state.rank))
+    got, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.3, rho=0.2))
+    expected, plain_stats = plain_step(oracle, theta, batch, OptimConfig(eta=0.07, rho=0.2))
+    assert np.array_equal(got.data, expected.data)
+    assert stats.gpm_in_span is not None
+    assert replace(stats, gpm_in_span=None, gpm_src_norm=None) == plain_stats
 
 
 def test_gpm_update_basis_merges_orthonormally():

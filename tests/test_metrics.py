@@ -8,7 +8,6 @@ from cflat.metrics import (
     fwt,
     last_accuracy,
     relative_return,
-    throughput,
     validate_matrix,
 )
 from cflat.numcore import SeededRng
@@ -84,13 +83,6 @@ def test_cflat_proportion_endpoints_and_hybrid():
     assert cflat_proportion(mixed) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         cflat_proportion([])
-
-
-def test_throughput_hand_cases_and_additivity():
-    assert throughput([1000], [2.0]) == 500.0
-    assert throughput([500, 500], [1.0, 1.0]) == 500.0
-    with pytest.raises(ValueError):
-        throughput([10], [0.0])
 
 
 def test_relative_return():
