@@ -23,16 +23,11 @@ from .optim import (
     OptimConfig,
     ProxyState,
     StepStats,
-    cflat_gradient,
-    cflat_step,
-    cflatpp_step,
     hybrid_step_plan,
     make_stepper,
     proxy_value,
     rho_schedule,
     sam_perturb,
-    sam_step,
-    sgd_step,
     train_epochs,
 )
 from .continual import (
@@ -46,7 +41,6 @@ from .continual import (
     TaskStream,
     buffer_update,
     grow_head,
-    gpm_cflat_step,
     gpm_extract_basis,
     make_stream,
     run_cl_experiment,

@@ -43,7 +43,7 @@ from .metrics import (
     last_accuracy,
     relative_return,
 )
-from .numcore import ParamVector, SeededRng, Segment
+from .numcore import ParamVector, SeededRng
 from .objective import Batch, MlpOracle, MlpSpec, make_quadratic
 from .optim import DivergenceError, OptimConfig, ProxyState, OPTIMIZER_NAMES
 
@@ -199,16 +199,8 @@ def resolve_config(user: dict) -> dict:
 def _build_dataset(cfg: dict) -> Dataset:
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        spec = SyntheticSpec(
-            classes=ds["classes"],
-            dims=ds["dims"],
-            per_class=ds["per_class"],
-            cluster_std=ds["cluster_std"],
-            seed=ds["seed"],
-            label_noise=ds["label_noise"],
-            feature_scale=ds["feature_scale"],
-        )
-        return synth_dataset(spec)
+        fields = dataclasses.fields(SyntheticSpec)
+        return synth_dataset(SyntheticSpec(**{f.name: ds[f.name] for f in fields}))
     x, y = load_csv_dataset(ds["path"])
     return split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
 
@@ -260,16 +252,11 @@ def _write_metrics_csv(path: Path, result, n_tasks: int) -> None:
     lines = ["seed,avg_accuracy,last_accuracy,bwt,fwt,n_tasks"]
     for seed_result in result.results:
         m = _seed_metrics(seed_result, n_tasks)
-        lines.append(
-            ",".join([
-                str(seed_result.seed),
-                _fmt(m["avg_accuracy"]),
-                _fmt(m["last_accuracy"]),
-                _fmt(m["bwt"]),
-                _fmt(m["fwt"]),
-                str(n_tasks),
-            ])
-        )
+        lines.append(",".join(
+            [str(seed_result.seed)]
+            + [_fmt(m[key]) for key in ("avg_accuracy", "last_accuracy", "bwt", "fwt")]
+            + [str(n_tasks)]
+        ))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -288,15 +275,15 @@ def _write_trace_csv(path: Path, result) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _manifest_doc(manifest) -> list:
+    return [[seg.name, seg.offset, list(seg.shape)] for seg in manifest]
+
+
 def _write_checkpoint(path: Path, seed_result, cfg: dict, stream) -> None:
     theta = seed_result.final_theta
     n_classes = theta.manifest[-1].shape[0]
-    eval_x, eval_y = [], []
-    for task in stream.tasks:
-        eval_x.append(task.test_x)
-        eval_y.append(task.test_y)
-    x = np.concatenate(eval_x)[:512]
-    y = np.concatenate(eval_y)[:512]
+    x = np.concatenate([task.test_x for task in stream.tasks])[:512]
+    y = np.concatenate([task.test_y for task in stream.tasks])[:512]
     doc = {
         "kind": "mlp",
         "schema_version": SCHEMA_VERSION,
@@ -308,7 +295,7 @@ def _write_checkpoint(path: Path, seed_result, cfg: dict, stream) -> None:
             "activation": cfg["model"]["activation"],
             "l2": cfg["model"]["l2"],
         },
-        "manifest": [[s.name, s.offset, list(s.shape)] for s in theta.manifest],
+        "manifest": _manifest_doc(theta.manifest),
         "theta": [float(v) for v in theta.data],
         "eval_x": [[float(v) for v in row] for row in x],
         "eval_y": [int(v) for v in y],
@@ -497,31 +484,58 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_CHECKPOINT_KEYS = {
+    "quadratic": ("H", "theta"),
+    "mlp": ("model", "manifest", "theta", "eval_x", "eval_y"),
+}
+
+
+def _checkpoint_array(doc: dict, key: str, shape: tuple) -> np.ndarray:
+    """doc[key] as a finite float array of ``shape`` (None: any nonzero length)."""
+    try:
+        arr = np.array(doc[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)
+    if (arr.ndim != len(shape) or 0 in arr.shape
+            or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+            or not np.isfinite(arr).all()):
+        dims = ", ".join("n" if want is None else str(want) for want in shape)
+        raise ConfigError(f"checkpoint {key} must be a finite array of shape ({dims})", key)
+    return arr
+
+
 def _load_checkpoint(path: str):
+    """(oracle, theta, batch) from a checkpoint; a malformed field raises
+    ConfigError naming it."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"checkpoint not found: {path}")
     doc = json.loads(p.read_text(encoding="utf-8"))
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _CHECKPOINT_KEYS:
+        raise ConfigError(f"unknown checkpoint kind {kind!r}", "kind")
+    for key in _CHECKPOINT_KEYS[kind]:
+        if key not in doc:
+            raise ConfigError(f"checkpoint has no {key!r}", key)
     if kind == "quadratic":
         oracle = make_quadratic(np.array(doc["H"]), np.array(doc["c"]) if "c" in doc else None)
         theta = ParamVector(np.array(doc["theta"]))
         return oracle, theta, None
-    if kind == "mlp":
-        model = doc["model"]
-        spec = MlpSpec(
-            d_in=model["d_in"], hidden=tuple(model["hidden"]),
-            n_classes=model["n_classes"], activation=model["activation"],
-            l2=model["l2"],
+    try:
+        spec = MlpSpec(**doc["model"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"checkpoint model is invalid: {err}", "model") from None
+    oracle = MlpOracle(spec)
+    if doc["manifest"] != _manifest_doc(oracle.manifest):
+        raise ConfigError("checkpoint manifest does not match its model", "manifest")
+    theta = ParamVector(_checkpoint_array(doc, "theta", (oracle.dim,)), oracle.manifest)
+    x = _checkpoint_array(doc, "eval_x", (None, spec.d_in))
+    y = _checkpoint_array(doc, "eval_y", (len(x),))
+    if not ((y == np.round(y)) & (y >= 0) & (y < spec.n_classes)).all():
+        raise ConfigError(
+            f"checkpoint eval_y must hold integer labels in [0, {spec.n_classes})", "eval_y"
         )
-        oracle = MlpOracle(spec)
-        manifest = tuple(
-            Segment(name, offset, tuple(shape)) for name, offset, shape in doc["manifest"]
-        )
-        theta = ParamVector(np.array(doc["theta"]), manifest)
-        batch = Batch(np.array(doc["eval_x"]), np.array(doc["eval_y"]))
-        return oracle, theta, batch
-    raise ConfigError(f"unknown checkpoint kind {kind!r}")
+    return oracle, theta, Batch(x, y.astype(np.int64))
 
 
 def cmd_landscape(args) -> int:

@@ -60,7 +60,6 @@ __all__ = [
     "gpm_extract_basis",
     "gpm_update_basis",
     "gpm_project",
-    "gpm_cflat_step",
     "GpmStepper",
     "merge_experiment_results",
     "run_cl_experiment",
@@ -395,8 +394,7 @@ class DistillObjective(ObjectiveOracle):
         return self.base._grad_with_output_error(theta, batch.x, output_error)
 
     def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
-        delta_fd = getattr(self.base, "delta_fd", 1e-4)
-        return fd_hvp(lambda th: self.grad(th, batch), theta, v, delta_fd, base_grad)
+        return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
 
 
 def wa_align(w_old: np.ndarray, w_new: np.ndarray) -> float:
@@ -467,27 +465,22 @@ def gpm_extract_basis(oracle: MlpOracle, theta: ParamVector, sample_batch: Batch
                       energy_threshold: float, layer: int | None = None) -> GpmState:
     """SVD basis of the designated layer's input representations.
 
-    Keeps the smallest rank whose squared singular values reach the energy
-    threshold; significances start at 1.
+    This is ``gpm_update_basis`` from an empty basis: it keeps the smallest
+    rank whose squared singular values reach the energy threshold, with
+    significances at 1.
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise ValueError("energy_threshold must lie in (0, 1]")
     if layer is None:
         layer = oracle.n_layers - 1
-    R = oracle.representations(theta, sample_batch.x, layer).T
-    if not np.linalg.norm(R) > 0:
+    if not 0 <= layer < oracle.n_layers:
+        raise ValueError(f"layer {layer} out of range")
+    width = theta.segment(f"W{layer}").shape[1]
+    empty = GpmState(np.zeros((width, 0)), np.zeros(0), energy_threshold, layer)
+    state = gpm_update_basis(empty, oracle, theta, sample_batch)
+    if state.rank == 0:
         raise ValueError("rank-0 representation matrix")
-    U, s, _ = np.linalg.svd(R, full_matrices=False)
-    keep = s > 1e-12 * s[0]
-    U, s = U[:, keep], s[keep]
-    r = _energy_rank(s, 0.0, float((s**2).sum()), energy_threshold)
-    r = max(1, r)
-    return GpmState(
-        basis=U[:, :r].copy(),
-        significance=np.ones(r),
-        energy_threshold=energy_threshold,
-        layer=layer,
-    )
+    return state
 
 
 def gpm_update_basis(state: GpmState, oracle: MlpOracle, theta: ParamVector,
@@ -514,45 +507,36 @@ def gpm_update_basis(state: GpmState, oracle: MlpOracle, theta: ParamVector,
     )
 
 
-def _project_block(basis: np.ndarray, significance: np.ndarray, layer: int,
-                   grad: ParamVector) -> tuple[ParamVector, float]:
-    """Apply (I - M diag(sig) M^T) to the designated W block, identity elsewhere."""
-    name = f"W{layer}"
-    G = grad.view(name)
-    GM = G @ basis
-    proj_block = G - (GM * significance) @ basis.T
-    seg = grad.segment(name)
-    flat = grad.data.copy()
-    flat[seg.offset : seg.offset + seg.size] = proj_block.ravel()
-    in_span = float(np.linalg.norm(proj_block @ basis))
-    return grad.with_data(flat), in_span
-
-
 def gpm_project(state: GpmState, grad: ParamVector) -> tuple[ParamVector, float]:
-    """Project the designated-layer gradient block out of the stored span.
+    """Apply (I - M diag(sig) M^T) to the designated W block, identity elsewhere.
 
     Returns the projected gradient and the norm of the residual component
     still inside span(M) (zero up to float error when significance is 1).
     """
-    return _project_block(state.basis, state.significance, state.layer, grad)
+    name = f"W{state.layer}"
+    G = grad.view(name)
+    proj_block = G - ((G @ state.basis) * state.significance) @ state.basis.T
+    seg = grad.segment(name)
+    flat = grad.data.copy()
+    flat[seg.offset : seg.offset + seg.size] = proj_block.ravel()
+    in_span = float(np.linalg.norm(proj_block @ state.basis))
+    return grad.with_data(flat), in_span
 
 
-def _significance_update(oracle, theta, batch, state: GpmState, g_c: ParamVector,
-                         eta1: float, eta2: float, delta: float = 1e-4) -> np.ndarray:
-    """Finite-difference sensitivity of the post-step loss to each significance."""
-    lam = state.significance
+def _significance_sensitivity(oracle, theta, batch, state: GpmState, g_c: ParamVector,
+                              eta2: float) -> np.ndarray:
+    """d L(theta') / d sig_j for the projected step theta' = theta - eta2 * P(g_c).
 
-    def step_loss(values: np.ndarray) -> float:
-        proj, _ = _project_block(state.basis, values, state.layer, g_c)
-        return oracle.loss(axpy(-eta2, proj, theta), batch)
-
-    base = step_loss(lam)
-    sens = np.zeros(len(lam))
-    for j in range(len(lam)):
-        bumped = lam.copy()
-        bumped[j] += delta
-        sens[j] = (step_loss(bumped) - base) / delta
-    return np.clip(lam - eta1 * sens, 0.0, 1.0)
+    theta' moves with significance j by eta2 * (G m_j) m_j^T on the projected
+    block (G is g_c's block, m_j basis column j), so one gradient at theta'
+    gives every sensitivity exactly: eta2 * sum_rows (G m_j) * (grad_W L(theta') m_j).
+    """
+    proj, _ = gpm_project(state, g_c)
+    g_after = oracle.grad(axpy(-eta2, proj, theta), batch)
+    _require_finite(g_after.data, "post-step gradient")
+    name = f"W{state.layer}"
+    GM = g_c.view(name) @ state.basis
+    return eta2 * (GM * (g_after.view(name) @ state.basis)).sum(axis=0)
 
 
 class GpmStepper(Stepper):
@@ -561,8 +545,9 @@ class GpmStepper(Stepper):
     Until a basis exists (first task) it is the inner stepper. With a basis it
     takes the inner direction d and projects g_c: d itself, or, when d is a
     C-Flat combined direction, the gradient at the neighborhood point along d.
-    Significances adapt by loss sensitivity (eta1), and the step is
-    theta - eta2 * P(g_c), with eta2 defaulting to the learning rate.
+    Significances adapt by loss sensitivity (eta1; one more gradient per
+    step), and the step is theta - eta2 * P(g_c), with eta2 defaulting to the
+    learning rate.
     """
 
     def __init__(self, inner: DescentStepper, eta1: float, eta2: float | None):
@@ -587,22 +572,14 @@ class GpmStepper(Stepper):
             _require_finite(g_c.data, "perturbed gradient")
             stats = replace(stats, grad_evals=stats.grad_evals + 1)
         eta2 = self.eta2 if self.eta2 is not None else cfg.eta
-        if self.eta1 != 0.0 and self.gpm_state.rank > 0:
-            new_sig = _significance_update(oracle, theta, batch, self.gpm_state, g_c,
-                                           self.eta1, eta2)
-            self.gpm_state = replace(self.gpm_state, significance=new_sig)
+        if self.eta1 != 0.0:
+            sens = _significance_sensitivity(oracle, theta, batch, self.gpm_state, g_c, eta2)
+            sig = np.clip(self.gpm_state.significance - self.eta1 * sens, 0.0, 1.0)
+            self.gpm_state = replace(self.gpm_state, significance=sig)
+            stats = replace(stats, grad_evals=stats.grad_evals + 1)
         proj, in_span = gpm_project(self.gpm_state, g_c)
         stats = replace(stats, gpm_in_span=in_span, gpm_src_norm=norm2(g_c))
         return axpy(-eta2, proj, theta), stats
-
-
-def gpm_cflat_step(oracle, theta, batch, cfg: OptimConfig, state: GpmState,
-                   eta1: float, eta2: float) -> tuple[ParamVector, GpmState, StepStats]:
-    """One projected C-Flat step from ``state`` (see GpmStepper)."""
-    stepper = GpmStepper(make_stepper("cflat"), eta1, eta2)
-    stepper.gpm_state = state
-    new_theta, stats = stepper.step(oracle, theta, batch, cfg)
-    return new_theta, stepper.gpm_state, stats
 
 
 @dataclass(frozen=True)

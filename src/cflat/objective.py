@@ -94,11 +94,15 @@ class ObjectiveOracle:
             raise ValueError(f"dimension mismatch: theta has {theta.dim}, oracle expects {self.dim}")
 
 
-def fd_hvp(grad_fn, theta: ParamVector, v: ParamVector, delta_fd: float = 1e-4,
+# Relative step of the forward-difference HVP, scaled by (1 + ||theta||).
+FD_HVP_STEP = 1e-4
+
+
+def fd_hvp(grad_fn, theta: ParamVector, v: ParamVector,
            base_grad: ParamVector | None = None) -> ParamVector:
     """Forward-difference HVP: (g(theta + d*vhat) - g(theta)) / d * ||v||.
 
-    The step d = delta_fd * (1 + ||theta||) balances truncation against
+    The step d = FD_HVP_STEP * (1 + ||theta||) balances truncation against
     round-off in 64-bit. A zero direction returns zero exactly.
     """
     if v.dim != theta.dim:
@@ -106,7 +110,7 @@ def fd_hvp(grad_fn, theta: ParamVector, v: ParamVector, delta_fd: float = 1e-4,
     vnorm = norm2(v)
     if vnorm == 0.0:
         return v.with_data(np.zeros(v.dim))
-    delta = delta_fd * (1.0 + norm2(theta))
+    delta = FD_HVP_STEP * (1.0 + norm2(theta))
     vhat = v.data / vnorm
     shifted = grad_fn(theta.with_data(theta.data + delta * vhat))
     base = base_grad if base_grad is not None else grad_fn(theta)
@@ -324,10 +328,6 @@ class LogitModel(ObjectiveOracle):
     def head_weight_name(self) -> str:
         return self.manifest[-2].name
 
-    @property
-    def head_bias_name(self) -> str:
-        return self.manifest[-1].name
-
 
 class LogisticOracle(LogitModel):
     """Multinomial logistic regression with exact gradient and exact HVP.
@@ -409,22 +409,20 @@ class MlpOracle(LogitModel):
     A gradient costs one forward and one backward pass. The HVP is a forward
     difference of gradients: one gradient at the shifted point beyond the
     base gradient at theta, which callers pass as ``base_grad`` to share it
-    across products (it is recomputed when omitted). The relative step
-    ``delta_fd`` defaults to 1e-4 and is scaled by (1 + ||theta||).
+    across products (it is recomputed when omitted); see ``fd_hvp``.
     """
 
-    def __init__(self, spec: MlpSpec, delta_fd: float = 1e-4):
+    def __init__(self, spec: MlpSpec):
         self.spec = spec
         self.n_classes = spec.n_classes
         self.l2 = float(spec.l2)
         self.manifest = mlp_manifest(spec.widths)
         self.dim = sum(seg.size for seg in self.manifest)
-        self.delta_fd = delta_fd
         self.n_layers = len(spec.widths) - 1
         self._workspaces = {}
 
     def with_head(self, n_classes: int) -> "MlpOracle":
-        return MlpOracle(replace(self.spec, n_classes=n_classes), self.delta_fd)
+        return MlpOracle(replace(self.spec, n_classes=n_classes))
 
     def init_theta(self, rng: SeededRng) -> ParamVector:
         """Seeded init: W ~ N(0, 1/sqrt(fan_in)), biases zero."""
@@ -458,9 +456,7 @@ class MlpOracle(LogitModel):
 
     def hvp(self, theta, v, batch=None, base_grad=None):
         self._require_dim(theta)
-        return fd_hvp(
-            lambda th: self.grad(th, batch), theta, v, self.delta_fd, base_grad
-        )
+        return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
 
 
 def make_mlp(spec: MlpSpec, rng: SeededRng) -> MlpOracle:

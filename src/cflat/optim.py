@@ -17,9 +17,10 @@ whose bound A adapts by error feedback A <- A - eta0 * E.
 
 Each optimizer is implemented once, as a DescentStepper whose ``direction``
 returns the step's direction d with its StepStats (and advances the proxy or
-the hybrid plan); a plain step is theta - eta * d. The ``*_step`` functions
-are entry points over the steppers, and a projection method
-(continual.GpmStepper) wraps any stepper's direction instead of stepping.
+the hybrid plan); its ``step`` is the plain step theta - eta * d. Steppers are
+the only step API: ``make_stepper`` builds one by name, ``train_epochs`` drives
+one, and a projection method (continual.GpmStepper) wraps any stepper's
+direction instead of stepping.
 """
 from __future__ import annotations
 
@@ -38,14 +39,8 @@ __all__ = [
     "DivergenceError",
     "sam_perturb",
     "ascent_point",
-    "sgd_step",
-    "sam_step",
-    "cflat_gradient",
-    "cflat_step",
-    "cflat_perturbation",
     "rho_schedule",
     "proxy_value",
-    "cflatpp_step",
     "hybrid_step_plan",
     "train_epochs",
     "Stepper",
@@ -133,8 +128,9 @@ class StepStats:
     """Per-step bookkeeping.
 
     grad_evals follows the optimizer's cost accounting: direct gradient
-    evaluations plus one per Hessian-vector product. epoch/task are filled in
-    by the training loop and harness; the gpm_* fields only by projected steps.
+    evaluations plus one per Hessian-vector product, so a C-Flat direction
+    counts 3 + 2 = 5. epoch/task are filled in by the training loop and
+    harness; the gpm_* fields only by projected steps.
     """
 
     loss: float
@@ -206,7 +202,7 @@ def _cflat_direction(oracle, theta, batch, cfg, loss: float, g: ParamVector):
         loss=loss,
         sq_grad_norm=gnorm ** 2,
         used_cflat=True,
-        grad_evals=4,
+        grad_evals=5,
         hvp_evals=2,
     )
     return combined, stats
@@ -358,54 +354,6 @@ class HybridStepper(DescentStepper):
         return _sgd_direction(loss, g)
 
 
-def sgd_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-             cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """theta - eta * grad(theta)."""
-    return SgdStepper().step(oracle, theta, batch, cfg)
-
-
-def sam_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-             cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """theta - eta * grad(theta + ascent perturbation)."""
-    return SamStepper().step(oracle, theta, batch, cfg)
-
-
-def cflat_gradient(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-                   cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """The combined update direction g0 + lam * g1 (see module docstring)."""
-    return CflatStepper().direction(oracle, theta, batch, cfg)
-
-
-def cflat_step(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-               cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """theta - eta * (g0 + lam * g1)."""
-    return CflatStepper().step(oracle, theta, batch, cfg)
-
-
-def cflat_perturbation(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch,
-                       cfg: OptimConfig) -> tuple[ParamVector, StepStats]:
-    """Neighborhood perturbation along the combined direction, norm <= rho.
-
-    A projected step evaluates its gradient at theta plus this perturbation
-    rather than applying the combined direction directly.
-    """
-    combined, stats = cflat_gradient(oracle, theta, batch, cfg)
-    return sam_perturb(combined, cfg.rho, cfg.eps_guard), stats
-
-
-def cflatpp_step(
-    oracle: ObjectiveOracle,
-    theta: ParamVector,
-    batch: Batch,
-    cfg: OptimConfig,
-    state: ProxyState,
-) -> tuple[ParamVector, ProxyState, StepStats]:
-    """Selective flatness step gated by the sharpness proxy (see CflatPPStepper)."""
-    stepper = CflatPPStepper(state)
-    new_theta, stats = stepper.step(oracle, theta, batch, cfg)
-    return new_theta, stepper.state, stats
-
-
 OPTIMIZER_NAMES = ("sgd", "sam", "cflat", "cflat++", "hybrid")
 
 
@@ -416,16 +364,16 @@ def make_stepper(
     hybrid_p: float = 0.5,
     hybrid_ordering: str = "cflat_last",
 ) -> DescentStepper:
-    key = name.lower().replace("cflatpp", "cflat++")
-    if key == "sgd":
+    """The stepper for one of OPTIMIZER_NAMES, with its cross-step settings."""
+    if name == "sgd":
         return SgdStepper()
-    if key == "sam":
+    if name == "sam":
         return SamStepper()
-    if key == "cflat":
+    if name == "cflat":
         return CflatStepper()
-    if key == "cflat++":
+    if name == "cflat++":
         return CflatPPStepper(proxy, proxy_reset_per_task)
-    if key == "hybrid":
+    if name == "hybrid":
         return HybridStepper(hybrid_p, hybrid_ordering)
     raise ValueError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
 

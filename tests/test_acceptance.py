@@ -30,7 +30,7 @@ from cflat.landscape import (
 from cflat.metrics import average_accuracy, bwt, cflat_proportion
 from cflat.numcore import ParamVector, SeededRng, norm2
 from cflat.objective import Batch, MlpOracle, MlpSpec, make_logreg, make_mlp, make_quadratic
-from cflat.optim import OptimConfig, cflat_step, sam_step, sgd_step
+from cflat.optim import CflatStepper, OptimConfig, SamStepper, SgdStepper
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -221,14 +221,14 @@ def test_criterion_3_reduction_lattice():
         rho = float(abs(rng.normal()) * 0.2)
 
         cfg = OptimConfig(eta=eta, rho=rho, lam=0.0)
-        a, _ = cflat_step(oracle, theta, batch, cfg)
-        b, _ = sam_step(oracle, theta, batch, cfg)
+        a, _ = CflatStepper().step(oracle, theta, batch, cfg)
+        b, _ = SamStepper().step(oracle, theta, batch, cfg)
         total += 1
         identical += np.array_equal(a.data, b.data)
 
         cfg0 = OptimConfig(eta=eta, rho=0.0, lam=0.0)
-        c, _ = cflat_step(oracle, theta, batch, cfg0)
-        d, _ = sgd_step(oracle, theta, batch, cfg0)
+        c, _ = CflatStepper().step(oracle, theta, batch, cfg0)
+        d, _ = SgdStepper().step(oracle, theta, batch, cfg0)
         total += 1
         identical += np.array_equal(c.data, d.data)
     ok = identical == total

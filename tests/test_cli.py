@@ -199,7 +199,7 @@ def test_gpm_cflatpp_run_replays_its_gate_from_trace(tmp_path):
     projected = [r for r in rows if r["gpm_in_span"]]
     fired = [r for r in projected if r["used_cflat"] == "true"]
     assert 0 < len(fired) < len(projected)
-    assert all(r["grad_evals"] == "5" for r in fired)  # the C-Flat step plus g_c
+    assert all(r["grad_evals"] == "6" for r in fired)  # the C-Flat step plus g_c
 
 
 def test_sweep_lambda_zero_cell_matches_sam_run_byte_identically(tmp_path):
@@ -310,6 +310,66 @@ def test_landscape_missing_checkpoint(tmp_path, capsys):
     rc = main(["landscape", "--checkpoint", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def mlp_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    assert main(["run", "--config", write_config(tmp, base_config(tmp / "run"))]) == 0
+    return json.loads((tmp / "run" / "checkpoint_seed0.json").read_text())
+
+
+def _drop(key):
+    def corrupt(doc):
+        del doc[key]
+    return corrupt
+
+
+def _set(key, value):
+    def corrupt(doc):
+        doc[key] = value(doc[key])
+    return corrupt
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("manifest", _drop("manifest")),
+    ("theta", _drop("theta")),
+    ("eval_y", _drop("eval_y")),
+    ("model", _set("model", lambda m: {**m, "activation": "gelu"})),
+    ("model", _set("model", lambda m: {k: v for k, v in m.items() if k != "d_in"})),
+    ("manifest", _set("model", lambda m: {**m, "hidden": [9]})),
+    ("manifest", _set("manifest", lambda m: [[n, o + 1, s] for n, o, s in m])),
+    ("theta", _set("theta", lambda t: t[:-1])),
+    ("theta", _set("theta", lambda t: [float("nan")] + t[1:])),
+    ("eval_x", _set("eval_x", lambda x: [row[:-1] for row in x])),
+    ("eval_x", _set("eval_x", lambda x: [[float("inf")] + x[0][1:]] + x[1:])),
+    ("eval_y", _set("eval_y", lambda y: y[:-1])),
+    ("eval_y", _set("eval_y", lambda y: [4] + y[1:])),
+    ("eval_y", _set("eval_y", lambda y: [-1] + y[1:])),
+    ("eval_y", _set("eval_y", lambda y: [0.5] + y[1:])),
+    ("kind", _set("kind", lambda k: "conv")),
+], ids=["no_manifest", "no_theta", "no_eval_y", "bad_activation", "no_d_in",
+        "manifest_of_other_model", "shifted_manifest", "short_theta", "nan_theta",
+        "narrow_eval_x", "inf_eval_x", "short_eval_y", "label_past_head",
+        "negative_label", "fractional_label", "unknown_kind"])
+def test_landscape_rejects_a_corrupted_checkpoint_field(tmp_path, capsys, mlp_checkpoint,
+                                                        field, corrupt):
+    doc = json.loads(json.dumps(mlp_checkpoint))
+    corrupt(doc)
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["landscape", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+               "--samples", "4", "--probes", "2", "--iters", "2", "--grid", "2"])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == field
+
+
+def test_landscape_rejects_a_quadratic_checkpoint_without_h(tmp_path, capsys):
+    ckpt = tmp_path / "quad.json"
+    ckpt.write_text(json.dumps({"kind": "quadratic", "theta": [0.0, 0.0]}), encoding="utf-8")
+    assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "H"
 
 
 def test_report_single_manifest_and_sgd_reference(tmp_path):

@@ -12,7 +12,6 @@ from cflat.continual import (
     SyntheticSpec,
     buffer_contents,
     buffer_update,
-    gpm_cflat_step,
     gpm_extract_basis,
     gpm_project,
     gpm_update_basis,
@@ -25,10 +24,20 @@ from cflat.continual import (
     synth_dataset,
     wa_align,
 )
+from cflat.continual import _significance_sensitivity
 from cflat.metrics import last_accuracy
 from cflat.numcore import ParamVector, SeededRng, axpy, norm2
 from cflat.objective import Batch, MlpSpec, make_logreg, make_mlp
-from cflat.optim import OptimConfig, ProxyState, make_stepper, sam_step, sgd_step, train_epochs
+from cflat.optim import (
+    CflatStepper,
+    OptimConfig,
+    ProxyState,
+    SamStepper,
+    SgdStepper,
+    ascent_point,
+    make_stepper,
+    train_epochs,
+)
 
 
 def quick_dataset(classes=4, dims=6, per_class=40, std=1.0, seed=11, noise=0.0):
@@ -59,7 +68,7 @@ def test_synth_dataset_zero_std_is_separable():
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
     batch = Batch(ds.train_x, ds.train_y)
     for _ in range(200):
-        theta, _ = sgd_step(lr, theta, batch, OptimConfig(eta=1.0))
+        theta, _ = SgdStepper().step(lr, theta, batch, OptimConfig(eta=1.0))
     assert float(np.mean(lr.predict(theta, ds.train_x) == ds.train_y)) == 1.0
 
 
@@ -71,7 +80,7 @@ def test_synth_dataset_relabel_symmetry():
         theta = ParamVector(np.zeros(lr.dim), lr.manifest)
         batch = Batch(ds.train_x, train_y)
         for _ in range(150):
-            theta, _ = sgd_step(lr, theta, batch, OptimConfig(eta=1.0))
+            theta, _ = SgdStepper().step(lr, theta, batch, OptimConfig(eta=1.0))
         return float(np.mean(lr.predict(theta, ds.test_x) == test_y))
 
     swap = np.array([1, 0, 2])
@@ -92,7 +101,7 @@ def test_synth_dataset_bayes_accuracy_two_classes():
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
     batch = Batch(ds.train_x, ds.train_y)
     for _ in range(300):
-        theta, _ = sgd_step(lr, theta, batch, OptimConfig(eta=1.0))
+        theta, _ = SgdStepper().step(lr, theta, batch, OptimConfig(eta=1.0))
     acc = float(np.mean(lr.predict(theta, ds.test_x) == ds.test_y))
     assert abs(acc - bayes) <= 0.03
 
@@ -420,6 +429,16 @@ def test_gpm_extract_rank_one_representations():
     assert state_full.rank == 1
 
 
+def test_gpm_extract_rejects_zero_representations_and_missing_layers():
+    _, oracle, theta, batch = gpm_setup()
+    zeros = Batch(np.zeros((8, 4)), np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="rank-0"):
+        gpm_extract_basis(oracle, theta, zeros, 0.9, layer=0)
+    for layer in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            gpm_extract_basis(oracle, theta, batch, 0.9, layer=layer)
+
+
 def test_gpm_extract_full_rank_at_threshold_one():
     rng, oracle, theta, batch = gpm_setup()
     state = gpm_extract_basis(oracle, theta, batch, 1.0, layer=0)
@@ -451,12 +470,12 @@ def test_gpm_zero_significance_is_unprojected():
     state = type(state)(basis=state.basis, significance=np.zeros(state.rank),
                         energy_threshold=state.energy_threshold, layer=state.layer)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
-    new_theta, _, stats = gpm_cflat_step(oracle, theta, batch, cfg, state,
-                                         eta1=0.0, eta2=0.1)
+    stepper = GpmStepper(CflatStepper(), eta1=0.0, eta2=0.1)
+    stepper.gpm_state = state
+    new_theta, stats = stepper.step(oracle, theta, batch, cfg)
     # reduces to an unprojected step along the perturbed gradient
-    from cflat.optim import cflat_perturbation
-    eps_c, _ = cflat_perturbation(oracle, theta, batch, cfg)
-    g_c = oracle.grad(axpy(1.0, eps_c, theta), batch)
+    d, _ = CflatStepper().direction(oracle, theta, batch, cfg)
+    g_c = oracle.grad(ascent_point(theta, d, cfg), batch)
     expected = axpy(-0.1, g_c, theta)
     assert np.array_equal(new_theta.data, expected.data)
 
@@ -470,7 +489,9 @@ def test_gpm_full_space_basis_freezes_block():
         state = type(state)(basis=M, significance=np.ones(6),
                             energy_threshold=1.0, layer=state.layer)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
-    new_theta, _, _ = gpm_cflat_step(oracle, theta, batch, cfg, state, eta1=0.0, eta2=0.1)
+    stepper = GpmStepper(CflatStepper(), eta1=0.0, eta2=0.1)
+    stepper.gpm_state = state
+    new_theta, _ = stepper.step(oracle, theta, batch, cfg)
     name = f"W{state.layer}"
     np.testing.assert_allclose(new_theta.view(name), theta.view(name), atol=1e-12)
 
@@ -479,8 +500,10 @@ def test_gpm_significance_update_clamped():
     rng, oracle, theta, batch = gpm_setup()
     state = gpm_extract_basis(oracle, theta, batch, 0.95)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
-    _, new_state, _ = gpm_cflat_step(oracle, theta, batch, cfg, state,
-                                     eta1=50.0, eta2=0.1)
+    stepper = GpmStepper(CflatStepper(), eta1=50.0, eta2=0.1)
+    stepper.gpm_state = state
+    stepper.step(oracle, theta, batch, cfg)
+    new_state = stepper.gpm_state
     assert (new_state.significance >= 0.0).all()
     assert (new_state.significance <= 1.0).all()
 
@@ -513,14 +536,14 @@ def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
         assert np.array_equal(plain.plan, wrapped.inner.plan)
 
 
-@pytest.mark.parametrize("name, plain_step", [("sgd", sgd_step), ("sam", sam_step)])
-def test_projection_with_zero_significance_is_the_plain_step_at_eta2(name, plain_step):
+@pytest.mark.parametrize("name, plain", [("sgd", SgdStepper), ("sam", SamStepper)])
+def test_projection_with_zero_significance_is_the_plain_step_at_eta2(name, plain):
     rng, oracle, theta, batch = gpm_setup()
     state = gpm_extract_basis(oracle, theta, batch, 0.95)
     stepper = GpmStepper(make_stepper(name), eta1=0.0, eta2=0.07)
     stepper.gpm_state = replace(state, significance=np.zeros(state.rank))
     got, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.3, rho=0.2))
-    expected, plain_stats = plain_step(oracle, theta, batch, OptimConfig(eta=0.07, rho=0.2))
+    expected, plain_stats = plain().step(oracle, theta, batch, OptimConfig(eta=0.07, rho=0.2))
     assert np.array_equal(got.data, expected.data)
     assert stats.gpm_in_span is not None
     assert replace(stats, gpm_in_span=None, gpm_src_norm=None) == plain_stats
@@ -536,6 +559,50 @@ def test_gpm_update_basis_merges_orthonormally():
     assert merged.rank > state.rank
     gram = merged.basis.T @ merged.basis
     assert np.linalg.norm(gram - np.eye(merged.rank)) <= 1e-8
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_gpm_sensitivities_match_a_central_difference_of_the_post_step_loss(activation):
+    rng = SeededRng(16)
+    oracle = make_mlp(MlpSpec(4, (6,), 3, activation, 0.01), rng.spawn(0))
+    theta = oracle.theta0
+    batch = Batch(rng.normal(size=(30, 4)), rng.integers(0, 3, 30))
+    state = gpm_extract_basis(oracle, theta, batch, 0.95)
+    state = replace(state, significance=rng.uniform(0.2, 0.8, state.rank))
+    g_c = oracle.grad(theta, batch)
+    eta2, h = 0.5, 1e-5
+    exact = _significance_sensitivity(oracle, theta, batch, state, g_c, eta2)
+
+    def post_step_loss(significance):
+        proj, _ = gpm_project(replace(state, significance=significance), g_c)
+        return oracle.loss(axpy(-eta2, proj, theta), batch)
+
+    sig = state.significance
+    central = np.array([(post_step_loss(sig + h * e) - post_step_loss(sig - h * e)) / (2 * h)
+                        for e in np.eye(state.rank)])
+    assert state.rank >= 2
+    assert np.abs(exact - central).max() <= 1e-5 * np.abs(central).max()
+
+
+def test_significance_update_costs_one_gradient_and_no_loss(monkeypatch):
+    rng, oracle, theta, batch = gpm_setup()
+    state = gpm_extract_basis(oracle, theta, batch, 0.95)
+    calls = {"loss": 0, "grad": 0}
+    for method in calls:
+        def counted(*args, _original=getattr(oracle, method), _method=method, **kwargs):
+            calls[_method] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(oracle, method, counted)
+    counts = []
+    for eta1 in (0.0, 0.5):
+        stepper = GpmStepper(SgdStepper(), eta1=eta1, eta2=0.1)
+        stepper.gpm_state = state
+        before = dict(calls)
+        _, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.1))
+        counts.append((stats.grad_evals, calls["grad"] - before["grad"],
+                       calls["loss"] - before["loss"]))
+    assert stepper.gpm_state.significance.tolist() != state.significance.tolist()
+    assert counts == [(1, 1, 1), (2, 2, 1)]
 
 
 # ---------------------------------------------------------------------------

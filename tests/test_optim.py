@@ -6,19 +6,18 @@ import pytest
 from cflat.numcore import ParamVector, SeededRng, norm2
 from cflat.objective import Batch, MlpSpec, ObjectiveOracle, make_mlp, make_quadratic
 from cflat.optim import (
+    CflatPPStepper,
+    CflatStepper,
     DivergenceError,
     OptimConfig,
     ProxyState,
-    cflat_gradient,
-    cflat_step,
-    cflatpp_step,
+    SamStepper,
+    SgdStepper,
     hybrid_step_plan,
     make_stepper,
     proxy_value,
     rho_schedule,
     sam_perturb,
-    sam_step,
-    sgd_step,
     train_epochs,
 )
 
@@ -60,7 +59,7 @@ def dummy_batch(n=4, d=2, C=2, seed=0):
 
 def test_sgd_closed_form():
     q = make_quadratic(np.eye(2))
-    theta, stats = sgd_step(q, ParamVector([1.0, 0.0]), None, OptimConfig(eta=0.1))
+    theta, stats = SgdStepper().step(q, ParamVector([1.0, 0.0]), None, OptimConfig(eta=0.1))
     np.testing.assert_allclose(theta.data, [0.9, 0.0])
     assert stats.grad_evals == 1 and not stats.used_cflat
 
@@ -68,7 +67,7 @@ def test_sgd_closed_form():
 def test_sgd_zero_eta_is_identity():
     q = make_quadratic(np.eye(2))
     start = ParamVector([0.3, -0.4])
-    theta, _ = sgd_step(q, start, None, OptimConfig(eta=0.0))
+    theta, _ = SgdStepper().step(q, start, None, OptimConfig(eta=0.0))
     assert np.array_equal(theta.data, start.data)
 
 
@@ -78,7 +77,7 @@ def test_sgd_geometric_contraction():
     theta = ParamVector([1.0, 1.0])
     norms = [norm2(theta)]
     for _ in range(30):
-        theta, _ = sgd_step(q, theta, None, cfg)
+        theta, _ = SgdStepper().step(q, theta, None, cfg)
         norms.append(norm2(theta))
     # contraction factor is max |1 - eta*l| = 0.5 on this spectrum
     for before, after in zip(norms, norms[1:]):
@@ -91,9 +90,9 @@ def test_steps_reject_non_finite_theta():
     cfg = OptimConfig(eta=0.1)
     for bad in ([np.nan, 0.0], [np.inf, 1.0]):
         with pytest.raises(DivergenceError):
-            sgd_step(q, ParamVector(bad), None, cfg)
+            SgdStepper().step(q, ParamVector(bad), None, cfg)
         with pytest.raises(DivergenceError):
-            cflat_step(q, ParamVector(bad), None, cfg)
+            CflatStepper().step(q, ParamVector(bad), None, cfg)
 
 
 def test_sgd_divergence_reports():
@@ -101,7 +100,7 @@ def test_sgd_divergence_reports():
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
         theta = ParamVector([1e200])
         for _ in range(5):
-            theta, _ = sgd_step(q, theta, None, OptimConfig(eta=1e200))
+            theta, _ = SgdStepper().step(q, theta, None, OptimConfig(eta=1e200))
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +129,8 @@ def test_sam_reduces_to_sgd_at_zero_rho():
     theta = oracle.theta0
     batch = dummy_batch(6, 3, 2, seed=3)
     cfg = OptimConfig(eta=0.1, rho=0.0)
-    a, _ = sam_step(oracle, theta, batch, cfg)
-    b, _ = sgd_step(oracle, theta, batch, cfg)
+    a, _ = SamStepper().step(oracle, theta, batch, cfg)
+    b, _ = SgdStepper().step(oracle, theta, batch, cfg)
     assert np.array_equal(a.data, b.data)
 
 
@@ -140,7 +139,7 @@ def test_sam_closed_form_on_quadratic():
     q = make_quadratic(H)
     theta0 = np.array([1.0, 1.0])
     rho, eta = 0.1, 0.1
-    got, stats = sam_step(q, ParamVector(theta0), None, OptimConfig(eta=eta, rho=rho))
+    got, stats = SamStepper().step(q, ParamVector(theta0), None, OptimConfig(eta=eta, rho=rho))
     # hand-expanded: theta - eta * H (theta + rho * H theta / ||H theta||)
     g = H @ theta0
     expected = theta0 - eta * H @ (theta0 + rho * g / (np.linalg.norm(g) + EPS))
@@ -160,7 +159,7 @@ def test_cflat_gradient_matches_hand_expansion_on_quadratic():
     theta0 = np.array([1.0, 0.5])
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
 
-    combined, stats = cflat_gradient(q, ParamVector(theta0), None, cfg)
+    combined, stats = CflatStepper().direction(q, ParamVector(theta0), None, cfg)
 
     # every line expanded by hand with the analytic H
     g = H @ (theta0 - c)
@@ -173,7 +172,7 @@ def test_cflat_gradient_matches_hand_expansion_on_quadratic():
     expected = g0 + cfg.lam * g1
 
     np.testing.assert_allclose(combined.data, expected, rtol=1e-14)
-    assert stats.grad_evals == 4 and stats.hvp_evals == 2 and stats.used_cflat
+    assert stats.grad_evals == 5 and stats.hvp_evals == 2 and stats.used_cflat
 
 
 def test_cflat_guards_at_exact_minimum():
@@ -181,7 +180,7 @@ def test_cflat_guards_at_exact_minimum():
     c = np.array([0.5, -0.5])
     q = make_quadratic(H, c)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
-    combined, _ = cflat_gradient(q, ParamVector(c), None, cfg)
+    combined, _ = CflatStepper().direction(q, ParamVector(c), None, cfg)
     assert np.isfinite(combined.data).all()
     assert norm2(combined) <= cfg.lam * 3.0 * cfg.rho  # no blow-up through the guards
 
@@ -198,13 +197,13 @@ def test_reduction_lattice_bitwise():
         orc = oracle if trial % 2 == 0 else q
 
         cfg_sam = OptimConfig(eta=eta, rho=rho, lam=0.0)
-        a, _ = cflat_step(orc, theta, batch, cfg_sam)
-        b, _ = sam_step(orc, theta, batch, cfg_sam)
+        a, _ = CflatStepper().step(orc, theta, batch, cfg_sam)
+        b, _ = SamStepper().step(orc, theta, batch, cfg_sam)
         assert np.array_equal(a.data, b.data)
 
         cfg_sgd = OptimConfig(eta=eta, rho=0.0, lam=0.0)
-        c1, _ = cflat_step(orc, theta, batch, cfg_sgd)
-        c2, _ = sgd_step(orc, theta, batch, cfg_sgd)
+        c1, _ = CflatStepper().step(orc, theta, batch, cfg_sgd)
+        c2, _ = SgdStepper().step(orc, theta, batch, cfg_sgd)
         assert np.array_equal(c1.data, c2.data)
 
 
@@ -240,10 +239,10 @@ def test_two_valley_cflat_selects_flat_sgd_stays_sharp():
     cfg_cflat = OptimConfig(eta=0.2, rho=0.2, lam=1.0)
     cfg_lam0 = OptimConfig(eta=0.2, rho=0.2, lam=0.0)
     for x0 in starts:
-        assert abs(run(sgd_step, x0, cfg_sgd) - 1.0) < 0.05
-        assert abs(run(cflat_step, x0, cfg_cflat) + 1.0) < 0.25
+        assert abs(run(SgdStepper().step, x0, cfg_sgd) - 1.0) < 0.05
+        assert abs(run(CflatStepper().step, x0, cfg_cflat) + 1.0) < 0.25
         # the zeroth-order part alone stalls at the basin boundary
-        assert run(cflat_step, x0, cfg_lam0) > 0.5
+        assert run(CflatStepper().step, x0, cfg_lam0) > 0.5
 
 
 def test_monotone_loss_decrease_small_eta_all_optimizers():
@@ -302,8 +301,9 @@ def test_cflatpp_error_feedback_arithmetic():
     # s = 3.0 > proxy = 2.5 so the flatness branch runs and A grows
     q = make_quadratic(np.eye(2))
     theta = ParamVector([math.sqrt(3.0), 0.0])
-    state = ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80)
-    _, new_state, stats = cflatpp_step(q, theta, None, OptimConfig(eta=0.1), state)
+    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80))
+    _, stats = stepper.step(q, theta, None, OptimConfig(eta=0.1))
+    new_state = stepper.state
     assert stats.proxy_value == pytest.approx(2.5)
     assert stats.used_cflat
     assert new_state.A == pytest.approx(5.0 + 5e-3 * 0.5, rel=1e-12)
@@ -313,8 +313,9 @@ def test_cflatpp_error_feedback_arithmetic():
 def test_cflatpp_sgd_branch_shrinks_bound():
     q = make_quadratic(np.eye(2))
     theta = ParamVector([0.1, 0.0])  # s = 0.01 < proxy
-    state = ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80)
-    _, new_state, stats = cflatpp_step(q, theta, None, OptimConfig(eta=0.1), state)
+    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80))
+    _, stats = stepper.step(q, theta, None, OptimConfig(eta=0.1))
+    new_state = stepper.state
     assert not stats.used_cflat
     assert stats.hvp_evals == 0 and stats.grad_evals == 1
     assert new_state.A < 5.0
@@ -323,9 +324,9 @@ def test_cflatpp_sgd_branch_shrinks_bound():
 def test_cflatpp_stationary_point_never_fires():
     q = make_quadratic(np.eye(2), c=np.array([0.4, 0.4]))
     theta = ParamVector([0.4, 0.4])
-    state = ProxyState()
+    stepper = CflatPPStepper(ProxyState())
     for _ in range(50):
-        theta, state, stats = cflatpp_step(q, theta, None, OptimConfig(eta=0.1), state)
+        theta, stats = stepper.step(q, theta, None, OptimConfig(eta=0.1))
         assert not stats.used_cflat
 
 
@@ -401,7 +402,7 @@ def test_train_epochs_full_batch_equals_deterministic_sequence():
     )
     manual = ParamVector([1.0, 1.0])
     for _ in range(3):
-        manual, _ = sgd_step(q, manual, Batch(x, y), cfg)
+        manual, _ = SgdStepper().step(q, manual, Batch(x, y), cfg)
     assert np.array_equal(theta.data, manual.data)
     assert len(trace) == 3
 
