@@ -9,7 +9,6 @@ Public surface: flat-vector numerics (numcore), differentiable objectives
 from .numcore import ParamVector, SeededRng, Segment, axpy, dot, gaussian_fill, norm2
 from .objective import (
     Batch,
-    LogisticOracle,
     MlpOracle,
     MlpSpec,
     ObjectiveOracle,

@@ -33,6 +33,7 @@ from .continual import (
     synth_dataset,
     SyntheticSpec,
     METHOD_NAMES,
+    PROTOCOL_NAMES,
 )
 from .landscape import flatness_report, landscape_slice_2d, top2_eigenpairs
 from .metrics import (
@@ -44,8 +45,8 @@ from .metrics import (
     relative_return,
 )
 from .numcore import ParamVector, SeededRng
-from .objective import Batch, MlpOracle, MlpSpec, make_quadratic
-from .optim import DivergenceError, OptimConfig, ProxyState, OPTIMIZER_NAMES
+from .objective import ACTIVATION_NAMES, Batch, MlpOracle, MlpSpec, make_quadratic
+from .optim import DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, OPTIMIZER_NAMES
 
 SCHEMA_VERSION = 1
 
@@ -117,11 +118,11 @@ _DEFAULT_CONFIG = {
 
 _ENUMS = {
     "dataset.kind": ("synthetic", "csv"),
-    "protocol": ("B0", "B50"),
+    "protocol": PROTOCOL_NAMES,
     "method": METHOD_NAMES,
     "optimizer": OPTIMIZER_NAMES,
-    "model.activation": ("tanh", "relu"),
-    "hybrid.ordering": ("cflat_first", "cflat_last"),
+    "model.activation": ACTIVATION_NAMES,
+    "hybrid.ordering": HYBRID_ORDERINGS,
 }
 
 
@@ -345,15 +346,16 @@ def _run_to_manifest(cfg: dict, result, n_tasks: int) -> dict:
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
-    """``fn`` over ``items``, results in order; with ``jobs`` > 1 in up to that
-    many worker processes.
+    """``fn`` over ``items``, results in order; in min(``jobs``, len(``items``))
+    worker processes when that is more than one, otherwise in this process.
 
     Workers are spawned, not forked, so none inherits the parent's BLAS
     threads; ``fn`` and ``items`` must pickle.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+    with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, items))
 
@@ -361,9 +363,9 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
 def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Execute a resolved config and write manifest/metrics/trace/checkpoints.
 
-    With ``jobs`` > 1 the seeds run in up to that many worker processes and
-    their results are merged in seed order, so every file but the manifest's
-    timing is byte-identical to a one-job run.
+    Each seed is one experiment; with ``jobs`` > 1 they run in up to that
+    many worker processes. Their results are merged in seed order, so every
+    file but the manifest's timing is byte-identical whatever ``jobs`` is.
     """
     dataset = _build_dataset(cfg)
     stream = make_stream(dataset, cfg["protocol"], cfg["increment"], cfg["perm_seed"])
@@ -371,11 +373,7 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
         _build_optim(cfg), _build_cl(cfg),
     )
-    seeds = cfg["seeds"]
-    if jobs > 1 and len(seeds) > 1:
-        result = merge_experiment_results(_map_jobs(experiment, [[s] for s in seeds], jobs))
-    else:
-        result = experiment(seeds)
+    result = merge_experiment_results(_map_jobs(experiment, [[s] for s in cfg["seeds"]], jobs))
     n_tasks = len(stream.tasks)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _run_to_manifest(cfg, result, n_tasks)
@@ -518,9 +516,17 @@ def _load_checkpoint(path: str):
         if key not in doc:
             raise ConfigError(f"checkpoint has no {key!r}", key)
     if kind == "quadratic":
-        oracle = make_quadratic(np.array(doc["H"]), np.array(doc["c"]) if "c" in doc else None)
-        theta = ParamVector(np.array(doc["theta"]))
-        return oracle, theta, None
+        H = _checkpoint_array(doc, "H", (None, None))
+        n = len(H)
+        if H.shape != (n, n):
+            raise ConfigError(f"checkpoint H must be square, got shape {H.shape}", "H")
+        theta = _checkpoint_array(doc, "theta", (n,))
+        c = _checkpoint_array(doc, "c", (n,)) if "c" in doc else None
+        try:
+            oracle = make_quadratic(H, c)
+        except ValueError as err:  # the shapes are checked, so H is not symmetric
+            raise ConfigError(f"checkpoint {err}", "H") from None
+        return oracle, ParamVector(theta), None
     try:
         spec = MlpSpec(**doc["model"])
     except (TypeError, ValueError) as err:

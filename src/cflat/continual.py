@@ -16,7 +16,6 @@ import numpy as np
 from .numcore import ParamVector, SeededRng, Segment, axpy, norm2
 from .objective import (
     Batch,
-    LogitModel,
     MlpOracle,
     MlpSpec,
     ObjectiveOracle,
@@ -64,9 +63,11 @@ __all__ = [
     "merge_experiment_results",
     "run_cl_experiment",
     "METHOD_NAMES",
+    "PROTOCOL_NAMES",
 ]
 
 METHOD_NAMES = ("finetune", "replay", "icarl", "wa", "gpm")
+PROTOCOL_NAMES = ("B0", "B50")
 
 # Stream ids: dataset-level draws key off the dataset/permutation seed,
 # run-level draws key off the run seed. Fixed so reruns are identical.
@@ -274,7 +275,7 @@ def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) 
             )
         groups = [perm[:first]] + [perm[first + k : first + k + y] for k in range(0, rest, y)]
     else:
-        raise ValueError(f"unknown protocol {protocol!r}; expected B0 or B50")
+        raise ValueError(f"unknown protocol {protocol!r}; expected {' or '.join(PROTOCOL_NAMES)}")
 
     order = np.concatenate(groups)
     remap = np.full(C, -1, dtype=np.int64)
@@ -350,7 +351,7 @@ class DistillObjective(ObjectiveOracle):
     previous model's distribution, restricted to old classes. Both terms
     carry coefficient 1."""
 
-    def __init__(self, oracle: LogitModel, theta_old: ParamVector, temperature: float = 2.0):
+    def __init__(self, oracle: MlpOracle, theta_old: ParamVector, temperature: float = 2.0):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         n_old = theta_old.manifest[-1].shape[0]
@@ -626,7 +627,7 @@ class ExperimentResult:
     mean_matrix: list[list[float]]
 
 
-def _accuracy(oracle: LogitModel, theta: ParamVector, x: np.ndarray, y: np.ndarray,
+def _accuracy(oracle: MlpOracle, theta: ParamVector, x: np.ndarray, y: np.ndarray,
               gamma: float | None = None, new_block_start: int | None = None) -> float:
     if len(y) == 0:
         raise ValueError("empty test split")

@@ -1,20 +1,21 @@
-"""Differentiable objectives: quadratic, multinomial logistic, and MLP oracles.
+"""Differentiable objectives: a quadratic oracle and a softmax MLP oracle.
 
 Every oracle exposes ``loss``, ``grad`` and ``hvp`` on a batch. The quadratic
-and logistic oracles return exact Hessian-vector products; the MLP
-approximates them with a forward difference of gradients, which is all the
-optimizers ever consume. A softmax-model gradient costs one forward and one
-backward pass, and an MLP HVP costs one gradient beyond the base gradient at
-theta, which callers share through ``base_grad``. Losses are mean-reduced over
-the batch so step sizes and perturbation radii transfer across batch sizes.
+oracle and the MLP without hidden layers (logistic regression) return exact
+Hessian-vector products; an MLP with hidden layers approximates them with a
+forward difference of gradients, which is all the optimizers ever consume. A
+softmax-model gradient costs one forward and one backward pass, and a
+forward-difference HVP costs one gradient beyond the base gradient at theta,
+which callers share through ``base_grad``. Losses are mean-reduced over the
+batch so step sizes and perturbation radii transfer across batch sizes.
 
-Workspace contract of the softmax models: an oracle keeps one set of hidden-
-layer buffers per batch row count (for the last few row counts it has seen)
-and its forward and backward passes write into them instead of allocating.
-Every array an oracle returns (logits, representations, gradients) is fresh,
-so no caller sees a buffer that a later call overwrites. The price is that an
-``output_error`` callback must not call back into the same oracle: the
-buffers of the pass it sits in would be overwritten.
+Workspace contract of the MLP oracle: it keeps one set of hidden-layer buffers
+per batch row count (for the last few row counts it has seen) and its forward
+and backward passes write into them instead of allocating. Every array it
+returns (logits, representations, gradients) is fresh, so no caller sees a
+buffer that a later call overwrites. The price is that an ``output_error``
+callback must not call back into the same oracle: the buffers of the pass it
+sits in would be overwritten.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ __all__ = [
     "Batch",
     "ObjectiveOracle",
     "QuadraticOracle",
-    "LogisticOracle",
+    "ACTIVATION_NAMES",
     "MlpSpec",
     "MlpOracle",
     "make_quadratic",
@@ -193,16 +194,53 @@ def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
 # Row counts whose buffers an oracle keeps; the oldest set is dropped first.
 _WORKSPACE_ROW_COUNTS = 8
 
+ACTIVATION_NAMES = ("tanh", "relu")
 
-class LogitModel(ObjectiveOracle):
-    """Shared plumbing for softmax cross-entropy models with a logit head.
+
+@dataclass(frozen=True)
+class MlpSpec:
+    """Architecture of a fully-connected softmax classifier."""
+
+    d_in: int
+    hidden: tuple[int, ...]
+    n_classes: int
+    activation: str = "tanh"
+    l2: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if self.d_in < 1:
+            raise ValueError("d_in must be >= 1")
+        if self.n_classes < 2:
+            raise ValueError("need at least two classes")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
+        if self.activation not in ACTIVATION_NAMES:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.l2 < 0:
+            raise ValueError("l2 must be nonnegative")
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return (self.d_in, *self.hidden, self.n_classes)
+
+
+class MlpOracle(ObjectiveOracle):
+    """Fully-connected softmax cross-entropy classifier with backprop gradients.
 
     The model is a stack of ``n_layers`` affine blocks (W{l}, b{l}) with the
-    subclass's activation between them. ``grad_from_output_error``
+    spec's activation between them. ``grad_from_output_error``
     backpropagates a given output-layer error. ``_grad_with_output_error``
     backpropagates an error computed from the logits of the same forward
     pass; cross-entropy and composed losses (distillation) use it so that a
     gradient costs one forward pass instead of two.
+
+    With no hidden layer (logistic regression) the logits are affine in the
+    parameters, so ``hvp`` returns the Gauss-Newton product, which equals the
+    Hessian product. With hidden layers ``hvp`` is a forward difference of
+    gradients (``fd_hvp``): one gradient at the shifted point beyond the base
+    gradient at theta, which callers pass as ``base_grad`` to share it across
+    products (it is recomputed when omitted).
 
     Each hidden layer's pre-activation, activation, back-propagated error and
     activation derivative live in a workspace kept per batch row count, so a
@@ -211,20 +249,39 @@ class LogitModel(ObjectiveOracle):
     must not call back into the same oracle (see the module docstring).
     """
 
-    n_classes: int
-    n_layers: int
-    l2: float
-    manifest: tuple[Segment, ...]
-    _workspaces: dict
+    def __init__(self, spec: MlpSpec):
+        self.spec = spec
+        self.n_classes = spec.n_classes
+        self.l2 = float(spec.l2)
+        self.manifest = mlp_manifest(spec.widths)
+        self.dim = sum(seg.size for seg in self.manifest)
+        self.n_layers = len(spec.widths) - 1
+        self._workspaces: dict = {}
 
-    def with_head(self, n_classes: int) -> "LogitModel":
-        raise NotImplementedError
+    def with_head(self, n_classes: int) -> "MlpOracle":
+        return MlpOracle(replace(self.spec, n_classes=n_classes))
+
+    def init_theta(self, rng: SeededRng) -> ParamVector:
+        """Seeded init: W ~ N(0, 1/sqrt(fan_in)), biases zero."""
+        parts = []
+        widths = self.spec.widths
+        for d_in, d_out in zip(widths[:-1], widths[1:]):
+            parts.append(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_out, d_in)).ravel())
+            parts.append(np.zeros(d_out))
+        return ParamVector(np.concatenate(parts), self.manifest)
 
     def _act(self, z: np.ndarray, out: np.ndarray) -> None:
-        raise NotImplementedError
+        if self.spec.activation == "tanh":
+            np.tanh(z, out=out)
+        else:
+            np.maximum(z, 0.0, out=out)
 
     def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        if self.spec.activation == "tanh":
+            np.multiply(a, a, out=out)
+            return np.subtract(1.0, out, out=out)
+        # subgradient 0 at exactly 0
+        return np.greater(z, 0.0, out=out)
 
     def _workspace(self, n: int) -> list[tuple[np.ndarray, ...]]:
         """Per hidden layer: (pre-activation, activation, G @ W, derivative), n rows."""
@@ -233,8 +290,8 @@ class LogitModel(ObjectiveOracle):
         if buffers is None:
             if len(cache) >= _WORKSPACE_ROW_COUNTS:
                 del cache[next(iter(cache))]
-            widths = [self.manifest[2 * layer + 1].shape[0] for layer in range(self.n_layers - 1)]
-            buffers = cache[n] = [tuple(np.empty((n, w)) for _ in range(4)) for w in widths]
+            buffers = cache[n] = [tuple(np.empty((n, w)) for _ in range(4))
+                                  for w in self.spec.hidden]
         return buffers
 
     def _forward(self, theta: ParamVector, x: np.ndarray):
@@ -313,49 +370,11 @@ class LogitModel(ObjectiveOracle):
             theta, batch.x, lambda z: _ce_output_error(z, batch.y)
         )
 
-    def predict(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(theta, x), axis=1)
-
-    def _check_labels(self, batch: Batch) -> None:
-        if batch is None:
-            raise ValueError("this oracle requires a batch")
-        if int(batch.y.max()) >= self.n_classes:
-            raise ValueError(
-                f"label {int(batch.y.max())} outside head width {self.n_classes}"
-            )
-
-    @property
-    def head_weight_name(self) -> str:
-        return self.manifest[-2].name
-
-
-class LogisticOracle(LogitModel):
-    """Multinomial logistic regression with exact gradient and exact HVP.
-
-    Logits are affine in the parameters, so the Gauss-Newton product equals
-    the true Hessian product.
-    """
-
-    def __init__(self, d_in: int, n_classes: int, l2: float = 0.0):
-        if d_in < 1:
-            raise ValueError("d_in must be >= 1")
-        if n_classes < 2:
-            raise ValueError("need at least two classes")
-        if l2 < 0:
-            raise ValueError("l2 must be nonnegative")
-        self.d_in = d_in
-        self.n_classes = n_classes
-        self.l2 = float(l2)
-        self.manifest = mlp_manifest((d_in, n_classes))
-        self.dim = sum(seg.size for seg in self.manifest)
-        self.n_layers = 1
-        self._workspaces = {}
-
-    def with_head(self, n_classes: int) -> "LogisticOracle":
-        return LogisticOracle(self.d_in, n_classes, self.l2)
-
     def hvp(self, theta, v, batch=None, base_grad=None):
         self._require_dim(theta)
+        if self.n_layers > 1:
+            return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
+        self._check_labels(batch)
         if v.dim != self.dim:
             raise ValueError("direction dimension mismatch")
         p = _softmax(self.logits(theta, batch.x))
@@ -370,82 +389,8 @@ class LogisticOracle(LogitModel):
             flat = flat + self.l2 * v.data
         return ParamVector(flat, self.manifest)
 
-
-def make_logreg(d_in: int, n_classes: int, l2: float = 0.0) -> LogisticOracle:
-    return LogisticOracle(d_in, n_classes, l2)
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Architecture of a fully-connected softmax classifier."""
-
-    d_in: int
-    hidden: tuple[int, ...]
-    n_classes: int
-    activation: str = "tanh"
-    l2: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.d_in < 1:
-            raise ValueError("d_in must be >= 1")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.d_in, *self.hidden, self.n_classes)
-
-
-class MlpOracle(LogitModel):
-    """Fully-connected softmax classifier with backprop gradients.
-
-    A gradient costs one forward and one backward pass. The HVP is a forward
-    difference of gradients: one gradient at the shifted point beyond the
-    base gradient at theta, which callers pass as ``base_grad`` to share it
-    across products (it is recomputed when omitted); see ``fd_hvp``.
-    """
-
-    def __init__(self, spec: MlpSpec):
-        self.spec = spec
-        self.n_classes = spec.n_classes
-        self.l2 = float(spec.l2)
-        self.manifest = mlp_manifest(spec.widths)
-        self.dim = sum(seg.size for seg in self.manifest)
-        self.n_layers = len(spec.widths) - 1
-        self._workspaces = {}
-
-    def with_head(self, n_classes: int) -> "MlpOracle":
-        return MlpOracle(replace(self.spec, n_classes=n_classes))
-
-    def init_theta(self, rng: SeededRng) -> ParamVector:
-        """Seeded init: W ~ N(0, 1/sqrt(fan_in)), biases zero."""
-        parts = []
-        for layer in range(self.n_layers):
-            W_seg = next(s for s in self.manifest if s.name == f"W{layer}")
-            d_out, d_in = W_seg.shape
-            parts.append(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_out, d_in)).ravel())
-            parts.append(np.zeros(d_out))
-        return ParamVector(np.concatenate(parts), self.manifest)
-
-    def _act(self, z: np.ndarray, out: np.ndarray) -> None:
-        if self.spec.activation == "tanh":
-            np.tanh(z, out=out)
-        else:
-            np.maximum(z, 0.0, out=out)
-
-    def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.spec.activation == "tanh":
-            np.multiply(a, a, out=out)
-            return np.subtract(1.0, out, out=out)
-        # subgradient 0 at exactly 0
-        return np.greater(z, 0.0, out=out)
+    def predict(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
+        return np.argmax(self.logits(theta, x), axis=1)
 
     def representations(self, theta: ParamVector, x: np.ndarray, layer: int) -> np.ndarray:
         """Input activations feeding weight block W{layer} (layer 0 sees x), as a copy."""
@@ -454,9 +399,22 @@ class MlpOracle(LogitModel):
         acts, _ = self._forward(theta, x)
         return np.array(acts[layer], dtype=np.float64)
 
-    def hvp(self, theta, v, batch=None, base_grad=None):
-        self._require_dim(theta)
-        return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
+    def _check_labels(self, batch: Batch) -> None:
+        if batch is None:
+            raise ValueError("this oracle requires a batch")
+        if int(batch.y.max()) >= self.n_classes:
+            raise ValueError(
+                f"label {int(batch.y.max())} outside head width {self.n_classes}"
+            )
+
+    @property
+    def head_weight_name(self) -> str:
+        return self.manifest[-2].name
+
+
+def make_logreg(d_in: int, n_classes: int, l2: float = 0.0) -> MlpOracle:
+    """Multinomial logistic regression: an MLP with no hidden layer."""
+    return MlpOracle(MlpSpec(d_in, (), n_classes, l2=l2))
 
 
 def make_mlp(spec: MlpSpec, rng: SeededRng) -> MlpOracle:

@@ -52,6 +52,7 @@ __all__ = [
     "HybridStepper",
     "make_stepper",
     "OPTIMIZER_NAMES",
+    "HYBRID_ORDERINGS",
 ]
 
 
@@ -230,6 +231,9 @@ def proxy_value(state: ProxyState) -> float:
     return state.A / (1.0 + math.exp(x))
 
 
+HYBRID_ORDERINGS = ("cflat_first", "cflat_last")
+
+
 def hybrid_step_plan(total_steps: int, p: float, ordering: str) -> np.ndarray:
     """Boolean plan with round(p * total_steps) C-Flat entries.
 
@@ -240,7 +244,7 @@ def hybrid_step_plan(total_steps: int, p: float, ordering: str) -> np.ndarray:
         raise ValueError("total_steps must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if ordering not in ("cflat_first", "cflat_last"):
+    if ordering not in HYBRID_ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     k = round(p * total_steps)
     plan = np.zeros(total_steps, dtype=bool)

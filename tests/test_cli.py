@@ -34,6 +34,16 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def test_config_enums_are_the_library_name_tuples():
+    from cflat import cli, continual, objective, optim
+
+    assert cli._ENUMS["protocol"] is continual.PROTOCOL_NAMES
+    assert cli._ENUMS["method"] is continual.METHOD_NAMES
+    assert cli._ENUMS["optimizer"] is optim.OPTIMIZER_NAMES
+    assert cli._ENUMS["model.activation"] is objective.ACTIVATION_NAMES
+    assert cli._ENUMS["hybrid.ordering"] is optim.HYBRID_ORDERINGS
+
+
 def test_run_produces_all_outputs(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, base_config(out))
@@ -75,6 +85,9 @@ def test_run_jobs_writes_the_same_files_as_one_job(tmp_path, monkeypatch):
         cfg = write_config(tmp_path, base_config(out, seeds=[0, 1, 2]), f"j{jobs}.json")
         assert main(["run", "--config", cfg, "--jobs", str(jobs)]) == 0
         outs[jobs] = out
+    # a single seed runs in this process whatever --jobs asks for
+    one = write_config(tmp_path, base_config(tmp_path / "one", seeds=[0]), "one.json")
+    assert main(["run", "--config", one, "--jobs", "2"]) == 0
     assert pools == [2]
     names = ["metrics.csv", "trace.csv"] + [f"checkpoint_seed{s}.json" for s in (0, 1, 2)]
     for name in names:
@@ -264,6 +277,9 @@ def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
         b = (par_out / cell / "metrics.csv").read_bytes()
         assert a == b
     assert (seq_out / "sweep.csv").read_bytes() == (par_out / "sweep.csv").read_bytes()
+    # a single cell runs in this process whatever --jobs asks for
+    assert main(["sweep", "--config", cfg, "--axis", "optim.rho=0.1",
+                 "--out", str(tmp_path / "one"), "--jobs", "2"]) == 0
     assert start_methods == ["spawn"]
 
 
@@ -365,11 +381,25 @@ def test_landscape_rejects_a_corrupted_checkpoint_field(tmp_path, capsys, mlp_ch
     assert error["kind"] == "config" and error["field"] == field
 
 
-def test_landscape_rejects_a_quadratic_checkpoint_without_h(tmp_path, capsys):
+@pytest.mark.parametrize("field, corrupt", [
+    ("H", _drop("H")),
+    ("theta", _set("theta", lambda t: t + [1.0])),
+    ("H", _set("H", lambda H: [row + [0.0] for row in H])),
+    ("H", _set("H", lambda H: [[1.0, 0.5], [0.0, 2.0]])),
+    ("c", _set("c", lambda c: c + [0.0])),
+    ("H", _set("H", lambda H: [[1.0, "a"], [0.0, 2.0]])),
+    ("H", _set("H", lambda H: [[float("nan"), 0.0], [0.0, 2.0]])),
+], ids=["no_H", "long_theta", "non_square_H", "asymmetric_H", "long_c",
+        "non_numeric_H", "nan_H"])
+def test_landscape_rejects_a_corrupted_quadratic_checkpoint(tmp_path, capsys, field, corrupt):
+    doc = {"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 2.0]], "c": [0.0, 0.0],
+           "theta": [0.0, 0.0]}
+    corrupt(doc)
     ckpt = tmp_path / "quad.json"
-    ckpt.write_text(json.dumps({"kind": "quadratic", "theta": [0.0, 0.0]}), encoding="utf-8")
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["field"] == "H"
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == field
 
 
 def test_report_single_manifest_and_sgd_reference(tmp_path):

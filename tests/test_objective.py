@@ -7,11 +7,13 @@ from cflat.continual import DistillObjective
 from cflat.numcore import ParamVector, SeededRng, norm2
 from cflat.objective import (
     Batch,
+    MlpOracle,
     MlpSpec,
     make_logreg,
     make_mlp,
     make_quadratic,
 )
+from test_acceptance import dense_logreg_hessian
 
 
 def random_batch(rng, n, d_in, n_classes):
@@ -135,6 +137,18 @@ def test_logreg_hvp_symmetry_and_linearity():
     np.testing.assert_allclose(hv3.data, 3.0 * hv.data, rtol=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda lr, theta: lr.loss(theta, None),
+    lambda lr, theta: lr.grad(theta, None),
+    lambda lr, theta: lr.hvp(theta, theta, None),
+], ids=["loss", "grad", "hvp"])
+def test_logreg_requires_a_batch(call):
+    lr = make_logreg(2, 3)
+    theta = ParamVector(np.zeros(lr.dim), lr.manifest)
+    with pytest.raises(ValueError, match="requires a batch"):
+        call(lr, theta)
+
+
 def test_logreg_label_outside_head_rejected():
     lr = make_logreg(2, 2)
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
@@ -203,16 +217,21 @@ def test_mlp_same_seed_same_initial_loss():
 
 
 def test_mlp_zero_hidden_reduces_to_logreg():
+    # with no hidden layer the logits are affine in theta, so the HVP is the
+    # exact logistic Hessian product, on a grown head as well
     rng = SeededRng(8)
-    spec = MlpSpec(d_in=5, hidden=(), n_classes=4, l2=0.02)
-    mlp = make_mlp(spec, rng.spawn(0))
+    mlp = make_mlp(MlpSpec(d_in=5, hidden=(), n_classes=4, l2=0.02), rng.spawn(0))
     lr = make_logreg(5, 4, l2=0.02)
-    theta = mlp.theta0
-    batch = random_batch(rng, 9, 5, 4)
-    assert abs(mlp.loss(theta, batch) - lr.loss(theta, batch)) <= 1e-12
-    np.testing.assert_allclose(
-        mlp.grad(theta, batch).data, lr.grad(theta, batch).data, rtol=0, atol=1e-14
-    )
+    assert isinstance(lr, MlpOracle) and lr.spec == mlp.spec
+    for oracle in (mlp, mlp.with_head(5)):
+        theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+        batch = random_batch(rng, 9, 5, oracle.n_classes)
+        H = dense_logreg_hessian(oracle, theta, batch)
+        for _ in range(3):
+            v = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+            np.testing.assert_allclose(
+                oracle.hvp(theta, v, batch).data, H @ v.data, rtol=0, atol=1e-10
+            )
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
