@@ -167,7 +167,8 @@ def _check_leaf(path: str, default, value):
 
 
 def resolve_config(user: dict) -> dict:
-    """Defaults plus user overrides; unknown keys and bad types are rejected."""
+    """Defaults plus user overrides. Unknown keys, bad types and values the
+    library's config dataclasses reject raise a ConfigError naming the key."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
 
@@ -194,35 +195,66 @@ def resolve_config(user: dict) -> dict:
         raise ConfigError("dataset.path is required for csv datasets", "dataset.path")
     if not cfg["seeds"]:
         raise ConfigError("seeds must be nonempty", "seeds")
+    if cfg["increment"] < 1:
+        raise ConfigError("increment must be >= 1", "increment")
+    if cfg["dataset"]["kind"] == "synthetic":
+        _build(cfg, SyntheticSpec)
+    _build_optim(cfg)
+    _build_cl(cfg)
     return cfg
+
+
+def _config_keys(cls) -> list[tuple[str, str]]:
+    """(JSON path, field name) of every config key that sets a field of ``cls``."""
+    if cls is SyntheticSpec:
+        return [(f"dataset.{f.name}", f.name) for f in dataclasses.fields(cls)]
+    return [(path, name) for path, owner, name in _DATACLASS_KEYS if owner is cls]
+
+
+def _dataclass_kwargs(cfg: dict, keys: list[tuple[str, str]]) -> dict:
+    kwargs = {}
+    for path, name in keys:
+        section, key = path.split(".")
+        value = cfg[section][key]
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return kwargs
+
+
+def _build(cfg: dict, cls, **extra):
+    """``cls`` from its config keys. A ValueError from its checks becomes a
+    ConfigError naming the key that fails on its own (the others at their
+    defaults), or else the section of the keys set away from their defaults:
+    a cross-field check such as rho_min <= rho <= rho_max."""
+    keys = _config_keys(cls)
+    kwargs = _dataclass_kwargs(cfg, keys)
+    try:
+        return cls(**extra, **kwargs)
+    except ValueError as err:
+        defaults = _dataclass_kwargs(_DEFAULT_CONFIG, keys)
+        changed = [(path, name) for path, name in keys if kwargs[name] != defaults[name]]
+        for path, name in changed:
+            try:
+                cls(**{**defaults, name: kwargs[name]})
+            except ValueError as alone:
+                raise ConfigError(f"{path}: {alone}", path) from None
+        section = ",".join(sorted({path.split(".")[0] for path, _ in changed}))
+        raise ConfigError(f"{section}: {err}", section) from None
 
 
 def _build_dataset(cfg: dict) -> Dataset:
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        fields = dataclasses.fields(SyntheticSpec)
-        return synth_dataset(SyntheticSpec(**{f.name: ds[f.name] for f in fields}))
+        return synth_dataset(_build(cfg, SyntheticSpec))
     x, y = load_csv_dataset(ds["path"])
     return split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
 
 
-def _dataclass_kwargs(cfg: dict, cls) -> dict:
-    kwargs = {}
-    for path, owner, name in _DATACLASS_KEYS:
-        if owner is cls:
-            section, key = path.split(".")
-            value = cfg[section][key]
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return kwargs
-
-
 def _build_optim(cfg: dict) -> OptimConfig:
-    return OptimConfig(**_dataclass_kwargs(cfg, OptimConfig))
+    return _build(cfg, OptimConfig)
 
 
 def _build_cl(cfg: dict) -> CLConfig:
-    proxy = ProxyState(**_dataclass_kwargs(cfg, ProxyState))
-    return CLConfig(proxy=proxy, **_dataclass_kwargs(cfg, CLConfig))
+    return _build(cfg, CLConfig, proxy=_build(cfg, ProxyState))
 
 
 def _fmt(value) -> str:
@@ -545,6 +577,11 @@ def _load_checkpoint(path: str):
 
 
 def cmd_landscape(args) -> int:
+    if not args.rho > 0:
+        raise ConfigError(f"--rho must be positive, got {args.rho}", "--rho")
+    for flag in ("samples", "probes", "iters", "grid"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}", f"--{flag}")
     oracle, theta, batch = _load_checkpoint(args.checkpoint)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -579,10 +616,25 @@ def cmd_landscape(args) -> int:
     return 0
 
 
+# Manifest keys the report reads: section -> keys.
+_REPORT_KEYS = {
+    "config": ("method", "optimizer"),
+    "aggregate": ("avg_accuracy_mean", "avg_accuracy_std", "last_accuracy_mean",
+                  "last_accuracy_std", "cflat_proportion_mean"),
+    "timing": ("per_seed_examples_per_second",),
+}
+
+
 def _collect_manifests(results_dir: Path) -> list[dict]:
     manifests = []
     for path in sorted(results_dir.rglob("manifest.json")):
-        manifests.append(json.loads(path.read_text(encoding="utf-8")))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for section, keys in _REPORT_KEYS.items():
+            node = manifest.get(section) if isinstance(manifest, dict) else None
+            for key in keys:
+                if not isinstance(node, dict) or key not in node:
+                    raise ConfigError(f"{path} has no {section}.{key}", f"{section}.{key}")
+        manifests.append(manifest)
     if not manifests:
         raise ConfigError(f"no manifest.json found under {results_dir}")
     versions = {m.get("schema_version") for m in manifests}

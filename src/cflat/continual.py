@@ -384,15 +384,13 @@ class DistillObjective(ObjectiveOracle):
         return ce + kl
 
     def grad(self, theta, batch=None) -> ParamVector:
-        p = self._old_probs(batch)
-
-        def output_error(z):
+        def output_error(z):  # the old model is a separate oracle, so it may run here
             G = _ce_output_error(z, batch.y)
             q = _softmax(z[:, : self.n_old] / self.temperature)
-            G[:, : self.n_old] += (q - p) / (self.temperature * batch.n)
+            G[:, : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)
             return G
 
-        return self.base._grad_with_output_error(theta, batch.x, output_error)
+        return self.base.grad_from_output_error(theta, batch, output_error)
 
     def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
         return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
@@ -604,6 +602,32 @@ class CLConfig:
     hybrid_ordering: str = "cflat_last"
     proxy: ProxyState = ProxyState()
     proxy_reset_per_task: bool = True
+
+    def __post_init__(self):
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
+        if self.l2 < 0:
+            raise ValueError("l2 must be nonnegative")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("lr_decay must lie in (0, 1]")
+        if self.memory_capacity < 0:
+            raise ValueError("memory_capacity must be nonnegative")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+        if not 0.0 < self.gpm_energy_threshold <= 1.0:
+            raise ValueError("gpm_energy_threshold must lie in (0, 1]")
+        if self.gpm_eta1 < 0:
+            raise ValueError("gpm_eta1 must be nonnegative")
+        if self.gpm_eta2 is not None and self.gpm_eta2 < 0:
+            raise ValueError("gpm_eta2 must be nonnegative")
+        if self.gpm_sample < 1:
+            raise ValueError("gpm_sample must be >= 1")
+        if not 0.0 <= self.hybrid_p <= 1.0:
+            raise ValueError("hybrid_p must lie in [0, 1]")
 
 
 @dataclass

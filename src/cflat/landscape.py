@@ -173,6 +173,8 @@ def r0_bruteforce(
     """Sampled zeroth-order sharpness: worst loss increase in the rho-ball."""
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     base = oracle.loss(theta, batch)
     offsets = _ball_samples(rng, theta.dim, rho, n_samples)
     worst = -np.inf
@@ -192,6 +194,8 @@ def r1_bruteforce(
     """Sampled first-order flatness: rho times the worst gradient norm in the ball."""
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     offsets = _ball_samples(rng, theta.dim, rho, n_samples)
     worst = 0.0
     for row in offsets:

@@ -229,11 +229,11 @@ class MlpOracle(ObjectiveOracle):
     """Fully-connected softmax cross-entropy classifier with backprop gradients.
 
     The model is a stack of ``n_layers`` affine blocks (W{l}, b{l}) with the
-    spec's activation between them. ``grad_from_output_error``
-    backpropagates a given output-layer error. ``_grad_with_output_error``
-    backpropagates an error computed from the logits of the same forward
-    pass; cross-entropy and composed losses (distillation) use it so that a
-    gradient costs one forward pass instead of two.
+    spec's activation between them. ``grad_from_output_error`` is the one
+    gradient entry: it checks theta and the batch, runs one forward pass and
+    backpropagates an output-layer error computed from its logits, L2 term
+    included. Cross-entropy (``grad``) and distillation differ only in that
+    error, so a gradient costs one forward pass.
 
     With no hidden layer (logistic regression) the logits are affine in the
     parameters, so ``hvp`` returns the Gauss-Newton product, which equals the
@@ -315,7 +315,7 @@ class MlpOracle(ObjectiveOracle):
                 acts.append(a)
         return acts, pre
 
-    def _backprop(self, theta, acts, pre, dlogits, include_l2) -> ParamVector:
+    def _backprop(self, theta, acts, pre, dlogits) -> ParamVector:
         buffers = self._workspace(len(acts[0]))
         grads: dict[str, np.ndarray] = {}
         G = dlogits
@@ -328,7 +328,7 @@ class MlpOracle(ObjectiveOracle):
                 GW *= self._act_deriv(pre[layer - 1], acts[layer], out=deriv)
                 G = GW
         flat = np.concatenate([grads[seg.name].ravel() for seg in self.manifest])
-        if include_l2 and self.l2 > 0:
+        if self.l2 > 0:
             flat = flat + self.l2 * theta.data
         return ParamVector(flat, self.manifest)
 
@@ -336,21 +336,15 @@ class MlpOracle(ObjectiveOracle):
         _, pre = self._forward(theta, x)
         return pre[-1]
 
-    def grad_from_output_error(
-        self, theta: ParamVector, x: np.ndarray, dlogits: np.ndarray,
-        include_l2: bool = False,
-    ) -> ParamVector:
-        acts, pre = self._forward(theta, x)
-        return self._backprop(theta, acts, pre, dlogits, include_l2)
-
-    def _grad_with_output_error(
-        self, theta: ParamVector, x: np.ndarray, output_error,
-    ) -> ParamVector:
-        """Gradient, L2 term included, of a loss whose logit gradient is
-        ``output_error(logits)``; one forward pass. ``output_error`` must not
-        call this oracle."""
-        acts, pre = self._forward(theta, x)
-        return self._backprop(theta, acts, pre, output_error(pre[-1]), include_l2=True)
+    def grad_from_output_error(self, theta: ParamVector, batch: Batch,
+                               output_error) -> ParamVector:
+        """Gradient, L2 term included, of a loss on ``batch`` whose logit
+        gradient is ``output_error(logits)``; one forward pass. ``output_error``
+        must not call this oracle."""
+        self._require_dim(theta)
+        self._check_labels(batch)
+        acts, pre = self._forward(theta, batch.x)
+        return self._backprop(theta, acts, pre, output_error(pre[-1]))
 
     def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy plus the L2 term, and the logits it was computed from."""
@@ -364,11 +358,7 @@ class MlpOracle(ObjectiveOracle):
         return self._loss_and_logits(theta, batch)[0]
 
     def grad(self, theta, batch=None) -> ParamVector:
-        self._require_dim(theta)
-        self._check_labels(batch)
-        return self._grad_with_output_error(
-            theta, batch.x, lambda z: _ce_output_error(z, batch.y)
-        )
+        return self.grad_from_output_error(theta, batch, lambda z: _ce_output_error(z, batch.y))
 
     def hvp(self, theta, v, batch=None, base_grad=None):
         self._require_dim(theta)

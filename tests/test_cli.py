@@ -443,3 +443,92 @@ def test_report_rejects_mixed_schema(tmp_path, capsys):
     assert main(["report", "--results", str(results)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "schema" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "0"), ("--samples", "-3"), ("--probes", "0"), ("--iters", "0"),
+    ("--grid", "0"), ("--rho", "0"), ("--rho", "-1"),
+])
+def test_landscape_rejects_a_bad_flag_before_any_work(tmp_path, capsys, flag, value):
+    ckpt = tmp_path / "quad.json"
+    ckpt.write_text(json.dumps({"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 2.0]],
+                                "theta": [0.0, 0.0]}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), flag, value]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == flag
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gpm.energy_threshold", 1.5),
+    ("gpm.sample", 0),
+    ("gpm.eta2", -0.5),
+    ("icarl.temperature", 0.0),
+    ("train.lr_decay", -1.0),
+    ("train.epochs", 0),
+    ("train.batch_size", 0),
+    ("optim.eta", -1.0),
+    ("hybrid.p", 1.5),
+    ("memory.capacity_per_class", -1),
+    ("model.hidden", [0]),
+    ("increment", 0),
+    ("dataset.classes", 1),
+    ("optim", {"rho": 0.5, "rho_max": 0.3}),
+])
+def test_config_value_the_library_rejects_fails_at_load(tmp_path, capsys, field, value):
+    out = tmp_path / "run"
+    doc = base_config(out)
+    *sections, key = field.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == field
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cfg = write_config(tmp_path, base_config(out))
+    assert main(["sweep", "--config", cfg, "--axis", "gpm.sample=16,0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "gpm.sample"
+    assert not out.exists()
+
+
+def _report_manifest():
+    return {
+        "schema_version": 1,
+        "config": {"method": "replay", "optimizer": "sgd"},
+        "aggregate": {"avg_accuracy_mean": 0.5, "avg_accuracy_std": 0.0,
+                      "last_accuracy_mean": 0.5, "last_accuracy_std": 0.0,
+                      "cflat_proportion_mean": 0.0},
+        "timing": {"per_seed_examples_per_second": [100.0]},
+    }
+
+
+@pytest.mark.parametrize("section, key", [
+    ("config", None), ("config", "optimizer"), ("aggregate", "avg_accuracy_std"),
+    ("timing", "per_seed_examples_per_second"),
+])
+def test_report_names_a_malformed_manifest(tmp_path, capsys, section, key):
+    results = tmp_path / "results"
+    (results / "ok").mkdir(parents=True)
+    (results / "ok" / "manifest.json").write_text(json.dumps(_report_manifest()))
+    assert main(["report", "--results", str(results)]) == 0
+
+    manifest = _report_manifest()
+    if key is None:
+        del manifest[section]
+    else:
+        del manifest[section][key]
+    path = results / "ok" / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["report", "--results", str(results), "--out", str(tmp_path / "r.md")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["field"] == f"{section}.{key or 'method'}"
+    assert str(path) in error["message"]
+    assert not (tmp_path / "r.md").exists()

@@ -271,9 +271,17 @@ def test_distill_rejects_wider_old_head_and_bad_labels():
     obj = DistillObjective(oracle.with_head(4),
                            ParamVector(rng.normal(size=old.dim), old.manifest))
     theta = ParamVector(rng.normal(size=obj.dim), oracle.with_head(4).manifest)
-    bad = Batch(rng.normal(size=(3, 3)), np.array([0, 1, 9]))
-    with pytest.raises(ValueError, match="outside head width"):
-        obj.loss(theta, bad)
+    batch = Batch(rng.normal(size=(3, 3)), np.array([0, 1, 3]))
+    bad_label = Batch(batch.x, np.array([0, 1, 4]))
+    long_theta = ParamVector(rng.normal(size=obj.dim + 1))
+    v = theta.with_data(rng.normal(size=obj.dim))
+    for call in (obj.loss, obj.grad, lambda th, b: obj.hvp(th, v, b)):
+        with pytest.raises(ValueError, match="outside head width"):
+            call(theta, bad_label)
+        with pytest.raises(ValueError, match="requires a batch"):
+            call(theta, None)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(long_theta, batch)
 
 
 def count_forward_rows(monkeypatch, oracle):

@@ -244,6 +244,10 @@ def test_rho_must_be_positive():
         r0_bruteforce(q, ParamVector(np.zeros(2)), None, 0.0, 10, SeededRng(0))
     with pytest.raises(ValueError):
         r1_bruteforce(q, ParamVector(np.zeros(2)), None, -0.1, 10, SeededRng(0))
+    for estimator in (r0_bruteforce, r1_bruteforce):
+        for n_samples in (0, -3):
+            with pytest.raises(ValueError, match="n_samples"):
+                estimator(q, ParamVector(np.zeros(2)), None, 0.1, n_samples, SeededRng(0))
 
 
 # ---------------------------------------------------------------------------

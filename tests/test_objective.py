@@ -278,7 +278,7 @@ def test_mlp_grad_is_one_forward_pass_and_matches_output_error_hook(monkeypatch,
     dlogits = softmax_rows(oracle.logits(theta, batch.x))
     dlogits[np.arange(batch.n), batch.y] -= 1.0
     dlogits /= batch.n
-    expected = oracle.grad_from_output_error(theta, batch.x, dlogits, include_l2=True)
+    expected = oracle.grad_from_output_error(theta, batch, lambda z: dlogits)
 
     calls = count_forward_passes(monkeypatch, oracle)
     got = oracle.grad(theta, batch)
@@ -301,12 +301,61 @@ def test_distill_grad_is_one_forward_pass_of_the_current_model(monkeypatch, acti
     p = softmax_rows(old.logits(theta_old, batch.x) / 2.0)
     q = softmax_rows(oracle.logits(theta, batch.x)[:, :2] / 2.0)
     G[:, :2] += (q - p) / (2.0 * batch.n)
-    expected = oracle.grad_from_output_error(theta, batch.x, G, include_l2=True)
+    expected = oracle.grad_from_output_error(theta, batch, lambda z: G)
 
     calls = count_forward_passes(monkeypatch, oracle)
     got = obj.grad(theta, batch)
     assert calls == [batch.n]
     assert got.data.tobytes() == expected.data.tobytes()
+
+
+def route_forward_passes(monkeypatch, oracle, entries):
+    """Patch ``oracle`` so each ``_forward`` call records the entry it came through."""
+    inside = []
+    forward = oracle._forward
+
+    def recorded(theta, x):
+        entries.append(inside[-1] if inside else None)
+        return forward(theta, x)
+
+    def entry(name):
+        method = getattr(oracle, name)
+
+        def wrapped(*args, **kwargs):
+            inside.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_forward", recorded)
+    for name in ("logits", "grad_from_output_error"):
+        monkeypatch.setattr(oracle, name, entry(name))
+
+
+@pytest.mark.parametrize("objective", ["mlp", "logreg", "distill"])
+def test_every_forward_pass_enters_through_logits_or_grad_from_output_error(
+        monkeypatch, objective):
+    rng = SeededRng(16)
+    hidden = () if objective == "logreg" else (5,)
+    oracle = MlpOracle(MlpSpec(3, hidden, 4, l2=0.01))
+    models = [oracle]
+    obj = oracle
+    if objective == "distill":
+        old = oracle.with_head(2)
+        obj = DistillObjective(oracle, ParamVector(rng.normal(size=old.dim), old.manifest))
+        models.append(obj.old_oracle)
+    entries = []
+    for model in models:
+        route_forward_passes(monkeypatch, model, entries)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    v = theta.with_data(rng.normal(size=theta.dim))
+    batch = random_batch(rng, 6, 3, 4)
+    obj.loss(theta, batch)
+    obj.grad(theta, batch)
+    obj.hvp(theta, v, batch)
+    assert entries and None not in entries
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
