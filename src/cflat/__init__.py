@@ -48,6 +48,7 @@ from .continual import (
 )
 from .landscape import (
     FlatnessReport,
+    ball_sharpness,
     flatness_report,
     hutchinson_trace,
     landscape_slice_2d,

@@ -32,6 +32,7 @@ from .continual import (
     split_dataset,
     synth_dataset,
     SyntheticSpec,
+    task_sizes,
     METHOD_NAMES,
     PROTOCOL_NAMES,
 )
@@ -198,7 +199,11 @@ def resolve_config(user: dict) -> dict:
     if cfg["increment"] < 1:
         raise ConfigError("increment must be >= 1", "increment")
     if cfg["dataset"]["kind"] == "synthetic":
-        _build(cfg, SyntheticSpec)
+        classes = _build(cfg, SyntheticSpec).classes
+        try:
+            task_sizes(classes, cfg["protocol"], cfg["increment"])
+        except ValueError as err:
+            raise ConfigError(f"increment: {err}", "increment") from None
     _build_optim(cfg)
     _build_cl(cfg)
     return cfg

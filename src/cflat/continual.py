@@ -50,6 +50,7 @@ __all__ = [
     "load_csv_dataset",
     "split_dataset",
     "make_stream",
+    "task_sizes",
     "buffer_update",
     "buffer_contents",
     "DistillObjective",
@@ -249,23 +250,22 @@ class TaskStream:
     class_order: tuple[int, ...]
 
 
-def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) -> TaskStream:
-    """Split classes into incremental tasks after a seeded permutation.
+def task_sizes(n_classes: int, protocol: str, y: int) -> list[int]:
+    """Classes per task, in task order; a ValueError if they do not split.
 
     "B0" divides all classes into tasks of y; "B50" gives the first task half
     of the classes (rounded up) and divides the rest into tasks of y.
     """
     if y < 1:
         raise ValueError("increment must be >= 1")
-    C = dataset.n_classes
-    perm = SeededRng(perm_seed, _STREAM_PERM).permutation(C)
+    C = n_classes
     if protocol == "B0":
         if C % y != 0:
             raise ValueError(
                 f"cannot divide {C} classes into tasks of {y}: remainder {C % y}"
             )
-        groups = [perm[k : k + y] for k in range(0, C, y)]
-    elif protocol == "B50":
+        return [y] * (C // y)
+    if protocol == "B50":
         first = (C + 1) // 2
         rest = C - first
         if rest % y != 0:
@@ -273,9 +273,17 @@ def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) 
                 f"cannot divide the remaining {rest} classes into tasks of {y}: "
                 f"remainder {rest % y}"
             )
-        groups = [perm[:first]] + [perm[first + k : first + k + y] for k in range(0, rest, y)]
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}; expected {' or '.join(PROTOCOL_NAMES)}")
+        return [first] + [y] * (rest // y)
+    raise ValueError(f"unknown protocol {protocol!r}; expected {' or '.join(PROTOCOL_NAMES)}")
+
+
+def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) -> TaskStream:
+    """Split classes into incremental tasks (``task_sizes``) after a seeded
+    permutation."""
+    C = dataset.n_classes
+    sizes = task_sizes(C, protocol, y)
+    perm = SeededRng(perm_seed, _STREAM_PERM).permutation(C)
+    groups = np.split(perm, np.cumsum(sizes)[:-1])
 
     order = np.concatenate(groups)
     remap = np.full(C, -1, dtype=np.int64)

@@ -4,7 +4,10 @@ neighborhood sharpness measurements, and 2-D loss-surface slices.
 All estimators consume only the oracle's hvp/grad/loss entry points and are
 deterministic given their probe seed. The HVP estimators evaluate the gradient
 at theta once, or take it as ``base_grad``, and pass it to every product, so
-a forward-difference HVP costs one gradient instead of two.
+a forward-difference HVP costs one gradient instead of two. The sampled
+sharpness R0 and flatness R1 share one set of ball points (``ball_sharpness``),
+and each point's loss is read after its gradient, so an oracle that keeps its
+last forward pass evaluates every point once.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ __all__ = [
     "power_iter_lambda_max",
     "top2_eigenpairs",
     "hutchinson_trace",
+    "ball_sharpness",
     "r0_bruteforce",
     "r1_bruteforce",
     "landscape_slice_2d",
@@ -59,18 +63,18 @@ def _power_iteration(theta, iters, tol, rng, matvec):
         raise ValueError("iters must be >= 1")
     d = theta.dim
     rayleigh = 0.0
-    v = None
     for attempt in range(3):  # redraw if the operator annihilates the probe
         probe = rng.normal(0.0, 1.0, d)
         probe /= np.linalg.norm(probe)
         w = matvec(theta.with_data(probe))
         if np.linalg.norm(w.data) > 0.0:
-            v = probe
             break
-    if v is None:
+    else:
         return 0.0, theta.with_data(probe)
+    v = probe
     for it in range(iters):
-        w = matvec(theta.with_data(v))
+        if it > 0:  # iteration 0 reuses the probe check's product
+            w = matvec(theta.with_data(v))
         wn = np.linalg.norm(w.data)
         if wn == 0.0:
             return 0.0, theta.with_data(v)
@@ -162,45 +166,46 @@ def _ball_samples(rng: SeededRng, d: int, rho: float, n: int) -> np.ndarray:
     return dirs
 
 
-def r0_bruteforce(
+def ball_sharpness(
     oracle: ObjectiveOracle,
     theta: ParamVector,
     batch: Batch | None,
     rho: float,
     n_samples: int,
     rng: SeededRng,
-) -> float:
-    """Sampled zeroth-order sharpness: worst loss increase in the rho-ball."""
+) -> tuple[float, float]:
+    """Sampled (R0, R1) from one set of points uniform in the rho-ball.
+
+    R0 is the worst loss increase, max L(theta+delta) - L(theta), and R1 is
+    rho times the worst gradient norm, rho * max ||grad L(theta+delta)||. Each
+    point's gradient is evaluated before its loss, so an oracle that keeps its
+    last forward pass (``MlpOracle``) costs one gradient per point.
+    """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     base = oracle.loss(theta, batch)
     offsets = _ball_samples(rng, theta.dim, rho, n_samples)
-    worst = -np.inf
+    worst_loss = -np.inf
+    worst_grad = 0.0
     for row in offsets:
-        worst = max(worst, oracle.loss(theta.with_data(theta.data + row), batch) - base)
-    return float(worst)
+        point = theta.with_data(theta.data + row)
+        worst_grad = max(worst_grad, norm2(oracle.grad(point, batch)))
+        worst_loss = max(worst_loss, oracle.loss(point, batch))
+    return float(worst_loss - base), float(rho * worst_grad)
 
 
-def r1_bruteforce(
-    oracle: ObjectiveOracle,
-    theta: ParamVector,
-    batch: Batch | None,
-    rho: float,
-    n_samples: int,
-    rng: SeededRng,
-) -> float:
+def r0_bruteforce(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch | None,
+                  rho: float, n_samples: int, rng: SeededRng) -> float:
+    """Sampled zeroth-order sharpness: worst loss increase in the rho-ball."""
+    return ball_sharpness(oracle, theta, batch, rho, n_samples, rng)[0]
+
+
+def r1_bruteforce(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch | None,
+                  rho: float, n_samples: int, rng: SeededRng) -> float:
     """Sampled first-order flatness: rho times the worst gradient norm in the ball."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    offsets = _ball_samples(rng, theta.dim, rho, n_samples)
-    worst = 0.0
-    for row in offsets:
-        worst = max(worst, norm2(oracle.grad(theta.with_data(theta.data + row), batch)))
-    return float(rho * worst)
+    return ball_sharpness(oracle, theta, batch, rho, n_samples, rng)[1]
 
 
 def landscape_slice_2d(
@@ -244,15 +249,15 @@ def flatness_report(
     """Assemble the per-checkpoint diagnostics with per-purpose probe streams.
 
     The gradient at theta (``base_grad``, or one evaluation) gives the squared
-    gradient norm and is shared by every HVP of both estimators.
+    gradient norm and is shared by every HVP of both estimators. R0 and R1
+    come from one set of ball points.
     """
     g = base_grad if base_grad is not None else oracle.grad(theta, batch)
     lam_max = power_iter_lambda_max(
         oracle, theta, batch, power_iters, 1e-10, rng.spawn(1), base_grad=g
     )
     trace = hutchinson_trace(oracle, theta, batch, trace_probes, rng.spawn(2), base_grad=g)
-    r0 = r0_bruteforce(oracle, theta, batch, rho, ball_samples, rng.spawn(3))
-    r1 = r1_bruteforce(oracle, theta, batch, rho, ball_samples, rng.spawn(4))
+    r0, r1 = ball_sharpness(oracle, theta, batch, rho, ball_samples, rng.spawn(4))
     return FlatnessReport(
         sq_grad_norm=norm2(g) ** 2,
         lambda_max=lam_max,

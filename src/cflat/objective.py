@@ -16,10 +16,19 @@ returns (logits, representations, gradients) is fresh, so no caller sees a
 buffer that a later call overwrites. The price is that an ``output_error``
 callback must not call back into the same oracle: the buffers of the pass it
 sits in would be overwritten.
+
+Logits cache of the MLP oracle: a gradient keeps one entry, the ``theta`` and
+``Batch`` objects of its forward pass and that pass's logits (read-only). A
+``loss`` on the same two objects reads the loss from those logits instead of
+running the forward pass again, so a loss right after a gradient, as in every
+optimizer step's prologue, costs no second pass and is bit-identical to a
+fresh one. The cache matches objects by identity: a ``ParamVector`` is
+read-only, and a ``Batch``'s arrays must not be mutated after construction
+(the distillation objective's cached old-model probabilities assume the same).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,10 +51,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Batch:
-    """A feature matrix (n, d_in) with integer class labels in [0, C)."""
+    """A feature matrix (n, d_in) with integer class labels in [0, C).
+
+    ``y_max`` is the largest label, taken once here so that oracles check the
+    head width without reducing ``y`` on every call; the arrays must not be
+    mutated after construction.
+    """
 
     x: np.ndarray
     y: np.ndarray
+    y_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -60,6 +75,7 @@ class Batch:
             raise ValueError("labels must be nonnegative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y_max", int(y.max()))
 
     @property
     def n(self) -> int:
@@ -233,7 +249,9 @@ class MlpOracle(ObjectiveOracle):
     gradient entry: it checks theta and the batch, runs one forward pass and
     backpropagates an output-layer error computed from its logits, L2 term
     included. Cross-entropy (``grad``) and distillation differ only in that
-    error, so a gradient costs one forward pass.
+    error, so a gradient costs one forward pass. The entry keeps the logits of
+    its last pass, and a ``loss`` on the same ``theta`` and ``batch`` objects
+    reads them instead of running another (see the module docstring).
 
     With no hidden layer (logistic regression) the logits are affine in the
     parameters, so ``hvp`` returns the Gauss-Newton product, which equals the
@@ -257,6 +275,7 @@ class MlpOracle(ObjectiveOracle):
         self.dim = sum(seg.size for seg in self.manifest)
         self.n_layers = len(spec.widths) - 1
         self._workspaces: dict = {}
+        self._last_pass: tuple | None = None  # (theta, batch, read-only logits)
 
     def with_head(self, n_classes: int) -> "MlpOracle":
         return MlpOracle(replace(self.spec, n_classes=n_classes))
@@ -340,17 +359,25 @@ class MlpOracle(ObjectiveOracle):
                                output_error) -> ParamVector:
         """Gradient, L2 term included, of a loss on ``batch`` whose logit
         gradient is ``output_error(logits)``; one forward pass. ``output_error``
-        must not call this oracle."""
+        must not call this oracle. The logits are kept for ``_loss_and_logits``."""
         self._require_dim(theta)
         self._check_labels(batch)
         acts, pre = self._forward(theta, batch.x)
-        return self._backprop(theta, acts, pre, output_error(pre[-1]))
+        z = pre[-1]
+        z.setflags(write=False)
+        self._last_pass = (theta, batch, z)
+        return self._backprop(theta, acts, pre, output_error(z))
 
     def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy plus the L2 term, and the logits it was computed from."""
+        """Mean cross-entropy plus the L2 term, and the logits it was computed
+        from: the last gradient's logits when it ran on these very objects."""
         self._require_dim(theta)
         self._check_labels(batch)
-        z = self.logits(theta, batch.x)
+        last = self._last_pass
+        if last is not None and last[0] is theta and last[1] is batch:
+            z = last[2]
+        else:
+            z = self.logits(theta, batch.x)
         ce = float(np.mean(_logsumexp(z) - z[np.arange(batch.n), batch.y]))
         return ce + 0.5 * self.l2 * float(theta.data @ theta.data), z
 
@@ -392,10 +419,8 @@ class MlpOracle(ObjectiveOracle):
     def _check_labels(self, batch: Batch) -> None:
         if batch is None:
             raise ValueError("this oracle requires a batch")
-        if int(batch.y.max()) >= self.n_classes:
-            raise ValueError(
-                f"label {int(batch.y.max())} outside head width {self.n_classes}"
-            )
+        if batch.y_max >= self.n_classes:
+            raise ValueError(f"label {batch.y_max} outside head width {self.n_classes}")
 
     @property
     def head_weight_name(self) -> str:

@@ -153,13 +153,16 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 def _loss_and_grad(oracle: ObjectiveOracle, theta: ParamVector,
                    batch: Batch) -> tuple[float, ParamVector]:
-    """Every step's prologue: finite theta, finite loss, finite gradient."""
+    """Every step's prologue: finite theta, finite loss, finite gradient.
+
+    The gradient is evaluated before the loss, so an oracle that keeps its
+    last forward pass (``MlpOracle``) reads the loss from it."""
     if not all_finite(theta):
         raise DivergenceError("parameters contain NaN/Inf")
+    g = oracle.grad(theta, batch)
     loss = oracle.loss(theta, batch)
     if not math.isfinite(loss):
         raise DivergenceError("non-finite loss")
-    g = oracle.grad(theta, batch)
     _require_finite(g.data, "gradient")
     return loss, g
 

@@ -490,6 +490,24 @@ def test_config_value_the_library_rejects_fails_at_load(tmp_path, capsys, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("protocol, increment", [("B0", 3), ("B50", 3)])
+def test_unsplittable_synthetic_classes_fail_at_load(tmp_path, capsys, monkeypatch,
+                                                     protocol, increment):
+    from cflat import cli
+
+    def no_dataset(spec):
+        raise AssertionError("the dataset was generated")
+
+    monkeypatch.setattr(cli, "synth_dataset", no_dataset)
+    out = tmp_path / "run"
+    doc = base_config(out, protocol=protocol, increment=increment)  # 4 classes
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == "increment"
+    assert "cannot divide" in error["message"]
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg = write_config(tmp_path, base_config(out))

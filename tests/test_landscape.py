@@ -3,6 +3,7 @@ import pytest
 
 from cflat.landscape import (
     _ball_samples,
+    ball_sharpness,
     flatness_report,
     hutchinson_trace,
     landscape_slice_2d,
@@ -12,8 +13,8 @@ from cflat.landscape import (
     top2_eigenpairs,
     track_sq_grad_norm,
 )
-from cflat.numcore import ParamVector, SeededRng
-from cflat.objective import Batch, MlpSpec, ObjectiveOracle, make_mlp, make_quadratic
+from cflat.numcore import ParamVector, SeededRng, norm2
+from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, make_mlp, make_quadratic
 from cflat.optim import StepStats
 
 
@@ -170,6 +171,59 @@ def test_hvp_estimators_share_one_base_gradient(monkeypatch):
         assert counts["grad"] == counts["hvp"] + 1, name
 
 
+def power_iteration_reference(theta, iters, tol, rng, matvec):
+    """Power iteration as first written: iteration 0 recomputes the product
+    the probe check already took."""
+    d = theta.dim
+    rayleigh = 0.0
+    v = None
+    for attempt in range(3):
+        probe = rng.normal(0.0, 1.0, d)
+        probe /= np.linalg.norm(probe)
+        w = matvec(theta.with_data(probe))
+        if np.linalg.norm(w.data) > 0.0:
+            v = probe
+            break
+    if v is None:
+        return 0.0
+    for it in range(iters):
+        w = matvec(theta.with_data(v))
+        wn = np.linalg.norm(w.data)
+        if wn == 0.0:
+            return 0.0
+        new_rayleigh = float(v @ w.data)
+        converged = it > 0 and abs(new_rayleigh - rayleigh) < tol
+        rayleigh = new_rayleigh
+        v = w.data / wn
+        if converged:
+            break
+    return rayleigh
+
+
+@pytest.mark.parametrize("iters", [1, 2, 40])
+def test_power_iteration_reuses_the_probe_check_product(monkeypatch, iters):
+    rng = SeededRng(22)
+    oracle = make_mlp(MlpSpec(3, (5,), 3), rng.spawn(0))
+    theta = oracle.theta0
+    batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
+    g = oracle.grad(theta, batch)
+    hvp = oracle.hvp
+    calls = []
+
+    def counted_hvp(th, v, b=None, base_grad=None):
+        calls.append(1)
+        return hvp(th, v, b, base_grad)
+
+    monkeypatch.setattr(oracle, "hvp", counted_hvp)
+    expected = power_iteration_reference(
+        theta, iters, 1e-10, SeededRng(4), lambda v: oracle.hvp(theta, v, batch, base_grad=g))
+    reference_calls = len(calls)
+    calls.clear()
+    got = power_iter_lambda_max(oracle, theta, batch, iters=iters, rng=SeededRng(4), base_grad=g)
+    assert got == expected
+    assert len(calls) == reference_calls - 1
+
+
 # ---------------------------------------------------------------------------
 # brute-force neighborhood sharpness
 # ---------------------------------------------------------------------------
@@ -248,6 +302,44 @@ def test_rho_must_be_positive():
         for n_samples in (0, -3):
             with pytest.raises(ValueError, match="n_samples"):
                 estimator(q, ParamVector(np.zeros(2)), None, 0.1, n_samples, SeededRng(0))
+
+
+def test_ball_sharpness_takes_r0_and_r1_from_one_set_of_points():
+    rng = SeededRng(23)
+    spec = MlpSpec(3, (5,), 3, l2=0.01)
+    oracle = make_mlp(spec, rng.spawn(0))
+    theta = oracle.theta0
+    batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
+    rho, n = 0.3, 40
+    r0, r1 = ball_sharpness(oracle, theta, batch, rho, n, SeededRng(6, 1))
+    assert (r0, r1) == (r0_bruteforce(oracle, theta, batch, rho, n, SeededRng(6, 1)),
+                        r1_bruteforce(oracle, theta, batch, rho, n, SeededRng(6, 1)))
+
+    # each half from its own evaluations on a fresh oracle, at the same points
+    fresh = MlpOracle(spec)
+    points = [theta.with_data(theta.data + row)
+              for row in _ball_samples(SeededRng(6, 1), theta.dim, rho, n)]
+    worst_grad = 0.0
+    for point in points:
+        worst_grad = max(worst_grad, norm2(fresh.grad(point, batch)))
+    assert r1 == float(rho * worst_grad)
+    assert r0 == max(fresh.loss(point, batch) for point in points) - fresh.loss(theta, batch)
+
+
+def test_flatness_report_does_not_depend_on_call_history():
+    rng = SeededRng(24)
+    spec = MlpSpec(3, (5,), 3)
+    oracle = make_mlp(spec, rng.spawn(0))
+    theta = oracle.theta0
+    batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
+
+    def report(model):
+        return flatness_report(model, theta, batch, rho=0.2, rng=SeededRng(25),
+                               power_iters=30, trace_probes=5, ball_samples=30)
+
+    first = report(oracle)
+    assert report(oracle) == first
+    assert report(MlpOracle(spec)) == first
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,48 @@ def test_every_forward_pass_enters_through_logits_or_grad_from_output_error(
     assert entries and None not in entries
 
 
+def objective_pair(kind, rng):
+    """(objective, its current-model MlpOracle, a fresh objective equal to it)."""
+    hidden = () if kind == "logreg" else (5,)
+    spec = MlpSpec(3, hidden, 4, l2=0.01)
+    if kind != "distill":
+        oracle = MlpOracle(spec)
+        return oracle, oracle, MlpOracle(spec)
+    old = MlpOracle(spec).with_head(2)
+    theta_old = ParamVector(rng.normal(size=old.dim), old.manifest)
+    oracle = MlpOracle(spec)
+    return DistillObjective(oracle, theta_old), oracle, DistillObjective(MlpOracle(spec), theta_old)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "logreg", "distill"])
+def test_loss_after_grad_reads_the_gradient_pass_and_only_on_the_same_objects(
+        monkeypatch, kind):
+    rng = SeededRng(17)
+    obj, oracle, fresh = objective_pair(kind, rng)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    batch = random_batch(rng, 6, 3, 4)
+    expected = fresh.loss(theta, batch)
+
+    obj.grad(theta, batch)
+    calls = count_forward_passes(monkeypatch, oracle)
+    assert obj.loss(theta, batch) == expected
+    assert calls == []
+    z = oracle._loss_and_logits(theta, batch)[1]
+    assert not z.flags.writeable
+    # an equal theta or batch in a new object runs the forward pass again
+    assert obj.loss(theta.with_data(theta.data), batch) == expected
+    assert calls == [batch.n]
+    assert obj.loss(theta, Batch(batch.x, batch.y)) == expected
+    assert calls == [batch.n, batch.n]
+
+
+def test_batch_takes_its_largest_label_once():
+    batch = Batch(np.zeros((3, 2)), np.array([2, 0, 5]))
+    assert batch.y_max == 5
+    with pytest.raises(TypeError):
+        Batch(np.zeros((3, 2)), np.array([2, 0, 5]), 1)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_returned_arrays_survive_later_oracle_calls(activation):
     rng = SeededRng(15)

@@ -175,6 +175,27 @@ def test_cflat_gradient_matches_hand_expansion_on_quadratic():
     assert stats.grad_evals == 5 and stats.hvp_evals == 2 and stats.used_cflat
 
 
+@pytest.mark.parametrize("stepper, passes", [(SgdStepper, 1), (CflatStepper, 5)])
+def test_step_reads_its_loss_from_the_gradient_pass(monkeypatch, stepper, passes):
+    rng = SeededRng(5)
+    spec = MlpSpec(3, (4,), 3)
+    oracle = make_mlp(spec, rng.spawn(0))
+    theta = oracle.theta0
+    batch = dummy_batch(8, 3, 3, seed=6)
+    expected = make_mlp(spec, rng.spawn(0)).loss(theta, batch)
+    calls = []
+    forward = oracle._forward
+
+    def counted(th, x):
+        calls.append(x.shape[0])
+        return forward(th, x)
+
+    monkeypatch.setattr(oracle, "_forward", counted)
+    _, stats = stepper().step(oracle, theta, batch, OptimConfig(eta=0.1, rho=0.2, lam=0.2))
+    assert len(calls) == passes
+    assert stats.loss == expected
+
+
 def test_cflat_guards_at_exact_minimum():
     H = np.diag([1.0, 3.0])
     c = np.array([0.5, -0.5])
