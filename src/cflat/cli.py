@@ -748,7 +748,9 @@ def main(argv=None) -> int:
         print(json.dumps(payload), file=sys.stderr)
         return 2
     except DivergenceError as err:
-        payload = {"error": {"kind": "divergence", "message": str(err), "step": err.step}}
+        payload = {"error": {"kind": "divergence", "message": str(err), "step": err.step,
+                             "task": err.task, "last_loss": err.last_loss,
+                             "grad_norm": err.grad_norm}}
         print(json.dumps(payload), file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as err:

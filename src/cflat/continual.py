@@ -19,7 +19,6 @@ from .objective import (
     MlpOracle,
     MlpSpec,
     ObjectiveOracle,
-    _ce_output_error,
     _softmax,
     fd_hvp,
 )
@@ -393,7 +392,7 @@ class DistillObjective(ObjectiveOracle):
 
     def grad(self, theta, batch=None) -> ParamVector:
         def output_error(z):  # the old model is a separate oracle, so it may run here
-            G = _ce_output_error(z, batch.y)
+            G = self.base._ce_error(z, batch.y)
             q = _softmax(z[:, : self.n_old] / self.temperature)
             G[:, : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)
             return G
@@ -527,7 +526,7 @@ def gpm_project(state: GpmState, grad: ParamVector) -> tuple[ParamVector, float]
     flat = grad.data.copy()
     flat[seg.offset : seg.offset + seg.size] = proj_block.ravel()
     in_span = float(np.linalg.norm(proj_block @ state.basis))
-    return grad.with_data(flat), in_span
+    return grad._adopt(flat), in_span
 
 
 def _significance_sensitivity(oracle, theta, batch, state: GpmState, g_c: ParamVector,
@@ -577,15 +576,16 @@ class GpmStepper(Stepper):
         if stats.used_cflat:
             g_c = oracle.grad(ascent_point(theta, d, cfg), batch)
             _require_finite(g_c.data, "perturbed gradient")
-            stats = replace(stats, grad_evals=stats.grad_evals + 1)
+            stats.grad_evals += 1
         eta2 = self.eta2 if self.eta2 is not None else cfg.eta
         if self.eta1 != 0.0:
             sens = _significance_sensitivity(oracle, theta, batch, self.gpm_state, g_c, eta2)
             sig = np.clip(self.gpm_state.significance - self.eta1 * sens, 0.0, 1.0)
             self.gpm_state = replace(self.gpm_state, significance=sig)
-            stats = replace(stats, grad_evals=stats.grad_evals + 1)
+            stats.grad_evals += 1
         proj, in_span = gpm_project(self.gpm_state, g_c)
-        stats = replace(stats, gpm_in_span=in_span, gpm_src_norm=norm2(g_c))
+        stats.gpm_in_span = in_span
+        stats.gpm_src_norm = norm2(g_c)
         return axpy(-eta2, proj, theta), stats
 
 
@@ -728,11 +728,14 @@ def _run_seed(stream: TaskStream, method: str, optimizer: str, cfg: OptimConfig,
             )
         except DivergenceError as err:
             raise DivergenceError(
-                f"divergence in task {t} at step {err.step}: {err}", err.step
+                f"divergence in task {t} at step {err.step}: {err}", err.step,
+                task=t, last_loss=err.last_loss, grad_norm=err.grad_norm,
             ) from err
         train_seconds += time.perf_counter() - start
         examples += len(task_trace) * cl.batch_size
-        trace.extend(replace(s, task=t) for s in task_trace)
+        for stats in task_trace:
+            stats.task = t
+        trace.extend(task_trace)
 
         gamma = None
         if method == "wa" and t > 0:

@@ -66,7 +66,7 @@ def _power_iteration(theta, iters, tol, rng, matvec):
     for attempt in range(3):  # redraw if the operator annihilates the probe
         probe = rng.normal(0.0, 1.0, d)
         probe /= np.linalg.norm(probe)
-        w = matvec(theta.with_data(probe))
+        w = matvec(theta._adopt(probe))
         if np.linalg.norm(w.data) > 0.0:
             break
     else:
@@ -74,7 +74,7 @@ def _power_iteration(theta, iters, tol, rng, matvec):
     v = probe
     for it in range(iters):
         if it > 0:  # iteration 0 reuses the probe check's product
-            w = matvec(theta.with_data(v))
+            w = matvec(theta._adopt(v))
         wn = np.linalg.norm(w.data)
         if wn == 0.0:
             return 0.0, theta.with_data(v)
@@ -120,7 +120,7 @@ def top2_eigenpairs(
 
     def deflated(v):
         hv = hvp(v)
-        return hv.with_data(hv.data - l1 * float(v1.data @ v.data) * v1.data)
+        return hv._adopt(hv.data - l1 * float(v1.data @ v.data) * v1.data)
 
     l2, v2 = _power_iteration(theta, iters, tol, rng, deflated)
     return (l1, v1), (l2, v2)
@@ -142,7 +142,7 @@ def hutchinson_trace(
     total = 0.0
     for _ in range(probes):
         z = rng.rademacher(theta.dim)
-        hz = hvp(theta.with_data(z))
+        hz = hvp(theta._adopt(z))
         total += float(z @ hz.data)
     return total / probes
 
@@ -190,7 +190,7 @@ def ball_sharpness(
     worst_loss = -np.inf
     worst_grad = 0.0
     for row in offsets:
-        point = theta.with_data(theta.data + row)
+        point = theta._adopt(theta.data + row)
         worst_grad = max(worst_grad, norm2(oracle.grad(point, batch)))
         worst_loss = max(worst_loss, oracle.loss(point, batch))
     return float(worst_loss - base), float(rho * worst_grad)
@@ -230,7 +230,7 @@ def landscape_slice_2d(
     losses = np.empty((grid_n, grid_n))
     for i, a in enumerate(axis):
         for j, b in enumerate(axis):
-            point = theta.with_data(theta.data + a * d1 + b * d2)
+            point = theta._adopt(theta.data + a * d1 + b * d2)
             losses[i, j] = oracle.loss(point, batch)
     return axis.copy(), axis.copy(), losses
 

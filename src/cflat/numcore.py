@@ -45,11 +45,14 @@ class Segment:
 class ParamVector:
     """Flat float64 vector with a manifest mapping segments to tensors.
 
-    The data array is copied at construction and marked read-only; all
-    operations return new vectors.
+    The public constructor and ``with_data`` copy the data they are given,
+    check it against the manifest and mark the copy read-only; all operations
+    return new vectors. Each checked construction indexes the manifest once by
+    segment name, and every vector derived through ``_adopt`` shares that
+    index, so ``view`` and ``segment`` are one dict lookup.
     """
 
-    __slots__ = ("data", "manifest")
+    __slots__ = ("data", "manifest", "_index")
 
     def __init__(self, data, manifest: Sequence[Segment] | None = None):
         arr = np.array(data, dtype=np.float64).reshape(-1)
@@ -57,31 +60,54 @@ class ParamVector:
         if manifest is None:
             manifest = (Segment("theta", 0, (arr.size,)),)
         manifest = tuple(manifest)
-        total = sum(seg.size for seg in manifest)
+        index = {}
+        total = 0
+        for seg in reversed(manifest):  # the first segment of a name wins
+            size = seg.size
+            index[seg.name] = (seg.offset, seg.offset + size, seg)
+            total += size
         if total != arr.size:
             raise ValueError(
                 f"manifest covers {total} entries but data has {arr.size}"
             )
         self.data = arr
         self.manifest = manifest
+        self._index = index
+
+    def _adopt(self, arr: np.ndarray) -> "ParamVector":
+        """New vector on this vector's manifest that takes ``arr`` as its data.
+
+        Internal constructor for the package's own arithmetic: ``arr`` must be
+        a fresh 1-D float64 array of this vector's dimension that no one else
+        holds. It is not copied or checked, only marked read-only.
+        """
+        arr.setflags(write=False)
+        vec = object.__new__(ParamVector)
+        vec.data = arr
+        vec.manifest = self.manifest
+        vec._index = self._index
+        return vec
 
     @property
     def dim(self) -> int:
         return self.data.size
 
+    def _bounds(self, name: str) -> tuple[int, int, Segment]:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"no segment named {name!r}") from None
+
     def segment(self, name: str) -> Segment:
-        for seg in self.manifest:
-            if seg.name == name:
-                return seg
-        raise KeyError(f"no segment named {name!r}")
+        return self._bounds(name)[2]
 
     def view(self, name: str) -> np.ndarray:
         """Read-only view of one segment, reshaped to its tensor shape."""
-        seg = self.segment(name)
-        return self.data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
+        start, stop, seg = self._bounds(name)
+        return self.data[start:stop].reshape(seg.shape)
 
     def with_data(self, data) -> "ParamVector":
-        """New vector with the same manifest and different values."""
+        """New vector with the same manifest and different values (copied)."""
         return ParamVector(data, self.manifest)
 
     def __reduce__(self):
@@ -151,14 +177,19 @@ def dot(a: ParamVector, b: ParamVector) -> float:
 
 
 def norm2(v: ParamVector) -> float:
-    """Euclidean norm; 0 for the zero vector."""
-    return float(np.linalg.norm(v.data))
+    """Euclidean norm; 0 for the zero vector.
+
+    sqrt(v . v) is what ``np.linalg.norm`` computes for a 1-D float64 array,
+    without its dispatch.
+    """
+    data = v.data
+    return math.sqrt(data.dot(data))
 
 
 def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
     """y + alpha * x as a new vector; inputs are not modified."""
     _check_dims(x, y)
-    return y.with_data(y.data + float(alpha) * x.data)
+    return y._adopt(y.data + float(alpha) * x.data)
 
 
 def gaussian_fill(

@@ -18,13 +18,22 @@ callback must not call back into the same oracle: the buffers of the pass it
 sits in would be overwritten.
 
 Logits cache of the MLP oracle: a gradient keeps one entry, the ``theta`` and
-``Batch`` objects of its forward pass and that pass's logits (read-only). A
-``loss`` on the same two objects reads the loss from those logits instead of
-running the forward pass again, so a loss right after a gradient, as in every
-optimizer step's prologue, costs no second pass and is bit-identical to a
-fresh one. The cache matches objects by identity: a ``ParamVector`` is
-read-only, and a ``Batch``'s arrays must not be mutated after construction
-(the distillation objective's cached old-model probabilities assume the same).
+``Batch`` objects of its forward pass, that pass's logits (read-only) and,
+when the output error was the cross-entropy one, the row log-sum-exp of the
+logits, which that error computes from the same max, exp and row sum. A
+``loss`` on the same two objects reads the loss from them instead of running
+the forward pass again, so a loss right after a gradient, as in every
+optimizer step's prologue, costs no second pass and no exp, and is
+bit-identical to a fresh one. The cache matches objects by identity: a
+``ParamVector`` is read-only, and a ``Batch``'s arrays must not be mutated
+after construction (the distillation objective's cached old-model
+probabilities assume the same).
+
+Parameter layout of the MLP oracle: it reads each layer's weight and bias as
+slices of ``theta.data`` at offsets precomputed from its manifest, so it
+checks that a ``theta`` is laid out on that manifest (by identity, then by
+equality, remembering the last equal manifest object) and rejects one that
+is not, even when the dimension matches.
 """
 from __future__ import annotations
 
@@ -77,6 +86,20 @@ class Batch:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "y_max", int(y.max()))
 
+    @classmethod
+    def _rows(cls, x: np.ndarray, y: np.ndarray) -> "Batch":
+        """Batch of rows taken from an already checked batch's arrays.
+
+        Internal constructor for ``train_epochs``: ``x`` (float64, 2-D) and
+        ``y`` (int64, nonnegative, aligned, at least one row) are not checked
+        again; only the largest label is taken.
+        """
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "x", x)
+        object.__setattr__(batch, "y", y)
+        object.__setattr__(batch, "y_max", int(y.max()))
+        return batch
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -126,12 +149,12 @@ def fd_hvp(grad_fn, theta: ParamVector, v: ParamVector,
         raise ValueError(f"dimension mismatch: direction has {v.dim}, theta {theta.dim}")
     vnorm = norm2(v)
     if vnorm == 0.0:
-        return v.with_data(np.zeros(v.dim))
+        return v._adopt(np.zeros(v.dim))
     delta = FD_HVP_STEP * (1.0 + norm2(theta))
     vhat = v.data / vnorm
-    shifted = grad_fn(theta.with_data(theta.data + delta * vhat))
+    shifted = grad_fn(theta._adopt(theta.data + delta * vhat))
     base = base_grad if base_grad is not None else grad_fn(theta)
-    return v.with_data((shifted.data - base.data) * (vnorm / delta))
+    return v._adopt((shifted.data - base.data) * (vnorm / delta))
 
 
 class QuadraticOracle(ObjectiveOracle):
@@ -164,22 +187,29 @@ class QuadraticOracle(ObjectiveOracle):
 
     def grad(self, theta, batch=None) -> ParamVector:
         self._require_dim(theta)
-        return theta.with_data(self.H @ (theta.data - self.center))
+        return theta._adopt(self.H @ (theta.data - self.center))
 
     def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
         self._require_dim(theta)
         if v.dim != self.dim:
             raise ValueError("direction dimension mismatch")
-        return v.with_data(self.H @ v.data)
+        return v._adopt(self.H @ v.data)
 
 
 def make_quadratic(H, c=None) -> QuadraticOracle:
     return QuadraticOracle(H, c)
 
 
-def _logsumexp(z: np.ndarray) -> np.ndarray:
+def _exp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(z - row max), its row sums (n, 1) and the row log-sum-exp (n,)."""
     m = z.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    return e, s, m[:, 0] + np.log(s[:, 0])
+
+
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    return _exp_rows(z)[2]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -187,12 +217,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _ce_output_error(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Logit gradient of the mean cross-entropy: (softmax(z) - onehot(y)) / n."""
-    g = _softmax(z)
+def _ce_output_error(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logit gradient of the mean cross-entropy, (softmax(z) - onehot(y)) / n,
+    and the row log-sum-exp of z, both from one ``_exp_rows`` pass."""
+    g, s, lse = _exp_rows(z)
+    g /= s
     g[np.arange(len(y)), y] -= 1.0
     g /= len(y)
-    return g
+    return g, lse
 
 
 def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
@@ -250,8 +282,16 @@ class MlpOracle(ObjectiveOracle):
     backpropagates an output-layer error computed from its logits, L2 term
     included. Cross-entropy (``grad``) and distillation differ only in that
     error, so a gradient costs one forward pass. The entry keeps the logits of
-    its last pass, and a ``loss`` on the same ``theta`` and ``batch`` objects
-    reads them instead of running another (see the module docstring).
+    its last pass, with their row log-sum-exp when the error was the
+    cross-entropy one (``_ce_error``), and a ``loss`` on the same ``theta``
+    and ``batch`` objects reads them instead of running another pass (see the
+    module docstring).
+
+    Each layer's (W start, W stop, W shape, b start, b stop) in the flat
+    vector is computed once from the manifest; passes read the blocks as
+    slices of ``theta.data`` and write the gradient block by block into one
+    fresh flat array. A theta whose manifest differs from the oracle's is
+    rejected with a ``ValueError`` naming both layouts.
 
     With no hidden layer (logistic regression) the logits are affine in the
     parameters, so ``hvp`` returns the Gauss-Newton product, which equals the
@@ -274,8 +314,13 @@ class MlpOracle(ObjectiveOracle):
         self.manifest = mlp_manifest(spec.widths)
         self.dim = sum(seg.size for seg in self.manifest)
         self.n_layers = len(spec.widths) - 1
+        self._layers = tuple(
+            (w.offset, w.offset + w.size, w.shape, b.offset, b.offset + b.size)
+            for w, b in zip(self.manifest[0::2], self.manifest[1::2])
+        )
+        self._known_manifest = self.manifest  # last manifest object found equal
         self._workspaces: dict = {}
-        self._last_pass: tuple | None = None  # (theta, batch, read-only logits)
+        self._last_pass: tuple | None = None  # (theta, batch, read-only logits, lse or None)
 
     def with_head(self, n_classes: int) -> "MlpOracle":
         return MlpOracle(replace(self.spec, n_classes=n_classes))
@@ -288,6 +333,19 @@ class MlpOracle(ObjectiveOracle):
             parts.append(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_out, d_in)).ravel())
             parts.append(np.zeros(d_out))
         return ParamVector(np.concatenate(parts), self.manifest)
+
+    def _check_theta(self, theta: ParamVector) -> None:
+        """theta must be laid out on this oracle's manifest."""
+        manifest = theta.manifest
+        if manifest is self._known_manifest:
+            return
+        self._require_dim(theta)
+        if manifest != self.manifest:
+            raise ValueError(
+                f"theta is laid out as {_layout(manifest)}, "
+                f"but this oracle expects {_layout(self.manifest)}"
+            )
+        self._known_manifest = manifest
 
     def _act(self, z: np.ndarray, out: np.ndarray) -> None:
         if self.spec.activation == "tanh":
@@ -316,40 +374,46 @@ class MlpOracle(ObjectiveOracle):
     def _forward(self, theta: ParamVector, x: np.ndarray):
         """(acts, pre): each block's input and its affine output; pre[-1] is the logits.
 
-        Hidden-layer entries are workspace buffers; the logits are fresh.
+        Checks theta's layout. Hidden-layer entries are workspace buffers; the
+        logits are fresh.
         """
+        self._check_theta(theta)
         buffers = self._workspace(len(x))
+        data = theta.data
+        last = self.n_layers - 1
         acts = [x]
         pre = []
         a = x
-        for layer in range(self.n_layers):
-            hidden = layer < self.n_layers - 1
-            W = theta.view(f"W{layer}").T
-            z = np.matmul(a, W, out=buffers[layer][0]) if hidden else a @ W
-            z += theta.view(f"b{layer}")
+        for layer, (w0, w1, w_shape, b0, b1) in enumerate(self._layers):
+            W = data[w0:w1].reshape(w_shape).T
+            z = np.matmul(a, W, out=buffers[layer][0]) if layer < last else a @ W
+            z += data[b0:b1]
             pre.append(z)
-            if hidden:
+            if layer < last:
                 a = buffers[layer][1]
                 self._act(z, out=a)
                 acts.append(a)
         return acts, pre
 
-    def _backprop(self, theta, acts, pre, dlogits) -> ParamVector:
+    def _backprop(self, theta: ParamVector, acts, pre, dlogits) -> np.ndarray:
+        """Flat gradient for the logit error ``dlogits``, L2 term included, as
+        one fresh array written block by block."""
         buffers = self._workspace(len(acts[0]))
-        grads: dict[str, np.ndarray] = {}
+        data = theta.data
+        flat = np.empty(self.dim)
         G = dlogits
         for layer in range(self.n_layers - 1, -1, -1):
-            grads[f"W{layer}"] = G.T @ acts[layer]
-            grads[f"b{layer}"] = G.sum(axis=0)
+            w0, w1, w_shape, b0, b1 = self._layers[layer]
+            np.matmul(G.T, acts[layer], out=flat[w0:w1].reshape(w_shape))
+            np.add.reduce(G, axis=0, out=flat[b0:b1])
             if layer > 0:
                 _, _, GW, deriv = buffers[layer - 1]
-                np.matmul(G, theta.view(f"W{layer}"), out=GW)
+                np.matmul(G, data[w0:w1].reshape(w_shape), out=GW)
                 GW *= self._act_deriv(pre[layer - 1], acts[layer], out=deriv)
                 G = GW
-        flat = np.concatenate([grads[seg.name].ravel() for seg in self.manifest])
         if self.l2 > 0:
-            flat = flat + self.l2 * theta.data
-        return ParamVector(flat, self.manifest)
+            flat += self.l2 * data
+        return flat
 
     def logits(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
         _, pre = self._forward(theta, x)
@@ -360,51 +424,62 @@ class MlpOracle(ObjectiveOracle):
         """Gradient, L2 term included, of a loss on ``batch`` whose logit
         gradient is ``output_error(logits)``; one forward pass. ``output_error``
         must not call this oracle. The logits are kept for ``_loss_and_logits``."""
-        self._require_dim(theta)
         self._check_labels(batch)
         acts, pre = self._forward(theta, batch.x)
         z = pre[-1]
         z.setflags(write=False)
-        self._last_pass = (theta, batch, z)
-        return self._backprop(theta, acts, pre, output_error(z))
+        self._last_pass = (theta, batch, z, None)
+        return theta._adopt(self._backprop(theta, acts, pre, output_error(z)))
+
+    def _ce_error(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Cross-entropy logit error of ``z`` (``_ce_output_error``). When ``z``
+        is the last pass's logits, their row log-sum-exp is kept with them."""
+        G, lse = _ce_output_error(z, y)
+        last = self._last_pass
+        if last is not None and last[2] is z:
+            self._last_pass = (last[0], last[1], z, lse)
+        return G
 
     def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy plus the L2 term, and the logits it was computed
         from: the last gradient's logits when it ran on these very objects."""
-        self._require_dim(theta)
-        self._check_labels(batch)
         last = self._last_pass
         if last is not None and last[0] is theta and last[1] is batch:
-            z = last[2]
+            _, _, z, lse = last
         else:
-            z = self.logits(theta, batch.x)
-        ce = float(np.mean(_logsumexp(z) - z[np.arange(batch.n), batch.y]))
+            self._check_labels(batch)
+            z, lse = self.logits(theta, batch.x), None
+        if lse is None:
+            lse = _logsumexp(z)
+        # np.mean's value (sum, then divide by the count) without its dispatch
+        ce = float(np.add.reduce(lse - z[np.arange(batch.n), batch.y]) / batch.n)
         return ce + 0.5 * self.l2 * float(theta.data @ theta.data), z
 
     def loss(self, theta, batch=None) -> float:
         return self._loss_and_logits(theta, batch)[0]
 
     def grad(self, theta, batch=None) -> ParamVector:
-        return self.grad_from_output_error(theta, batch, lambda z: _ce_output_error(z, batch.y))
+        return self.grad_from_output_error(theta, batch, lambda z: self._ce_error(z, batch.y))
 
     def hvp(self, theta, v, batch=None, base_grad=None):
-        self._require_dim(theta)
+        self._check_theta(theta)
         if self.n_layers > 1:
             return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
         self._check_labels(batch)
         if v.dim != self.dim:
             raise ValueError("direction dimension mismatch")
         p = _softmax(self.logits(theta, batch.x))
-        V = v.view("W0")
-        vb = v.view("b0")
-        u = batch.x @ V.T + vb
+        w0, w1, w_shape, b0, b1 = self._layers[0]
+        V = v.data[w0:w1].reshape(w_shape)
+        u = batch.x @ V.T + v.data[b0:b1]
         w = p * u - p * (p * u).sum(axis=1, keepdims=True)
-        hW = w.T @ batch.x / batch.n
-        hb = w.sum(axis=0) / batch.n
-        flat = np.concatenate([hW.ravel(), hb])
+        flat = np.empty(self.dim)
+        np.matmul(w.T, batch.x, out=flat[w0:w1].reshape(w_shape))
+        np.add.reduce(w, axis=0, out=flat[b0:b1])
+        flat /= batch.n
         if self.l2 > 0:
-            flat = flat + self.l2 * v.data
-        return ParamVector(flat, self.manifest)
+            flat += self.l2 * v.data
+        return theta._adopt(flat)
 
     def predict(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(theta, x), axis=1)
@@ -425,6 +500,10 @@ class MlpOracle(ObjectiveOracle):
     @property
     def head_weight_name(self) -> str:
         return self.manifest[-2].name
+
+
+def _layout(manifest) -> str:
+    return "[" + ", ".join(f"{seg.name}{seg.shape}@{seg.offset}" for seg in manifest) + "]"
 
 
 def make_logreg(d_in: int, n_classes: int, l2: float = 0.0) -> MlpOracle:

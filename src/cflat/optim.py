@@ -57,11 +57,20 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a loss or gradient turns non-finite; carries the step index."""
+    """Raised when a loss or gradient turns non-finite.
 
-    def __init__(self, message: str, step: int | None = None):
+    Carries the step index within its training run, the task (set by the
+    continual harness), and the loss and gradient norm of the last step that
+    finished (None when the run failed on its first step).
+    """
+
+    def __init__(self, message: str, step: int | None = None, task: int | None = None,
+                 last_loss: float | None = None, grad_norm: float | None = None):
         super().__init__(message)
         self.step = step
+        self.task = task
+        self.last_loss = last_loss
+        self.grad_norm = grad_norm
 
 
 @dataclass(frozen=True)
@@ -124,14 +133,17 @@ class ProxyState:
             raise ValueError("A must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepStats:
-    """Per-step bookkeeping.
+    """Per-step bookkeeping, one object per step, filled in place by its owners.
 
     grad_evals follows the optimizer's cost accounting: direct gradient
     evaluations plus one per Hessian-vector product, so a C-Flat direction
-    counts 3 + 2 = 5. epoch/task are filled in by the training loop and
-    harness; the gpm_* fields only by projected steps.
+    counts 3 + 2 = 5. The direction that takes the step creates the object;
+    the fields it cannot know are set on it by whoever knows them: epoch by
+    ``train_epochs``, task by the continual harness, proxy_value by
+    ``CflatPPStepper``, and the gpm_* fields and the projection's extra
+    grad_evals by ``continual.GpmStepper``.
     """
 
     loss: float
@@ -171,7 +183,7 @@ def sam_perturb(g: ParamVector, rho: float, eps_guard: float) -> ParamVector:
     """Ascent perturbation rho * g / (||g|| + eps); zero gradient gives zero."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return g.with_data(rho * g.data / (norm2(g) + eps_guard))
+    return g._adopt(rho * g.data / (norm2(g) + eps_guard))
 
 
 def ascent_point(theta: ParamVector, d: ParamVector, cfg: OptimConfig) -> ParamVector:
@@ -191,17 +203,17 @@ def _cflat_direction(oracle, theta, batch, cfg, loss: float, g: ParamVector):
     g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
     _require_finite(g0.data, "perturbed gradient")
 
-    ghat = g.with_data(g.data / (gnorm + eps))
+    ghat = g._adopt(g.data / (gnorm + eps))
     h = oracle.hvp(theta, ghat, batch, base_grad=g)
     _require_finite(h.data, "hvp")
     theta1 = ascent_point(theta, h, cfg)
     g_at1 = oracle.grad(theta1, batch)
     _require_finite(g_at1.data, "gradient at flatness point")
-    ghat1 = g_at1.with_data(g_at1.data / (norm2(g_at1) + eps))
+    ghat1 = g_at1._adopt(g_at1.data / (norm2(g_at1) + eps))
     g1 = oracle.hvp(theta1, ghat1, batch, base_grad=g_at1)
     _require_finite(g1.data, "hvp at flatness point")
 
-    combined = g0.with_data(g0.data + cfg.lam * g1.data)
+    combined = g0._adopt(g0.data + cfg.lam * g1.data)
     stats = StepStats(
         loss=loss,
         sq_grad_norm=gnorm ** 2,
@@ -331,12 +343,14 @@ class CflatPPStepper(DescentStepper):
         state = self.state
         proxy = proxy_value(state)
         feedback = proxy - norm2(g) ** 2
-        self.state = replace(state, A=state.A - state.eta0 * feedback, i=state.i + 1)
+        self.state = ProxyState(A=state.A - state.eta0 * feedback, k=state.k, i0=state.i0,
+                                eta0=state.eta0, i=state.i + 1)
         if feedback <= 0:
             d, stats = _cflat_direction(oracle, theta, batch, cfg, loss, g)
         else:
             d, stats = _sgd_direction(loss, g)
-        return d, replace(stats, proxy_value=proxy)
+        stats.proxy_value = proxy
+        return d, stats
 
 
 class HybridStepper(DescentStepper):
@@ -402,13 +416,18 @@ def train_epochs(
 
     The learning rate multiplies by lr_decay at each milestone epoch and the
     radius follows rho_schedule. The ragged tail of each epoch (fewer than
-    batch_size rows) is dropped. Divergence aborts with the step index.
+    batch_size rows) is dropped. ``x`` and ``y`` are checked once, as one
+    ``Batch``, before any step; each step's batch is a row selection of the
+    checked arrays. Divergence aborts with the step index and the loss and
+    gradient norm of the last finished step.
     """
     n = len(y)
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    data = Batch(x, y)
+    x, y = data.x, data.y
     steps_per_epoch = n // batch_size
     stepper.prepare(epochs * steps_per_epoch)
 
@@ -423,12 +442,16 @@ def train_epochs(
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch_size : (b + 1) * batch_size]
-            batch = Batch(x[idx], y[idx])
+            batch = Batch._rows(x[idx], y[idx])
             try:
                 theta, stats = stepper.step(oracle, theta, batch, cfg_i)
             except DivergenceError as err:
                 err.step = step_idx
+                if trace:
+                    err.last_loss = trace[-1].loss
+                    err.grad_norm = math.sqrt(trace[-1].sq_grad_norm)
                 raise
-            trace.append(replace(stats, epoch=epoch))
+            stats.epoch = epoch
+            trace.append(stats)
             step_idx += 1
     return theta, trace

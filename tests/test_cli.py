@@ -66,6 +66,19 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
 
 
+def test_demo_config_twice_in_one_process_writes_identical_files(tmp_path):
+    from pathlib import Path
+
+    from cflat.cli import run_experiment_from_config
+
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    cfg = resolve_config(json.loads(demo.read_text(encoding="utf-8")))
+    for out in ("a", "b"):
+        run_experiment_from_config(cfg, tmp_path / out)
+    for name in ("metrics.csv", "trace.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_run_jobs_writes_the_same_files_as_one_job(tmp_path, monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
@@ -160,6 +173,11 @@ def test_divergent_run_exits_with_error_json(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "divergence"
+    assert err["error"]["task"] == 0
+    assert err["error"]["step"] >= 1
+    assert math.isfinite(err["error"]["last_loss"])
+    assert math.isfinite(err["error"]["grad_norm"]) and err["error"]["grad_norm"] > 0
+    assert err["error"]["message"].startswith(f"divergence in task 0 at step {err['error']['step']}")
     assert "step" in err["error"]
 
 

@@ -156,3 +156,59 @@ def test_all_finite():
     assert all_finite(ParamVector([1.0, 2.0]))
     assert not all_finite(ParamVector([1.0, np.nan]))
     assert not all_finite(ParamVector([np.inf, 0.0]))
+
+
+def test_public_constructor_and_with_data_copy_their_input():
+    segs = (Segment("W", 0, (2, 2)), Segment("b", 4, (2,)))
+    source = np.arange(6.0)
+    v = ParamVector(source, segs)
+    other = np.full(6, 2.0)
+    w = v.with_data(other)
+    source[:] = -1.0
+    other[:] = -1.0
+    assert v.data.tobytes() == np.arange(6.0).tobytes()
+    assert w.data.tobytes() == np.full(6, 2.0).tobytes()
+    assert not v.data.flags.writeable and not w.data.flags.writeable
+    with pytest.raises(ValueError, match="manifest covers"):
+        v.with_data(np.zeros(5))
+
+
+def test_adopt_takes_the_array_and_shares_the_manifest_index():
+    segs = (Segment("W", 0, (2, 2)), Segment("b", 4, (2,)))
+    v = ParamVector(np.arange(6.0), segs)
+    arr = np.linspace(0.0, 1.0, 6)
+    w = v._adopt(arr)
+    assert w.data is arr and not arr.flags.writeable
+    assert w.manifest is v.manifest
+    assert w.segment("b") is v.segment("b") is segs[1]
+    assert np.array_equal(w.view("W"), arr[:4].reshape(2, 2))
+    with pytest.raises(KeyError, match="no segment named 'c'"):
+        w.view("c")
+
+
+def test_segment_lookup_keeps_the_first_of_a_repeated_name():
+    segs = (Segment("a", 0, (2,)), Segment("a", 2, (1,)))
+    v = ParamVector(np.arange(3.0), segs)
+    assert v.segment("a") is segs[0]
+    assert np.array_equal(v.view("a"), [0.0, 1.0])
+
+
+def test_norm2_equals_numpy_norm_bit_for_bit():
+    rng = SeededRng(12)
+    vectors = [np.zeros(5), np.array([3.0, 4.0]), np.array([1e200, 1e200]),
+               np.array([1e-200, 3e-200]), np.array([np.inf, 1.0]), np.array([np.nan])]
+    vectors += [rng.normal(size=n) * 10.0 ** rng.integers(-8, 9) for n in (1, 7, 33, 2762)]
+    for data in vectors:
+        with np.errstate(over="ignore"):  # 1e200 squared overflows in both
+            got = norm2(ParamVector(data))
+            want = float(np.linalg.norm(data))
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def test_axpy_returns_a_read_only_vector_on_the_manifest_of_y():
+    segs = (Segment("W", 0, (2, 2)), Segment("b", 4, (2,)))
+    y = ParamVector(np.arange(6.0), segs)
+    out = axpy(0.5, ParamVector(np.ones(6)), y)
+    assert out.manifest is y.manifest
+    assert not out.data.flags.writeable
+    assert out.data.tobytes() == (np.arange(6.0) + 0.5 * np.ones(6)).tobytes()

@@ -5,10 +5,13 @@ import pytest
 
 from cflat.continual import DistillObjective
 from cflat.numcore import ParamVector, SeededRng, norm2
+from cflat.continual import grow_head
 from cflat.objective import (
+    FD_HVP_STEP,
     Batch,
     MlpOracle,
     MlpSpec,
+    _logsumexp,
     make_logreg,
     make_mlp,
     make_quadratic,
@@ -499,3 +502,130 @@ def test_batch_validation():
         Batch(np.zeros((2, 2)), np.array([0, -1]))
     with pytest.raises(ValueError):
         Batch(np.zeros(3), np.array([0]))
+
+
+class PlainMlp:
+    """The MLP written out with per-name views and ``np.concatenate``, sharing
+    nothing with the oracle's slices, workspaces or logits cache."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.layers = len(spec.hidden) + 1
+
+    def forward(self, theta, x):
+        acts, pre, a = [x], [], x
+        for layer in range(self.layers):
+            z = a @ theta.view(f"W{layer}").T
+            z += theta.view(f"b{layer}")
+            pre.append(z)
+            if layer < self.layers - 1:
+                a = np.tanh(z) if self.spec.activation == "tanh" else np.maximum(z, 0.0)
+                acts.append(a)
+        return acts, pre
+
+    def loss(self, theta, batch):
+        z = self.forward(theta, batch.x)[1][-1]
+        ce = float(np.mean(_logsumexp(z) - z[np.arange(batch.n), batch.y]))
+        return ce + 0.5 * self.spec.l2 * float(theta.data @ theta.data)
+
+    def grad(self, theta, batch):
+        acts, pre = self.forward(theta, batch.x)
+        z = pre[-1]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        G = e / e.sum(axis=1, keepdims=True)
+        G[np.arange(batch.n), batch.y] -= 1.0
+        G /= batch.n
+        grads = {}
+        for layer in range(self.layers - 1, -1, -1):
+            grads[f"W{layer}"] = G.T @ acts[layer]
+            grads[f"b{layer}"] = G.sum(axis=0)
+            if layer > 0:
+                a = acts[layer]
+                deriv = 1.0 - a * a if self.spec.activation == "tanh" else pre[layer - 1] > 0.0
+                G = (G @ theta.view(f"W{layer}")) * deriv
+        flat = np.concatenate([grads[seg.name].ravel() for seg in theta.manifest])
+        if self.spec.l2 > 0:
+            flat = flat + self.spec.l2 * theta.data
+        return flat
+
+    def hvp(self, theta, v, batch):
+        if self.layers > 1:  # forward difference of gradients
+            vnorm = np.linalg.norm(v.data)
+            delta = FD_HVP_STEP * (1.0 + np.linalg.norm(theta.data))
+            shifted = theta.with_data(theta.data + delta * (v.data / vnorm))
+            return (self.grad(shifted, batch) - self.grad(theta, batch)) * (vnorm / delta)
+        z = self.forward(theta, batch.x)[1][-1]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        u = batch.x @ v.view("W0").T + v.view("b0")
+        w = p * u - p * (p * u).sum(axis=1, keepdims=True)
+        flat = np.concatenate([(w.T @ batch.x / batch.n).ravel(), w.sum(axis=0) / batch.n])
+        if self.spec.l2 > 0:
+            flat = flat + self.spec.l2 * v.data
+        return flat
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (9,), (7, 5)])
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+def test_mlp_loss_grad_hvp_equal_a_plain_reference_bit_for_bit(activation, hidden, l2):
+    rng = SeededRng(19)
+    spec = MlpSpec(6, hidden, 4, activation=activation, l2=l2)
+    oracle = make_mlp(spec, rng.spawn(0))
+    plain = PlainMlp(spec)
+    theta = oracle.theta0
+    for n in (32, 512, 7, 32, 512, 7):
+        batch = random_batch(rng, n, 6, 4)
+        other = random_batch(rng, n, 6, 4)
+        v = theta.with_data(rng.normal(size=theta.dim))
+        # a loss with no gradient before it, then one read after a gradient
+        assert oracle.loss(theta, other) == plain.loss(theta, other)
+        g = oracle.grad(theta, batch)
+        assert g.data.tobytes() == plain.grad(theta, batch).tobytes()
+        assert oracle.loss(theta, batch) == plain.loss(theta, batch)
+        hv = oracle.hvp(theta, v, batch, base_grad=g)
+        assert hv.data.tobytes() == plain.hvp(theta, v, batch).tobytes()
+        theta = theta.with_data(theta.data + 0.1 * rng.normal(size=theta.dim))
+
+
+def test_every_vector_the_oracles_return_is_read_only():
+    rng = SeededRng(20)
+    batch = random_batch(rng, 5, 3, 2)
+    for oracle in (make_logreg(3, 2, l2=0.1), make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0)),
+                   make_quadratic(np.eye(3))):
+        theta = ParamVector(rng.normal(size=oracle.dim), getattr(oracle, "manifest", None))
+        v = theta.with_data(rng.normal(size=oracle.dim))
+        outputs = [oracle.grad(theta, batch), oracle.hvp(theta, v, batch),
+                   oracle.hvp(theta, v.with_data(np.zeros(oracle.dim)), batch)]
+        for out in outputs:
+            assert not out.data.flags.writeable
+            assert out.manifest == theta.manifest
+
+
+def test_mlp_rejects_a_theta_laid_out_on_another_manifest():
+    rng = SeededRng(21)
+    oracle = MlpOracle(MlpSpec(4, (1,), 9))
+    other = MlpOracle(MlpSpec(4, (3,), 2))
+    assert other.dim == oracle.dim == 23
+    theta = ParamVector(rng.normal(size=23), other.manifest)
+    batch = random_batch(rng, 5, 4, 2)
+    calls = [lambda: oracle.loss(theta, batch), lambda: oracle.grad(theta, batch),
+             lambda: oracle.hvp(theta, theta, batch), lambda: oracle.logits(theta, batch.x)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"laid out as \[W0\(3, 4\)@0.*expects \[W0\(1, 4\)@0"):
+            call()
+
+
+def test_mlp_accepts_an_equal_manifest_built_elsewhere():
+    rng = SeededRng(22)
+    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    grown = grow_head(oracle.theta0, 2, rng.spawn(1))
+    wide = oracle.with_head(4)
+    batch = random_batch(rng, 6, 3, 4)
+    rebuilt = ParamVector(grown.data, tuple(grown.manifest))
+    copy = ParamVector(grown.data, [*grown.manifest])
+    assert copy.manifest is not grown.manifest and copy.manifest == wide.manifest
+    for theta in (grown, copy, grown, rebuilt):
+        g = wide.grad(theta, batch)
+        assert g.manifest is theta.manifest
+        assert wide.loss(theta, batch) == PlainMlp(wide.spec).loss(theta, batch)

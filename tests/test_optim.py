@@ -8,11 +8,13 @@ from cflat.objective import Batch, MlpSpec, ObjectiveOracle, make_mlp, make_quad
 from cflat.optim import (
     CflatPPStepper,
     CflatStepper,
+    OPTIMIZER_NAMES,
     DivergenceError,
     OptimConfig,
     ProxyState,
     SamStepper,
     SgdStepper,
+    ascent_point,
     hybrid_step_plan,
     make_stepper,
     proxy_value,
@@ -466,7 +468,83 @@ def test_train_epochs_divergence_carries_step_index():
             q, ParamVector([1e200]), x, y, OptimConfig(eta=1e200),
             make_stepper("sgd"), epochs=3, batch_size=2, rng=SeededRng(3),
         )
-    assert err.value.step is not None
+    assert err.value.step == 0
+    assert err.value.last_loss is None and err.value.grad_norm is None
+    # theta = 1 - 4e100 after step 0; step 1 is finite; step 2's loss overflows
+    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+        train_epochs(
+            q, ParamVector([1.0]), x, y, OptimConfig(eta=1e100),
+            make_stepper("sgd"), epochs=3, batch_size=2, rng=SeededRng(3),
+        )
+    theta1 = 1.0 - 1e100 * 4.0
+    assert err.value.step == 2
+    assert err.value.task is None
+    assert err.value.last_loss == q.loss(ParamVector([theta1]))
+    assert err.value.grad_norm == abs(4.0 * theta1)
+
+
+def test_divergence_error_keeps_its_context_through_pickle():
+    import pickle
+
+    err = DivergenceError("boom", step=3, task=1, last_loss=0.5, grad_norm=2.0)
+    back = pickle.loads(pickle.dumps(err))
+    assert (str(back), back.step, back.task, back.last_loss, back.grad_norm) == (
+        "boom", 3, 1, 0.5, 2.0)
+
+
+class CountingStepper(SgdStepper):
+    def __init__(self):
+        self.calls = 0
+
+    def step(self, oracle, theta, batch, cfg):
+        self.calls += 1
+        return super().step(oracle, theta, batch, cfg)
+
+
+@pytest.mark.parametrize("x_rows, y, message", [
+    (5, [0, 1, 0, 1, -1], "labels must be nonnegative"),
+    (5, [0, 1, 0, 1], "labels must be 1-D and aligned with features"),
+])
+def test_train_epochs_checks_every_label_before_any_step(x_rows, y, message):
+    # batch_size 2 leaves a ragged row that no step would ever see
+    q = make_quadratic(np.eye(2))
+    stepper = CountingStepper()
+    with pytest.raises(ValueError, match=message):
+        train_epochs(
+            q, ParamVector([1.0, 1.0]), np.zeros((x_rows, 2)), np.array(y),
+            OptimConfig(eta=0.1), stepper, epochs=1, batch_size=2, rng=SeededRng(0),
+        )
+    assert stepper.calls == 0
+
+
+def test_train_epochs_fills_each_step_record_in_place():
+    rng = SeededRng(8)
+    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    x = rng.normal(size=(12, 3))
+    y = rng.integers(0, 2, 12)
+    stepper = CflatPPStepper(ProxyState(A=1.0, i0=2))
+    _, trace = train_epochs(oracle, oracle.theta0, x, y, OptimConfig(eta=0.1), stepper,
+                            epochs=3, batch_size=4, rng=rng.spawn(1))
+    assert [s.epoch for s in trace] == [0] * 3 + [1] * 3 + [2] * 3
+    assert len({id(s) for s in trace}) == len(trace)
+    assert all(s.proxy_value is not None for s in trace)
+    assert stepper.state.i == len(trace) + 1
+
+
+def test_optimizer_vectors_are_read_only():
+    rng = SeededRng(9)
+    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    theta = oracle.theta0
+    batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
+    cfg = OptimConfig(eta=0.1)
+    g = oracle.grad(theta, batch)
+    vectors = [sam_perturb(g, 0.2, EPS), ascent_point(theta, g, cfg)]
+    for name in OPTIMIZER_NAMES:
+        d, _ = make_stepper(name).direction(oracle, theta, batch, cfg)
+        vectors += [d, make_stepper(name).step(oracle, theta, batch, cfg)[0]]
+    for v in vectors:
+        assert not v.data.flags.writeable
+        assert v.manifest == theta.manifest
 
 
 def test_train_epochs_batch_size_validation():
