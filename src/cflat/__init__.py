@@ -51,11 +51,11 @@ from .landscape import (
     ball_sharpness,
     flatness_report,
     hutchinson_trace,
+    lanczos_eigenpairs,
     landscape_slice_2d,
     power_iter_lambda_max,
     r0_bruteforce,
     r1_bruteforce,
-    track_sq_grad_norm,
 )
 from .metrics import (
     average_accuracy,

@@ -592,12 +592,14 @@ def cmd_landscape(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = SeededRng(args.probe_seed)
 
-    # one gradient at theta serves the report and every HVP below
+    # the gradient at theta keeps the pass every HVP of the eigen-solve and
+    # the trace estimate reads; the one eigen-solve gives lambda_max and the
+    # slice directions
     g = oracle.grad(theta, batch)
+    eigen = top2_eigenpairs(oracle, theta, batch, iters=args.iters, rng=rng.spawn(1))
     report = flatness_report(
-        oracle, theta, batch, rho=args.rho, rng=rng,
-        power_iters=args.iters, trace_probes=args.probes,
-        ball_samples=args.samples, base_grad=g,
+        oracle, theta, batch, rho=args.rho, rng=rng, trace_probes=args.probes,
+        ball_samples=args.samples, grad=g, eigen=eigen,
     )
     doc = report.to_dict()
     doc["r0_le_r1"] = bool(report.r0_sample <= report.r1_sample * 1.02 + 1e-12)
@@ -607,9 +609,7 @@ def cmd_landscape(args) -> int:
         json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
     )
 
-    (l1, v1), (l2, v2) = top2_eigenpairs(
-        oracle, theta, batch, rng=rng.spawn(9), base_grad=g
-    )
+    v1, v2 = eigen.vectors[0], eigen.vectors[-1]  # a 1-parameter model has one direction
     a_axis, b_axis, losses = landscape_slice_2d(
         oracle, theta, batch, v1, v2, extent=args.extent, grid_n=args.grid
     )
@@ -724,7 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     land_p.add_argument("--rho", type=float, default=0.2)
     land_p.add_argument("--samples", type=int, default=2000)
     land_p.add_argument("--probes", type=int, default=200)
-    land_p.add_argument("--iters", type=int, default=200)
+    land_p.add_argument("--iters", type=int, default=200,
+                        help="most HVPs the one eigen-solve takes")
     land_p.add_argument("--grid", type=int, default=21)
     land_p.add_argument("--extent", type=float, default=1.0)
     land_p.add_argument("--probe-seed", type=int, default=0)

@@ -19,8 +19,9 @@ from .objective import (
     MlpOracle,
     MlpSpec,
     ObjectiveOracle,
+    _ce_curvature,
     _softmax,
-    fd_hvp,
+    _softmax_jvp,
 )
 from .optim import (
     DescentStepper,
@@ -356,7 +357,14 @@ def buffer_contents(buf: MemoryBuffer) -> tuple[np.ndarray, np.ndarray] | None:
 class DistillObjective(ObjectiveOracle):
     """Cross-entropy on the full head plus temperature-softened KL to the
     previous model's distribution, restricted to old classes. Both terms
-    carry coefficient 1."""
+    carry coefficient 1.
+
+    Its gradient and its exact HVP go through the current model's entries
+    with this objective's logit error and logit curvature; the KL term adds
+    (q - p) / (T n) to the old-class block of the error and
+    (diag(q) - q q^T) Rz / (T^2 n) to that block of the curvature, for the
+    softened current distribution q and the old model's p.
+    """
 
     def __init__(self, oracle: MlpOracle, theta_old: ParamVector, temperature: float = 2.0):
         if temperature <= 0:
@@ -397,10 +405,16 @@ class DistillObjective(ObjectiveOracle):
             G[:, : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)
             return G
 
-        return self.base.grad_from_output_error(theta, batch, output_error)
+        return self.base.grad_from_output_error(theta, batch, output_error, owner=self)
 
-    def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
-        return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
+    def hvp(self, theta, v, batch=None) -> ParamVector:
+        def curvature(z, lse, u):
+            h = _ce_curvature(z, lse, u)
+            k, t = self.n_old, self.temperature
+            h[:, :k] += _softmax_jvp(_softmax(z[:, :k] / t), u[:, :k]) / (t * t * len(z))
+            return h
+
+        return self.base.hvp_from_curvature(theta, v, batch, self, curvature)
 
 
 def wa_align(w_old: np.ndarray, w_new: np.ndarray) -> float:

@@ -2,12 +2,15 @@
 neighborhood sharpness measurements, and 2-D loss-surface slices.
 
 All estimators consume only the oracle's hvp/grad/loss entry points and are
-deterministic given their probe seed. The HVP estimators evaluate the gradient
-at theta once, or take it as ``base_grad``, and pass it to every product, so
-a forward-difference HVP costs one gradient instead of two. The sampled
-sharpness R0 and flatness R1 share one set of ball points (``ball_sharpness``),
-and each point's loss is read after its gradient, so an oracle that keeps its
-last forward pass evaluates every point once.
+deterministic given their probe seed. The magnitude-dominant eigenpairs come
+from one Lanczos solve with full reorthogonalisation (``lanczos_eigenpairs``)
+that stops when the Ritz residuals of the requested pairs certify them, as in
+PyHessian (Yao et al. 2020); ``power_iter_lambda_max`` and
+``top2_eigenpairs`` are views of it. Run right after a gradient at theta, on
+an oracle that keeps its last gradient pass (``MlpOracle``), every product
+reads that pass. The sampled sharpness R0 and flatness R1 share one set of
+ball points (``ball_sharpness``), and each point's loss is read after its
+gradient, so such an oracle evaluates every point once.
 """
 from __future__ import annotations
 
@@ -17,10 +20,11 @@ import numpy as np
 
 from .numcore import ParamVector, SeededRng, norm2
 from .objective import Batch, ObjectiveOracle
-from .optim import StepStats
 
 __all__ = [
     "FlatnessReport",
+    "Eigenpairs",
+    "lanczos_eigenpairs",
     "power_iter_lambda_max",
     "top2_eigenpairs",
     "hutchinson_trace",
@@ -29,13 +33,20 @@ __all__ = [
     "r1_bruteforce",
     "landscape_slice_2d",
     "flatness_report",
-    "track_sq_grad_norm",
 ]
+
+# Relative Ritz residual at which the eigen-solve stops.
+LANCZOS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    """Per-checkpoint diagnostics with the probe counts used to produce them."""
+    """Per-checkpoint diagnostics with the probe counts used to produce them.
+
+    ``lanczos_products`` is the number of HVPs the eigen-solve took and
+    ``lanczos_residual`` the largest relative Ritz residual of its pairs,
+    which certifies them when it is at most ``lanczos_tol``.
+    """
 
     sq_grad_norm: float
     lambda_max: float
@@ -43,7 +54,9 @@ class FlatnessReport:
     r0_sample: float
     r1_sample: float
     rho_used: float
-    power_iters: int
+    lanczos_products: int
+    lanczos_residual: float
+    lanczos_tol: float
     trace_probes: int
     ball_samples: int
 
@@ -51,40 +64,105 @@ class FlatnessReport:
         return asdict(self)
 
 
-def _hessian_matvec(oracle, theta, batch, base_grad):
-    """v -> H v at theta, every product sharing one base gradient."""
-    g = base_grad if base_grad is not None else oracle.grad(theta, batch)
-    return lambda v: oracle.hvp(theta, v, batch, base_grad=g)
+@dataclass(frozen=True)
+class Eigenpairs:
+    """Magnitude-dominant Hessian eigenpairs from one Lanczos solve.
+
+    ``values`` are signed and in decreasing magnitude, ``vectors`` unit norm;
+    there are fewer than requested only when ``iters`` or theta's dimension
+    is smaller.
+    ``products`` counts the HVPs taken and ``residual`` is the largest
+    relative Ritz residual ||H u - l u|| / |l| of the pairs (0 for an exact
+    pair, including a zero eigenvalue of an invariant subspace).
+    """
+
+    values: tuple[float, ...]
+    vectors: tuple[ParamVector, ...]
+    products: int
+    residual: float
+    tol: float
 
 
-def _power_iteration(theta, iters, tol, rng, matvec):
-    """Rayleigh-quotient power iteration on the given symmetric operator."""
+def _unit(rng: SeededRng, d: int, basis: np.ndarray) -> np.ndarray:
+    """A normal draw made orthogonal to the rows of ``basis``, unit norm."""
+    q = rng.normal(0.0, 1.0, d)
+    for _ in range(2):
+        q -= basis.T @ (basis @ q)
+    return q / np.linalg.norm(q)
+
+
+def lanczos_eigenpairs(
+    oracle: ObjectiveOracle,
+    theta: ParamVector,
+    batch: Batch | None,
+    k: int = 2,
+    iters: int = 200,
+    tol: float = LANCZOS_TOL,
+    rng: SeededRng | None = None,
+) -> Eigenpairs:
+    """The k magnitude-dominant Hessian eigenpairs by Lanczos.
+
+    The start vector is a normal draw from ``rng``. Each step takes one HVP
+    and reorthogonalises the new vector against the whole basis, twice; the
+    basis grows as the solve runs. After each step the Ritz pairs of the
+    tridiagonal projection give the k largest in magnitude and their residual
+    norms |beta * y_last|. The solve stops when every one is at most
+    tol * |lambda|, after ``iters`` products, or when the basis spans the
+    space. A zero beta means the Krylov space is invariant: its Ritz pairs
+    are exact, and the solve continues from a fresh draw orthogonal to the
+    basis until it holds k vectors.
+    """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rng = rng if rng is not None else SeededRng(0, 0)
     d = theta.dim
-    rayleigh = 0.0
-    for attempt in range(3):  # redraw if the operator annihilates the probe
-        probe = rng.normal(0.0, 1.0, d)
-        probe /= np.linalg.norm(probe)
-        w = matvec(theta._adopt(probe))
-        if np.linalg.norm(w.data) > 0.0:
+    cap = min(iters, d)
+    basis = np.empty((min(cap, 2 * k + 6), d))
+    alphas = np.empty(cap)
+    betas = np.empty(cap)  # betas[j] couples basis rows j and j + 1
+    q = _unit(rng, d, basis[:0])
+    m = 0
+    while True:
+        if m == len(basis):  # grow by doubling, never beyond cap rows
+            grown = np.empty((min(2 * m, cap), d))
+            grown[:m] = basis
+            basis = grown
+        basis[m] = q
+        hq = oracle.hvp(theta, theta._adopt(q), batch).data
+        alphas[m] = float(q @ hq)
+        w = hq - alphas[m] * q
+        if m > 0:
+            w -= betas[m - 1] * basis[m - 1]
+        m += 1
+        Q = basis[:m]
+        for _ in range(2):
+            w -= Q.T @ (Q @ w)
+        beta = betas[m - 1] = float(np.linalg.norm(w))
+
+        T = np.diag(alphas[:m]) + np.diag(betas[:m - 1], 1) + np.diag(betas[:m - 1], -1)
+        ritz, Y = np.linalg.eigh(T)
+        top = np.argsort(-np.abs(ritz), kind="stable")[:k]
+        residuals = np.abs(beta * Y[m - 1, top])
+        certified = bool((residuals <= tol * np.abs(ritz[top])).all())
+        if (m >= k and certified) or m == cap:
             break
-    else:
-        return 0.0, theta.with_data(probe)
-    v = probe
-    for it in range(iters):
-        if it > 0:  # iteration 0 reuses the probe check's product
-            w = matvec(theta._adopt(v))
-        wn = np.linalg.norm(w.data)
-        if wn == 0.0:
-            return 0.0, theta.with_data(v)
-        new_rayleigh = float(v @ w.data)
-        converged = it > 0 and abs(new_rayleigh - rayleigh) < tol
-        rayleigh = new_rayleigh
-        v = w.data / wn
-        if converged:
-            break
-    return rayleigh, theta.with_data(v)
+        q = _unit(rng, d, Q) if beta == 0.0 else w / beta
+
+    vectors = []
+    for i in top:
+        u = Y[:, i] @ Q
+        vectors.append(theta.with_data(u / np.linalg.norm(u)))
+    relative = [r / max(abs(lam), np.finfo(float).tiny) if r else 0.0
+                for r, lam in zip(residuals, ritz[top])]
+    return Eigenpairs(
+        values=tuple(float(ritz[i]) for i in top),
+        vectors=tuple(vectors),
+        products=m,
+        residual=float(max(relative)),
+        tol=tol,
+    )
 
 
 def power_iter_lambda_max(
@@ -92,16 +170,12 @@ def power_iter_lambda_max(
     theta: ParamVector,
     batch: Batch | None,
     iters: int = 200,
-    tol: float = 1e-10,
+    tol: float = LANCZOS_TOL,
     rng: SeededRng | None = None,
-    base_grad: ParamVector | None = None,
 ) -> float:
-    """Signed Rayleigh quotient of the magnitude-dominant Hessian eigenvalue."""
-    rng = rng if rng is not None else SeededRng(0, 0)
-    val, _ = _power_iteration(
-        theta, iters, tol, rng, _hessian_matvec(oracle, theta, batch, base_grad)
-    )
-    return val
+    """Signed magnitude-dominant Hessian eigenvalue (``lanczos_eigenpairs``
+    with k = 1)."""
+    return lanczos_eigenpairs(oracle, theta, batch, 1, iters, tol, rng).values[0]
 
 
 def top2_eigenpairs(
@@ -109,21 +183,11 @@ def top2_eigenpairs(
     theta: ParamVector,
     batch: Batch | None,
     iters: int = 200,
-    tol: float = 1e-10,
+    tol: float = LANCZOS_TOL,
     rng: SeededRng | None = None,
-    base_grad: ParamVector | None = None,
-):
-    """Top-2 eigenpairs by magnitude; the second via deflation H - l1 v1 v1^T."""
-    rng = rng if rng is not None else SeededRng(0, 0)
-    hvp = _hessian_matvec(oracle, theta, batch, base_grad)
-    l1, v1 = _power_iteration(theta, iters, tol, rng, hvp)
-
-    def deflated(v):
-        hv = hvp(v)
-        return hv._adopt(hv.data - l1 * float(v1.data @ v.data) * v1.data)
-
-    l2, v2 = _power_iteration(theta, iters, tol, rng, deflated)
-    return (l1, v1), (l2, v2)
+) -> Eigenpairs:
+    """Top-2 eigenpairs by magnitude (``lanczos_eigenpairs`` with k = 2)."""
+    return lanczos_eigenpairs(oracle, theta, batch, 2, iters, tol, rng)
 
 
 def hutchinson_trace(
@@ -132,17 +196,15 @@ def hutchinson_trace(
     batch: Batch | None,
     probes: int = 100,
     rng: SeededRng | None = None,
-    base_grad: ParamVector | None = None,
 ) -> float:
     """Unbiased trace estimate: mean of z^T H z over Rademacher probes."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     rng = rng if rng is not None else SeededRng(0, 0)
-    hvp = _hessian_matvec(oracle, theta, batch, base_grad)
     total = 0.0
     for _ in range(probes):
         z = rng.rademacher(theta.dim)
-        hz = hvp(theta._adopt(z))
+        hz = oracle.hvp(theta, theta._adopt(z), batch)
         total += float(z @ hz.data)
     return total / probes
 
@@ -241,49 +303,36 @@ def flatness_report(
     batch: Batch | None,
     rho: float,
     rng: SeededRng,
-    power_iters: int = 200,
+    iters: int = 200,
     trace_probes: int = 200,
     ball_samples: int = 2000,
-    base_grad: ParamVector | None = None,
+    grad: ParamVector | None = None,
+    eigen: Eigenpairs | None = None,
 ) -> FlatnessReport:
     """Assemble the per-checkpoint diagnostics with per-purpose probe streams.
 
-    The gradient at theta (``base_grad``, or one evaluation) gives the squared
-    gradient norm and is shared by every HVP of both estimators. R0 and R1
-    come from one set of ball points.
+    ``grad`` is the gradient at theta (evaluated when omitted), which gives
+    the squared gradient norm. ``eigen`` is the eigen-solve whose top value
+    is ``lambda_max`` (``top2_eigenpairs`` with at most ``iters`` products on
+    ``rng.spawn(1)`` when omitted). The trace estimate runs before the ball
+    points, so with an oracle that keeps its last gradient pass every HVP
+    here reads the pass at theta. R0 and R1 come from one set of ball points.
     """
-    g = base_grad if base_grad is not None else oracle.grad(theta, batch)
-    lam_max = power_iter_lambda_max(
-        oracle, theta, batch, power_iters, 1e-10, rng.spawn(1), base_grad=g
-    )
-    trace = hutchinson_trace(oracle, theta, batch, trace_probes, rng.spawn(2), base_grad=g)
+    g = grad if grad is not None else oracle.grad(theta, batch)
+    if eigen is None:
+        eigen = top2_eigenpairs(oracle, theta, batch, iters, rng=rng.spawn(1))
+    trace = hutchinson_trace(oracle, theta, batch, trace_probes, rng.spawn(2))
     r0, r1 = ball_sharpness(oracle, theta, batch, rho, ball_samples, rng.spawn(4))
     return FlatnessReport(
         sq_grad_norm=norm2(g) ** 2,
-        lambda_max=lam_max,
+        lambda_max=eigen.values[0],
         trace=trace,
         r0_sample=r0,
         r1_sample=r1,
         rho_used=rho,
-        power_iters=power_iters,
+        lanczos_products=eigen.products,
+        lanczos_residual=eigen.residual,
+        lanczos_tol=eigen.tol,
         trace_probes=trace_probes,
         ball_samples=ball_samples,
     )
-
-
-def track_sq_grad_norm(trace: list[StepStats]) -> list[tuple[int, int, float]]:
-    """Per-epoch mean of the per-step squared gradient norm.
-
-    Returns (task, epoch, mean) tuples in order of first appearance.
-    """
-    if not trace:
-        raise ValueError("trace is empty")
-    keys: list[tuple[int, int]] = []
-    sums: dict[tuple[int, int], list[float]] = {}
-    for stats in trace:
-        key = (stats.task, stats.epoch)
-        if key not in sums:
-            sums[key] = []
-            keys.append(key)
-        sums[key].append(stats.sq_grad_norm)
-    return [(task, epoch, float(np.mean(sums[(task, epoch)]))) for task, epoch in keys]

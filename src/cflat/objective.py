@@ -1,30 +1,38 @@
 """Differentiable objectives: a quadratic oracle and a softmax MLP oracle.
 
-Every oracle exposes ``loss``, ``grad`` and ``hvp`` on a batch. The quadratic
-oracle and the MLP without hidden layers (logistic regression) return exact
-Hessian-vector products; an MLP with hidden layers approximates them with a
-forward difference of gradients, which is all the optimizers ever consume. A
-softmax-model gradient costs one forward and one backward pass, and a
-forward-difference HVP costs one gradient beyond the base gradient at theta,
-which callers share through ``base_grad``. Losses are mean-reduced over the
-batch so step sizes and perturbation radii transfer across batch sizes.
+Every oracle exposes ``loss``, ``grad`` and ``hvp`` on a batch, and every
+Hessian-vector product is exact. The MLP takes it by Pearlmutter's R-op
+(Pearlmutter 1994, "Fast exact multiplication by the Hessian"): an R-forward
+pass that carries the directional derivative of every pre-activation, then an
+R-backward pass that starts from the loss's logit-space curvature applied to
+the logits' derivative. A softmax-model gradient costs one forward and one
+backward pass; an HVP on the point and batch of the last gradient costs the
+two R passes only, and elsewhere a gradient pass beyond them. Losses are
+mean-reduced over the batch so step sizes and perturbation radii transfer
+across batch sizes.
 
 Workspace contract of the MLP oracle: it keeps one set of hidden-layer buffers
-per batch row count (for the last few row counts it has seen) and its forward
-and backward passes write into them instead of allocating. Every array it
-returns (logits, representations, gradients) is fresh, so no caller sees a
-buffer that a later call overwrites. The price is that an ``output_error``
-callback must not call back into the same oracle: the buffers of the pass it
-sits in would be overwritten.
+per batch row count (for the last few row counts it has seen) for its forward
+and backward passes, and another for its R passes, and writes into them
+instead of allocating. Every array it returns (logits, representations,
+gradients, products) is fresh, so no caller sees a buffer that a later call
+overwrites. The price is that an ``output_error`` or ``curvature`` callback
+must not call back into the same oracle: the buffers of the pass it sits in
+would be overwritten.
 
-Logits cache of the MLP oracle: a gradient keeps one entry, the ``theta`` and
+Kept pass of the MLP oracle: a gradient keeps one entry, the ``theta`` and
 ``Batch`` objects of its forward pass, that pass's logits (read-only) and,
 when the output error was the cross-entropy one, the row log-sum-exp of the
-logits, which that error computes from the same max, exp and row sum. A
-``loss`` on the same two objects reads the loss from them instead of running
-the forward pass again, so a loss right after a gradient, as in every
-optimizer step's prologue, costs no second pass and no exp, and is
-bit-identical to a fresh one. The cache matches objects by identity: a
+logits, which that error computes from the same max, exp and row sum. Once
+its backward pass is done the entry also records the objective it was the
+gradient of and keeps the pass's activations, activation derivatives and
+back-propagated errors. A ``loss`` on the same two objects reads the loss
+from the logits instead of running the forward pass again, so a loss right
+after a gradient, as in every optimizer step's prologue, costs no second pass
+and no exp, and is bit-identical to a fresh one. An ``hvp`` of the same
+objective on the same two objects reads the rest and runs no primal pass.
+Any forward pass at the entry's row count drops it, since it overwrites the
+buffers the entry reads. The entry matches objects by identity: a
 ``ParamVector`` is read-only, and a ``Batch``'s arrays must not be mutated
 after construction (the distillation objective's cached old-model
 probabilities assume the same).
@@ -37,11 +45,12 @@ is not, even when the dimension matches.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numcore import ParamVector, SeededRng, Segment, norm2
+from .numcore import ParamVector, SeededRng, Segment
 
 __all__ = [
     "Batch",
@@ -54,7 +63,6 @@ __all__ = [
     "make_logreg",
     "make_mlp",
     "mlp_manifest",
-    "fd_hvp",
 ]
 
 
@@ -120,41 +128,12 @@ class ObjectiveOracle:
     def grad(self, theta: ParamVector, batch: Batch | None = None) -> ParamVector:
         raise NotImplementedError
 
-    def hvp(
-        self,
-        theta: ParamVector,
-        v: ParamVector,
-        batch: Batch | None = None,
-        base_grad: ParamVector | None = None,
-    ) -> ParamVector:
+    def hvp(self, theta: ParamVector, v: ParamVector, batch: Batch | None = None) -> ParamVector:
         raise NotImplementedError
 
     def _require_dim(self, theta: ParamVector) -> None:
         if theta.dim != self.dim:
             raise ValueError(f"dimension mismatch: theta has {theta.dim}, oracle expects {self.dim}")
-
-
-# Relative step of the forward-difference HVP, scaled by (1 + ||theta||).
-FD_HVP_STEP = 1e-4
-
-
-def fd_hvp(grad_fn, theta: ParamVector, v: ParamVector,
-           base_grad: ParamVector | None = None) -> ParamVector:
-    """Forward-difference HVP: (g(theta + d*vhat) - g(theta)) / d * ||v||.
-
-    The step d = FD_HVP_STEP * (1 + ||theta||) balances truncation against
-    round-off in 64-bit. A zero direction returns zero exactly.
-    """
-    if v.dim != theta.dim:
-        raise ValueError(f"dimension mismatch: direction has {v.dim}, theta {theta.dim}")
-    vnorm = norm2(v)
-    if vnorm == 0.0:
-        return v._adopt(np.zeros(v.dim))
-    delta = FD_HVP_STEP * (1.0 + norm2(theta))
-    vhat = v.data / vnorm
-    shifted = grad_fn(theta._adopt(theta.data + delta * vhat))
-    base = base_grad if base_grad is not None else grad_fn(theta)
-    return v._adopt((shifted.data - base.data) * (vnorm / delta))
 
 
 class QuadraticOracle(ObjectiveOracle):
@@ -189,7 +168,7 @@ class QuadraticOracle(ObjectiveOracle):
         self._require_dim(theta)
         return theta._adopt(self.H @ (theta.data - self.center))
 
-    def hvp(self, theta, v, batch=None, base_grad=None) -> ParamVector:
+    def hvp(self, theta, v, batch=None) -> ParamVector:
         self._require_dim(theta)
         if v.dim != self.dim:
             raise ValueError("direction dimension mismatch")
@@ -213,8 +192,16 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e, s, _ = _exp_rows(z)
+    e /= s
+    return e
+
+
+def _softmax_jvp(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise Jacobian product of the softmax at probabilities p, (diag(p) - p p^T) u."""
+    pu = p * u
+    pu -= p * pu.sum(axis=1, keepdims=True)
+    return pu
 
 
 def _ce_output_error(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +212,14 @@ def _ce_output_error(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     g[np.arange(len(y)), y] -= 1.0
     g /= len(y)
     return g, lse
+
+
+def _ce_curvature(z: np.ndarray, lse: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Logit-space Hessian of the mean cross-entropy at logits z with row
+    log-sum-exp lse, applied to u: (diag(p) - p p^T) u / n row by row."""
+    h = _softmax_jvp(np.exp(z - lse[:, None]), u)
+    h /= len(z)
+    return h
 
 
 def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
@@ -273,19 +268,42 @@ class MlpSpec:
         return (self.d_in, *self.hidden, self.n_classes)
 
 
+@dataclass(slots=True)
+class _KeptPass:
+    """The last gradient pass of an ``MlpOracle`` (see the module docstring).
+
+    ``buffers`` is the workspace the hidden entries of ``acts`` live in, which
+    also holds each hidden layer's back-propagated error and activation
+    derivative; ``top_error`` is the logit error. ``owner`` is None until the
+    backward pass is done, then a weak reference to the objective: a strong
+    one would make a cycle through the oracle, which keeps a discarded
+    oracle's workspaces alive until the cyclic garbage collector runs.
+    """
+
+    theta: ParamVector
+    batch: Batch
+    acts: list
+    logits: np.ndarray
+    buffers: list
+    lse: np.ndarray | None = None
+    owner: weakref.ref | None = None
+    top_error: np.ndarray | None = None
+
+
 class MlpOracle(ObjectiveOracle):
-    """Fully-connected softmax cross-entropy classifier with backprop gradients.
+    """Fully-connected softmax cross-entropy classifier with backprop gradients
+    and exact R-op Hessian-vector products.
 
     The model is a stack of ``n_layers`` affine blocks (W{l}, b{l}) with the
     spec's activation between them. ``grad_from_output_error`` is the one
     gradient entry: it checks theta and the batch, runs one forward pass and
     backpropagates an output-layer error computed from its logits, L2 term
-    included. Cross-entropy (``grad``) and distillation differ only in that
-    error, so a gradient costs one forward pass. The entry keeps the logits of
-    its last pass, with their row log-sum-exp when the error was the
-    cross-entropy one (``_ce_error``), and a ``loss`` on the same ``theta``
-    and ``batch`` objects reads them instead of running another pass (see the
-    module docstring).
+    included. ``hvp_from_curvature`` is the one product entry: it applies the
+    Hessian of the same loss by one R-forward and one R-backward pass, given
+    the loss's logit-space curvature. Cross-entropy (``grad``, ``hvp``) and
+    distillation differ only in those two callbacks. Both entries keep or
+    read the last gradient pass (see the module docstring), so a loss or an
+    HVP right after a gradient on the same objects runs no forward pass.
 
     Each layer's (W start, W stop, W shape, b start, b stop) in the flat
     vector is computed once from the manifest; passes read the blocks as
@@ -293,18 +311,12 @@ class MlpOracle(ObjectiveOracle):
     fresh flat array. A theta whose manifest differs from the oracle's is
     rejected with a ``ValueError`` naming both layouts.
 
-    With no hidden layer (logistic regression) the logits are affine in the
-    parameters, so ``hvp`` returns the Gauss-Newton product, which equals the
-    Hessian product. With hidden layers ``hvp`` is a forward difference of
-    gradients (``fd_hvp``): one gradient at the shifted point beyond the base
-    gradient at theta, which callers pass as ``base_grad`` to share it across
-    products (it is recomputed when omitted).
-
     Each hidden layer's pre-activation, activation, back-propagated error and
-    activation derivative live in a workspace kept per batch row count, so a
-    pass at a row count seen before allocates only the logits and the flat
-    gradient. Outputs are always fresh arrays; an ``output_error`` callback
-    must not call back into the same oracle (see the module docstring).
+    activation derivative live in a workspace kept per batch row count, and
+    the R passes' four per-layer arrays in a second one, so a pass at a row
+    count seen before allocates only the logit-sized arrays and the flat
+    result. Outputs are always fresh arrays; a callback must not call back
+    into the same oracle (see the module docstring).
     """
 
     def __init__(self, spec: MlpSpec):
@@ -320,7 +332,8 @@ class MlpOracle(ObjectiveOracle):
         )
         self._known_manifest = self.manifest  # last manifest object found equal
         self._workspaces: dict = {}
-        self._last_pass: tuple | None = None  # (theta, batch, read-only logits, lse or None)
+        self._r_workspaces: dict = {}
+        self._last_pass: _KeptPass | None = None
 
     def with_head(self, n_classes: int) -> "MlpOracle":
         return MlpOracle(replace(self.spec, n_classes=n_classes))
@@ -360,9 +373,11 @@ class MlpOracle(ObjectiveOracle):
         # subgradient 0 at exactly 0
         return np.greater(z, 0.0, out=out)
 
-    def _workspace(self, n: int) -> list[tuple[np.ndarray, ...]]:
-        """Per hidden layer: (pre-activation, activation, G @ W, derivative), n rows."""
-        cache = self._workspaces
+    def _workspace(self, n: int, cache: dict | None = None) -> list[tuple[np.ndarray, ...]]:
+        """Per hidden layer four (n, width) buffers from ``cache`` (default
+        the primal workspace: pre-activation, activation, back-propagated
+        error, derivative)."""
+        cache = self._workspaces if cache is None else cache
         buffers = cache.get(n)
         if buffers is None:
             if len(cache) >= _WORKSPACE_ROW_COUNTS:
@@ -374,10 +389,14 @@ class MlpOracle(ObjectiveOracle):
     def _forward(self, theta: ParamVector, x: np.ndarray):
         """(acts, pre): each block's input and its affine output; pre[-1] is the logits.
 
-        Checks theta's layout. Hidden-layer entries are workspace buffers; the
-        logits are fresh.
+        Checks theta's layout and drops a kept pass at this row count, whose
+        buffers it overwrites. Hidden-layer entries are workspace buffers;
+        the logits are fresh.
         """
         self._check_theta(theta)
+        kept = self._last_pass
+        if kept is not None and kept.batch.n == len(x):
+            self._last_pass = None
         buffers = self._workspace(len(x))
         data = theta.data
         last = self.n_layers - 1
@@ -397,7 +416,8 @@ class MlpOracle(ObjectiveOracle):
 
     def _backprop(self, theta: ParamVector, acts, pre, dlogits) -> np.ndarray:
         """Flat gradient for the logit error ``dlogits``, L2 term included, as
-        one fresh array written block by block."""
+        one fresh array written block by block. Each hidden layer's error and
+        activation derivative stay in its workspace buffers."""
         buffers = self._workspace(len(acts[0]))
         data = theta.data
         flat = np.empty(self.dim)
@@ -420,32 +440,101 @@ class MlpOracle(ObjectiveOracle):
         return pre[-1]
 
     def grad_from_output_error(self, theta: ParamVector, batch: Batch,
-                               output_error) -> ParamVector:
+                               output_error, owner=None) -> ParamVector:
         """Gradient, L2 term included, of a loss on ``batch`` whose logit
         gradient is ``output_error(logits)``; one forward pass. ``output_error``
-        must not call this oracle. The logits are kept for ``_loss_and_logits``."""
+        must not call this oracle. The pass is kept for ``_loss_and_logits``
+        and, tagged with the objective ``owner`` whose gradient this is, for
+        ``hvp_from_curvature``."""
         self._check_labels(batch)
         acts, pre = self._forward(theta, batch.x)
-        z = pre[-1]
-        z.setflags(write=False)
-        self._last_pass = (theta, batch, z, None)
-        return theta._adopt(self._backprop(theta, acts, pre, output_error(z)))
+        pre[-1].setflags(write=False)
+        kept = self._last_pass = _KeptPass(theta, batch, acts, pre[-1],
+                                           self._workspace(batch.n))
+        G = output_error(pre[-1])
+        flat = self._backprop(theta, acts, pre, G)
+        kept.top_error = G
+        kept.owner = None if owner is None else weakref.ref(owner)
+        return theta._adopt(flat)
+
+    def hvp_from_curvature(self, theta: ParamVector, v: ParamVector, batch: Batch,
+                           owner, curvature) -> ParamVector:
+        """Exact Hessian-vector product, L2 term included, of the loss whose
+        gradient is ``owner.grad``, by Pearlmutter's R-op.
+
+        ``curvature(z, lse, u)`` applies the loss's Hessian in logit space at
+        the logits z, whose row log-sum-exp is lse, to the logits' directional
+        derivative u. The R passes read
+        the kept pass when it is ``owner``'s gradient on these ``theta`` and
+        ``batch`` objects; otherwise ``owner.grad`` runs first to keep one.
+        ``curvature`` must not call this oracle.
+        """
+        self._check_theta(theta)
+        if v.dim != self.dim:
+            raise ValueError(
+                f"dimension mismatch: direction has {v.dim}, oracle expects {self.dim}")
+        kept = self._last_pass
+        if kept is None or kept.theta is not theta or kept.batch is not batch \
+                or kept.owner is None or kept.owner() is not owner:
+            owner.grad(theta, batch)
+            kept = self._last_pass
+        acts, buffers = kept.acts, kept.buffers
+        r_buffers = self._workspace(batch.n, self._r_workspaces)
+        data, vdata = theta.data, v.data
+        last = self.n_layers - 1
+        # R-forward: Rz of every block's output, Ra of every hidden activation
+        for layer, (w0, w1, w_shape, b0, b1) in enumerate(self._layers):
+            V = vdata[w0:w1].reshape(w_shape).T
+            Rz = np.matmul(acts[layer], V, out=r_buffers[layer][0]) if layer < last \
+                else acts[layer] @ V
+            if layer > 0:
+                W = data[w0:w1].reshape(w_shape).T
+                Rz += np.matmul(Ra, W, out=r_buffers[layer][3]) if layer < last else Ra @ W
+            Rz += vdata[b0:b1]
+            if layer < last:
+                Ra = np.multiply(buffers[layer][3], Rz, out=r_buffers[layer][1])
+        # R-backward from the logit curvature, reading the kept errors G
+        flat = np.empty(self.dim)
+        z = kept.logits
+        RG = curvature(z, _logsumexp(z) if kept.lse is None else kept.lse, Rz)
+        G = kept.top_error
+        for layer in range(last, -1, -1):
+            w0, w1, w_shape, b0, b1 = self._layers[layer]
+            block = flat[w0:w1].reshape(w_shape)
+            np.matmul(RG.T, acts[layer], out=block)
+            np.add.reduce(RG, axis=0, out=flat[b0:b1])
+            if layer > 0:
+                Rz_in, Ra_in, RG_in, tmp = r_buffers[layer - 1]
+                block += G.T @ Ra_in
+                np.matmul(RG, data[w0:w1].reshape(w_shape), out=RG_in)
+                RG_in += np.matmul(G, vdata[w0:w1].reshape(w_shape), out=tmp)
+                G_in, deriv = buffers[layer - 1][2:]
+                RG_in *= deriv
+                if self.spec.activation == "tanh":  # tanh'' = -2 tanh tanh'; relu'' = 0
+                    np.multiply(acts[layer], G_in, out=tmp)
+                    tmp *= Rz_in
+                    tmp *= 2.0
+                    RG_in -= tmp
+                RG, G = RG_in, G_in
+        if self.l2 > 0:
+            flat += self.l2 * vdata
+        return theta._adopt(flat)
 
     def _ce_error(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Cross-entropy logit error of ``z`` (``_ce_output_error``). When ``z``
-        is the last pass's logits, their row log-sum-exp is kept with them."""
+        is the kept pass's logits, their row log-sum-exp is kept with them."""
         G, lse = _ce_output_error(z, y)
-        last = self._last_pass
-        if last is not None and last[2] is z:
-            self._last_pass = (last[0], last[1], z, lse)
+        kept = self._last_pass
+        if kept is not None and kept.logits is z:
+            kept.lse = lse
         return G
 
     def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy plus the L2 term, and the logits it was computed
-        from: the last gradient's logits when it ran on these very objects."""
-        last = self._last_pass
-        if last is not None and last[0] is theta and last[1] is batch:
-            _, _, z, lse = last
+        from: the kept pass's logits when it ran on these very objects."""
+        kept = self._last_pass
+        if kept is not None and kept.theta is theta and kept.batch is batch:
+            z, lse = kept.logits, kept.lse
         else:
             self._check_labels(batch)
             z, lse = self.logits(theta, batch.x), None
@@ -459,27 +548,11 @@ class MlpOracle(ObjectiveOracle):
         return self._loss_and_logits(theta, batch)[0]
 
     def grad(self, theta, batch=None) -> ParamVector:
-        return self.grad_from_output_error(theta, batch, lambda z: self._ce_error(z, batch.y))
+        return self.grad_from_output_error(
+            theta, batch, lambda z: self._ce_error(z, batch.y), owner=self)
 
-    def hvp(self, theta, v, batch=None, base_grad=None):
-        self._check_theta(theta)
-        if self.n_layers > 1:
-            return fd_hvp(lambda th: self.grad(th, batch), theta, v, base_grad)
-        self._check_labels(batch)
-        if v.dim != self.dim:
-            raise ValueError("direction dimension mismatch")
-        p = _softmax(self.logits(theta, batch.x))
-        w0, w1, w_shape, b0, b1 = self._layers[0]
-        V = v.data[w0:w1].reshape(w_shape)
-        u = batch.x @ V.T + v.data[b0:b1]
-        w = p * u - p * (p * u).sum(axis=1, keepdims=True)
-        flat = np.empty(self.dim)
-        np.matmul(w.T, batch.x, out=flat[w0:w1].reshape(w_shape))
-        np.add.reduce(w, axis=0, out=flat[b0:b1])
-        flat /= batch.n
-        if self.l2 > 0:
-            flat += self.l2 * v.data
-        return theta._adopt(flat)
+    def hvp(self, theta, v, batch=None) -> ParamVector:
+        return self.hvp_from_curvature(theta, v, batch, self, _ce_curvature)
 
     def predict(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(theta, x), axis=1)

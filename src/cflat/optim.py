@@ -11,6 +11,11 @@ neighborhood gradient-norm growth (first-order flatness):
     g1  = hvp(th1, grad(th1) / (||grad(th1)|| + eps))
     theta' = theta - eta * (g0 + lam * g1)
 
+Both products are exact (the oracle's ``hvp``). Each is taken right after the
+gradient at its point (h before g0), so an oracle that keeps its last gradient
+pass (``MlpOracle``) runs 3 forward passes and 2 R-op passes per step; the cost
+accounting still counts one gradient evaluation per product.
+
 C-Flat++ applies that update selectively: only when the batch squared
 gradient norm exceeds a sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}),
 whose bound A adapts by error feedback A <- A - eta0 * E.
@@ -196,21 +201,25 @@ def _sgd_direction(loss: float, g: ParamVector) -> tuple[ParamVector, StepStats]
 
 
 def _cflat_direction(oracle, theta, batch, cfg, loss: float, g: ParamVector):
-    """Combined direction g0 + lam*g1 given the already-computed base gradient."""
+    """Combined direction g0 + lam*g1 given the already-computed gradient at theta.
+
+    h is taken first, while the gradient pass at theta is the oracle's last.
+    """
     eps = cfg.eps_guard
     gnorm = norm2(g)
+
+    ghat = g._adopt(g.data / (gnorm + eps))
+    h = oracle.hvp(theta, ghat, batch)
+    _require_finite(h.data, "hvp")
 
     g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
     _require_finite(g0.data, "perturbed gradient")
 
-    ghat = g._adopt(g.data / (gnorm + eps))
-    h = oracle.hvp(theta, ghat, batch, base_grad=g)
-    _require_finite(h.data, "hvp")
     theta1 = ascent_point(theta, h, cfg)
     g_at1 = oracle.grad(theta1, batch)
     _require_finite(g_at1.data, "gradient at flatness point")
     ghat1 = g_at1._adopt(g_at1.data / (norm2(g_at1) + eps))
-    g1 = oracle.hvp(theta1, ghat1, batch, base_grad=g_at1)
+    g1 = oracle.hvp(theta1, ghat1, batch)
     _require_finite(g1.data, "hvp at flatness point")
 
     combined = g0._adopt(g0.data + cfg.lam * g1.data)

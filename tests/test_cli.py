@@ -312,7 +312,9 @@ def test_landscape_on_quadratic_checkpoint(tmp_path):
                "--rho", "0.1", "--samples", "2000", "--probes", "200"])
     assert rc == 0
     report = json.loads((out / "flatness.json").read_text())
-    assert abs(report["lambda_max"] - 3.0) <= 1e-6
+    assert abs(report["lambda_max"] - 3.0) <= 1e-12
+    assert report["lanczos_products"] == 2
+    assert report["lanczos_residual"] <= report["lanczos_tol"] == 1e-10
     assert report["r0_le_r1"] is True
     slice_lines = (out / "slice.csv").read_text().strip().splitlines()
     assert slice_lines[0] == "dir1_offset,dir2_offset,loss"
@@ -351,6 +353,33 @@ def mlp_checkpoint(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ckpt")
     assert main(["run", "--config", write_config(tmp, base_config(tmp / "run"))]) == 0
     return json.loads((tmp / "run" / "checkpoint_seed0.json").read_text())
+
+
+@pytest.mark.parametrize("iters", [1, 5])
+def test_landscape_iters_bounds_the_eigen_solve_products(tmp_path, monkeypatch, mlp_checkpoint,
+                                                         iters):
+    from cflat.objective import MlpOracle
+
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(mlp_checkpoint), encoding="utf-8")
+    hvp = MlpOracle.hvp
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return hvp(self, *args, **kwargs)
+
+    monkeypatch.setattr(MlpOracle, "hvp", counted)
+    out = tmp_path / "land"
+    assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--samples", "4",
+                 "--probes", "3", "--iters", str(iters), "--grid", "3"]) == 0
+    report = json.loads((out / "flatness.json").read_text())
+    # the one eigen-solve takes the products the trace estimate does not
+    assert report["lanczos_products"] == iters == len(calls) - 3
+    # not converged at the cap, and still a finite certificate
+    assert math.isfinite(report["lanczos_residual"]) and report["lanczos_residual"] > 1e-10
+    assert "power_iters" not in report
+    assert len((out / "slice.csv").read_text().splitlines()) == 1 + 9
 
 
 def _drop(key):

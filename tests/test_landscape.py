@@ -6,33 +6,15 @@ from cflat.landscape import (
     ball_sharpness,
     flatness_report,
     hutchinson_trace,
+    lanczos_eigenpairs,
     landscape_slice_2d,
     power_iter_lambda_max,
     r0_bruteforce,
     r1_bruteforce,
     top2_eigenpairs,
-    track_sq_grad_norm,
 )
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, make_mlp, make_quadratic
-from cflat.optim import StepStats
-
-
-class LinearLoss(ObjectiveOracle):
-    """L(theta) = a . theta: constant gradient, zero Hessian."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=np.float64)
-        self.dim = self.a.size
-
-    def loss(self, theta, batch=None):
-        return float(self.a @ theta.data)
-
-    def grad(self, theta, batch=None):
-        return theta.with_data(self.a.copy())
-
-    def hvp(self, theta, v, batch=None, base_grad=None):
-        return v.with_data(np.zeros(self.dim))
+from cflat.objective import Batch, MlpOracle, MlpSpec, make_mlp, make_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +55,89 @@ def test_power_iteration_matches_dense_eigensolver():
         assert abs(got - expected) / abs(expected) <= 1e-4
 
 
-def test_top2_eigenpairs_via_deflation():
+def dense_top(H, k):
+    vals, vecs = np.linalg.eigh(H)
+    order = np.argsort(-np.abs(vals), kind="stable")[:k]
+    return vals[order], vecs[:, order]
+
+
+def assert_orthonormal(vectors):
+    V = np.array([v.data for v in vectors])
+    np.testing.assert_allclose(V @ V.T, np.eye(len(vectors)), rtol=0, atol=1e-12)
+
+
+def test_top2_eigenpairs_diagonal():
     H = np.diag([5.0, 3.0, 1.0, 0.5])
-    q = make_quadratic(H)
-    (l1, v1), (l2, v2) = top2_eigenpairs(
-        q, ParamVector(np.zeros(4)), None, iters=2000, tol=1e-14, rng=SeededRng(4)
-    )
-    assert l1 == pytest.approx(5.0, abs=1e-6)
-    assert l2 == pytest.approx(3.0, abs=1e-4)
-    assert abs(v1.data[0]) == pytest.approx(1.0, abs=1e-6)
-    assert abs(v2.data[1]) == pytest.approx(1.0, abs=1e-3)
+    eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(4)), None,
+                          rng=SeededRng(4))
+    assert eig.values == pytest.approx((5.0, 3.0), abs=1e-12)
+    assert abs(eig.vectors[0].data[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(eig.vectors[1].data[1]) == pytest.approx(1.0, abs=1e-12)
+    assert eig.residual <= eig.tol and eig.products <= 4
+
+
+@pytest.mark.parametrize("d", [6, 30, 120])
+def test_lanczos_top2_exact_on_random_quadratics(d):
+    rng = SeededRng(30, d)
+    for trial in range(3):
+        A = rng.normal(size=(d, d))
+        H = (A + A.T) / 2
+        vals, vecs = dense_top(H, 2)
+        eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(d)), None,
+                              rng=SeededRng(31, trial))
+        np.testing.assert_allclose(eig.values, vals, rtol=1e-12, atol=0)
+        assert eig.residual <= eig.tol
+        assert_orthonormal(eig.vectors)
+        for lam, u in zip(eig.values, eig.vectors):
+            # the certificate bounds the explicit residual
+            assert np.linalg.norm(H @ u.data - lam * u.data) <= 1e-9 * abs(lam)
+
+
+def test_lanczos_signed_negative_dominant_eigenvalue():
+    H = np.diag([-5.0, 3.0, 1.0, -0.5, 2.0])
+    eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(5)), None,
+                          rng=SeededRng(32))
+    assert eig.values == pytest.approx((-5.0, 3.0), rel=1e-12)
+    assert abs(eig.vectors[0].data[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_zero_hessian_breaks_down_to_exact_zero_pairs():
+    eig = top2_eigenpairs(make_quadratic(np.zeros((3, 3))), ParamVector(np.zeros(3)), None,
+                          rng=SeededRng(33))
+    # each product is zero, so each step restarts from a fresh orthogonal draw
+    assert eig.values == (0.0, 0.0)
+    assert eig.residual == 0.0 and eig.products == 2
+    assert_orthonormal(eig.vectors)
+
+
+def test_lanczos_one_dimension_gives_its_one_pair():
+    eig = top2_eigenpairs(make_quadratic(np.array([[-2.5]])), ParamVector(np.zeros(1)), None,
+                          rng=SeededRng(34))
+    assert eig.values == pytest.approx((-2.5,), rel=1e-15)
+    assert len(eig.vectors) == 1 and abs(eig.vectors[0].data[0]) == 1.0
+    assert eig.products == 1 and eig.residual <= 1e-15
+
+
+def test_lanczos_two_dimensions_breakdown():
+    # a multiple of the identity: the start vector spans an invariant subspace
+    eig = top2_eigenpairs(make_quadratic(2.0 * np.eye(2)), ParamVector(np.zeros(2)), None,
+                          rng=SeededRng(35))
+    assert eig.values == pytest.approx((2.0, 2.0), rel=1e-15)
+    assert eig.products == 2 and eig.residual <= 1e-15
+    assert_orthonormal(eig.vectors)
+    H = np.array([[1.0, 2.0], [2.0, -3.0]])
+    vals, _ = dense_top(H, 2)
+    eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(2)), None, rng=SeededRng(36))
+    np.testing.assert_allclose(eig.values, vals, rtol=1e-14)
+    assert eig.products == 2 and eig.residual <= eig.tol
+
+
+def test_lanczos_rejects_bad_counts():
+    q = make_quadratic(np.eye(2))
+    with pytest.raises(ValueError, match="iters"):
+        lanczos_eigenpairs(q, ParamVector(np.zeros(2)), None, iters=0)
+    with pytest.raises(ValueError, match="k"):
+        lanczos_eigenpairs(q, ParamVector(np.zeros(2)), None, k=0)
 
 
 def test_hutchinson_trace_statistical():
@@ -122,106 +177,73 @@ def test_estimators_deterministic_given_probe_seed():
     assert ra == rb
 
 
+def count_oracle_calls(monkeypatch, oracle):
+    """Count ``grad``/``hvp`` calls and forward passes on ``oracle``."""
+    counts = {"grad": 0, "hvp": 0, "forward": 0}
+    for name in ("grad", "hvp", "_forward"):
+        method = getattr(oracle, name)
+
+        def counted(*args, _method=method, _key=name.strip("_"), **kwargs):
+            counts[_key] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
 def test_hvp_estimators_share_one_base_gradient(monkeypatch):
     rng = SeededRng(21)
-    oracle = make_mlp(MlpSpec(3, (5,), 3), rng.spawn(0))
+    spec = MlpSpec(3, (5,), 3)
+    oracle = make_mlp(spec, rng.spawn(0))
     theta = oracle.theta0
     batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
     estimators = {
-        "power": lambda **kw: power_iter_lambda_max(
-            oracle, theta, batch, iters=25, rng=SeededRng(1), **kw),
-        "trace": lambda **kw: hutchinson_trace(
-            oracle, theta, batch, probes=7, rng=SeededRng(2), **kw),
-        "top2": lambda **kw: top2_eigenpairs(
-            oracle, theta, batch, iters=25, rng=SeededRng(3), **kw),
+        "power": lambda model: power_iter_lambda_max(
+            model, theta, batch, iters=25, rng=SeededRng(1)),
+        "trace": lambda model: hutchinson_trace(
+            model, theta, batch, probes=7, rng=SeededRng(2)),
+        "top2": lambda model: top2_eigenpairs(
+            model, theta, batch, iters=25, rng=SeededRng(3)),
     }
 
     def values(result):
         if isinstance(result, float):
             return [result]
-        (l1, v1), (l2, v2) = result
-        return [l1, *v1.data, l2, *v2.data]
+        return [*result.values, *(x for v in result.vectors for x in v.data)]
 
-    grad, hvp = oracle.grad, oracle.hvp
-    # reference: every product evaluates the gradient at theta afresh
-    monkeypatch.setattr(oracle, "hvp", lambda th, v, b=None, base_grad=None: hvp(th, v, b))
-    reference = {name: values(run()) for name, run in estimators.items()}
-
-    counts = {"grad": 0, "hvp": 0}
-
-    def counted_grad(th, b=None):
-        counts["grad"] += 1
-        return grad(th, b)
-
-    def counted_hvp(th, v, b=None, base_grad=None):
-        counts["hvp"] += 1
-        return hvp(th, v, b, base_grad)
-
-    monkeypatch.setattr(oracle, "grad", counted_grad)
-    monkeypatch.setattr(oracle, "hvp", counted_hvp)
-    g = grad(theta, batch)
+    counts = count_oracle_calls(monkeypatch, oracle)
+    oracle.grad(theta, batch)
     for name, run in estimators.items():
-        counts.update(grad=0, hvp=0)
-        assert values(run(base_grad=g)) == reference[name], name
-        assert counts["hvp"] > 0
-        assert counts["grad"] == counts["hvp"], name
-        # without base_grad the estimator evaluates theta's gradient once
-        counts.update(grad=0, hvp=0)
-        assert values(run()) == reference[name], name
-        assert counts["grad"] == counts["hvp"] + 1, name
+        counts.update(grad=0, hvp=0, forward=0)
+        got = values(run(oracle))
+        # every product reads the gradient pass at theta: no pass of its own
+        assert counts["hvp"] > 0 and counts["grad"] == counts["forward"] == 0, name
+        # a fresh oracle runs the one gradient pass its first product needs
+        fresh = MlpOracle(spec)
+        fresh_counts = count_oracle_calls(monkeypatch, fresh)
+        assert values(run(fresh)) == got, name
+        assert fresh_counts["grad"] == fresh_counts["forward"] == 1, name
 
 
-def power_iteration_reference(theta, iters, tol, rng, matvec):
-    """Power iteration as first written: iteration 0 recomputes the product
-    the probe check already took."""
-    d = theta.dim
-    rayleigh = 0.0
-    v = None
-    for attempt in range(3):
-        probe = rng.normal(0.0, 1.0, d)
-        probe /= np.linalg.norm(probe)
-        w = matvec(theta.with_data(probe))
-        if np.linalg.norm(w.data) > 0.0:
-            v = probe
-            break
-    if v is None:
-        return 0.0
-    for it in range(iters):
-        w = matvec(theta.with_data(v))
-        wn = np.linalg.norm(w.data)
-        if wn == 0.0:
-            return 0.0
-        new_rayleigh = float(v @ w.data)
-        converged = it > 0 and abs(new_rayleigh - rayleigh) < tol
-        rayleigh = new_rayleigh
-        v = w.data / wn
-        if converged:
-            break
-    return rayleigh
-
-
-@pytest.mark.parametrize("iters", [1, 2, 40])
-def test_power_iteration_reuses_the_probe_check_product(monkeypatch, iters):
+@pytest.mark.parametrize("iters", [1, 2, 5, 40])
+def test_lanczos_takes_one_product_per_basis_vector(monkeypatch, iters):
     rng = SeededRng(22)
-    oracle = make_mlp(MlpSpec(3, (5,), 3), rng.spawn(0))
+    oracle = make_mlp(MlpSpec(3, (5,), 3, l2=0.01), rng.spawn(0))
     theta = oracle.theta0
     batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
-    g = oracle.grad(theta, batch)
-    hvp = oracle.hvp
-    calls = []
-
-    def counted_hvp(th, v, b=None, base_grad=None):
-        calls.append(1)
-        return hvp(th, v, b, base_grad)
-
-    monkeypatch.setattr(oracle, "hvp", counted_hvp)
-    expected = power_iteration_reference(
-        theta, iters, 1e-10, SeededRng(4), lambda v: oracle.hvp(theta, v, batch, base_grad=g))
-    reference_calls = len(calls)
-    calls.clear()
-    got = power_iter_lambda_max(oracle, theta, batch, iters=iters, rng=SeededRng(4), base_grad=g)
-    assert got == expected
-    assert len(calls) == reference_calls - 1
+    counts = count_oracle_calls(monkeypatch, oracle)
+    eig = top2_eigenpairs(oracle, theta, batch, iters=iters, rng=SeededRng(4))
+    assert counts["hvp"] == eig.products <= iters
+    assert counts["forward"] == 1
+    assert np.isfinite(eig.residual)
+    if iters < oracle.dim:
+        assert eig.products == iters or eig.residual <= eig.tol
+    if iters >= oracle.dim:  # 38 parameters: the basis spans the space
+        H = np.array([oracle.hvp(theta, theta.with_data(e), batch).data
+                      for e in np.eye(oracle.dim)])
+        vals, _ = dense_top((H + H.T) / 2, 2)
+        np.testing.assert_allclose(eig.values, vals, rtol=1e-12)
+        assert eig.residual <= eig.tol
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +357,7 @@ def test_flatness_report_does_not_depend_on_call_history():
 
     def report(model):
         return flatness_report(model, theta, batch, rho=0.2, rng=SeededRng(25),
-                               power_iters=30, trace_probes=5, ball_samples=30)
+                               iters=30, trace_probes=5, ball_samples=30)
 
     first = report(oracle)
     assert report(oracle) == first
@@ -379,45 +401,18 @@ def test_slice_symmetric_around_quadratic_minimum():
     np.testing.assert_allclose(grid, grid[::-1, ::-1], atol=1e-12)
 
 
-def test_track_sq_grad_norm_single_and_constant():
-    single = [StepStats(loss=1.0, sq_grad_norm=0.25)]
-    assert track_sq_grad_norm(single) == [(0, 0, 0.25)]
-
-    lin = LinearLoss([1.0, 2.0])
-    series = []
-    theta = ParamVector([0.0, 0.0])
-    for epoch in range(3):
-        g = lin.grad(theta)
-        series.append(StepStats(loss=lin.loss(theta), sq_grad_norm=float(g.data @ g.data),
-                                epoch=epoch))
-    out = track_sq_grad_norm(series)
-    assert [v for _, _, v in out] == [5.0, 5.0, 5.0]
-
-
-def test_track_sq_grad_norm_decreasing_on_contraction():
-    vals = [2.0 ** (-k) for k in range(20)]
-    trace = [StepStats(loss=v, sq_grad_norm=v, epoch=k // 5) for k, v in enumerate(vals)]
-    out = track_sq_grad_norm(trace)
-    means = [v for _, _, v in out]
-    assert means == sorted(means, reverse=True)
-    assert np.mean(vals[-10:]) < np.mean(vals[:10])
-
-
-def test_track_sq_grad_norm_empty_rejected():
-    with pytest.raises(ValueError):
-        track_sq_grad_norm([])
-
-
 def test_flatness_report_bundles_checks():
     q = make_quadratic(np.diag([1.0, 2.0]))
     rep = flatness_report(q, ParamVector([0.0, 0.0]), None, rho=0.1,
-                          rng=SeededRng(17), power_iters=500, trace_probes=500,
+                          rng=SeededRng(17), iters=500, trace_probes=500,
                           ball_samples=2000)
-    assert rep.lambda_max == pytest.approx(2.0, abs=1e-6)
+    assert rep.lambda_max == pytest.approx(2.0, abs=1e-12)
+    # the basis spans both dimensions after two products
+    assert rep.lanczos_products == 2 and rep.lanczos_residual <= rep.lanczos_tol
     assert abs(rep.trace - 3.0) / 3.0 <= 0.2
     assert rep.r0_sample <= rep.r1_sample * 1.02 + 1e-12
     assert rep.rho_used == 0.1
     again = flatness_report(q, ParamVector([0.0, 0.0]), None, rho=0.1,
-                            rng=SeededRng(17), power_iters=500, trace_probes=500,
+                            rng=SeededRng(17), iters=500, trace_probes=500,
                             ball_samples=2000)
     assert rep == again

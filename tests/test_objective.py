@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from cflat.continual import DistillObjective
 from cflat.numcore import ParamVector, SeededRng, norm2
 from cflat.continual import grow_head
 from cflat.objective import (
-    FD_HVP_STEP,
     Batch,
     MlpOracle,
     MlpSpec,
@@ -486,7 +487,8 @@ def test_mlp_forward_hvp_close_to_central_hvp():
         fwd = oracle.hvp(theta, v, batch)
         ctr = central_diff_hvp(lambda th: oracle.grad(th, batch), theta, v)
         rel = np.linalg.norm(fwd.data - ctr) / max(np.linalg.norm(ctr), 1e-12)
-        assert rel <= 1e-3
+        # the R-op is exact: what is left is the central difference's own error
+        assert rel <= 1e-6
 
 
 def test_mlp_dimension_mismatch():
@@ -549,17 +551,45 @@ class PlainMlp:
         return flat
 
     def hvp(self, theta, v, batch):
-        if self.layers > 1:  # forward difference of gradients
-            vnorm = np.linalg.norm(v.data)
-            delta = FD_HVP_STEP * (1.0 + np.linalg.norm(theta.data))
-            shifted = theta.with_data(theta.data + delta * (v.data / vnorm))
-            return (self.grad(shifted, batch) - self.grad(theta, batch)) * (vnorm / delta)
-        z = self.forward(theta, batch.x)[1][-1]
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        u = batch.x @ v.view("W0").T + v.view("b0")
-        w = p * u - p * (p * u).sum(axis=1, keepdims=True)
-        flat = np.concatenate([(w.T @ batch.x / batch.n).ravel(), w.sum(axis=0) / batch.n])
+        """Pearlmutter's R-op written out per layer: an R-forward pass, then an
+        R-backward pass from the cross-entropy's logit curvature."""
+        acts, pre = self.forward(theta, batch.x)
+        tanh = self.spec.activation == "tanh"
+        derivs = [1.0 - a * a if tanh else z > 0.0 for a, z in zip(acts[1:], pre)]
+        Ras, Rzs = [None], []
+        for layer in range(self.layers):
+            Rz = acts[layer] @ v.view(f"W{layer}").T
+            if layer > 0:
+                Rz += Ras[layer] @ theta.view(f"W{layer}").T
+            Rz += v.view(f"b{layer}")
+            Rzs.append(Rz)
+            if layer < self.layers - 1:
+                Ras.append(derivs[layer] * Rz)
+        z = pre[-1]
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        total = e.sum(axis=1, keepdims=True)
+        G = e / total
+        G[np.arange(batch.n), batch.y] -= 1.0
+        G /= batch.n
+        p = np.exp(z - (m[:, 0] + np.log(total[:, 0]))[:, None])
+        RG = p * Rzs[-1]
+        RG = (RG - p * RG.sum(axis=1, keepdims=True)) / batch.n
+        grads = {}
+        for layer in range(self.layers - 1, -1, -1):
+            grads[f"W{layer}"] = RG.T @ acts[layer]
+            if layer > 0:
+                grads[f"W{layer}"] += G.T @ Ras[layer]
+            grads[f"b{layer}"] = RG.sum(axis=0)
+            if layer > 0:
+                W, V = theta.view(f"W{layer}"), v.view(f"W{layer}")
+                deriv = derivs[layer - 1]
+                G_in = (G @ W) * deriv
+                RG = (RG @ W + G @ V) * deriv
+                if tanh:  # tanh'' = -2 tanh tanh'
+                    RG = RG - acts[layer] * G_in * Rzs[layer - 1] * 2.0
+                G = G_in
+        flat = np.concatenate([grads[seg.name].ravel() for seg in theta.manifest])
         if self.spec.l2 > 0:
             flat = flat + self.spec.l2 * v.data
         return flat
@@ -583,7 +613,7 @@ def test_mlp_loss_grad_hvp_equal_a_plain_reference_bit_for_bit(activation, hidde
         g = oracle.grad(theta, batch)
         assert g.data.tobytes() == plain.grad(theta, batch).tobytes()
         assert oracle.loss(theta, batch) == plain.loss(theta, batch)
-        hv = oracle.hvp(theta, v, batch, base_grad=g)
+        hv = oracle.hvp(theta, v, batch)
         assert hv.data.tobytes() == plain.hvp(theta, v, batch).tobytes()
         theta = theta.with_data(theta.data + 0.1 * rng.normal(size=theta.dim))
 
@@ -629,3 +659,173 @@ def test_mlp_accepts_an_equal_manifest_built_elsewhere():
         g = wide.grad(theta, batch)
         assert g.manifest is theta.manifest
         assert wide.loss(theta, batch) == PlainMlp(wide.spec).loss(theta, batch)
+
+
+def complex_grad(spec, data, x, y, old=None):
+    """The loss gradient written for complex parameters, for complex-step
+    differentiation: cross-entropy, L2 and, with ``old = (p_old, T)``, the
+    tempered KL to the old distribution on the first len(p_old[0]) classes."""
+    widths = spec.widths
+    Ws, bs, offset = [], [], 0
+    for d_in, d_out in zip(widths[:-1], widths[1:]):
+        Ws.append(data[offset:offset + d_out * d_in].reshape(d_out, d_in))
+        offset += d_out * d_in
+        bs.append(data[offset:offset + d_out])
+        offset += d_out
+    tanh = spec.activation == "tanh"
+    acts, pre, a = [x], [], x
+    for layer, (W, b) in enumerate(zip(Ws, bs)):
+        z = a @ W.T + b
+        pre.append(z)
+        if layer < len(Ws) - 1:
+            a = np.tanh(z) if tanh else np.where(z.real > 0, z, 0.0)
+            acts.append(a)
+
+    def softmax(z):
+        e = np.exp(z - z.real.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    n = len(y)
+    G = softmax(pre[-1])
+    G[np.arange(n), y] -= 1.0
+    G /= n
+    if old is not None:
+        p_old, t = old
+        k = p_old.shape[1]
+        G[:, :k] += (softmax(pre[-1][:, :k] / t) - p_old) / (t * n)
+    parts = []
+    for layer in range(len(Ws) - 1, -1, -1):
+        parts = [(G.T @ acts[layer]).ravel(), G.sum(axis=0)] + parts
+        if layer > 0:
+            a = acts[layer]
+            deriv = 1.0 - a * a if tanh else (pre[layer - 1].real > 0)
+            G = (G @ Ws[layer]) * deriv
+    return np.concatenate(parts) + spec.l2 * data
+
+
+def complex_step_hessian(grad_fn, theta):
+    """Dense Hessian, column j = Im(grad(theta + i h e_j)) / h: no subtraction,
+    so exact to rounding."""
+    h = 1e-30
+    cols = []
+    for j in range(theta.dim):
+        shifted = theta.data.astype(complex)
+        shifted[j] += 1j * h
+        cols.append(grad_fn(shifted).imag / h)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+@pytest.mark.parametrize("distill", [False, True])
+def test_mlp_hvp_equals_a_dense_complex_step_hessian(activation, hidden, distill):
+    rng = SeededRng(30)
+    spec = MlpSpec(3, hidden, 4, activation=activation, l2=0.02)
+    oracle = MlpOracle(spec)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    batch = random_batch(rng, 9, 3, 4)
+    # relu: every pre-activation away from the kink
+    assert all(np.min(np.abs(z)) > 1e-3 for z in oracle._forward(theta, batch.x)[1][:-1])
+    obj, old = oracle, None
+    if distill:
+        small = oracle.with_head(2)
+        theta_old = ParamVector(rng.normal(size=small.dim), small.manifest)
+        obj = DistillObjective(oracle, theta_old, temperature=1.5)
+        old = (softmax_rows(small.logits(theta_old, batch.x) / 1.5), 1.5)
+    H = complex_step_hessian(lambda data: complex_grad(spec, data, batch.x, batch.y, old), theta)
+    np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-13)
+    # the gradient the complex step differentiates is the oracle's
+    np.testing.assert_allclose(complex_grad(spec, theta.data, batch.x, batch.y, old).real,
+                               obj.grad(theta, batch).data, rtol=0, atol=1e-15)
+    scale = np.abs(H).max()
+    for _ in range(4):
+        v = theta.with_data(rng.normal(size=theta.dim))
+        hv = obj.hvp(theta, v, batch)
+        np.testing.assert_allclose(hv.data, H @ v.data, rtol=0, atol=1e-13 * scale)
+    columns = np.array([obj.hvp(theta, theta.with_data(e), batch).data
+                        for e in np.eye(theta.dim)]).T
+    np.testing.assert_allclose(columns, H, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+@pytest.mark.parametrize("intruder", ["logits", "loss", "representations"])
+def test_a_forward_pass_at_the_kept_row_count_drops_the_kept_pass(monkeypatch, hidden,
+                                                                  intruder):
+    rng = SeededRng(31)
+    spec = MlpSpec(3, hidden, 4, l2=0.01)
+    oracle = MlpOracle(spec)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    other = theta.with_data(rng.normal(size=theta.dim))
+    batch, same_rows = random_batch(rng, 6, 3, 4), random_batch(rng, 6, 3, 4)
+    v = theta.with_data(rng.normal(size=theta.dim))
+    expected = MlpOracle(spec).hvp(theta, v, batch)
+
+    oracle.grad(theta, batch)
+    calls = count_forward_passes(monkeypatch, oracle)
+    # a pass at another row count leaves the kept buffers alone
+    oracle.logits(other, random_batch(rng, 7, 3, 4).x)
+    assert oracle.hvp(theta, v, batch).data.tobytes() == expected.data.tobytes()
+    assert calls == [7]
+    run = {
+        "logits": lambda: oracle.logits(other, same_rows.x),
+        "loss": lambda: oracle.loss(other, same_rows),
+        "representations": lambda: oracle.representations(other, same_rows.x, 0),
+    }[intruder]
+    run()
+    assert oracle._last_pass is None
+    assert oracle.hvp(theta, v, batch).data.tobytes() == expected.data.tobytes()
+    # the product ran its own gradient pass, and the next one reads it
+    assert calls == [7, 6, 6]
+    assert oracle.hvp(theta, v, batch).data.tobytes() == expected.data.tobytes()
+    assert calls == [7, 6, 6]
+
+
+def test_a_pass_serves_only_the_objective_that_made_it(monkeypatch):
+    rng = SeededRng(32)
+    spec = MlpSpec(3, (5,), 4, l2=0.01)
+    oracle = MlpOracle(spec)
+    small = oracle.with_head(2)
+    theta_old = ParamVector(rng.normal(size=small.dim), small.manifest)
+    obj = DistillObjective(oracle, theta_old)
+    theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+    batch = random_batch(rng, 6, 3, 4)
+    v = theta.with_data(rng.normal(size=theta.dim))
+    want_distill = DistillObjective(MlpOracle(spec), theta_old).hvp(theta, v, batch)
+    want_ce = MlpOracle(spec).hvp(theta, v, batch)
+    assert np.abs(want_distill.data - want_ce.data).max() > 1e-3
+
+    calls = count_forward_passes(monkeypatch, oracle)
+    oracle.grad(theta, batch)
+    assert obj.hvp(theta, v, batch).data.tobytes() == want_distill.data.tobytes()
+    assert calls == [6, 6]
+    assert oracle.hvp(theta, v, batch).data.tobytes() == want_ce.data.tobytes()
+    assert calls == [6, 6, 6]
+    # a gradient through the shared entry with no objective serves no product
+    oracle.grad_from_output_error(theta, batch, lambda z: np.zeros_like(z))
+    assert oracle.hvp(theta, v, batch).data.tobytes() == want_ce.data.tobytes()
+    assert calls == [6, 6, 6, 6, 6]
+
+
+def test_a_discarded_objective_is_freed_without_the_cycle_collector():
+    # the kept pass names its objective weakly, so refcounting alone frees an
+    # oracle and its workspaces once the harness drops them
+    rng = SeededRng(33)
+    spec = MlpSpec(3, (5,), 4, l2=0.01)
+    small = MlpOracle(spec).with_head(2)
+    theta_old = ParamVector(rng.normal(size=small.dim), small.manifest)
+    batch = random_batch(rng, 6, 3, 4)
+    gc.disable()
+    try:
+        oracle = MlpOracle(spec)
+        obj = DistillObjective(oracle, theta_old)
+        theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
+        v = theta.with_data(rng.normal(size=theta.dim))
+        obj.hvp(theta, v, batch)
+        alive = [weakref.ref(oracle), weakref.ref(obj)]
+        del obj
+        assert alive[1]() is None
+        oracle.hvp(theta, v, batch)
+        del oracle
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
