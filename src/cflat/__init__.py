@@ -6,7 +6,7 @@ Public surface: flat-vector numerics (numcore), differentiable objectives
 (metrics), and the experiment CLI (cli).
 """
 
-from .numcore import ParamVector, SeededRng, Segment, axpy, dot, gaussian_fill, norm2
+from .numcore import ParamVector, SeededRng, Segment, axpy, norm2
 from .objective import (
     Batch,
     MlpOracle,
@@ -14,7 +14,6 @@ from .objective import (
     ObjectiveOracle,
     QuadraticOracle,
     make_logreg,
-    make_mlp,
     make_quadratic,
 )
 from .optim import (

@@ -196,6 +196,7 @@ def resolve_config(user: dict) -> dict:
         raise ConfigError("dataset.path is required for csv datasets", "dataset.path")
     if not cfg["seeds"]:
         raise ConfigError("seeds must be nonempty", "seeds")
+    _check_distinct_seeds(cfg["seeds"], "seeds")
     if cfg["increment"] < 1:
         raise ConfigError("increment must be >= 1", "increment")
     if cfg["dataset"]["kind"] == "synthetic":
@@ -207,6 +208,12 @@ def resolve_config(user: dict) -> dict:
     _build_optim(cfg)
     _build_cl(cfg)
     return cfg
+
+
+def _check_distinct_seeds(seeds: list[int], field: str) -> None:
+    """A repeated seed would run twice and count twice in the aggregate."""
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{field} must not repeat a seed, got {seeds}", field)
 
 
 def _config_keys(cls) -> list[tuple[str, str]]:
@@ -438,10 +445,21 @@ def _load_config_file(path: str) -> dict:
 
 
 def _apply_overrides(cfg_doc: dict, args) -> dict:
-    if getattr(args, "seeds", None):
+    """``cfg_doc`` with the ``--seeds`` and ``--out`` flags of ``run`` and
+    ``sweep`` applied; those flags and ``--jobs`` are checked here."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}", "--jobs")
+    if args.seeds:
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}", "--seeds"
+            ) from None
+        _check_distinct_seeds(seeds, "--seeds")
         cfg_doc = dict(cfg_doc)
-        cfg_doc["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if getattr(args, "out", None):
+        cfg_doc["seeds"] = seeds
+    if args.out:
         cfg_doc = dict(cfg_doc)
         cfg_doc["out_dir"] = args.out
     return cfg_doc

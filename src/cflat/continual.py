@@ -20,6 +20,7 @@ from .objective import (
     MlpSpec,
     ObjectiveOracle,
     _ce_curvature,
+    _ce_output_error,
     _softmax,
     _softmax_jvp,
 )
@@ -166,9 +167,9 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a CSV with an integer label in the first column, features after.
 
     A header row is skipped if its first cell does not parse as a number.
-    Rows must all have the first data row's width, labels must be integers
-    and features finite; a ``ValueError`` names the first offending data row,
-    counted from 1 after the header, skipping blank lines.
+    Rows must all have the first data row's width, labels must be nonnegative
+    integers and features finite; a ``ValueError`` names the first offending
+    data row, counted from 1 after the header, skipping blank lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -196,10 +197,10 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{where} has a non-finite feature")
         if not float(values[i, 0]).is_integer():
             raise ValueError(f"{where} has non-integer label {row[0]!r}")
+        if values[i, 0] < 0:
+            raise ValueError(f"{where} has negative label {row[0]!r}")
     x = values[:, 1:].copy()
     y = values[:, 0].astype(np.int64)
-    if (y < 0).any():
-        raise ValueError("labels must be nonnegative")
     return x, y
 
 
@@ -244,9 +245,6 @@ class Task:
 @dataclass(frozen=True)
 class TaskStream:
     tasks: tuple[Task, ...]
-    protocol: str
-    increment: int
-    perm_seed: int
     class_order: tuple[int, ...]
 
 
@@ -303,13 +301,7 @@ def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) 
                 class_ids=tuple(int(c) for c in group),
             )
         )
-    return TaskStream(
-        tasks=tuple(tasks),
-        protocol=protocol,
-        increment=y,
-        perm_seed=perm_seed,
-        class_order=tuple(int(c) for c in order),
-    )
+    return TaskStream(tasks=tuple(tasks), class_order=tuple(int(c) for c in order))
 
 
 @dataclass(frozen=True)
@@ -322,13 +314,6 @@ class MemoryBuffer:
     def __post_init__(self):
         if self.capacity_per_class < 0:
             raise ValueError("capacity must be nonnegative")
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.store) == 0
-
-    def counts(self) -> dict[int, int]:
-        return {c: len(rows) for c, rows in self.store}
 
 
 def buffer_update(buf: MemoryBuffer, x: np.ndarray, y: np.ndarray, rng: SeededRng) -> MemoryBuffer:
@@ -347,7 +332,7 @@ def buffer_update(buf: MemoryBuffer, x: np.ndarray, y: np.ndarray, rng: SeededRn
 
 
 def buffer_contents(buf: MemoryBuffer) -> tuple[np.ndarray, np.ndarray] | None:
-    if buf.is_empty:
+    if not buf.store:
         return None
     xs = np.concatenate([rows for _, rows in buf.store])
     ys = np.concatenate([np.full(len(rows), c, dtype=np.int64) for c, rows in buf.store])
@@ -400,10 +385,10 @@ class DistillObjective(ObjectiveOracle):
 
     def grad(self, theta, batch=None) -> ParamVector:
         def output_error(z):  # the old model is a separate oracle, so it may run here
-            G = self.base._ce_error(z, batch.y)
+            G, lse = _ce_output_error(z, batch.y)
             q = _softmax(z[:, : self.n_old] / self.temperature)
             G[:, : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)
-            return G
+            return G, lse
 
         return self.base.grad_from_output_error(theta, batch, output_error, owner=self)
 

@@ -17,10 +17,8 @@ __all__ = [
     "Segment",
     "ParamVector",
     "SeededRng",
-    "dot",
     "norm2",
     "axpy",
-    "gaussian_fill",
     "all_finite",
 ]
 
@@ -170,12 +168,6 @@ def _check_dims(a: ParamVector, b: ParamVector) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def dot(a: ParamVector, b: ParamVector) -> float:
-    """Euclidean inner product."""
-    _check_dims(a, b)
-    return float(np.dot(a.data, b.data))
-
-
 def norm2(v: ParamVector) -> float:
     """Euclidean norm; 0 for the zero vector.
 
@@ -190,15 +182,6 @@ def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
     """y + alpha * x as a new vector; inputs are not modified."""
     _check_dims(x, y)
     return y._adopt(y.data + float(alpha) * x.data)
-
-
-def gaussian_fill(
-    rng: SeededRng, d: int, mean: float = 0.0, std: float = 1.0
-) -> ParamVector:
-    """d i.i.d. normal draws; deterministic per (seed, stream)."""
-    if std < 0:
-        raise ValueError(f"std must be nonnegative, got {std}")
-    return ParamVector(rng.normal(mean, std, d))
 
 
 def all_finite(v: ParamVector) -> bool:

@@ -20,17 +20,18 @@ overwrites. The price is that an ``output_error`` or ``curvature`` callback
 must not call back into the same oracle: the buffers of the pass it sits in
 would be overwritten.
 
-Kept pass of the MLP oracle: a gradient keeps one entry, the ``theta`` and
-``Batch`` objects of its forward pass, that pass's logits (read-only) and,
-when the output error was the cross-entropy one, the row log-sum-exp of the
-logits, which that error computes from the same max, exp and row sum. Once
-its backward pass is done the entry also records the objective it was the
-gradient of and keeps the pass's activations, activation derivatives and
-back-propagated errors. A ``loss`` on the same two objects reads the loss
-from the logits instead of running the forward pass again, so a loss right
-after a gradient, as in every optimizer step's prologue, costs no second pass
-and no exp, and is bit-identical to a fresh one. An ``hvp`` of the same
-objective on the same two objects reads the rest and runs no primal pass.
+Kept pass of the MLP oracle: every gradient's ``output_error`` callback
+returns the pair ``(G, lse)``, the logit error and the row log-sum-exp of the
+logits, which the cross-entropy error computes from the same max, exp and row
+sum. Once the backward pass is done the gradient keeps one entry, built whole:
+the ``theta`` and ``Batch`` objects of its forward pass, that pass's logits
+(read-only), ``lse`` and ``G``, the objective it was the gradient of, and the
+pass's activations, activation derivatives and back-propagated errors. A
+``loss`` on the same two objects reads the loss from the logits and ``lse``
+instead of running the forward pass again, so a loss right after a gradient,
+as in every optimizer step's prologue, costs no second pass and no exp, and
+is bit-identical to a fresh one. An ``hvp`` of the same objective on the same
+two objects reads the rest and runs no primal pass.
 Any forward pass at the entry's row count drops it, since it overwrites the
 buffers the entry reads. The entry matches objects by identity: a
 ``ParamVector`` is read-only, and a ``Batch``'s arrays must not be mutated
@@ -61,7 +62,6 @@ __all__ = [
     "MlpOracle",
     "make_quadratic",
     "make_logreg",
-    "make_mlp",
     "mlp_manifest",
 ]
 
@@ -268,16 +268,17 @@ class MlpSpec:
         return (self.d_in, *self.hidden, self.n_classes)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class _KeptPass:
     """The last gradient pass of an ``MlpOracle`` (see the module docstring).
 
     ``buffers`` is the workspace the hidden entries of ``acts`` live in, which
     also holds each hidden layer's back-propagated error and activation
-    derivative; ``top_error`` is the logit error. ``owner`` is None until the
-    backward pass is done, then a weak reference to the objective: a strong
-    one would make a cycle through the oracle, which keeps a discarded
-    oracle's workspaces alive until the cyclic garbage collector runs.
+    derivative; ``top_error`` and ``lse`` are the pair ``output_error``
+    returned. ``owner`` is a weak reference to the objective, or None when
+    the gradient named none: a strong one would make a cycle through the
+    oracle, which keeps a discarded oracle's workspaces alive until the
+    cyclic garbage collector runs.
     """
 
     theta: ParamVector
@@ -285,9 +286,9 @@ class _KeptPass:
     acts: list
     logits: np.ndarray
     buffers: list
-    lse: np.ndarray | None = None
-    owner: weakref.ref | None = None
-    top_error: np.ndarray | None = None
+    lse: np.ndarray
+    top_error: np.ndarray
+    owner: weakref.ref | None
 
 
 class MlpOracle(ObjectiveOracle):
@@ -441,20 +442,21 @@ class MlpOracle(ObjectiveOracle):
 
     def grad_from_output_error(self, theta: ParamVector, batch: Batch,
                                output_error, owner=None) -> ParamVector:
-        """Gradient, L2 term included, of a loss on ``batch`` whose logit
-        gradient is ``output_error(logits)``; one forward pass. ``output_error``
-        must not call this oracle. The pass is kept for ``_loss_and_logits``
-        and, tagged with the objective ``owner`` whose gradient this is, for
-        ``hvp_from_curvature``."""
+        """Gradient, L2 term included, of a loss on ``batch``; one forward pass.
+
+        ``output_error(logits)`` returns ``(G, lse)``, the loss's logit
+        gradient and the logits' row log-sum-exp, and must not call this
+        oracle. After the backward pass the pass is kept whole for
+        ``_loss_and_logits`` and, tagged with the objective ``owner`` whose
+        gradient this is, for ``hvp_from_curvature``."""
         self._check_labels(batch)
         acts, pre = self._forward(theta, batch.x)
-        pre[-1].setflags(write=False)
-        kept = self._last_pass = _KeptPass(theta, batch, acts, pre[-1],
-                                           self._workspace(batch.n))
-        G = output_error(pre[-1])
+        z = pre[-1]
+        z.setflags(write=False)
+        G, lse = output_error(z)
         flat = self._backprop(theta, acts, pre, G)
-        kept.top_error = G
-        kept.owner = None if owner is None else weakref.ref(owner)
+        self._last_pass = _KeptPass(theta, batch, acts, z, self._workspace(batch.n), lse, G,
+                                    None if owner is None else weakref.ref(owner))
         return theta._adopt(flat)
 
     def hvp_from_curvature(self, theta: ParamVector, v: ParamVector, batch: Batch,
@@ -495,8 +497,7 @@ class MlpOracle(ObjectiveOracle):
                 Ra = np.multiply(buffers[layer][3], Rz, out=r_buffers[layer][1])
         # R-backward from the logit curvature, reading the kept errors G
         flat = np.empty(self.dim)
-        z = kept.logits
-        RG = curvature(z, _logsumexp(z) if kept.lse is None else kept.lse, Rz)
+        RG = curvature(kept.logits, kept.lse, Rz)
         G = kept.top_error
         for layer in range(last, -1, -1):
             w0, w1, w_shape, b0, b1 = self._layers[layer]
@@ -520,15 +521,6 @@ class MlpOracle(ObjectiveOracle):
             flat += self.l2 * vdata
         return theta._adopt(flat)
 
-    def _ce_error(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Cross-entropy logit error of ``z`` (``_ce_output_error``). When ``z``
-        is the kept pass's logits, their row log-sum-exp is kept with them."""
-        G, lse = _ce_output_error(z, y)
-        kept = self._last_pass
-        if kept is not None and kept.logits is z:
-            kept.lse = lse
-        return G
-
     def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy plus the L2 term, and the logits it was computed
         from: the kept pass's logits when it ran on these very objects."""
@@ -537,8 +529,7 @@ class MlpOracle(ObjectiveOracle):
             z, lse = kept.logits, kept.lse
         else:
             self._check_labels(batch)
-            z, lse = self.logits(theta, batch.x), None
-        if lse is None:
+            z = self.logits(theta, batch.x)
             lse = _logsumexp(z)
         # np.mean's value (sum, then divide by the count) without its dispatch
         ce = float(np.add.reduce(lse - z[np.arange(batch.n), batch.y]) / batch.n)
@@ -549,13 +540,10 @@ class MlpOracle(ObjectiveOracle):
 
     def grad(self, theta, batch=None) -> ParamVector:
         return self.grad_from_output_error(
-            theta, batch, lambda z: self._ce_error(z, batch.y), owner=self)
+            theta, batch, lambda z: _ce_output_error(z, batch.y), owner=self)
 
     def hvp(self, theta, v, batch=None) -> ParamVector:
         return self.hvp_from_curvature(theta, v, batch, self, _ce_curvature)
-
-    def predict(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(theta, x), axis=1)
 
     def representations(self, theta: ParamVector, x: np.ndarray, layer: int) -> np.ndarray:
         """Input activations feeding weight block W{layer} (layer 0 sees x), as a copy."""
@@ -582,10 +570,3 @@ def _layout(manifest) -> str:
 def make_logreg(d_in: int, n_classes: int, l2: float = 0.0) -> MlpOracle:
     """Multinomial logistic regression: an MLP with no hidden layer."""
     return MlpOracle(MlpSpec(d_in, (), n_classes, l2=l2))
-
-
-def make_mlp(spec: MlpSpec, rng: SeededRng) -> MlpOracle:
-    """Initialized MLP oracle; the seeded parameters are attached as theta0."""
-    oracle = MlpOracle(spec)
-    oracle.theta0 = oracle.init_theta(rng)
-    return oracle

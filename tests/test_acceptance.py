@@ -29,7 +29,7 @@ from cflat.landscape import (
 )
 from cflat.metrics import average_accuracy, bwt, cflat_proportion
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, make_logreg, make_mlp, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, make_logreg, make_quadratic
 from cflat.optim import CflatStepper, OptimConfig, SamStepper, SgdStepper
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -100,7 +100,7 @@ def test_criterion_1_gradient_correctness():
     rng = SeededRng(101)
     worst_mlp, worst_analytic = 0.0, 0.0
 
-    mlp = make_mlp(MlpSpec(3, (4,), 3, activation="tanh", l2=0.01), rng.spawn(0))
+    mlp = MlpOracle(MlpSpec(3, (4,), 3, activation="tanh", l2=0.01))
     logreg = make_logreg(4, 3, l2=0.01)
     quad = make_quadratic(np.diag([1.0, 2.0, 3.0]), c=np.array([0.1, -0.2, 0.3]))
 
@@ -186,7 +186,7 @@ def test_criterion_2_hvp_correctness():
         got = logreg.hvp(theta_l, v_l, batch).data
         worst_exact = max(worst_exact, np.max(np.abs(got - H @ v_l.data)))
 
-    mlp = make_mlp(MlpSpec(3, (5,), 3, activation="tanh"), rng.spawn(1))
+    mlp = MlpOracle(MlpSpec(3, (5,), 3, activation="tanh"))
     worst_mlp = 0.0
     for trial in range(10):
         theta = ParamVector(rng.normal(size=mlp.dim), mlp.manifest)
@@ -209,7 +209,7 @@ def test_criterion_2_hvp_correctness():
 
 def test_criterion_3_reduction_lattice():
     rng = SeededRng(103)
-    mlp = make_mlp(MlpSpec(3, (4,), 3), rng.spawn(0))
+    mlp = MlpOracle(MlpSpec(3, (4,), 3))
     quad = make_quadratic(np.diag(np.linspace(0.5, 2.0, mlp.dim)))
     identical = 0
     total = 0

@@ -507,6 +507,22 @@ def test_landscape_rejects_a_bad_flag_before_any_work(tmp_path, capsys, flag, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", "0,x"), ("--seeds", "0,,1"), ("--seeds", "0,0"), ("--seeds", "1,2,1"),
+    ("--jobs", "0"), ("--jobs", "-1"),
+])
+def test_run_and_sweep_reject_a_bad_seeds_or_jobs_flag(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, base_config(out)), flag, value]
+    if command == "sweep":
+        argv += ["--axis", "optim.eta=0.1,0.2"]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == flag
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("gpm.energy_threshold", 1.5),
     ("gpm.sample", 0),
@@ -522,6 +538,7 @@ def test_landscape_rejects_a_bad_flag_before_any_work(tmp_path, capsys, flag, va
     ("increment", 0),
     ("dataset.classes", 1),
     ("optim", {"rho": 0.5, "rho_max": 0.3}),
+    ("seeds", [3, 0, 3]),
 ])
 def test_config_value_the_library_rejects_fails_at_load(tmp_path, capsys, field, value):
     out = tmp_path / "run"

@@ -27,7 +27,7 @@ from cflat.continual import (
 from cflat.continual import _significance_sensitivity
 from cflat.metrics import last_accuracy
 from cflat.numcore import ParamVector, SeededRng, axpy, norm2
-from cflat.objective import Batch, MlpSpec, make_logreg, make_mlp
+from cflat.objective import Batch, MlpOracle, MlpSpec, make_logreg
 from cflat.optim import (
     CflatStepper,
     OptimConfig,
@@ -69,7 +69,7 @@ def test_synth_dataset_zero_std_is_separable():
     batch = Batch(ds.train_x, ds.train_y)
     for _ in range(200):
         theta, _ = SgdStepper().step(lr, theta, batch, OptimConfig(eta=1.0))
-    assert float(np.mean(lr.predict(theta, ds.train_x) == ds.train_y)) == 1.0
+    assert float(np.mean(np.argmax(lr.logits(theta, ds.train_x), axis=1) == ds.train_y)) == 1.0
 
 
 def test_synth_dataset_relabel_symmetry():
@@ -81,7 +81,7 @@ def test_synth_dataset_relabel_symmetry():
         batch = Batch(ds.train_x, train_y)
         for _ in range(150):
             theta, _ = SgdStepper().step(lr, theta, batch, OptimConfig(eta=1.0))
-        return float(np.mean(lr.predict(theta, ds.test_x) == test_y))
+        return float(np.mean(np.argmax(lr.logits(theta, ds.test_x), axis=1) == test_y))
 
     swap = np.array([1, 0, 2])
     assert trained_accuracy(ds.train_y, ds.test_y) == trained_accuracy(
@@ -102,7 +102,7 @@ def test_synth_dataset_bayes_accuracy_two_classes():
     batch = Batch(ds.train_x, ds.train_y)
     for _ in range(300):
         theta, _ = SgdStepper().step(lr, theta, batch, OptimConfig(eta=1.0))
-    acc = float(np.mean(lr.predict(theta, ds.test_x) == ds.test_y))
+    acc = float(np.mean(np.argmax(lr.logits(theta, ds.test_x), axis=1) == ds.test_y))
     assert abs(acc - bayes) <= 0.03
 
 
@@ -167,7 +167,9 @@ def test_csv_loader_roundtrip(tmp_path):
     ("0,1.0,2.0\n1,0.5\n", "data row 2 has 2 columns, expected 3"),
     ("0,1.0,2.0\n1.7,0.5,3.0\n", "data row 2 has non-integer label '1.7'"),
     ("0,1.0,2.0\n1,0.5,x\n", "data row 2 has a non-numeric cell"),
-], ids=["nan_feature", "inf_feature", "ragged_row", "fractional_label", "non_numeric"])
+    ("0,1.0,2.0\n1,0.5,3.0\n-2,0.0,1.0\n", "data row 3 has negative label '-2'"),
+], ids=["nan_feature", "inf_feature", "ragged_row", "fractional_label", "non_numeric",
+        "negative_label"])
 def test_csv_loader_rejects_bad_rows_by_data_row(tmp_path, body, match):
     path = tmp_path / "bad.csv"
     path.write_text("label,f0,f1\n" + body, encoding="utf-8")
@@ -195,14 +197,14 @@ def test_buffer_stores_everything_below_capacity():
     x = rng.normal(size=(6, 3))
     y = np.array([0, 0, 0, 1, 1, 1])
     buf = buffer_update(MemoryBuffer(10), x, y, rng.spawn(1))
-    assert buf.counts() == {0: 3, 1: 3}
+    assert {c: len(rows) for c, rows in buf.store} == {0: 3, 1: 3}
 
 
 def test_buffer_zero_capacity_stays_empty():
     rng = SeededRng(3)
     buf = buffer_update(MemoryBuffer(0), rng.normal(size=(4, 2)), np.array([0, 0, 1, 1]),
                         rng.spawn(1))
-    assert buf.is_empty
+    assert not buf.store
     assert buffer_contents(buf) is None
 
 
@@ -213,7 +215,7 @@ def test_buffer_counts_after_three_tasks():
         x = rng.normal(size=(30, 2))
         y = np.repeat([2 * task, 2 * task + 1], 15)
         buf = buffer_update(buf, x, y, rng.spawn(task))
-    counts = buf.counts()
+    counts = {c: len(rows) for c, rows in buf.store}
     assert sorted(counts) == [0, 1, 2, 3, 4, 5]
     assert all(v <= 10 for v in counts.values())
 
@@ -225,8 +227,8 @@ def test_buffer_counts_after_three_tasks():
 
 def test_icarl_loss_self_distillation_identity():
     rng = SeededRng(8)
-    oracle = make_mlp(MlpSpec(4, (5,), 3), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(4, (5,), 3))
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(7, 4)), rng.integers(0, 3, 7))
     value = DistillObjective(oracle, theta, temperature=1.0).loss(theta, batch)
     assert value == pytest.approx(oracle.loss(theta, batch), rel=1e-12)
@@ -261,7 +263,7 @@ def test_distill_kl_matches_hand_arithmetic():
 
 def test_distill_rejects_wider_old_head_and_bad_labels():
     rng = SeededRng(31)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
     wide_old = oracle.with_head(5)
     theta_old = ParamVector(rng.normal(size=wide_old.dim), wide_old.manifest)
     with pytest.raises(ValueError, match="wider"):
@@ -298,7 +300,7 @@ def count_forward_rows(monkeypatch, oracle):
 
 def test_distill_loss_is_one_forward_pass_and_old_probs_once_per_batch(monkeypatch):
     rng = SeededRng(11)
-    oracle = make_mlp(MlpSpec(3, (5,), 4, l2=0.01), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (5,), 4, l2=0.01))
     old = oracle.with_head(2)
     theta_old = ParamVector(rng.normal(size=old.dim), old.manifest)
     obj = DistillObjective(oracle, theta_old, temperature=2.0)
@@ -329,7 +331,7 @@ def test_distill_loss_is_one_forward_pass_and_old_probs_once_per_batch(monkeypat
 
 def test_distill_gradient_matches_finite_differences():
     rng = SeededRng(10)
-    oracle = make_mlp(MlpSpec(3, (4,), 4), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 4))
     old_oracle = oracle.with_head(2)
     theta_old = ParamVector(rng.normal(size=old_oracle.dim), old_oracle.manifest)
     obj = DistillObjective(oracle, theta_old, temperature=2.0)
@@ -382,15 +384,15 @@ def test_wa_scaled_predictions_invariant_to_global_rescale():
 
 def test_grow_head_rejects_zero():
     rng = SeededRng(12)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
     with pytest.raises(ValueError):
-        grow_head(oracle.theta0, 0, rng.spawn(1))
+        grow_head(oracle.init_theta(rng.spawn(0)), 0, rng.spawn(1))
 
 
 def test_grow_head_preserves_old_logits_bit_exactly():
     rng = SeededRng(13)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    theta = oracle.init_theta(rng.spawn(0))
     x = rng.normal(size=(6, 3))
     before = oracle.logits(theta, x)
     grown = grow_head(theta, 2, rng.spawn(1))
@@ -402,8 +404,8 @@ def test_grow_head_preserves_old_logits_bit_exactly():
 
 def test_grow_head_composition():
     rng = SeededRng(14)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    theta = oracle.init_theta(rng.spawn(0))
     once = grow_head(grow_head(theta, 1, rng.spawn(1)), 1, rng.spawn(2))
     twice = grow_head(theta, 2, rng.spawn(3))
     # old-weight content identical; the freshly seeded rows may differ
@@ -421,9 +423,9 @@ def test_grow_head_composition():
 
 def gpm_setup(seed=15, n_classes=3):
     rng = SeededRng(seed)
-    oracle = make_mlp(MlpSpec(4, (6,), n_classes), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(4, (6,), n_classes))
     batch = Batch(rng.normal(size=(30, 4)), rng.integers(0, n_classes, 30))
-    return rng, oracle, oracle.theta0, batch
+    return rng, oracle, oracle.init_theta(rng.spawn(0)), batch
 
 
 def test_gpm_extract_rank_one_representations():
@@ -519,7 +521,8 @@ def test_gpm_significance_update_clamped():
 @pytest.mark.parametrize("name", ["sgd", "sam", "cflat", "cflat++", "hybrid"])
 def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
     rng = SeededRng(21)
-    oracle = make_mlp(MlpSpec(4, (6,), 3), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(4, (6,), 3))
+    start = oracle.init_theta(rng.spawn(0))
     x = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, 60)
     kw = dict(proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3), hybrid_p=0.4)
@@ -527,7 +530,7 @@ def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
     wrapped = GpmStepper(make_stepper(name, **kw), eta1=0.5, eta2=0.05)
     runs = []
     for stepper in (plain, wrapped):
-        theta, trace = oracle.theta0, []
+        theta, trace = start, []
         for task in range(2):  # two tasks: reset_task and a fresh plan in between
             stepper.reset_task()
             theta, part = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.2), stepper,
@@ -572,8 +575,8 @@ def test_gpm_update_basis_merges_orthonormally():
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_gpm_sensitivities_match_a_central_difference_of_the_post_step_loss(activation):
     rng = SeededRng(16)
-    oracle = make_mlp(MlpSpec(4, (6,), 3, activation, 0.01), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(4, (6,), 3, activation, 0.01))
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(30, 4)), rng.integers(0, 3, 30))
     state = gpm_extract_basis(oracle, theta, batch, 0.95)
     state = replace(state, significance=rng.uniform(0.2, 0.8, state.rank))

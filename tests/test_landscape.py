@@ -14,7 +14,7 @@ from cflat.landscape import (
     top2_eigenpairs,
 )
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, make_mlp, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, make_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,8 @@ def count_oracle_calls(monkeypatch, oracle):
 def test_hvp_estimators_share_one_base_gradient(monkeypatch):
     rng = SeededRng(21)
     spec = MlpSpec(3, (5,), 3)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
     estimators = {
         "power": lambda model: power_iter_lambda_max(
@@ -228,8 +228,8 @@ def test_hvp_estimators_share_one_base_gradient(monkeypatch):
 @pytest.mark.parametrize("iters", [1, 2, 5, 40])
 def test_lanczos_takes_one_product_per_basis_vector(monkeypatch, iters):
     rng = SeededRng(22)
-    oracle = make_mlp(MlpSpec(3, (5,), 3, l2=0.01), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(3, (5,), 3, l2=0.01))
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
     counts = count_oracle_calls(monkeypatch, oracle)
     eig = top2_eigenpairs(oracle, theta, batch, iters=iters, rng=SeededRng(4))
@@ -329,8 +329,8 @@ def test_rho_must_be_positive():
 def test_ball_sharpness_takes_r0_and_r1_from_one_set_of_points():
     rng = SeededRng(23)
     spec = MlpSpec(3, (5,), 3, l2=0.01)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
     rho, n = 0.3, 40
     r0, r1 = ball_sharpness(oracle, theta, batch, rho, n, SeededRng(6, 1))
@@ -351,8 +351,8 @@ def test_ball_sharpness_takes_r0_and_r1_from_one_set_of_points():
 def test_flatness_report_does_not_depend_on_call_history():
     rng = SeededRng(24)
     spec = MlpSpec(3, (5,), 3)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
 
     def report(model):

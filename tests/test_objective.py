@@ -14,7 +14,6 @@ from cflat.objective import (
     MlpSpec,
     _logsumexp,
     make_logreg,
-    make_mlp,
     make_quadratic,
 )
 from test_acceptance import dense_logreg_hessian
@@ -170,8 +169,8 @@ def test_mlp_matches_straight_line_reimplementation():
     # duplicate implementation written inline, sharing nothing with the oracle
     rng = SeededRng(5)
     spec = MlpSpec(d_in=3, hidden=(4,), n_classes=3, activation="tanh", l2=0.01)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = random_batch(rng, 8, 3, 3)
 
     W0 = theta.view("W0")
@@ -192,8 +191,8 @@ def test_mlp_matches_straight_line_reimplementation():
 def test_mlp_hidden_unit_permutation_invariance():
     rng = SeededRng(6)
     spec = MlpSpec(d_in=4, hidden=(5,), n_classes=3)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = random_batch(rng, 10, 4, 3)
 
     data = theta.data.copy()
@@ -215,16 +214,16 @@ def test_mlp_hidden_unit_permutation_invariance():
 def test_mlp_same_seed_same_initial_loss():
     spec = MlpSpec(d_in=4, hidden=(6,), n_classes=2)
     batch = random_batch(SeededRng(7), 12, 4, 2)
-    a = make_mlp(spec, SeededRng(42, 1))
-    b = make_mlp(spec, SeededRng(42, 1))
-    assert a.loss(a.theta0, batch) == b.loss(b.theta0, batch)
+    a, b = MlpOracle(spec), MlpOracle(spec)
+    assert a.loss(a.init_theta(SeededRng(42, 1)), batch) == \
+        b.loss(b.init_theta(SeededRng(42, 1)), batch)
 
 
 def test_mlp_zero_hidden_reduces_to_logreg():
     # with no hidden layer the logits are affine in theta, so the HVP is the
     # exact logistic Hessian product, on a grown head as well
     rng = SeededRng(8)
-    mlp = make_mlp(MlpSpec(d_in=5, hidden=(), n_classes=4, l2=0.02), rng.spawn(0))
+    mlp = MlpOracle(MlpSpec(d_in=5, hidden=(), n_classes=4, l2=0.02))
     lr = make_logreg(5, 4, l2=0.02)
     assert isinstance(lr, MlpOracle) and lr.spec == mlp.spec
     for oracle in (mlp, mlp.with_head(5)):
@@ -242,9 +241,9 @@ def test_mlp_zero_hidden_reduces_to_logreg():
 def test_mlp_gradient_matches_central_differences(activation):
     rng = SeededRng(9)
     spec = MlpSpec(d_in=3, hidden=(4,), n_classes=3, activation=activation, l2=0.01)
-    oracle = make_mlp(spec, rng.spawn(0))
+    oracle = MlpOracle(spec)
     batch = random_batch(rng, 6, 3, 3)
-    theta = oracle.theta0
+    theta = oracle.init_theta(rng.spawn(0))
     if activation == "relu":
         # keep pre-activations away from the kink before differencing
         _, pre = oracle._forward(theta, batch.x)
@@ -276,13 +275,13 @@ def softmax_rows(z):
 def test_mlp_grad_is_one_forward_pass_and_matches_output_error_hook(monkeypatch, activation):
     rng = SeededRng(13)
     spec = MlpSpec(d_in=4, hidden=(6, 5), n_classes=3, activation=activation, l2=0.03)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = random_batch(rng, 9, 4, 3)
     dlogits = softmax_rows(oracle.logits(theta, batch.x))
     dlogits[np.arange(batch.n), batch.y] -= 1.0
     dlogits /= batch.n
-    expected = oracle.grad_from_output_error(theta, batch, lambda z: dlogits)
+    expected = oracle.grad_from_output_error(theta, batch, lambda z: (dlogits, _logsumexp(z)))
 
     calls = count_forward_passes(monkeypatch, oracle)
     got = oracle.grad(theta, batch)
@@ -293,7 +292,7 @@ def test_mlp_grad_is_one_forward_pass_and_matches_output_error_hook(monkeypatch,
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_distill_grad_is_one_forward_pass_of_the_current_model(monkeypatch, activation):
     rng = SeededRng(14)
-    oracle = make_mlp(MlpSpec(3, (5,), 4, activation=activation, l2=0.02), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (5,), 4, activation=activation, l2=0.02))
     old = oracle.with_head(2)
     theta_old = ParamVector(rng.normal(size=old.dim), old.manifest)
     obj = DistillObjective(oracle, theta_old, temperature=2.0)
@@ -305,7 +304,7 @@ def test_distill_grad_is_one_forward_pass_of_the_current_model(monkeypatch, acti
     p = softmax_rows(old.logits(theta_old, batch.x) / 2.0)
     q = softmax_rows(oracle.logits(theta, batch.x)[:, :2] / 2.0)
     G[:, :2] += (q - p) / (2.0 * batch.n)
-    expected = oracle.grad_from_output_error(theta, batch, lambda z: G)
+    expected = oracle.grad_from_output_error(theta, batch, lambda z: (G, _logsumexp(z)))
 
     calls = count_forward_passes(monkeypatch, oracle)
     got = obj.grad(theta, batch)
@@ -407,8 +406,8 @@ def test_batch_takes_its_largest_label_once():
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_returned_arrays_survive_later_oracle_calls(activation):
     rng = SeededRng(15)
-    oracle = make_mlp(MlpSpec(4, (6, 5), 3, activation=activation, l2=0.01), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(4, (6, 5), 3, activation=activation, l2=0.01))
+    theta = oracle.init_theta(rng.spawn(0))
     batch = random_batch(rng, 12, 4, 3)
     logits = oracle.logits(theta, batch.x)
     reps = [oracle.representations(theta, batch.x, layer) for layer in range(3)]
@@ -429,23 +428,23 @@ def test_returned_arrays_survive_later_oracle_calls(activation):
 def test_workspace_results_match_a_fresh_oracle_across_row_counts(activation):
     rng = SeededRng(16)
     spec = MlpSpec(8, (16, 12), 5, activation=activation, l2=0.02)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     for n in (32, 512, 32, 512, 32):
         batch = random_batch(rng, n, 8, 5)
         v = theta.with_data(rng.normal(size=theta.dim))
-        fresh = make_mlp(spec, rng.spawn(0))
+        fresh = MlpOracle(spec)
         assert oracle.loss(theta, batch) == fresh.loss(theta, batch)
         assert oracle.grad(theta, batch).data.tobytes() == fresh.grad(theta, batch).data.tobytes()
-        fresh = make_mlp(spec, rng.spawn(0))
+        fresh = MlpOracle(spec)
         assert oracle.hvp(theta, v, batch).data.tobytes() == fresh.hvp(theta, v, batch).data.tobytes()
         theta = theta.with_data(theta.data - 0.1 * oracle.grad(theta, batch).data)
 
 
 def test_repeated_grads_reuse_the_workspace_buffers():
     rng = SeededRng(17)
-    oracle = make_mlp(MlpSpec(4, (6, 5), 3), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(4, (6, 5), 3))
+    theta = oracle.init_theta(rng.spawn(0))
     small, large = random_batch(rng, 32, 4, 3), random_batch(rng, 64, 4, 3)
     oracle.grad(theta, small)
     buffers = [buf for layer in oracle._workspace(32) for buf in layer]
@@ -460,17 +459,18 @@ def test_repeated_grads_reuse_the_workspace_buffers():
 
 def test_workspace_keeps_a_bounded_number_of_row_counts():
     rng = SeededRng(18)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    theta = oracle.init_theta(rng.spawn(0))
     for n in range(1, 21):
-        oracle.grad(oracle.theta0, random_batch(rng, n, 3, 2))
+        oracle.grad(theta, random_batch(rng, n, 3, 2))
     assert 1 <= len(oracle._workspaces) <= 8
     assert 20 in oracle._workspaces
 
 
 def test_mlp_hvp_zero_direction():
     rng = SeededRng(10)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng)
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    theta = oracle.init_theta(rng)
     batch = random_batch(rng, 5, 3, 2)
     out = oracle.hvp(theta, theta.with_data(np.zeros(theta.dim)), batch)
     assert np.array_equal(out.data, np.zeros(theta.dim))
@@ -479,8 +479,8 @@ def test_mlp_hvp_zero_direction():
 def test_mlp_forward_hvp_close_to_central_hvp():
     rng = SeededRng(11)
     spec = MlpSpec(d_in=3, hidden=(5,), n_classes=3, activation="tanh")
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = random_batch(rng, 8, 3, 3)
     for _ in range(5):
         v = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
@@ -492,7 +492,7 @@ def test_mlp_forward_hvp_close_to_central_hvp():
 
 
 def test_mlp_dimension_mismatch():
-    oracle = make_mlp(MlpSpec(3, (4,), 2), SeededRng(12))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
         oracle.loss(ParamVector(np.zeros(3)), random_batch(SeededRng(0), 4, 3, 2))
 
@@ -601,9 +601,9 @@ class PlainMlp:
 def test_mlp_loss_grad_hvp_equal_a_plain_reference_bit_for_bit(activation, hidden, l2):
     rng = SeededRng(19)
     spec = MlpSpec(6, hidden, 4, activation=activation, l2=l2)
-    oracle = make_mlp(spec, rng.spawn(0))
+    oracle = MlpOracle(spec)
     plain = PlainMlp(spec)
-    theta = oracle.theta0
+    theta = oracle.init_theta(rng.spawn(0))
     for n in (32, 512, 7, 32, 512, 7):
         batch = random_batch(rng, n, 6, 4)
         other = random_batch(rng, n, 6, 4)
@@ -621,7 +621,7 @@ def test_mlp_loss_grad_hvp_equal_a_plain_reference_bit_for_bit(activation, hidde
 def test_every_vector_the_oracles_return_is_read_only():
     rng = SeededRng(20)
     batch = random_batch(rng, 5, 3, 2)
-    for oracle in (make_logreg(3, 2, l2=0.1), make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0)),
+    for oracle in (make_logreg(3, 2, l2=0.1), MlpOracle(MlpSpec(3, (4,), 2)),
                    make_quadratic(np.eye(3))):
         theta = ParamVector(rng.normal(size=oracle.dim), getattr(oracle, "manifest", None))
         v = theta.with_data(rng.normal(size=oracle.dim))
@@ -648,8 +648,8 @@ def test_mlp_rejects_a_theta_laid_out_on_another_manifest():
 
 def test_mlp_accepts_an_equal_manifest_built_elsewhere():
     rng = SeededRng(22)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    grown = grow_head(oracle.theta0, 2, rng.spawn(1))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    grown = grow_head(oracle.init_theta(rng.spawn(0)), 2, rng.spawn(1))
     wide = oracle.with_head(4)
     batch = random_batch(rng, 6, 3, 4)
     rebuilt = ParamVector(grown.data, tuple(grown.manifest))
@@ -801,7 +801,7 @@ def test_a_pass_serves_only_the_objective_that_made_it(monkeypatch):
     assert oracle.hvp(theta, v, batch).data.tobytes() == want_ce.data.tobytes()
     assert calls == [6, 6, 6]
     # a gradient through the shared entry with no objective serves no product
-    oracle.grad_from_output_error(theta, batch, lambda z: np.zeros_like(z))
+    oracle.grad_from_output_error(theta, batch, lambda z: (np.zeros_like(z), _logsumexp(z)))
     assert oracle.hvp(theta, v, batch).data.tobytes() == want_ce.data.tobytes()
     assert calls == [6, 6, 6, 6, 6]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpSpec, ObjectiveOracle, make_mlp, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, make_quadratic
 from cflat.optim import (
     CflatPPStepper,
     CflatStepper,
@@ -127,8 +127,8 @@ def test_sam_perturb_norm_property():
 
 def test_sam_reduces_to_sgd_at_zero_rho():
     rng = SeededRng(2)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    theta = oracle.init_theta(rng.spawn(0))
     batch = dummy_batch(6, 3, 2, seed=3)
     cfg = OptimConfig(eta=0.1, rho=0.0)
     a, _ = SamStepper().step(oracle, theta, batch, cfg)
@@ -183,10 +183,10 @@ def test_cflat_gradient_matches_hand_expansion_on_quadratic():
 def test_step_reads_its_loss_from_the_gradient_pass(monkeypatch, stepper, passes):
     rng = SeededRng(5)
     spec = MlpSpec(3, (4,), 3)
-    oracle = make_mlp(spec, rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(spec)
+    theta = oracle.init_theta(rng.spawn(0))
     batch = dummy_batch(8, 3, 3, seed=6)
-    expected = make_mlp(spec, rng.spawn(0)).loss(theta, batch)
+    expected = MlpOracle(spec).loss(theta, batch)
     calls = []
     forward = oracle._forward
 
@@ -212,7 +212,7 @@ def test_cflat_guards_at_exact_minimum():
 
 def test_reduction_lattice_bitwise():
     rng = SeededRng(3)
-    oracle = make_mlp(MlpSpec(3, (4,), 3), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 3))
     q = make_quadratic(np.diag([1.0, 2.0, 3.0, 0.5] + [1.0] * (oracle.dim - 4)))
     for trial in range(100):
         theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
@@ -234,7 +234,7 @@ def test_reduction_lattice_bitwise():
 
 def test_perturbation_norm_bounded_by_rho():
     rng = SeededRng(4)
-    oracle = make_mlp(MlpSpec(4, (5,), 3), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(4, (5,), 3))
     cfg = OptimConfig(eta=0.05, rho=0.15, lam=0.2)
     for trial in range(20):
         theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
@@ -357,12 +357,12 @@ def test_cflatpp_stationary_point_never_fires():
 
 def test_cflatpp_gating_is_exact_on_mlp_run():
     rng = SeededRng(5)
-    oracle = make_mlp(MlpSpec(4, (6,), 3), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(4, (6,), 3))
     x = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, 60)
     stepper = make_stepper("cflat++", proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3))
     theta, trace = train_epochs(
-        oracle, oracle.theta0, x, y, OptimConfig(eta=0.2), stepper,
+        oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.2), stepper,
         epochs=4, batch_size=10, rng=rng.spawn(1),
     )
     fired = sum(s.used_cflat for s in trace)
@@ -434,12 +434,12 @@ def test_train_epochs_full_batch_equals_deterministic_sequence():
 
 def test_train_epochs_hybrid_proportion_matches_plan():
     rng = SeededRng(6)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
     x = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, 40)
     stepper = make_stepper("hybrid", hybrid_p=0.25, hybrid_ordering="cflat_last")
     _, trace = train_epochs(
-        oracle, oracle.theta0, x, y, OptimConfig(eta=0.1), stepper,
+        oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.1), stepper,
         epochs=2, batch_size=10, rng=rng.spawn(1),
     )
     used = [s.used_cflat for s in trace]
@@ -521,11 +521,11 @@ def test_train_epochs_checks_every_label_before_any_step(x_rows, y, message):
 
 def test_train_epochs_fills_each_step_record_in_place():
     rng = SeededRng(8)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, 12)
     stepper = CflatPPStepper(ProxyState(A=1.0, i0=2))
-    _, trace = train_epochs(oracle, oracle.theta0, x, y, OptimConfig(eta=0.1), stepper,
+    _, trace = train_epochs(oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.1), stepper,
                             epochs=3, batch_size=4, rng=rng.spawn(1))
     assert [s.epoch for s in trace] == [0] * 3 + [1] * 3 + [2] * 3
     assert len({id(s) for s in trace}) == len(trace)
@@ -535,8 +535,8 @@ def test_train_epochs_fills_each_step_record_in_place():
 
 def test_optimizer_vectors_are_read_only():
     rng = SeededRng(9)
-    oracle = make_mlp(MlpSpec(3, (4,), 2), rng.spawn(0))
-    theta = oracle.theta0
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    theta = oracle.init_theta(rng.spawn(0))
     batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
     cfg = OptimConfig(eta=0.1)
     g = oracle.grad(theta, batch)
@@ -561,12 +561,12 @@ def test_train_epochs_batch_size_validation():
 
 def test_sq_grad_norm_trend_decreases_on_converging_run():
     rng = SeededRng(7)
-    oracle = make_mlp(MlpSpec(4, (8,), 2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(4, (8,), 2))
     x = np.concatenate([rng.normal(size=(30, 4)) + 2.0, rng.normal(size=(30, 4)) - 2.0])
     y = np.array([0] * 30 + [1] * 30)
     for name in ("sgd", "cflat"):
         _, trace = train_epochs(
-            oracle, oracle.theta0, x, y, OptimConfig(eta=0.5, rho=0.1, lam=0.2),
+            oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.5, rho=0.1, lam=0.2),
             make_stepper(name), epochs=10, batch_size=20, rng=rng.spawn(1),
         )
         series = [s.sq_grad_norm for s in trace]

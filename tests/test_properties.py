@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cflat.continual import GpmStepper
 from cflat.numcore import ParamVector, SeededRng
-from cflat.objective import Batch, MlpSpec, make_mlp
+from cflat.objective import Batch, MlpOracle, MlpSpec
 from cflat.optim import (
     OPTIMIZER_NAMES,
     CflatStepper,
@@ -29,7 +29,7 @@ def mlp_problems(draw):
     l2 = draw(st.sampled_from([0.0, 1e-3, 0.05]))
     n = draw(st.integers(1, 8))
     rng = SeededRng(draw(st.integers(0, 2**31 - 1)))
-    oracle = make_mlp(MlpSpec(d_in, hidden, n_classes, activation, l2), rng.spawn(0))
+    oracle = MlpOracle(MlpSpec(d_in, hidden, n_classes, activation, l2))
     theta = ParamVector(rng.normal(0.0, 1.0, oracle.dim), oracle.manifest)
     batch = Batch(rng.normal(0.0, 1.0, (n, d_in)), rng.integers(0, n_classes, n))
     return oracle, theta, batch
