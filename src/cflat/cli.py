@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,7 +28,6 @@ from .continual import (
     Dataset,
     load_csv_dataset,
     make_stream,
-    merge_experiment_results,
     run_cl_experiment,
     split_dataset,
     synth_dataset,
@@ -272,6 +272,8 @@ def _build_cl(cfg: dict) -> CLConfig:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -293,30 +295,9 @@ def _seed_metrics(seed_result, n_tasks: int) -> dict:
     return m
 
 
-def _write_metrics_csv(path: Path, result, n_tasks: int) -> None:
-    lines = ["seed,avg_accuracy,last_accuracy,bwt,fwt,n_tasks"]
-    for seed_result in result.results:
-        m = _seed_metrics(seed_result, n_tasks)
-        lines.append(",".join(
-            [str(seed_result.seed)]
-            + [_fmt(m[key]) for key in ("avg_accuracy", "last_accuracy", "bwt", "fwt")]
-            + [str(n_tasks)]
-        ))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_trace_csv(path: Path, result) -> None:
-    header = ("seed,task,epoch,step,loss,sq_grad_norm,used_cflat,proxy_value,"
-              "grad_evals,hvp_evals,gpm_in_span,gpm_src_norm")
-    lines = [header]
-    for seed_result in result.results:
-        for step, s in enumerate(seed_result.trace):
-            lines.append(",".join([
-                str(seed_result.seed), str(s.task), str(s.epoch), str(step),
-                _fmt(s.loss), _fmt(s.sq_grad_norm), _fmt(s.used_cflat),
-                _fmt(s.proxy_value), str(s.grad_evals), str(s.hvp_evals),
-                _fmt(s.gpm_in_span), _fmt(s.gpm_src_norm),
-            ]))
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row with every cell formatted by _fmt."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -348,26 +329,26 @@ def _write_checkpoint(path: Path, seed_result, cfg: dict, stream) -> None:
     path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
-def _run_to_manifest(cfg: dict, result, n_tasks: int) -> dict:
-    per_seed = []
-    for seed_result in result.results:
-        m = _seed_metrics(seed_result, n_tasks)
-        per_seed.append({
-            "seed": seed_result.seed,
-            "accuracy_matrix": seed_result.matrix,
-            "pre_train_accuracy": seed_result.pre_train_acc,
-            "baseline_accuracy": seed_result.baseline_acc,
+def _run_to_manifest(cfg: dict, results: list, metrics: list[dict], n_tasks: int) -> dict:
+    per_seed = [
+        {
+            "seed": r.seed,
+            "accuracy_matrix": r.matrix,
+            "pre_train_accuracy": r.pre_train_acc,
+            "baseline_accuracy": r.baseline_acc,
             "metrics": m,
-            "examples": seed_result.examples,
-        })
-    avgs = [s["metrics"]["avg_accuracy"] for s in per_seed]
-    lasts = [s["metrics"]["last_accuracy"] for s in per_seed]
-    props = [s["metrics"]["cflat_proportion"] for s in per_seed]
+            "examples": r.examples,
+        }
+        for r, m in zip(results, metrics)
+    ]
+    avgs = [m["avg_accuracy"] for m in metrics]
+    lasts = [m["last_accuracy"] for m in metrics]
+    props = [m["cflat_proportion"] for m in metrics]
     timing = {
-        "per_seed_train_seconds": [r.train_seconds for r in result.results],
+        "per_seed_train_seconds": [r.train_seconds for r in results],
         "per_seed_examples_per_second": [
             r.examples / r.train_seconds if r.train_seconds > 0 else None
-            for r in result.results
+            for r in results
         ],
     }
     return {
@@ -375,10 +356,13 @@ def _run_to_manifest(cfg: dict, result, n_tasks: int) -> dict:
         "library_version": __version__,
         "config": cfg,
         "n_tasks": n_tasks,
-        "seeds": [r.seed for r in result.results],
+        "seeds": [r.seed for r in results],
         "per_seed": per_seed,
         "aggregate": {
-            "mean_accuracy_matrix": result.mean_matrix,
+            "mean_accuracy_matrix": [
+                [float(np.mean([r.matrix[t][i] for r in results])) for i in range(t + 1)]
+                for t in range(n_tasks)
+            ],
             "avg_accuracy_mean": float(np.mean(avgs)),
             "avg_accuracy_std": float(np.std(avgs)),
             "last_accuracy_mean": float(np.mean(lasts)),
@@ -407,9 +391,10 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
 def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Execute a resolved config and write manifest/metrics/trace/checkpoints.
 
-    Each seed is one experiment; with ``jobs`` > 1 they run in up to that
-    many worker processes. Their results are merged in seed order, so every
-    file but the manifest's timing is byte-identical whatever ``jobs`` is.
+    Each seed is one ``run_cl_experiment`` call; with ``jobs`` > 1 the seeds
+    run in up to that many worker processes. Their results come back in seed
+    order and every file is written from them once, so every file but the
+    manifest's timing is byte-identical whatever ``jobs`` is.
     """
     dataset = _build_dataset(cfg)
     stream = make_stream(dataset, cfg["protocol"], cfg["increment"], cfg["perm_seed"])
@@ -417,16 +402,25 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
         _build_optim(cfg), _build_cl(cfg),
     )
-    result = merge_experiment_results(_map_jobs(experiment, [[s] for s in cfg["seeds"]], jobs))
+    results = _map_jobs(experiment, cfg["seeds"], jobs)
     n_tasks = len(stream.tasks)
+    metrics = [_seed_metrics(r, n_tasks) for r in results]
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _run_to_manifest(cfg, result, n_tasks)
+    manifest = _run_to_manifest(cfg, results, metrics, n_tasks)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8"
     )
-    _write_metrics_csv(out_dir / "metrics.csv", result, n_tasks)
-    _write_trace_csv(out_dir / "trace.csv", result)
-    for seed_result in result.results:
+    _write_csv(out_dir / "metrics.csv", "seed,avg_accuracy,last_accuracy,bwt,fwt,n_tasks", (
+        [r.seed, m["avg_accuracy"], m["last_accuracy"], m["bwt"], m["fwt"], n_tasks]
+        for r, m in zip(results, metrics)
+    ))
+    _write_csv(out_dir / "trace.csv", "seed,task,epoch,step,loss,sq_grad_norm,used_cflat,"
+               "proxy_value,grad_evals,hvp_evals,gpm_in_span,gpm_src_norm", (
+        [r.seed, s.task, s.epoch, step, s.loss, s.sq_grad_norm, s.used_cflat,
+         s.proxy_value, s.grad_evals, s.hvp_evals, s.gpm_in_span, s.gpm_src_norm]
+        for r in results for step, s in enumerate(r.trace)
+    ))
+    for seed_result in results:
         _write_checkpoint(
             out_dir / f"checkpoint_seed{seed_result.seed}.json",
             seed_result, cfg, stream,
@@ -474,7 +468,7 @@ def cmd_run(args) -> int:
 
 def _parse_axis(spec: str) -> tuple[str, list]:
     if "=" not in spec:
-        raise ConfigError(f"axis must look like key=v1,v2,...: {spec!r}")
+        raise ConfigError(f"axis must look like key=v1,v2,...: {spec!r}", "--axis")
     key, _, raw = spec.partition("=")
     values = []
     for item in raw.split(","):
@@ -483,8 +477,6 @@ def _parse_axis(spec: str) -> tuple[str, list]:
             values.append(json.loads(item))
         except json.JSONDecodeError:
             values.append(item)
-    if not values:
-        raise ConfigError(f"axis {key!r} has no values")
     return key.strip(), values
 
 
@@ -494,7 +486,7 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"axis key {dotted!r} does not address an object")
+            raise ConfigError(f"axis key {dotted!r} does not address an object", "--axis")
     node[parts[-1]] = value
 
 
@@ -505,35 +497,36 @@ def _sweep_cell(cfg: dict) -> dict:
 def cmd_sweep(args) -> int:
     base_doc = _apply_overrides(_load_config_file(args.config), args)
     axes = [_parse_axis(spec) for spec in args.axis]
+    keys = [key for key, _ in axes]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"--axis must not repeat a key, got {keys}", "--axis")
     base_out = Path(base_doc.get("out_dir", _DEFAULT_CONFIG["out_dir"]))
 
     cells = []
+    cell_dirs = set()
     for combo in itertools.product(*[values for _, values in axes]):
         doc = copy.deepcopy(base_doc)
         slug_parts = []
-        for (key, _), value in zip(axes, combo):
+        for key, value in zip(keys, combo):
             _set_path(doc, key, value)
             slug_parts.append(f"{key.replace('.', '_')}={value}")
         cell_dir = "cell_" + "__".join(slug_parts).replace("/", "_")
+        if cell_dir in cell_dirs:
+            raise ConfigError(f"--axis values give two cells the directory {cell_dir}", "--axis")
+        cell_dirs.add(cell_dir)
         doc["out_dir"] = str(base_out / cell_dir)
         cells.append((resolve_config(doc), cell_dir, combo))
 
     manifests = _map_jobs(_sweep_cell, [cfg for cfg, _, _ in cells], args.jobs)
 
-    lines = [
-        ",".join([key for key, _ in axes]
-                 + ["cell_dir", "avg_accuracy_mean", "avg_accuracy_std",
-                    "last_accuracy_mean", "cflat_proportion_mean"])
-    ]
-    for (cfg, cell_dir, combo), manifest in zip(cells, manifests):
-        agg = manifest["aggregate"]
-        lines.append(",".join(
-            [json.dumps(v) if not isinstance(v, str) else v for v in combo]
-            + [cell_dir, _fmt(agg["avg_accuracy_mean"]), _fmt(agg["avg_accuracy_std"]),
-               _fmt(agg["last_accuracy_mean"]), _fmt(agg["cflat_proportion_mean"])]
-        ))
+    aggregates = ["avg_accuracy_mean", "avg_accuracy_std", "last_accuracy_mean",
+                  "cflat_proportion_mean"]
     base_out.mkdir(parents=True, exist_ok=True)
-    (base_out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(base_out / "sweep.csv", ",".join(keys + ["cell_dir"] + aggregates), (
+        [v if isinstance(v, str) else json.dumps(v) for v in combo]
+        + [cell_dir] + [manifest["aggregate"][name] for name in aggregates]
+        for (_, cell_dir, combo), manifest in zip(cells, manifests)
+    ))
     return 0
 
 
@@ -622,7 +615,7 @@ def cmd_landscape(args) -> int:
     doc = report.to_dict()
     doc["r0_le_r1"] = bool(report.r0_sample <= report.r1_sample * 1.02 + 1e-12)
     doc["probe_seed"] = args.probe_seed
-    doc["checkpoint"] = args.checkpoint
+    doc["checkpoint"] = os.path.relpath(args.checkpoint, args.out)
     (out_dir / "flatness.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
     )
@@ -631,11 +624,9 @@ def cmd_landscape(args) -> int:
     a_axis, b_axis, losses = landscape_slice_2d(
         oracle, theta, batch, v1, v2, extent=args.extent, grid_n=args.grid
     )
-    lines = ["dir1_offset,dir2_offset,loss"]
-    for i, a in enumerate(a_axis):
-        for j, b in enumerate(b_axis):
-            lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(losses[i, j])}")
-    (out_dir / "slice.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "slice.csv", "dir1_offset,dir2_offset,loss", (
+        (a, b, losses[i, j]) for i, a in enumerate(a_axis) for j, b in enumerate(b_axis)
+    ))
     return 0
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "GpmState",
     "CLConfig",
     "SeedResult",
-    "ExperimentResult",
     "synth_dataset",
     "load_csv_dataset",
     "split_dataset",
@@ -62,7 +61,6 @@ __all__ = [
     "gpm_update_basis",
     "gpm_project",
     "GpmStepper",
-    "merge_experiment_results",
     "run_cl_experiment",
     "METHOD_NAMES",
     "PROTOCOL_NAMES",
@@ -650,14 +648,6 @@ class SeedResult:
     gammas: list
 
 
-@dataclass
-class ExperimentResult:
-    method: str
-    optimizer: str
-    results: list[SeedResult]
-    mean_matrix: list[list[float]]
-
-
 def _accuracy(oracle: MlpOracle, theta: ParamVector, x: np.ndarray, y: np.ndarray,
               gamma: float | None = None, new_block_start: int | None = None) -> float:
     if len(y) == 0:
@@ -668,8 +658,17 @@ def _accuracy(oracle: MlpOracle, theta: ParamVector, x: np.ndarray, y: np.ndarra
     return float(np.mean(np.argmax(z, axis=1) == y))
 
 
-def _run_seed(stream: TaskStream, method: str, optimizer: str, cfg: OptimConfig,
-              cl: CLConfig, seed: int) -> SeedResult:
+def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
+                      cfg: OptimConfig, cl: CLConfig, seed: int) -> SeedResult:
+    """Run the full incremental protocol once, for one seed.
+
+    After each task the model is evaluated on every seen task's test split;
+    before each new task (head already grown) its test split is evaluated for
+    forward transfer. Throughput counts training examples per wall second.
+    """
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    seed = int(seed)
     tasks = stream.tasks
     T = len(tasks)
     d_in = tasks[0].train_x.shape[1]
@@ -776,34 +775,3 @@ def _run_seed(stream: TaskStream, method: str, optimizer: str, cfg: OptimConfig,
         final_theta=theta,
         gammas=gammas,
     )
-
-
-def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
-                      cfg: OptimConfig, cl: CLConfig, seeds) -> ExperimentResult:
-    """Run the full incremental protocol once per seed.
-
-    After each task the model is evaluated on every seen task's test split;
-    before each new task (head already grown) its test split is evaluated for
-    forward transfer. Throughput counts training examples per wall second.
-    """
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    results = [_run_seed(stream, method, optimizer, cfg, cl, int(s)) for s in seeds]
-    return _experiment_result(method, optimizer, results, len(stream.tasks))
-
-
-def merge_experiment_results(parts: list[ExperimentResult]) -> ExperimentResult:
-    """One result from per-seed-group runs of the same experiment, in the given order."""
-    results = [r for part in parts for r in part.results]
-    return _experiment_result(parts[0].method, parts[0].optimizer, results,
-                              len(parts[0].mean_matrix))
-
-
-def _experiment_result(method: str, optimizer: str, results: list[SeedResult],
-                       n_tasks: int) -> ExperimentResult:
-    mean_matrix = [
-        [float(np.mean([r.matrix[t][i] for r in results])) for i in range(t + 1)]
-        for t in range(n_tasks)
-    ]
-    return ExperimentResult(method=method, optimizer=optimizer, results=results,
-                            mean_matrix=mean_matrix)

@@ -423,12 +423,13 @@ def train_epochs(
 ) -> tuple[ParamVector, list[StepStats]]:
     """Shuffled mini-batch training with learning-rate milestones.
 
-    The learning rate multiplies by lr_decay at each milestone epoch and the
-    radius follows rho_schedule. The ragged tail of each epoch (fewer than
-    batch_size rows) is dropped. ``x`` and ``y`` are checked once, as one
-    ``Batch``, before any step; each step's batch is a row selection of the
-    checked arrays. Divergence aborts with the step index and the loss and
-    gradient norm of the last finished step.
+    The learning rate multiplies by lr_decay at each milestone epoch. Steps
+    take it clamped to [eta_min, eta_max], the schedule's floor and ceiling,
+    and the radius follows rho_schedule at that rate. The ragged tail of each
+    epoch (fewer than batch_size rows) is dropped. ``x`` and ``y`` are checked
+    once, as one ``Batch``, before any step; each step's batch is a row
+    selection of the checked arrays. Divergence aborts with the step index and
+    the loss and gradient norm of the last finished step.
     """
     n = len(y)
     if batch_size > n:
@@ -446,8 +447,8 @@ def train_epochs(
     for epoch in range(epochs):
         if epoch in milestones:
             eta *= lr_decay
-        eta_sched = min(max(eta, cfg.eta_min), cfg.eta_max)
-        cfg_i = replace(cfg, eta=eta, rho=rho_schedule(cfg, eta_sched))
+        eta_i = min(max(eta, cfg.eta_min), cfg.eta_max)
+        cfg_i = replace(cfg, eta=eta_i, rho=rho_schedule(cfg, eta_i))
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch_size : (b + 1) * batch_size]

@@ -56,7 +56,7 @@ def bench():
     runs = {}
     for method, opt in [("finetune", "sgd"), ("replay", "sgd"), ("replay", "cflat"),
                         ("wa", "sgd"), ("wa", "cflat")]:
-        runs[(method, opt)] = run_cl_experiment(stream, method, opt, cfg, cl, SEEDS)
+        runs[(method, opt)] = [run_cl_experiment(stream, method, opt, cfg, cl, s) for s in SEEDS]
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
 
 
@@ -69,14 +69,14 @@ def efficiency_bench():
     cl = CLConfig(hidden=(32,), activation="relu", epochs=15, batch_size=32)
     cfg = OptimConfig(eta=0.1)
     runs = {
-        opt: run_cl_experiment(stream, "replay", opt, cfg, cl, SEEDS)
+        opt: [run_cl_experiment(stream, "replay", opt, cfg, cl, s) for s in SEEDS]
         for opt in ("cflat", "cflat++")
     }
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
 
 
-def mean_avg_accuracy(result) -> float:
-    return float(np.mean([average_accuracy(r.matrix) for r in result.results]))
+def mean_avg_accuracy(results) -> float:
+    return float(np.mean([average_accuracy(r.matrix) for r in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +371,10 @@ def test_criterion_8_gpm_projection():
     spec = SyntheticSpec(classes=6, dims=8, per_class=60, cluster_std=1.0, seed=17)
     stream = make_stream(synth_dataset(spec), "B0", 2)
     cl = CLConfig(hidden=(12,), epochs=4, batch_size=16, gpm_eta1=0.0)
-    res = run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3), cl, [0, 1])
     checked = 0
     worst = 0.0
-    for r in res.results:
+    for r in [run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3), cl, s)
+              for s in (0, 1)]:
         for s in r.trace:
             if s.gpm_in_span is None:
                 continue
@@ -393,7 +393,7 @@ def test_criterion_9_forgetting_and_replay(bench):
     start = time.perf_counter()
     finetune = bench["runs"][("finetune", "sgd")]
     replay = bench["runs"][("replay", "sgd")]
-    bwts = [bwt(r.matrix) for r in finetune.results]
+    bwts = [bwt(r.matrix) for r in finetune]
     improvement = mean_avg_accuracy(replay) - mean_avg_accuracy(finetune)
     elapsed = time.perf_counter() - start
     ok = max(bwts) < -0.05 and improvement >= 0.03
@@ -441,8 +441,8 @@ def end_of_training_curvature(bench, result):
 def test_criterion_11_flatness_ordering(bench):
     lam_wins = 0
     trace_wins = 0
-    for r_sgd, r_cf in zip(bench["runs"][("replay", "sgd")].results,
-                           bench["runs"][("replay", "cflat")].results):
+    for r_sgd, r_cf in zip(bench["runs"][("replay", "sgd")],
+                           bench["runs"][("replay", "cflat")]):
         lam_s, tr_s = end_of_training_curvature(bench, r_sgd)
         lam_c, tr_c = end_of_training_curvature(bench, r_cf)
         lam_wins += lam_c <= lam_s
@@ -460,9 +460,9 @@ def test_criterion_11_flatness_ordering(bench):
 def test_criterion_12_cflatpp_efficiency(efficiency_bench):
     cf = efficiency_bench["runs"]["cflat"]
     pp = efficiency_bench["runs"]["cflat++"]
-    proportion = float(np.mean([cflat_proportion(r.trace) for r in pp.results]))
-    thr_cf = float(np.mean([r.examples / r.train_seconds for r in cf.results]))
-    thr_pp = float(np.mean([r.examples / r.train_seconds for r in pp.results]))
+    proportion = float(np.mean([cflat_proportion(r.trace) for r in pp]))
+    thr_cf = float(np.mean([r.examples / r.train_seconds for r in cf]))
+    thr_pp = float(np.mean([r.examples / r.train_seconds for r in pp]))
     speedup = thr_pp / thr_cf
     gap = abs(mean_avg_accuracy(pp) - mean_avg_accuracy(cf))
     ok = 0.10 <= proportion <= 0.60 and speedup >= 1.3 and gap <= 0.02
@@ -490,8 +490,9 @@ def test_criterion_13_hybrid_grid(bench):
     for p in ps:
         cl = CLConfig(hidden=(32,), activation="tanh", epochs=15, batch_size=32,
                       hybrid_p=p, hybrid_ordering="cflat_last")
-        res = run_cl_experiment(stream, "replay", "hybrid", cfg, cl, SEEDS)
-        accs.append(mean_avg_accuracy(res))
+        accs.append(mean_avg_accuracy(
+            [run_cl_experiment(stream, "replay", "hybrid", cfg, cl, s) for s in SEEDS]
+        ))
     corr = spearman(ps, accs)
     ok = corr > 0
     report(13, ok, "accuracy by p: " + ", ".join(f"{a:.4f}" for a in accs)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,8 +68,6 @@ def test_run_rerun_is_byte_identical(tmp_path):
 
 
 def test_demo_config_twice_in_one_process_writes_identical_files(tmp_path):
-    from pathlib import Path
-
     from cflat.cli import run_experiment_from_config
 
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -188,6 +187,28 @@ def test_seeds_flag_overrides_config(tmp_path):
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert [ln.split(",")[0] for ln in lines[1:]] == ["7", "8"]
     assert (out / "checkpoint_seed7.json").exists()
+
+
+def test_manifest_mean_matrix_averages_seeds(tmp_path):
+    out = tmp_path / "run"
+    doc = base_config(out, optimizer="sgd", optim={"eta": 0.5}, seeds=[0, 1])
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    mean = manifest["aggregate"]["mean_accuracy_matrix"]
+    assert len(mean) == manifest["n_tasks"] == 2
+    for t, row in enumerate(mean):
+        assert len(row) == t + 1
+        for i in range(t + 1):
+            direct = np.mean([s["accuracy_matrix"][t][i] for s in manifest["per_seed"]])
+            assert row[i] == pytest.approx(direct, rel=1e-12)
+
+
+def test_lr_milestones_below_eta_min_train_at_the_floor(tmp_path):
+    out = tmp_path / "run"
+    doc = base_config(out, optim={"eta": 0.5, "eta_min": 0.1, "rho_min": 0.05},
+                      train={"epochs": 2, "batch_size": 16, "milestones": [1], "lr_decay": 0.1})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert (out / "metrics.csv").exists()
 
 
 def test_resolve_config_fills_defaults():
@@ -380,6 +401,20 @@ def test_landscape_iters_bounds_the_eigen_solve_products(tmp_path, monkeypatch, 
     assert math.isfinite(report["lanczos_residual"]) and report["lanczos_residual"] > 1e-10
     assert "power_iters" not in report
     assert len((out / "slice.csv").read_text().splitlines()) == 1 + 9
+
+
+def test_landscape_writes_the_checkpoint_path_relative_to_out(tmp_path, mlp_checkpoint):
+    outs = []
+    for copy in ("a", "b"):
+        ckpt = tmp_path / copy / "run" / "checkpoint_seed0.json"
+        ckpt.parent.mkdir(parents=True)
+        ckpt.write_text(json.dumps(mlp_checkpoint), encoding="utf-8")
+        outs.append(tmp_path / copy / "land")
+        assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(outs[-1]),
+                     "--samples", "4", "--probes", "3", "--iters", "5", "--grid", "3"]) == 0
+    a, b = ((out / "flatness.json").read_bytes() for out in outs)
+    assert a == b
+    assert json.loads(a)["checkpoint"] == str(Path("..", "run", "checkpoint_seed0.json"))
 
 
 def _drop(key):
@@ -577,6 +612,24 @@ def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(out))
     assert main(["sweep", "--config", cfg, "--axis", "gpm.sample=16,0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["field"] == "gpm.sample"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axes", [
+    ["optim.lam=0.1,0.1"],                # one value twice
+    ["optim.lam=0.1,0.10"],               # two spellings of one value
+    ["dataset.path=a/b,a_b"],             # two values with one directory slug
+    ["optim.lam=0.1", "optim.lam=0.2"],   # one key in two flags
+    ["optim.lam"],                        # no values
+    ["method.kind=1"],                    # a key below a leaf
+])
+def test_sweep_rejects_a_bad_axis_before_running_any(tmp_path, capsys, axes):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", write_config(tmp_path, base_config(out))]
+    for axis in axes:
+        args += ["--axis", axis]
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "--axis"
     assert not out.exists()
 
 

@@ -635,18 +635,16 @@ def small_cl(**kw):
 def test_single_task_matrix_is_plain_accuracy():
     ds = quick_dataset(classes=4, dims=6, per_class=40)
     stream = make_stream(ds, "B0", 4)  # one task covering everything
-    res = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
-                            small_cl(), [0])
-    matrix = res.results[0].matrix
+    matrix = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
+                               small_cl(), 0).matrix
     assert len(matrix) == 1 and len(matrix[0]) == 1
     assert 0.0 <= matrix[0][0] <= 1.0
 
 
 def test_finetune_exhibits_forgetting():
     stream = small_stream()
-    res = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
-                            small_cl(epochs=5), [0])
-    m = res.results[0].matrix
+    m = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
+                          small_cl(epochs=5), 0).matrix
     assert m[1][0] < m[0][0]
 
 
@@ -655,17 +653,16 @@ def test_replay_with_unbounded_memory_matches_joint_training():
     two_task = make_stream(ds, "B0", 2)
     joint = make_stream(ds, "B0", 4)
     cl = CLConfig(hidden=(16,), epochs=10, batch_size=32, memory_capacity=10_000)
-    replay = run_cl_experiment(two_task, "replay", "sgd", OptimConfig(eta=0.5), cl, [0])
-    joint_run = run_cl_experiment(joint, "finetune", "sgd", OptimConfig(eta=0.5), cl, [0])
-    gap = abs(last_accuracy(replay.results[0].matrix)
-              - last_accuracy(joint_run.results[0].matrix))
+    replay = run_cl_experiment(two_task, "replay", "sgd", OptimConfig(eta=0.5), cl, 0)
+    joint_run = run_cl_experiment(joint, "finetune", "sgd", OptimConfig(eta=0.5), cl, 0)
+    gap = abs(last_accuracy(replay.matrix) - last_accuracy(joint_run.matrix))
     assert gap <= 0.03
 
 
 def test_memory_stays_legal_throughout():
     stream = small_stream(classes=6, increment=2)
     res = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
-                            small_cl(memory_capacity=5), [0])
+                            small_cl(memory_capacity=5), 0)
     # rebuild the buffer trajectory and check class legality per task
     buf = MemoryBuffer(5)
     root = SeededRng(0)
@@ -682,9 +679,8 @@ def test_memory_stays_legal_throughout():
 @pytest.mark.parametrize("optimizer", ["sgd", "sam", "cflat", "cflat++", "hybrid"])
 def test_every_method_optimizer_combination_runs(method, optimizer):
     stream = small_stream()
-    res = run_cl_experiment(stream, method, optimizer, OptimConfig(eta=0.3),
-                            small_cl(epochs=2), [0])
-    seed_result = res.results[0]
+    seed_result = run_cl_experiment(stream, method, optimizer, OptimConfig(eta=0.3),
+                                    small_cl(epochs=2), 0)
     assert len(seed_result.matrix) == len(stream.tasks)
     for t, row in enumerate(seed_result.matrix):
         assert len(row) == t + 1
@@ -697,18 +693,16 @@ def test_every_method_optimizer_combination_runs(method, optimizer):
 def test_experiment_is_deterministic_per_seed():
     stream = small_stream()
     a = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.3),
-                          small_cl(), [3])
+                          small_cl(), 3)
     b = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.3),
-                          small_cl(), [3])
-    assert a.results[0].matrix == b.results[0].matrix
-    assert np.array_equal(a.results[0].final_theta.data, b.results[0].final_theta.data)
+                          small_cl(), 3)
+    assert a.matrix == b.matrix
+    assert np.array_equal(a.final_theta.data, b.final_theta.data)
 
 
 def test_pre_train_and_baseline_recorded_for_fwt():
     stream = small_stream(classes=6, increment=2)
-    res = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
-                            small_cl(), [0])
-    r = res.results[0]
+    r = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), small_cl(), 0)
     assert r.pre_train_acc[0] is None
     assert len(r.pre_train_acc) == 3
     assert all(v is not None for v in r.pre_train_acc[1:])
@@ -718,8 +712,8 @@ def test_pre_train_and_baseline_recorded_for_fwt():
 def test_gpm_in_span_invariant_during_run():
     stream = small_stream(classes=6, increment=2)
     res = run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3),
-                            small_cl(gpm_eta1=0.0), [0])
-    projected = [s for s in res.results[0].trace if s.gpm_in_span is not None]
+                            small_cl(gpm_eta1=0.0), 0)
+    projected = [s for s in res.trace if s.gpm_in_span is not None]
     assert projected, "projection never engaged"
     for s in projected:
         assert s.gpm_in_span <= 1e-8 * s.gpm_src_norm
@@ -727,27 +721,15 @@ def test_gpm_in_span_invariant_during_run():
 
 def test_wa_gammas_recorded():
     stream = small_stream()
-    res = run_cl_experiment(stream, "wa", "sgd", OptimConfig(eta=0.5),
-                            small_cl(), [0])
-    gammas = res.results[0].gammas
+    gammas = run_cl_experiment(stream, "wa", "sgd", OptimConfig(eta=0.5), small_cl(), 0).gammas
     assert gammas[0] is None
     assert gammas[1] is not None and gammas[1] > 0
-
-
-def test_mean_matrix_averages_seeds():
-    stream = small_stream()
-    res = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
-                            small_cl(), [0, 1])
-    for t in range(len(stream.tasks)):
-        for i in range(t + 1):
-            direct = np.mean([r.matrix[t][i] for r in res.results])
-            assert res.mean_matrix[t][i] == pytest.approx(direct, rel=1e-12)
 
 
 def test_unknown_method_rejected():
     stream = small_stream()
     with pytest.raises(ValueError, match="unknown method"):
-        run_cl_experiment(stream, "ewc", "sgd", OptimConfig(eta=0.5), small_cl(), [0])
+        run_cl_experiment(stream, "ewc", "sgd", OptimConfig(eta=0.5), small_cl(), 0)
 
 
 def test_cflat_throughput_below_sgd_on_identical_workload():
@@ -755,7 +737,7 @@ def test_cflat_throughput_below_sgd_on_identical_workload():
     ds = quick_dataset(classes=4, dims=16, per_class=100, seed=19)
     stream = make_stream(ds, "B0", 2)
     cl = CLConfig(hidden=(32,), epochs=6, batch_size=64)
-    sgd = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), cl, [0])
-    cflat = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.5), cl, [0])
-    thr = lambda res: res.results[0].examples / res.results[0].train_seconds
+    sgd = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), cl, 0)
+    cflat = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.5), cl, 0)
+    thr = lambda res: res.examples / res.train_seconds
     assert thr(cflat) < thr(sgd)

@@ -461,6 +461,20 @@ def test_train_epochs_milestone_decay():
     assert theta.data[0] == pytest.approx(expected, rel=1e-14)
 
 
+def test_train_epochs_milestone_decay_stops_at_eta_min():
+    q = make_quadratic(np.eye(2))
+    x = np.zeros((2, 2))
+    y = np.zeros(2, dtype=int)
+    cfg = OptimConfig(eta=0.5, eta_min=0.1, rho_min=0.05)
+    theta, _ = train_epochs(
+        q, ParamVector([1.0, 0.0]), x, y, cfg, make_stepper("sgd"),
+        epochs=3, batch_size=2, rng=SeededRng(2), milestones=(1, 2), lr_decay=0.1,
+    )
+    # epoch 0 at eta=0.5; the decayed 0.05 and 0.005 step at the floor, 0.1
+    expected = 1.0 * (1 - 0.5) * (1 - 0.1) * (1 - 0.1)
+    assert theta.data[0] == pytest.approx(expected, rel=1e-14)
+
+
 def test_train_epochs_divergence_carries_step_index():
     q = make_quadratic(np.array([[4.0]]))
     x = np.zeros((2, 1))
