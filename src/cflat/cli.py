@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -593,8 +594,10 @@ def _load_checkpoint(path: str):
 
 
 def cmd_landscape(args) -> int:
-    if not args.rho > 0:
-        raise ConfigError(f"--rho must be positive, got {args.rho}", "--rho")
+    for flag in ("rho", "extent"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{flag} must be finite and positive, got {value}", f"--{flag}")
     for flag in ("samples", "probes", "iters", "grid"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}", f"--{flag}")

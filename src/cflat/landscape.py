@@ -9,12 +9,14 @@ PyHessian (Yao et al. 2020); ``power_iter_lambda_max`` and
 ``top2_eigenpairs`` are views of it. Run right after a gradient at theta, on
 an oracle that keeps its last gradient pass (``MlpOracle``), every product
 reads that pass. The sampled sharpness R0 and flatness R1 share one set of
-ball points (``ball_sharpness``), and each point's loss is read after its
-gradient, so such an oracle evaluates every point once.
+ball points (``ball_sharpness``), streamed a block at a time, and each
+point's loss is read after its gradient, so such an oracle evaluates every
+point once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import Iterator
 
 import numpy as np
 
@@ -209,23 +211,35 @@ def hutchinson_trace(
     return total / probes
 
 
-# Rows normalised per block in _ball_samples; bounds the norm's temporaries.
+# Rows drawn, normalised and scaled per block in _ball_samples; the one
+# reused block buffer bounds the stream's memory.
 _BALL_BLOCK_ROWS = 64
 
 
-def _ball_samples(rng: SeededRng, d: int, rho: float, n: int) -> np.ndarray:
-    """n points uniform in the radius-rho ball (gaussian direction, u^{1/d} radius).
+def _ball_samples(rng: SeededRng, d: int, rho: float, n: int) -> Iterator[np.ndarray]:
+    """Stream of n points uniform in the radius-rho ball (gaussian direction,
+    u^{1/d} radius), one row at a time.
 
-    The draws are normalised and scaled in place, a block of rows at a time,
-    so the (n, d) draw is the only full-size array.
+    The rows are those of the one-shot draw ``normal(0, 1, (n, d))``
+    normalised per row and scaled by ``rho * uniform(0, 1, n) ** (1/d)``, and
+    once the stream is consumed ``rng`` is where that draw leaves it. The
+    radii follow all n * d normals in ``rng``'s stream, so the normals are
+    drawn once to reach them and replayed from a copy of ``rng`` one block of
+    ``_BALL_BLOCK_ROWS`` rows at a time. Each yielded row is a view into one
+    reused (block, d) buffer: it is valid only until the next row is drawn.
     """
-    dirs = rng.normal(0.0, 1.0, (n, d))
-    for start in range(0, n, _BALL_BLOCK_ROWS):
-        block = dirs[start:start + _BALL_BLOCK_ROWS]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    replay = rng.copy()
+    buf = np.empty((min(n, _BALL_BLOCK_ROWS), d))
+    starts = range(0, n, _BALL_BLOCK_ROWS)
+    for start in starts:  # not skippable: a ziggurat draw takes a varying number of words
+        rng.fill_normal(buf[:n - start])
     radii = rho * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
-    dirs *= radii[:, None]
-    return dirs
+    for start in starts:
+        block = buf[:n - start]
+        replay.fill_normal(block)
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        block *= radii[start:start + len(block), None]
+        yield from block
 
 
 def ball_sharpness(
@@ -241,17 +255,18 @@ def ball_sharpness(
     R0 is the worst loss increase, max L(theta+delta) - L(theta), and R1 is
     rho times the worst gradient norm, rho * max ||grad L(theta+delta)||. Each
     point's gradient is evaluated before its loss, so an oracle that keeps its
-    last forward pass (``MlpOracle``) costs one gradient per point.
+    last forward pass (``MlpOracle``) costs one gradient per point. The points
+    come from the ``_ball_samples`` stream, each used before the next is
+    drawn, so memory holds one block of offsets and the n radii.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and positive")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     base = oracle.loss(theta, batch)
-    offsets = _ball_samples(rng, theta.dim, rho, n_samples)
     worst_loss = -np.inf
     worst_grad = 0.0
-    for row in offsets:
+    for row in _ball_samples(rng, theta.dim, rho, n_samples):
         point = theta._adopt(theta.data + row)
         worst_grad = max(worst_grad, norm2(oracle.grad(point, batch)))
         worst_loss = max(worst_loss, oracle.loss(point, batch))

@@ -141,8 +141,21 @@ class SeededRng:
         """Independent substream derived from this one and the given indices."""
         return SeededRng(self.seed, _mix_stream(self.stream, indices))
 
+    def copy(self) -> "SeededRng":
+        """A twin at this generator's position: it makes the draws this one
+        makes next, and the two advance independently."""
+        twin = SeededRng(self.seed, self.stream)
+        twin._gen.bit_generator.state = self._gen.bit_generator.state
+        return twin
+
     def normal(self, mean: float = 0.0, std: float = 1.0, size=None):
         return self._gen.normal(mean, std, size)
+
+    def fill_normal(self, out: np.ndarray) -> None:
+        """Fill the C-contiguous float64 ``out`` with the draws
+        ``normal(0.0, 1.0, out.shape)`` would return, allocating nothing."""
+        self._gen.standard_normal(out=out)
+        out += 0.0  # normal computes 0.0 + x, which maps -0.0 to +0.0
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)

@@ -529,7 +529,8 @@ def test_report_rejects_mixed_schema(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--samples", "0"), ("--samples", "-3"), ("--probes", "0"), ("--iters", "0"),
-    ("--grid", "0"), ("--rho", "0"), ("--rho", "-1"),
+    ("--grid", "0"), ("--rho", "0"), ("--rho", "-1"), ("--rho", "inf"), ("--rho", "nan"),
+    ("--extent", "0"), ("--extent", "-1"), ("--extent", "inf"), ("--extent", "nan"),
 ])
 def test_landscape_rejects_a_bad_flag_before_any_work(tmp_path, capsys, flag, value):
     ckpt = tmp_path / "quad.json"

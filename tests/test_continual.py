@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cflat import continual
 from cflat.continual import (
     CLConfig,
     DistillObjective,
@@ -659,20 +660,28 @@ def test_replay_with_unbounded_memory_matches_joint_training():
     assert gap <= 0.03
 
 
-def test_memory_stays_legal_throughout():
+def test_memory_stays_legal_throughout(monkeypatch):
     stream = small_stream(classes=6, increment=2)
-    res = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
-                            small_cl(memory_capacity=5), 0)
-    # rebuild the buffer trajectory and check class legality per task
-    buf = MemoryBuffer(5)
-    root = SeededRng(0)
+    trained = []
+    train_epochs = continual.train_epochs
+
+    def recording(oracle, theta, x, y, *args):
+        trained.append((x, y))
+        return train_epochs(oracle, theta, x, y, *args)
+
+    monkeypatch.setattr(continual, "train_epochs", recording)
+    run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
+                      small_cl(memory_capacity=5), 0)
+    assert len(trained) == len(stream.tasks)
     seen: set[int] = set()
-    for t, task in enumerate(stream.tasks):
-        contents = buffer_contents(buf)
-        if contents is not None:
-            assert set(np.unique(contents[1])).issubset(seen)
-        buf = buffer_update(buf, task.train_x, task.train_y, root.spawn(14, t))
-        seen.update(np.unique(task.train_y))
+    for task, (x, y) in zip(stream.tasks, trained):
+        own = set(np.unique(task.train_y).tolist())
+        classes, counts = np.unique(y, return_counts=True)
+        assert set(classes.tolist()) <= own | seen
+        replayed = {c: n for c, n in zip(classes.tolist(), counts.tolist()) if c not in own}
+        assert set(replayed) == seen  # every earlier class is replayed from task 1 on
+        assert all(n <= 5 for n in replayed.values())
+        seen |= own
 
 
 @pytest.mark.parametrize("method", ["finetune", "replay", "icarl", "wa", "gpm"])

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cflat.landscape import (
+    _BALL_BLOCK_ROWS,
     _ball_samples,
     ball_sharpness,
     flatness_report,
@@ -251,15 +254,37 @@ def test_lanczos_takes_one_product_per_basis_vector(monkeypatch, iters):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,d", [(1, 5), (64, 3), (130, 50), (300, 257)])
+@pytest.mark.parametrize("n,d", [(1, 5), (64, 3), (130, 50), (300, 257),
+                                 (2 * _BALL_BLOCK_ROWS + 1, 7)])
 def test_ball_samples_equal_the_one_shot_formula(n, d):
     rng = SeededRng(21, 4)
     dirs = rng.normal(0.0, 1.0, (n, d))
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     expected = dirs * (0.3 * rng.uniform(0.0, 1.0, n) ** (1.0 / d))[:, None]
-    got = _ball_samples(SeededRng(21, 4), d, 0.3, n)
+    streamed = SeededRng(21, 4)
+    # each row is valid only until the next is drawn: copy it out
+    got = np.array([row.copy() for row in _ball_samples(streamed, d, 0.3, n)])
     assert got.shape == (n, d)
     assert got.tobytes() == expected.tobytes()
+    # the consumed stream leaves the rng where the one-shot draw does
+    assert streamed.normal(0.0, 1.0, 5).tobytes() == rng.normal(0.0, 1.0, 5).tobytes()
+
+
+def test_ball_sharpness_memory_does_not_grow_with_the_samples():
+    q = make_quadratic(np.eye(3000))
+    theta = ParamVector(np.zeros(3000))
+
+    def peak_bytes(n):
+        tracemalloc.start()
+        try:
+            ball_sharpness(q, theta, None, 0.1, n, SeededRng(3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block_bytes = _BALL_BLOCK_ROWS * theta.dim * 8
+    # the one-shot draw held 8 * n * d bytes: 24 MB at n = 1000
+    assert peak_bytes(1000) <= peak_bytes(_BALL_BLOCK_ROWS) + block_bytes
 
 
 def test_r0_quadratic_minimum_closed_form():
@@ -320,6 +345,9 @@ def test_rho_must_be_positive():
         r0_bruteforce(q, ParamVector(np.zeros(2)), None, 0.0, 10, SeededRng(0))
     with pytest.raises(ValueError):
         r1_bruteforce(q, ParamVector(np.zeros(2)), None, -0.1, 10, SeededRng(0))
+    for rho in (np.inf, np.nan):  # a nan rho gave (-inf, nan)
+        with pytest.raises(ValueError, match="finite"):
+            ball_sharpness(q, ParamVector(np.zeros(2)), None, rho, 10, SeededRng(0))
     for estimator in (r0_bruteforce, r1_bruteforce):
         for n_samples in (0, -3):
             with pytest.raises(ValueError, match="n_samples"):
