@@ -52,12 +52,9 @@ from .optim import DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, O
 
 SCHEMA_VERSION = 1
 
-# The CLI trains with a larger step than OptimConfig's library default (0.1).
-_CLI_ETA = 0.5
-
 # Config keys that set a dataclass field: JSON path -> (dataclass, field).
-# Their defaults come from the dataclass (optim.eta aside, see _CLI_ETA), and
-# _build_optim / _build_cl build the dataclasses from them.
+# Their defaults come from the dataclass, and _build_optim / _build_cl build
+# the dataclasses from them.
 _DATACLASS_KEYS = (
     *((f"optim.{f.name}", OptimConfig, f.name) for f in dataclasses.fields(OptimConfig)),
     ("model.hidden", CLConfig, "hidden"),
@@ -90,7 +87,6 @@ def _dataclass_sections() -> dict:
         section, key = path.split(".")
         value = next(f.default for f in dataclasses.fields(cls) if f.name == name)
         sections.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
-    sections["optim"]["eta"] = _CLI_ETA
     return sections
 
 
@@ -201,14 +197,18 @@ def resolve_config(user: dict) -> dict:
     if cfg["increment"] < 1:
         raise ConfigError("increment must be >= 1", "increment")
     if cfg["dataset"]["kind"] == "synthetic":
-        classes = _build(cfg, SyntheticSpec).classes
-        try:
-            task_sizes(classes, cfg["protocol"], cfg["increment"])
-        except ValueError as err:
-            raise ConfigError(f"increment: {err}", "increment") from None
+        _check_split(cfg, _build(cfg, SyntheticSpec).classes)
     _build_optim(cfg)
     _build_cl(cfg)
     return cfg
+
+
+def _check_split(cfg: dict, n_classes: int) -> None:
+    """The dataset's classes must split into tasks under protocol/increment."""
+    try:
+        task_sizes(n_classes, cfg["protocol"], cfg["increment"])
+    except ValueError as err:
+        raise ConfigError(f"increment: {err}", "increment") from None
 
 
 def _check_distinct_seeds(seeds: list[int], field: str) -> None:
@@ -259,7 +259,9 @@ def _build_dataset(cfg: dict) -> Dataset:
     if ds["kind"] == "synthetic":
         return synth_dataset(_build(cfg, SyntheticSpec))
     x, y = load_csv_dataset(ds["path"])
-    return split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
+    dataset = split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
+    _check_split(cfg, dataset.n_classes)  # a csv's classes are known once it is read
+    return dataset
 
 
 def _build_optim(cfg: dict) -> OptimConfig:
@@ -429,11 +431,21 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     return manifest
 
 
+def _read_json(path: Path):
+    """The JSON document in ``path``; malformed JSON raises a ConfigError
+    naming the file and the decoder's line and column."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: malformed JSON at line {err.lineno} column "
+                          f"{err.colno}: {err.msg}") from None
+
+
 def _load_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc = _read_json(p)
     if isinstance(doc, dict) and "config" in doc and "schema_version" in doc:
         doc = doc["config"]  # a manifest reproduces its own run
     return doc
@@ -557,7 +569,7 @@ def _load_checkpoint(path: str):
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc = _read_json(p)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _CHECKPOINT_KEYS:
         raise ConfigError(f"unknown checkpoint kind {kind!r}", "kind")
@@ -645,7 +657,7 @@ _REPORT_KEYS = {
 def _collect_manifests(results_dir: Path) -> list[dict]:
     manifests = []
     for path in sorted(results_dir.rglob("manifest.json")):
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = _read_json(path)
         for section, keys in _REPORT_KEYS.items():
             node = manifest.get(section) if isinstance(manifest, dict) else None
             for key in keys:
@@ -766,7 +778,7 @@ def main(argv=None) -> int:
                              "grad_norm": err.grad_norm}}
         print(json.dumps(payload), file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         payload = {"error": {"kind": type(err).__name__, "message": str(err)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

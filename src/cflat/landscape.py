@@ -220,23 +220,17 @@ def _ball_samples(rng: SeededRng, d: int, rho: float, n: int) -> Iterator[np.nda
     """Stream of n points uniform in the radius-rho ball (gaussian direction,
     u^{1/d} radius), one row at a time.
 
-    The rows are those of the one-shot draw ``normal(0, 1, (n, d))``
-    normalised per row and scaled by ``rho * uniform(0, 1, n) ** (1/d)``, and
-    once the stream is consumed ``rng`` is where that draw leaves it. The
-    radii follow all n * d normals in ``rng``'s stream, so the normals are
-    drawn once to reach them and replayed from a copy of ``rng`` one block of
-    ``_BALL_BLOCK_ROWS`` rows at a time. Each yielded row is a view into one
-    reused (block, d) buffer: it is valid only until the next row is drawn.
+    The n radii ``rho * uniform(0, 1, n) ** (1/d)`` are drawn first; the rows
+    are then the draw ``normal(0, 1, (n, d))`` normalised per row and scaled
+    by their radii, filled one block of ``_BALL_BLOCK_ROWS`` rows at a time.
+    Each yielded row is a view into one reused (block, d) buffer: it is valid
+    only until the next row is drawn.
     """
-    replay = rng.copy()
-    buf = np.empty((min(n, _BALL_BLOCK_ROWS), d))
-    starts = range(0, n, _BALL_BLOCK_ROWS)
-    for start in starts:  # not skippable: a ziggurat draw takes a varying number of words
-        rng.fill_normal(buf[:n - start])
     radii = rho * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
-    for start in starts:
+    buf = np.empty((min(n, _BALL_BLOCK_ROWS), d))
+    for start in range(0, n, _BALL_BLOCK_ROWS):
         block = buf[:n - start]
-        replay.fill_normal(block)
+        rng.fill_normal(block)
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         block *= radii[start:start + len(block), None]
         yield from block
@@ -301,6 +295,8 @@ def landscape_slice_2d(
     """
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
+    if not (np.isfinite(extent) and extent > 0):
+        raise ValueError("extent must be finite and positive")
     d1 = dir1.data / (norm2(dir1) or 1.0)
     d2 = dir2.data / (norm2(dir2) or 1.0)
     axis = np.linspace(-extent, extent, grid_n)

@@ -141,13 +141,6 @@ class SeededRng:
         """Independent substream derived from this one and the given indices."""
         return SeededRng(self.seed, _mix_stream(self.stream, indices))
 
-    def copy(self) -> "SeededRng":
-        """A twin at this generator's position: it makes the draws this one
-        makes next, and the two advance independently."""
-        twin = SeededRng(self.seed, self.stream)
-        twin._gen.bit_generator.state = self._gen.bit_generator.state
-        return twin
-
     def normal(self, mean: float = 0.0, std: float = 1.0, size=None):
         return self._gen.normal(mean, std, size)
 

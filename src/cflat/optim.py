@@ -20,12 +20,15 @@ C-Flat++ applies that update selectively: only when the batch squared
 gradient norm exceeds a sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}),
 whose bound A adapts by error feedback A <- A - eta0 * E.
 
-Each optimizer is implemented once, as a DescentStepper whose ``direction``
-returns the step's direction d with its StepStats (and advances the proxy or
-the hybrid plan); its ``step`` is the plain step theta - eta * d. Steppers are
-the only step API: ``make_stepper`` builds one by name, ``train_epochs`` drives
-one, and a projection method (continual.GpmStepper) wraps any stepper's
-direction instead of stepping.
+Every descent optimizer shares one step body, ``DescentStepper.direction``:
+it checks theta, takes the gradient and the loss, builds the step's StepStats,
+and asks the optimizer's gate ``use_cflat(stats)`` whether d is the C-Flat
+direction or the gradient. SGD never says yes, C-Flat always does, C-Flat++
+asks its proxy (advancing it) and the hybrid reads its plan; SAM says no and
+then takes the gradient at the ascent point. ``step`` is the plain step
+theta - eta * d. Steppers are the only step API: ``make_stepper`` builds one
+by name, ``train_epochs`` drives one, and a projection method
+(continual.GpmStepper) wraps any stepper's direction instead of stepping.
 """
 from __future__ import annotations
 
@@ -87,7 +90,7 @@ class OptimConfig:
     ties the radius linearly to the decayed learning rate.
     """
 
-    eta: float = 0.1
+    eta: float = 0.5
     rho: float = 0.2
     lam: float = 0.2
     eps_guard: float = 1e-12
@@ -144,10 +147,10 @@ class StepStats:
 
     grad_evals follows the optimizer's cost accounting: direct gradient
     evaluations plus one per Hessian-vector product, so a C-Flat direction
-    counts 3 + 2 = 5. The direction that takes the step creates the object;
-    the fields it cannot know are set on it by whoever knows them: epoch by
+    counts 3 + 2 = 5. ``DescentStepper.direction`` creates the object; the
+    fields it cannot know are set on it by whoever knows them: epoch by
     ``train_epochs``, task by the continual harness, proxy_value by
-    ``CflatPPStepper``, and the gpm_* fields and the projection's extra
+    ``CflatPPStepper``'s gate, and the gpm_* fields and the projection's extra
     grad_evals by ``continual.GpmStepper``.
     """
 
@@ -168,22 +171,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise DivergenceError(f"non-finite {what} encountered")
 
 
-def _loss_and_grad(oracle: ObjectiveOracle, theta: ParamVector,
-                   batch: Batch) -> tuple[float, ParamVector]:
-    """Every step's prologue: finite theta, finite loss, finite gradient.
-
-    The gradient is evaluated before the loss, so an oracle that keeps its
-    last forward pass (``MlpOracle``) reads the loss from it."""
-    if not all_finite(theta):
-        raise DivergenceError("parameters contain NaN/Inf")
-    g = oracle.grad(theta, batch)
-    loss = oracle.loss(theta, batch)
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite loss")
-    _require_finite(g.data, "gradient")
-    return loss, g
-
-
 def sam_perturb(g: ParamVector, rho: float, eps_guard: float) -> ParamVector:
     """Ascent perturbation rho * g / (||g|| + eps); zero gradient gives zero."""
     if rho < 0:
@@ -196,19 +183,16 @@ def ascent_point(theta: ParamVector, d: ParamVector, cfg: OptimConfig) -> ParamV
     return axpy(1.0, sam_perturb(d, cfg.rho, cfg.eps_guard), theta)
 
 
-def _sgd_direction(loss: float, g: ParamVector) -> tuple[ParamVector, StepStats]:
-    return g, StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
-
-
-def _cflat_direction(oracle, theta, batch, cfg, loss: float, g: ParamVector):
+def _cflat_direction(oracle, theta, batch, cfg, g: ParamVector,
+                     stats: StepStats) -> ParamVector:
     """Combined direction g0 + lam*g1 given the already-computed gradient at theta.
 
     h is taken first, while the gradient pass at theta is the oracle's last.
+    Records the C-Flat cost (5 gradient evaluations, 2 of them HVPs) on stats.
     """
     eps = cfg.eps_guard
-    gnorm = norm2(g)
 
-    ghat = g._adopt(g.data / (gnorm + eps))
+    ghat = g._adopt(g.data / (norm2(g) + eps))
     h = oracle.hvp(theta, ghat, batch)
     _require_finite(h.data, "hvp")
 
@@ -222,15 +206,10 @@ def _cflat_direction(oracle, theta, batch, cfg, loss: float, g: ParamVector):
     g1 = oracle.hvp(theta1, ghat1, batch)
     _require_finite(g1.data, "hvp at flatness point")
 
-    combined = g0._adopt(g0.data + cfg.lam * g1.data)
-    stats = StepStats(
-        loss=loss,
-        sq_grad_norm=gnorm ** 2,
-        used_cflat=True,
-        grad_evals=5,
-        hvp_evals=2,
-    )
-    return combined, stats
+    stats.used_cflat = True
+    stats.grad_evals = 5
+    stats.hvp_evals = 2
+    return g0._adopt(g0.data + cfg.lam * g1.data)
 
 
 def rho_schedule(cfg: OptimConfig, eta_i: float) -> float:
@@ -295,12 +274,31 @@ class Stepper:
 class DescentStepper(Stepper):
     """A stepper whose update is theta - eta * d for a per-step direction d.
 
-    ``direction`` returns (d, stats) and advances any cross-step state, so a
-    wrapper (such as gradient projection) can use d without stepping.
+    ``direction`` is the one step body (see the module docstring); an
+    optimizer overrides its gate ``use_cflat``, which the body calls once per
+    step, in step order. ``direction`` returns (d, stats) and advances any
+    cross-step state, so a wrapper (such as gradient projection) can use d
+    without stepping.
     """
 
+    def use_cflat(self, stats: StepStats) -> bool:
+        """Whether this step takes the C-Flat direction; the default never does."""
+        return False
+
     def direction(self, oracle, theta, batch, cfg) -> tuple[ParamVector, StepStats]:
-        raise NotImplementedError
+        # The gradient comes before the loss, so an oracle that keeps its last
+        # forward pass (MlpOracle) reads the loss from it.
+        if not all_finite(theta):
+            raise DivergenceError("parameters contain NaN/Inf")
+        g = oracle.grad(theta, batch)
+        loss = oracle.loss(theta, batch)
+        if not math.isfinite(loss):
+            raise DivergenceError("non-finite loss")
+        _require_finite(g.data, "gradient")
+        stats = StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
+        if self.use_cflat(stats):
+            return _cflat_direction(oracle, theta, batch, cfg, g, stats), stats
+        return g, stats
 
     def step(self, oracle, theta, batch, cfg):
         d, stats = self.direction(oracle, theta, batch, cfg)
@@ -308,27 +306,25 @@ class DescentStepper(Stepper):
 
 
 class SgdStepper(DescentStepper):
-    """d = grad(theta)."""
-
-    def direction(self, oracle, theta, batch, cfg):
-        return _sgd_direction(*_loss_and_grad(oracle, theta, batch))
+    """d = grad(theta): the default gate."""
 
 
 class SamStepper(DescentStepper):
     """d = grad(theta + ascent perturbation)."""
 
     def direction(self, oracle, theta, batch, cfg):
-        loss, g = _loss_and_grad(oracle, theta, batch)
+        g, stats = super().direction(oracle, theta, batch, cfg)
         g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
         _require_finite(g0.data, "perturbed gradient")
-        return g0, StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=2)
+        stats.grad_evals = 2
+        return g0, stats
 
 
 class CflatStepper(DescentStepper):
-    """d = g0 + lam * g1 (see module docstring)."""
+    """d = g0 + lam * g1 (see module docstring) on every step."""
 
-    def direction(self, oracle, theta, batch, cfg):
-        return _cflat_direction(oracle, theta, batch, cfg, *_loss_and_grad(oracle, theta, batch))
+    def use_cflat(self, stats):
+        return True
 
 
 class CflatPPStepper(DescentStepper):
@@ -347,19 +343,13 @@ class CflatPPStepper(DescentStepper):
         if self.reset_per_task:
             self.state = self.initial
 
-    def direction(self, oracle, theta, batch, cfg):
-        loss, g = _loss_and_grad(oracle, theta, batch)
+    def use_cflat(self, stats):
         state = self.state
-        proxy = proxy_value(state)
-        feedback = proxy - norm2(g) ** 2
+        stats.proxy_value = proxy_value(state)
+        feedback = stats.proxy_value - stats.sq_grad_norm
         self.state = ProxyState(A=state.A - state.eta0 * feedback, k=state.k, i0=state.i0,
                                 eta0=state.eta0, i=state.i + 1)
-        if feedback <= 0:
-            d, stats = _cflat_direction(oracle, theta, batch, cfg, loss, g)
-        else:
-            d, stats = _sgd_direction(loss, g)
-        stats.proxy_value = proxy
-        return d, stats
+        return feedback <= 0
 
 
 class HybridStepper(DescentStepper):
@@ -375,13 +365,10 @@ class HybridStepper(DescentStepper):
         self.plan = hybrid_step_plan(total_steps, self.p, self.ordering)
         self.idx = 0
 
-    def direction(self, oracle, theta, batch, cfg):
-        use_cflat = bool(self.plan[self.idx]) if self.idx < len(self.plan) else False
+    def use_cflat(self, stats):
+        on = bool(self.plan[self.idx]) if self.idx < len(self.plan) else False
         self.idx += 1
-        loss, g = _loss_and_grad(oracle, theta, batch)
-        if use_cflat:
-            return _cflat_direction(oracle, theta, batch, cfg, loss, g)
-        return _sgd_direction(loss, g)
+        return on
 
 
 OPTIMIZER_NAMES = ("sgd", "sam", "cflat", "cflat++", "hybrid")

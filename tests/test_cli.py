@@ -225,7 +225,7 @@ def test_resolve_config_fills_defaults():
 def test_dataclasses_built_from_the_default_config_are_the_library_defaults():
     cfg = resolve_config({})
     assert _build_cl(cfg) == CLConfig()
-    assert _build_optim(cfg) == OptimConfig(eta=0.5)
+    assert _build_optim(cfg) == OptimConfig()
 
 
 def test_gpm_cflatpp_run_replays_its_gate_from_trace(tmp_path):
@@ -608,6 +608,22 @@ def test_unsplittable_synthetic_classes_fail_at_load(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_unsplittable_csv_classes_fail_before_any_output(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = [f"{c}," + ",".join(f"{v:.6f}" for v in rng.normal(size=3))
+            for c in range(3) for _ in range(10)]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    doc = base_config(out, increment=2)  # 3 classes
+    doc["dataset"] = {"kind": "csv", "path": str(data)}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == "increment"
+    assert "cannot divide 3 classes" in error["message"]
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg = write_config(tmp_path, base_config(out))
@@ -643,6 +659,23 @@ def _report_manifest():
                       "cflat_proportion_mean": 0.0},
         "timing": {"per_seed_examples_per_second": [100.0]},
     }
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "landscape", "report"])
+def test_malformed_json_names_the_file_line_and_column(tmp_path, capsys, command):
+    bad = tmp_path / "cell" / "manifest.json"
+    bad.parent.mkdir()
+    bad.write_text('{\n  "seeds": [0,\n}\n', encoding="utf-8")
+    argv = {
+        "run": ["run", "--config", str(bad)],
+        "sweep": ["sweep", "--config", str(bad), "--axis", "optim.lam=0.1"],
+        "landscape": ["landscape", "--checkpoint", str(bad), "--out", str(tmp_path / "land")],
+        "report": ["report", "--results", str(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(f"{bad}: malformed JSON at line 3 column 1")
 
 
 @pytest.mark.parametrize("section, key", [

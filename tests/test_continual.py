@@ -548,6 +548,47 @@ def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
         assert np.array_equal(plain.plan, wrapped.inner.plan)
 
 
+# (grad_evals, hvp_evals) of a step that takes the gradient, and of a C-Flat step
+_STEP_COST = {False: (1, 0), True: (5, 2)}
+
+
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("name", ["sgd", "sam", "cflat", "cflat++", "hybrid"])
+def test_the_gate_runs_once_per_step_in_order_and_sets_the_step_cost(name, projected):
+    rng, oracle, theta, batch = gpm_setup()
+    x, y = rng.normal(size=(60, 4)), rng.integers(0, 3, 60)
+    inner = make_stepper(name, proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3),
+                         hybrid_p=0.4)
+    stepper = inner
+    if projected:
+        stepper = GpmStepper(inner, eta1=0.0, eta2=0.05)
+        stepper.gpm_state = gpm_extract_basis(oracle, theta, batch, 0.95)
+    calls = []
+    gate = inner.use_cflat
+
+    def recorded(stats):
+        calls.append((stats, gate(stats)))
+        return calls[-1][1]
+
+    inner.use_cflat = recorded
+    _, trace = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.2), stepper,
+                            epochs=2, batch_size=10, rng=rng.spawn(1))
+    assert len(calls) == len(trace) == 12
+    assert all(stats is s for (stats, _), s in zip(calls, trace))
+    assert [on for _, on in calls] == [s.used_cflat for s in trace]
+    if name in ("cflat++", "hybrid"):
+        assert 0 < sum(s.used_cflat for s in trace) < len(trace)
+    else:
+        assert {s.used_cflat for s in trace} == {name == "cflat"}
+    for s in trace:
+        grad_evals, hvp_evals = _STEP_COST[s.used_cflat]
+        if name == "sam":
+            grad_evals = 2
+        if projected and s.used_cflat:
+            grad_evals += 1  # the gradient at the neighborhood point, projected
+        assert (s.grad_evals, s.hvp_evals) == (grad_evals, hvp_evals)
+
+
 @pytest.mark.parametrize("name, plain", [("sgd", SgdStepper), ("sam", SamStepper)])
 def test_projection_with_zero_significance_is_the_plain_step_at_eta2(name, plain):
     rng, oracle, theta, batch = gpm_setup()

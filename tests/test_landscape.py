@@ -258,9 +258,9 @@ def test_lanczos_takes_one_product_per_basis_vector(monkeypatch, iters):
                                  (2 * _BALL_BLOCK_ROWS + 1, 7)])
 def test_ball_samples_equal_the_one_shot_formula(n, d):
     rng = SeededRng(21, 4)
+    radii = 0.3 * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
     dirs = rng.normal(0.0, 1.0, (n, d))
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    expected = dirs * (0.3 * rng.uniform(0.0, 1.0, n) ** (1.0 / d))[:, None]
+    expected = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
     streamed = SeededRng(21, 4)
     # each row is valid only until the next is drawn: copy it out
     got = np.array([row.copy() for row in _ball_samples(streamed, d, 0.3, n)])
@@ -405,6 +405,14 @@ def test_slice_center_equals_loss():
     a, b, grid = landscape_slice_2d(q, theta, None, d1, d2, extent=0.5, grid_n=5)
     assert grid[2, 2] == pytest.approx(q.loss(theta), rel=1e-14)
     assert a[0] == -0.5 and a[-1] == 0.5
+
+
+@pytest.mark.parametrize("extent", [0.0, -1.0, float("nan"), float("inf")])
+def test_slice_rejects_an_extent_that_is_not_finite_and_positive(extent):
+    q = make_quadratic(np.eye(2))
+    d1, d2 = ParamVector([1.0, 0.0]), ParamVector([0.0, 1.0])
+    with pytest.raises(ValueError, match="extent must be finite and positive"):
+        landscape_slice_2d(q, ParamVector([0.0, 0.0]), None, d1, d2, extent=extent, grid_n=3)
 
 
 def test_slice_quadratic_second_differences_constant():
