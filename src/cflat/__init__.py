@@ -6,7 +6,7 @@ Public surface: flat-vector numerics (numcore), differentiable objectives
 (metrics), and the experiment CLI (cli).
 """
 
-from .numcore import ParamVector, SeededRng, Segment, axpy, norm2
+from .numcore import ParamVector, SeededRng, Segment, axpy, norm2, stack
 from .objective import (
     Batch,
     MlpOracle,
@@ -20,6 +20,7 @@ from .optim import (
     DivergenceError,
     OptimConfig,
     ProxyState,
+    SeedGroup,
     StepStats,
     hybrid_step_plan,
     make_stepper,

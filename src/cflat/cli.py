@@ -347,6 +347,8 @@ def _run_to_manifest(cfg: dict, results: list, metrics: list[dict], n_tasks: int
     avgs = [m["avg_accuracy"] for m in metrics]
     lasts = [m["last_accuracy"] for m in metrics]
     props = [m["cflat_proportion"] for m in metrics]
+    # a seed group trains in lockstep; each seed's share is the group's
+    # training time divided by its number of seeds
     timing = {
         "per_seed_train_seconds": [r.train_seconds for r in results],
         "per_seed_examples_per_second": [
@@ -391,13 +393,22 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _seed_groups(seeds: list[int], jobs: int) -> list[list[int]]:
+    """``seeds`` split into min(``jobs``, len(``seeds``)) contiguous groups
+    whose sizes differ by at most one."""
+    n, count = len(seeds), min(jobs, len(seeds))
+    return [seeds[g * n // count:(g + 1) * n // count] for g in range(count)]
+
+
 def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Execute a resolved config and write manifest/metrics/trace/checkpoints.
 
-    Each seed is one ``run_cl_experiment`` call; with ``jobs`` > 1 the seeds
-    run in up to that many worker processes. Their results come back in seed
-    order and every file is written from them once, so every file but the
-    manifest's timing is byte-identical whatever ``jobs`` is.
+    The seeds split into min(``jobs``, #seeds) contiguous groups; each group
+    is one ``run_cl_experiment`` call that trains its seeds in lockstep, and
+    with more than one group the groups run in worker processes. Their
+    results come back in seed order and every file is written from them once,
+    so every file but the manifest's timing is byte-identical whatever
+    ``jobs`` is.
     """
     dataset = _build_dataset(cfg)
     stream = make_stream(dataset, cfg["protocol"], cfg["increment"], cfg["perm_seed"])
@@ -405,7 +416,8 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
         _build_optim(cfg), _build_cl(cfg),
     )
-    results = _map_jobs(experiment, cfg["seeds"], jobs)
+    groups = _map_jobs(experiment, _seed_groups(cfg["seeds"], jobs), jobs)
+    results = [result for group in groups for result in group]
     n_tasks = len(stream.tasks)
     metrics = [_seed_metrics(r, n_tasks) for r in results]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -516,6 +528,7 @@ def cmd_sweep(args) -> int:
     base_out = Path(base_doc.get("out_dir", _DEFAULT_CONFIG["out_dir"]))
 
     cells = []
+    csv_classes: dict = {}  # each distinct csv is read once, before any cell runs
     cell_dirs = set()
     for combo in itertools.product(*[values for _, values in axes]):
         doc = copy.deepcopy(base_doc)
@@ -528,7 +541,15 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--axis values give two cells the directory {cell_dir}", "--axis")
         cell_dirs.add(cell_dir)
         doc["out_dir"] = str(base_out / cell_dir)
-        cells.append((resolve_config(doc), cell_dir, combo))
+        cfg = resolve_config(doc)
+        ds = cfg["dataset"]
+        if ds["kind"] == "csv":
+            if ds["path"] not in csv_classes:
+                x, y = load_csv_dataset(ds["path"])
+                csv_classes[ds["path"]] = split_dataset(
+                    x, y, ds["test_fraction"], ds["split_seed"]).n_classes
+            _check_split(cfg, csv_classes[ds["path"]])
+        cells.append((cfg, cell_dir, combo))
 
     manifests = _map_jobs(_sweep_cell, [cfg for cfg, _, _ in cells], args.jobs)
 
@@ -774,7 +795,7 @@ def main(argv=None) -> int:
         return 2
     except DivergenceError as err:
         payload = {"error": {"kind": "divergence", "message": str(err), "step": err.step,
-                             "task": err.task, "last_loss": err.last_loss,
+                             "task": err.task, "seed": err.seed, "last_loss": err.last_loss,
                              "grad_norm": err.grad_norm}}
         print(json.dumps(payload), file=sys.stderr)
         return 3

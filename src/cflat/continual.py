@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numcore import ParamVector, SeededRng, Segment, axpy, norm2
+from .numcore import ParamVector, SeededRng, Segment, axpy, norm2, restack, stack, unstack
 from .objective import (
     Batch,
     MlpOracle,
@@ -21,6 +21,7 @@ from .objective import (
     ObjectiveOracle,
     _ce_curvature,
     _ce_output_error,
+    _scalar,
     _softmax,
     _softmax_jvp,
 )
@@ -29,10 +30,11 @@ from .optim import (
     DivergenceError,
     OptimConfig,
     ProxyState,
+    SeedGroup,
     StepStats,
     Stepper,
+    _ascent_gradient,
     _require_finite,
-    ascent_point,
     make_stepper,
     train_epochs,
 )
@@ -346,7 +348,8 @@ class DistillObjective(ObjectiveOracle):
     with this objective's logit error and logit curvature; the KL term adds
     (q - p) / (T n) to the old-class block of the error and
     (diag(q) - q q^T) Rz / (T^2 n) to that block of the curvature, for the
-    softened current distribution q and the old model's p.
+    softened current distribution q and the old model's p. On a seed stack
+    ``theta_old`` is the stack of the seeds' previous parameters.
     """
 
     def __init__(self, oracle: MlpOracle, theta_old: ParamVector, temperature: float = 2.0):
@@ -374,18 +377,27 @@ class DistillObjective(ObjectiveOracle):
             self._probs_batch = batch
         return self._probs
 
-    def loss(self, theta, batch=None) -> float:
+    def select_rows(self, theta, batch, rows):
+        sub = DistillObjective(self.base, self.theta_old._adopt(self.theta_old.data[rows]),
+                               self.temperature)
+        sub_theta, sub_batch = self.base._keep_rows(theta, batch, rows, self, sub)
+        if self._probs_batch is batch:
+            sub._probs, sub._probs_batch = self._probs[rows], sub_batch
+            sub._probs.setflags(write=False)
+        return sub, sub_theta, sub_batch
+
+    def loss(self, theta, batch=None):
         ce, z = self.base._loss_and_logits(theta, batch)
         p = self._old_probs(batch)
-        q = _softmax(z[:, : self.n_old] / self.temperature)
-        kl = float(np.mean((p * (np.log(p) - np.log(q))).sum(axis=1)))
-        return ce + kl
+        q = _softmax(z[..., : self.n_old] / self.temperature)
+        kl = np.mean((p * (np.log(p) - np.log(q))).sum(axis=-1), axis=-1)
+        return _scalar(ce + kl)
 
     def grad(self, theta, batch=None) -> ParamVector:
         def output_error(z):  # the old model is a separate oracle, so it may run here
             G, lse = _ce_output_error(z, batch.y)
-            q = _softmax(z[:, : self.n_old] / self.temperature)
-            G[:, : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)
+            q = _softmax(z[..., : self.n_old] / self.temperature)
+            G[..., : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)
             return G, lse
 
         return self.base.grad_from_output_error(theta, batch, output_error, owner=self)
@@ -394,7 +406,8 @@ class DistillObjective(ObjectiveOracle):
         def curvature(z, lse, u):
             h = _ce_curvature(z, lse, u)
             k, t = self.n_old, self.temperature
-            h[:, :k] += _softmax_jvp(_softmax(z[:, :k] / t), u[:, :k]) / (t * t * len(z))
+            jvp = _softmax_jvp(_softmax(z[..., :k] / t), u[..., :k])
+            h[..., :k] += jvp / (t * t * z.shape[-2])
             return h
 
         return self.base.hvp_from_curvature(theta, v, batch, self, curvature)
@@ -526,20 +539,25 @@ def gpm_project(state: GpmState, grad: ParamVector) -> tuple[ParamVector, float]
     return grad._adopt(flat), in_span
 
 
-def _significance_sensitivity(oracle, theta, batch, state: GpmState, g_c: ParamVector,
-                              eta2: float) -> np.ndarray:
-    """d L(theta') / d sig_j for the projected step theta' = theta - eta2 * P(g_c).
+def _significance_sensitivity(oracle, theta, batch, states: list, g_c: ParamVector,
+                              eta2: float) -> list[np.ndarray]:
+    """d L(theta') / d sig_j for the projected step theta' = theta - eta2 * P(g_c),
+    for each seed of the stack with its own basis ``states[i]``.
 
     theta' moves with significance j by eta2 * (G m_j) m_j^T on the projected
     block (G is g_c's block, m_j basis column j), so one gradient at theta'
     gives every sensitivity exactly: eta2 * sum_rows (G m_j) * (grad_W L(theta') m_j).
     """
-    proj, _ = gpm_project(state, g_c)
-    g_after = oracle.grad(axpy(-eta2, proj, theta), batch)
+    rows = unstack(g_c)
+    projected = [gpm_project(state, row)[0] for state, row in zip(states, rows)]
+    g_after = oracle.grad(axpy(-eta2, restack(theta, projected), theta), batch)
     _require_finite(g_after.data, "post-step gradient")
-    name = f"W{state.layer}"
-    GM = g_c.view(name) @ state.basis
-    return eta2 * (GM * (g_after.view(name) @ state.basis)).sum(axis=0)
+    sens = []
+    for state, row, after in zip(states, rows, unstack(g_after)):
+        name = f"W{state.layer}"
+        GM = row.view(name) @ state.basis
+        sens.append(eta2 * (GM * (after.view(name) @ state.basis)).sum(axis=0))
+    return sens
 
 
 class GpmStepper(Stepper):
@@ -551,13 +569,18 @@ class GpmStepper(Stepper):
     Significances adapt by loss sensitivity (eta1; one more gradient per
     step), and the step is theta - eta2 * P(g_c), with eta2 defaulting to the
     learning rate.
+
+    On a seed stack (an inner ``SeedGroup``) ``gpm_states`` holds one basis
+    per seed, and every seed projects with its own, row by row, since ranks
+    differ; the gradients stay stacked. The harness gives every seed its
+    basis at the same task boundary.
     """
 
     def __init__(self, inner: DescentStepper, eta1: float, eta2: float | None):
         self.inner = inner
         self.eta1 = eta1
         self.eta2 = eta2
-        self.gpm_state: GpmState | None = None
+        self.gpm_states: list[GpmState | None] = [None] * len(inner.gates())
 
     def prepare(self, total_steps: int):
         self.inner.prepare(total_steps)
@@ -567,22 +590,28 @@ class GpmStepper(Stepper):
 
     def step(self, oracle, theta, batch, cfg):
         d, stats = self.inner.direction(oracle, theta, batch, cfg)
-        if self.gpm_state is None:
+        states = self.gpm_states
+        if all(state is None for state in states):
             return axpy(-cfg.eta, d, theta), stats
+        rows = stats if isinstance(stats, list) else [stats]
         g_c = d
-        if stats.used_cflat:
-            g_c = oracle.grad(ascent_point(theta, d, cfg), batch)
-            _require_finite(g_c.data, "perturbed gradient")
-            stats.grad_evals += 1
+        flat = [i for i, row in enumerate(rows) if row.used_cflat]
+        if flat:
+            g_c = _ascent_gradient(oracle, theta, batch, d, cfg, flat)
+            for i in flat:
+                rows[i].grad_evals += 1
         eta2 = self.eta2 if self.eta2 is not None else cfg.eta
         if self.eta1 != 0.0:
-            sens = _significance_sensitivity(oracle, theta, batch, self.gpm_state, g_c, eta2)
-            sig = np.clip(self.gpm_state.significance - self.eta1 * sens, 0.0, 1.0)
-            self.gpm_state = replace(self.gpm_state, significance=sig)
-            stats.grad_evals += 1
-        proj, in_span = gpm_project(self.gpm_state, g_c)
-        stats.gpm_in_span = in_span
-        stats.gpm_src_norm = norm2(g_c)
+            sens = _significance_sensitivity(oracle, theta, batch, states, g_c, eta2)
+            for i, (state, row_sens) in enumerate(zip(states, sens)):
+                sig = np.clip(state.significance - self.eta1 * row_sens, 0.0, 1.0)
+                states[i] = replace(state, significance=sig)
+                rows[i].grad_evals += 1
+        projected = [gpm_project(state, row) for state, row in zip(states, unstack(g_c))]
+        for row, (_, in_span), norm in zip(rows, projected, np.reshape(norm2(g_c), -1)):
+            row.gpm_in_span = in_span
+            row.gpm_src_norm = float(norm)
+        proj = restack(theta, [vec for vec, _ in projected])
         return axpy(-eta2, proj, theta), stats
 
 
@@ -659,59 +688,74 @@ def _accuracy(oracle: MlpOracle, theta: ParamVector, x: np.ndarray, y: np.ndarra
 
 
 def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
-                      cfg: OptimConfig, cl: CLConfig, seed: int) -> SeedResult:
-    """Run the full incremental protocol once, for one seed.
+                      cfg: OptimConfig, cl: CLConfig, seeds) -> list[SeedResult]:
+    """Run the full incremental protocol once per seed, all seeds in lockstep.
 
-    After each task the model is evaluated on every seen task's test split;
-    before each new task (head already grown) its test split is evaluated for
-    forward transfer. Throughput counts training examples per wall second.
+    Every optimizer step steps all seeds' parameters as one stack (see
+    ``train_epochs``); what differs between seeds stays per seed: the
+    initialization, head growth, batch order, replay buffer, GPM basis, WA's
+    gamma and evaluation. Each seed's result is bit-identical to a call with
+    that seed alone. After each task the model is evaluated on every seen
+    task's test split; before each new task (head already grown) its test
+    split is evaluated for forward transfer. Throughput counts training
+    examples per wall second; each seed's ``train_seconds`` is the group's
+    training time divided by the number of seeds. Divergence of any seed
+    aborts the run, naming the first seed to diverge in step order.
     """
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    seed = int(seed)
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
     tasks = stream.tasks
     T = len(tasks)
+    S = len(seeds)
     d_in = tasks[0].train_x.shape[1]
     total_classes = sum(t.n_new for t in tasks)
-    root = SeededRng(seed)
+    roots = [SeededRng(seed) for seed in seeds]
 
     # untrained full-head reference for forward transfer
     ref_oracle = MlpOracle(MlpSpec(d_in, cl.hidden, total_classes, cl.activation, cl.l2))
-    ref_theta = ref_oracle.init_theta(root.spawn(_STREAM_BASELINE))
-    baseline_acc = [
-        _accuracy(ref_oracle, ref_theta, t.test_x, t.test_y) for t in tasks
-    ]
+    baseline_acc = []
+    for root in roots:
+        ref_theta = ref_oracle.init_theta(root.spawn(_STREAM_BASELINE))
+        baseline_acc.append([_accuracy(ref_oracle, ref_theta, t.test_x, t.test_y) for t in tasks])
 
     oracle = MlpOracle(MlpSpec(d_in, cl.hidden, tasks[0].n_new, cl.activation, cl.l2))
-    theta = oracle.init_theta(root.spawn(_STREAM_INIT))
-    stepper = make_stepper(optimizer, proxy=cl.proxy, proxy_reset_per_task=cl.proxy_reset_per_task,
-                           hybrid_p=cl.hybrid_p, hybrid_ordering=cl.hybrid_ordering)
+    theta = stack([oracle.init_theta(root.spawn(_STREAM_INIT)) for root in roots])
+    stepper = SeedGroup([
+        make_stepper(optimizer, proxy=cl.proxy, proxy_reset_per_task=cl.proxy_reset_per_task,
+                     hybrid_p=cl.hybrid_p, hybrid_ordering=cl.hybrid_ordering)
+        for _ in seeds
+    ])
     if method == "gpm":
         stepper = GpmStepper(stepper, cl.gpm_eta1, cl.gpm_eta2)
 
-    buffer = MemoryBuffer(cl.memory_capacity)
+    buffers = [MemoryBuffer(cl.memory_capacity) for _ in seeds]
     theta_prev: ParamVector | None = None
-    matrix: list[list[float]] = []
-    pre_train_acc: list = [None]
-    trace: list[StepStats] = []
-    gammas: list = [None] * T
+    matrices: list[list[list[float]]] = [[] for _ in seeds]
+    pre_train_acc: list[list] = [[None] for _ in seeds]
+    traces: list[list[StepStats]] = [[] for _ in seeds]
+    gammas: list[list] = [[None] * T for _ in seeds]
     examples = 0
     train_seconds = 0.0
     n_old = 0
 
     for t, task in enumerate(tasks):
         if t > 0:
-            theta = grow_head(theta, task.n_new, root.spawn(_STREAM_GROW, t))
+            theta = stack([grow_head(row, task.n_new, root.spawn(_STREAM_GROW, t))
+                           for row, root in zip(unstack(theta), roots)])
             oracle = oracle.with_head(n_old + task.n_new)
-            pre_train_acc.append(_accuracy(oracle, theta, task.test_x, task.test_y))
+            for acc, row in zip(pre_train_acc, unstack(theta)):
+                acc.append(_accuracy(oracle, row, task.test_x, task.test_y))
         stepper.reset_task()
 
-        data_x, data_y = task.train_x, task.train_y
-        if method in ("replay", "icarl", "wa", "gpm"):
-            memory = buffer_contents(buffer)
-            if memory is not None:
-                data_x = np.concatenate([data_x, memory[0]])
-                data_y = np.concatenate([data_y, memory[1]])
+        data_x = np.stack([task.train_x] * S)
+        data_y = np.stack([task.train_y] * S)
+        if method in ("replay", "icarl", "wa", "gpm") and buffers[0].store:
+            memories = [buffer_contents(buffer) for buffer in buffers]
+            data_x = np.stack([np.concatenate([task.train_x, mx]) for mx, _ in memories])
+            data_y = np.stack([np.concatenate([task.train_y, my]) for _, my in memories])
 
         train_oracle: ObjectiveOracle = oracle
         if method in ("icarl", "wa") and theta_prev is not None:
@@ -719,59 +763,63 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
 
         start = time.perf_counter()
         try:
-            theta, task_trace = train_epochs(
+            theta, task_traces = train_epochs(
                 train_oracle, theta, data_x, data_y, cfg, stepper,
-                cl.epochs, cl.batch_size, root.spawn(_STREAM_SHUFFLE, t),
+                cl.epochs, cl.batch_size, [root.spawn(_STREAM_SHUFFLE, t) for root in roots],
                 cl.milestones, cl.lr_decay,
             )
         except DivergenceError as err:
+            seed = seeds[err.row or 0]
             raise DivergenceError(
-                f"divergence in task {t} at step {err.step}: {err}", err.step,
+                f"divergence in task {t} at step {err.step} of seed {seed}: {err}", err.step,
                 task=t, last_loss=err.last_loss, grad_norm=err.grad_norm,
+                row=err.row, seed=seed,
             ) from err
         train_seconds += time.perf_counter() - start
-        examples += len(task_trace) * cl.batch_size
-        for stats in task_trace:
-            stats.task = t
-        trace.extend(task_trace)
+        examples += len(task_traces[0]) * cl.batch_size
+        for trace, task_trace in zip(traces, task_traces):
+            for stats in task_trace:
+                stats.task = t
+            trace.extend(task_trace)
 
-        gamma = None
-        if method == "wa" and t > 0:
-            W = theta.view(oracle.head_weight_name)
-            gamma = wa_align(W[:n_old], W[n_old:])
-            gammas[t] = gamma
-
+        rows = unstack(theta)
         if method == "gpm":
             k = min(cl.gpm_sample, len(task.train_y))
             sample = Batch(task.train_x[:k], task.train_y[:k])
-            if stepper.gpm_state is None:
-                stepper.gpm_state = gpm_extract_basis(
-                    oracle, theta, sample, cl.gpm_energy_threshold
-                )
-            else:
-                stepper.gpm_state = gpm_update_basis(stepper.gpm_state, oracle, theta, sample)
+            states = stepper.gpm_states
+            for i, row in enumerate(rows):
+                if states[i] is None:
+                    states[i] = gpm_extract_basis(oracle, row, sample, cl.gpm_energy_threshold)
+                else:
+                    states[i] = gpm_update_basis(states[i], oracle, row, sample)
 
-        buffer = buffer_update(buffer, task.train_x, task.train_y, root.spawn(_STREAM_BUFFER, t))
-        theta_prev = theta
         n_new_start = n_old
         n_old += task.n_new
+        for i, (row, root) in enumerate(zip(rows, roots)):
+            gamma = None
+            if method == "wa" and t > 0:
+                W = row.view(oracle.head_weight_name)
+                gamma = gammas[i][t] = wa_align(W[:n_new_start], W[n_new_start:])
+            buffers[i] = buffer_update(buffers[i], task.train_x, task.train_y,
+                                       root.spawn(_STREAM_BUFFER, t))
+            matrices[i].append([
+                _accuracy(oracle, row, tasks[j].test_x, tasks[j].test_y, gamma=gamma,
+                          new_block_start=n_new_start if gamma is not None else None)
+                for j in range(t + 1)
+            ])
+        theta_prev = theta
 
-        row = []
-        for i in range(t + 1):
-            row.append(
-                _accuracy(oracle, theta, tasks[i].test_x, tasks[i].test_y,
-                          gamma=gamma, new_block_start=n_new_start if gamma is not None else None)
-            )
-        matrix.append(row)
-
-    return SeedResult(
-        seed=seed,
-        matrix=matrix,
-        pre_train_acc=pre_train_acc,
-        baseline_acc=baseline_acc,
-        trace=trace,
-        examples=examples,
-        train_seconds=train_seconds,
-        final_theta=theta,
-        gammas=gammas,
-    )
+    return [
+        SeedResult(
+            seed=seed,
+            matrix=matrices[i],
+            pre_train_acc=pre_train_acc[i],
+            baseline_acc=baseline_acc[i],
+            trace=traces[i],
+            examples=examples,
+            train_seconds=train_seconds / S,
+            final_theta=row,
+            gammas=gammas[i],
+        )
+        for i, (seed, row) in enumerate(zip(seeds, unstack(theta)))
+    ]

@@ -1,9 +1,12 @@
 """Deterministic flat-vector numerics and seeded randomness.
 
 Every quantity is a 64-bit float and every operation is a pure function of
-its inputs, so repeated calls are bit-identical. Randomness is counter-based
-(Philox) keyed on a (seed, stream) pair, which makes draw sequences
-reproducible across runs and platforms.
+its inputs, so repeated calls are bit-identical. A ``ParamVector`` is one
+flat vector (shape (d,)) or a stack of them, one row per seed (shape (S, d));
+the arithmetic here works row by row on a stack, and each row's result is
+bit-identical to the same operation on that row alone. Randomness is
+counter-based (Philox) keyed on a (seed, stream) pair, which makes draw
+sequences reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -20,6 +23,9 @@ __all__ = [
     "norm2",
     "axpy",
     "all_finite",
+    "stack",
+    "unstack",
+    "restack",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -43,6 +49,9 @@ class Segment:
 class ParamVector:
     """Flat float64 vector with a manifest mapping segments to tensors.
 
+    Data of shape (S, d) is a stack of S vectors on one manifest, one row per
+    seed; any other shape is flattened to one vector. ``dim`` is d either way,
+    ``view`` keeps the leading seed axis and ``row`` is one row as a vector.
     The public constructor and ``with_data`` copy the data they are given,
     check it against the manifest and mark the copy read-only; all operations
     return new vectors. Each checked construction indexes the manifest once by
@@ -53,7 +62,9 @@ class ParamVector:
     __slots__ = ("data", "manifest", "_index")
 
     def __init__(self, data, manifest: Sequence[Segment] | None = None):
-        arr = np.array(data, dtype=np.float64).reshape(-1)
+        arr = np.array(data, dtype=np.float64)
+        if arr.ndim != 2:
+            arr = arr.reshape(-1)
         arr.setflags(write=False)
         if manifest is None:
             manifest = (Segment("theta", 0, (arr.size,)),)
@@ -64,9 +75,9 @@ class ParamVector:
             size = seg.size
             index[seg.name] = (seg.offset, seg.offset + size, seg)
             total += size
-        if total != arr.size:
+        if total != arr.shape[-1]:
             raise ValueError(
-                f"manifest covers {total} entries but data has {arr.size}"
+                f"manifest covers {total} entries but data has {arr.shape[-1]}"
             )
         self.data = arr
         self.manifest = manifest
@@ -76,8 +87,8 @@ class ParamVector:
         """New vector on this vector's manifest that takes ``arr`` as its data.
 
         Internal constructor for the package's own arithmetic: ``arr`` must be
-        a fresh 1-D float64 array of this vector's dimension that no one else
-        holds. It is not copied or checked, only marked read-only.
+        a fresh 1-D or (S, d) float64 array of this vector's dimension that no
+        one else writes. It is not copied or checked, only marked read-only.
         """
         arr.setflags(write=False)
         vec = object.__new__(ParamVector)
@@ -88,7 +99,16 @@ class ParamVector:
 
     @property
     def dim(self) -> int:
-        return self.data.size
+        return self.data.shape[-1]
+
+    @property
+    def stack_size(self) -> int:
+        """Rows of a stack; 1 for a 1-D vector."""
+        return 1 if self.data.ndim == 1 else len(self.data)
+
+    def row(self, i: int) -> "ParamVector":
+        """Row ``i`` of a stack as a 1-D vector (a read-only view)."""
+        return self._adopt(self.data[i])
 
     def _bounds(self, name: str) -> tuple[int, int, Segment]:
         try:
@@ -100,9 +120,10 @@ class ParamVector:
         return self._bounds(name)[2]
 
     def view(self, name: str) -> np.ndarray:
-        """Read-only view of one segment, reshaped to its tensor shape."""
+        """Read-only view of one segment, reshaped to its tensor shape (after
+        the seed axis of a stack)."""
         start, stop, seg = self._bounds(name)
-        return self.data[start:stop].reshape(seg.shape)
+        return self.data[..., start:stop].reshape(self.data.shape[:-1] + seg.shape)
 
     def with_data(self, data) -> "ParamVector":
         """New vector with the same manifest and different values (copied)."""
@@ -170,18 +191,28 @@ class SeededRng:
 
 
 def _check_dims(a: ParamVector, b: ParamVector) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"dimension mismatch: {a.data.shape} vs {b.data.shape}")
 
 
-def norm2(v: ParamVector) -> float:
-    """Euclidean norm; 0 for the zero vector.
+def _self_dots(data: np.ndarray):
+    """v . v for a 1-D array (a scalar), row by row for an (S, d) array.
+
+    One stacked matmul of each row with itself: the BLAS dot product a 1-D
+    ``data.dot(data)`` takes, bit for bit, on every row.
+    """
+    return np.matmul(data[..., None, :], data[..., :, None])[..., 0, 0]
+
+
+def norm2(v: ParamVector):
+    """Euclidean norm; 0 for the zero vector. A float for a 1-D vector, an
+    (S,) array of row norms for a stack.
 
     sqrt(v . v) is what ``np.linalg.norm`` computes for a 1-D float64 array,
     without its dispatch.
     """
-    data = v.data
-    return math.sqrt(data.dot(data))
+    sq = _self_dots(v.data)
+    return math.sqrt(sq) if sq.ndim == 0 else np.sqrt(sq)
 
 
 def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
@@ -192,3 +223,22 @@ def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
 
 def all_finite(v: ParamVector) -> bool:
     return bool(np.isfinite(v.data).all())
+
+
+def stack(vectors) -> ParamVector:
+    """The vectors, which share one manifest, as the rows of one stack (copied)."""
+    first = vectors[0]
+    for v in vectors[1:]:
+        if v.manifest != first.manifest:
+            raise ValueError("stacked vectors must share one manifest")
+    return first._adopt(np.stack([v.data for v in vectors]))
+
+
+def unstack(v: ParamVector) -> list[ParamVector]:
+    """The rows of a stack as 1-D vectors; ``[v]`` for a 1-D vector."""
+    return [v] if v.data.ndim == 1 else [v.row(i) for i in range(v.stack_size)]
+
+
+def restack(like: ParamVector, vectors: list[ParamVector]) -> ParamVector:
+    """Inverse of ``unstack`` for a vector shaped like ``like``."""
+    return vectors[0] if like.data.ndim == 1 else stack(vectors)

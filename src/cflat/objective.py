@@ -11,14 +11,24 @@ two R passes only, and elsewhere a gradient pass beyond them. Losses are
 mean-reduced over the batch so step sizes and perturbation radii transfer
 across batch sizes.
 
+Seed stacks: the MLP oracle and the distillation objective also take a stack
+of S seeds' parameters (``theta.data`` of shape (S, d)) with a stack of S
+batches (``Batch`` arrays (S, n, d_in) and (S, n)), row s of one with row s of
+the other. Every array of a pass then carries the leading seed axis, ``loss``
+returns an (S,) array, and ``grad`` and ``hvp`` return stacks; each row is
+bit-identical to the call on that seed alone. A 1-D theta with a 2-D batch
+runs the same lines on today's arrays. ``select_rows`` narrows an objective,
+its parameters and its batch to some rows of the stack, carrying the kept pass
+(below) along, so a step can work on the seeds that need more work alone.
+
 Workspace contract of the MLP oracle: it keeps one set of hidden-layer buffers
-per batch row count (for the last few row counts it has seen) for its forward
-and backward passes, and another for its R passes, and writes into them
-instead of allocating. Every array it returns (logits, representations,
-gradients, products) is fresh, so no caller sees a buffer that a later call
-overwrites. The price is that an ``output_error`` or ``curvature`` callback
-must not call back into the same oracle: the buffers of the pass it sits in
-would be overwritten.
+per leading batch shape, (n,) or (S, n) (for the last few shapes it has
+seen), for its forward and backward passes, and another for its R passes, and
+writes into them instead of allocating. Every array it returns (logits,
+representations, gradients, products) is fresh, so no caller sees a buffer
+that a later call overwrites. The price is that an ``output_error`` or
+``curvature`` callback must not call back into the same oracle: the buffers of
+the pass it sits in would be overwritten.
 
 Kept pass of the MLP oracle: every gradient's ``output_error`` callback
 returns the pair ``(G, lse)``, the logit error and the row log-sum-exp of the
@@ -32,8 +42,8 @@ instead of running the forward pass again, so a loss right after a gradient,
 as in every optimizer step's prologue, costs no second pass and no exp, and
 is bit-identical to a fresh one. An ``hvp`` of the same objective on the same
 two objects reads the rest and runs no primal pass.
-Any forward pass at the entry's row count drops it, since it overwrites the
-buffers the entry reads. The entry matches objects by identity: a
+Any forward pass at the entry's leading batch shape drops it, since it
+overwrites the buffers the entry reads. The entry matches objects by identity: a
 ``ParamVector`` is read-only, and a ``Batch``'s arrays must not be mutated
 after construction (the distillation objective's cached old-model
 probabilities assume the same).
@@ -51,7 +61,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numcore import ParamVector, SeededRng, Segment
+from .numcore import ParamVector, SeededRng, Segment, _self_dots
 
 __all__ = [
     "Batch",
@@ -68,7 +78,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Batch:
-    """A feature matrix (n, d_in) with integer class labels in [0, C).
+    """A feature matrix (n, d_in) with integer class labels in [0, C), or a
+    stack of S such batches, (S, n, d_in) with labels (S, n), one per seed.
 
     ``y_max`` is the largest label, taken once here so that oracles check the
     head width without reducing ``y`` on every call; the arrays must not be
@@ -82,11 +93,13 @@ class Batch:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.int64)
-        if x.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError("labels must be 1-D and aligned with features")
-        if x.shape[0] < 1:
+        if x.ndim not in (2, 3):
+            raise ValueError(
+                f"features must be 2-D (3-D for a seed stack), got shape {x.shape}")
+        if y.shape != x.shape[:-1]:
+            raise ValueError("labels must be 1-D and aligned with features "
+                             "(2-D for a seed stack)")
+        if x.shape[-2] < 1:
             raise ValueError("batch must contain at least one example")
         if (y < 0).any():
             raise ValueError("labels must be nonnegative")
@@ -98,8 +111,9 @@ class Batch:
     def _rows(cls, x: np.ndarray, y: np.ndarray) -> "Batch":
         """Batch of rows taken from an already checked batch's arrays.
 
-        Internal constructor for ``train_epochs``: ``x`` (float64, 2-D) and
-        ``y`` (int64, nonnegative, aligned, at least one row) are not checked
+        Internal constructor for ``train_epochs`` and ``select_rows``: ``x``
+        (float64, 2-D or a 3-D stack) and ``y`` (int64, nonnegative, aligned,
+        at least one row) are not checked
         again; only the largest label is taken.
         """
         batch = object.__new__(cls)
@@ -110,11 +124,12 @@ class Batch:
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        """Examples per seed."""
+        return self.x.shape[-2]
 
     @property
     def d_in(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 class ObjectiveOracle:
@@ -140,7 +155,8 @@ class QuadraticOracle(ObjectiveOracle):
     """L(theta) = 0.5 (theta - c)^T H (theta - c) with analytic grad and hvp.
 
     The batch argument is accepted and ignored: the loss is data-free, which
-    makes curvature quantities exactly computable for verification.
+    makes curvature quantities exactly computable for verification. It takes
+    one 1-D theta at a time, not a seed stack.
     """
 
     def __init__(self, H, c=None):
@@ -180,11 +196,11 @@ def make_quadratic(H, c=None) -> QuadraticOracle:
 
 
 def _exp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(z - row max), its row sums (n, 1) and the row log-sum-exp (n,)."""
-    m = z.max(axis=1, keepdims=True)
+    """exp(z - row max), its row sums (..., n, 1) and the row log-sum-exp (..., n)."""
+    m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    return e, s, m[:, 0] + np.log(s[:, 0])
+    s = e.sum(axis=-1, keepdims=True)
+    return e, s, m[..., 0] + np.log(s[..., 0])
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -200,8 +216,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _softmax_jvp(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise Jacobian product of the softmax at probabilities p, (diag(p) - p p^T) u."""
     pu = p * u
-    pu -= p * pu.sum(axis=1, keepdims=True)
+    pu -= p * pu.sum(axis=-1, keepdims=True)
     return pu
+
+
+def _label_index(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each example's label entry in logits reshaped to (-1, C)."""
+    return np.arange(y.size), y.reshape(-1)
+
+
+def _scalar(value):
+    """A float for one seed's 0-d value; a seed stack's (S,) array as it is."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _ce_output_error(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,17 +235,23 @@ def _ce_output_error(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     and the row log-sum-exp of z, both from one ``_exp_rows`` pass."""
     g, s, lse = _exp_rows(z)
     g /= s
-    g[np.arange(len(y)), y] -= 1.0
-    g /= len(y)
+    g.reshape(-1, g.shape[-1])[_label_index(y)] -= 1.0
+    g /= y.shape[-1]
     return g, lse
 
 
 def _ce_curvature(z: np.ndarray, lse: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Logit-space Hessian of the mean cross-entropy at logits z with row
     log-sum-exp lse, applied to u: (diag(p) - p p^T) u / n row by row."""
-    h = _softmax_jvp(np.exp(z - lse[:, None]), u)
-    h /= len(z)
+    h = _softmax_jvp(np.exp(z - lse[..., None]), u)
+    h /= z.shape[-2]
     return h
+
+
+def _block(data: np.ndarray, start: int, stop: int, shape: tuple) -> np.ndarray:
+    """Entries [start, stop) of a flat vector, or of each row of a stack,
+    reshaped to ``shape`` after the seed axis (a view)."""
+    return data[..., start:stop].reshape(data.shape[:-1] + shape)
 
 
 def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
@@ -272,9 +304,9 @@ class MlpSpec:
 class _KeptPass:
     """The last gradient pass of an ``MlpOracle`` (see the module docstring).
 
-    ``buffers`` is the workspace the hidden entries of ``acts`` live in, which
-    also holds each hidden layer's back-propagated error and activation
-    derivative; ``top_error`` and ``lse`` are the pair ``output_error``
+    ``buffers`` is the workspace the hidden entries of ``acts`` live in (for
+    a pass narrowed by ``select_rows``, copies of its rows), which also holds
+    each hidden layer's back-propagated error and activation derivative; ``top_error`` and ``lse`` are the pair ``output_error``
     returned. ``owner`` is a weak reference to the objective, or None when
     the gradient named none: a strong one would make a cycle through the
     oracle, which keeps a discarded oracle's workspaces alive until the
@@ -313,11 +345,13 @@ class MlpOracle(ObjectiveOracle):
     rejected with a ``ValueError`` naming both layouts.
 
     Each hidden layer's pre-activation, activation, back-propagated error and
-    activation derivative live in a workspace kept per batch row count, and
-    the R passes' four per-layer arrays in a second one, so a pass at a row
-    count seen before allocates only the logit-sized arrays and the flat
-    result. Outputs are always fresh arrays; a callback must not call back
-    into the same oracle (see the module docstring).
+    activation derivative live in a workspace kept per leading batch shape,
+    and the R passes' four per-layer arrays in a second one, so a pass at a
+    shape seen before allocates only the logit-sized arrays and the flat
+    result. Every pass is written once for a vector or a seed stack: blocks
+    are read with ``...`` and reduced over ``axis=-2``. Outputs are always
+    fresh arrays; a callback must not call back into the same oracle (see the
+    module docstring).
     """
 
     def __init__(self, spec: MlpSpec):
@@ -374,40 +408,42 @@ class MlpOracle(ObjectiveOracle):
         # subgradient 0 at exactly 0
         return np.greater(z, 0.0, out=out)
 
-    def _workspace(self, n: int, cache: dict | None = None) -> list[tuple[np.ndarray, ...]]:
-        """Per hidden layer four (n, width) buffers from ``cache`` (default
-        the primal workspace: pre-activation, activation, back-propagated
-        error, derivative)."""
+    def _workspace(self, lead: tuple, cache: dict | None = None) -> list[tuple[np.ndarray, ...]]:
+        """Per hidden layer four ``lead`` + (width,) buffers from ``cache``
+        (default the primal workspace: pre-activation, activation,
+        back-propagated error, derivative); ``lead`` is the batch's leading
+        shape, (n,) or (S, n)."""
         cache = self._workspaces if cache is None else cache
-        buffers = cache.get(n)
+        buffers = cache.get(lead)
         if buffers is None:
             if len(cache) >= _WORKSPACE_ROW_COUNTS:
                 del cache[next(iter(cache))]
-            buffers = cache[n] = [tuple(np.empty((n, w)) for _ in range(4))
-                                  for w in self.spec.hidden]
+            buffers = cache[lead] = [tuple(np.empty(lead + (w,)) for _ in range(4))
+                                     for w in self.spec.hidden]
         return buffers
 
     def _forward(self, theta: ParamVector, x: np.ndarray):
         """(acts, pre): each block's input and its affine output; pre[-1] is the logits.
 
-        Checks theta's layout and drops a kept pass at this row count, whose
-        buffers it overwrites. Hidden-layer entries are workspace buffers;
-        the logits are fresh.
+        Checks theta's layout and drops a kept pass at this leading shape,
+        whose buffers it overwrites. Hidden-layer entries are workspace
+        buffers; the logits are fresh.
         """
         self._check_theta(theta)
+        lead = x.shape[:-1]
         kept = self._last_pass
-        if kept is not None and kept.batch.n == len(x):
+        if kept is not None and kept.batch.x.shape[:-1] == lead:
             self._last_pass = None
-        buffers = self._workspace(len(x))
+        buffers = self._workspace(lead)
         data = theta.data
         last = self.n_layers - 1
         acts = [x]
         pre = []
         a = x
         for layer, (w0, w1, w_shape, b0, b1) in enumerate(self._layers):
-            W = data[w0:w1].reshape(w_shape).T
+            W = _block(data, w0, w1, w_shape).swapaxes(-1, -2)
             z = np.matmul(a, W, out=buffers[layer][0]) if layer < last else a @ W
-            z += data[b0:b1]
+            z += data[..., None, b0:b1]
             pre.append(z)
             if layer < last:
                 a = buffers[layer][1]
@@ -419,17 +455,17 @@ class MlpOracle(ObjectiveOracle):
         """Flat gradient for the logit error ``dlogits``, L2 term included, as
         one fresh array written block by block. Each hidden layer's error and
         activation derivative stay in its workspace buffers."""
-        buffers = self._workspace(len(acts[0]))
+        buffers = self._workspace(acts[0].shape[:-1])
         data = theta.data
-        flat = np.empty(self.dim)
+        flat = np.empty(data.shape)
         G = dlogits
         for layer in range(self.n_layers - 1, -1, -1):
             w0, w1, w_shape, b0, b1 = self._layers[layer]
-            np.matmul(G.T, acts[layer], out=flat[w0:w1].reshape(w_shape))
-            np.add.reduce(G, axis=0, out=flat[b0:b1])
+            np.matmul(G.swapaxes(-1, -2), acts[layer], out=_block(flat, w0, w1, w_shape))
+            np.add.reduce(G, axis=-2, out=flat[..., b0:b1])
             if layer > 0:
                 _, _, GW, deriv = buffers[layer - 1]
-                np.matmul(G, data[w0:w1].reshape(w_shape), out=GW)
+                np.matmul(G, _block(data, w0, w1, w_shape), out=GW)
                 GW *= self._act_deriv(pre[layer - 1], acts[layer], out=deriv)
                 G = GW
         if self.l2 > 0:
@@ -455,8 +491,8 @@ class MlpOracle(ObjectiveOracle):
         z.setflags(write=False)
         G, lse = output_error(z)
         flat = self._backprop(theta, acts, pre, G)
-        self._last_pass = _KeptPass(theta, batch, acts, z, self._workspace(batch.n), lse, G,
-                                    None if owner is None else weakref.ref(owner))
+        self._last_pass = _KeptPass(theta, batch, acts, z, self._workspace(batch.x.shape[:-1]),
+                                    lse, G, None if owner is None else weakref.ref(owner))
         return theta._adopt(flat)
 
     def hvp_from_curvature(self, theta: ParamVector, v: ParamVector, batch: Batch,
@@ -472,43 +508,44 @@ class MlpOracle(ObjectiveOracle):
         ``curvature`` must not call this oracle.
         """
         self._check_theta(theta)
-        if v.dim != self.dim:
+        if v.data.shape != theta.data.shape:
             raise ValueError(
-                f"dimension mismatch: direction has {v.dim}, oracle expects {self.dim}")
+                f"dimension mismatch: direction has shape {v.data.shape}, "
+                f"theta has {theta.data.shape}")
         kept = self._last_pass
         if kept is None or kept.theta is not theta or kept.batch is not batch \
                 or kept.owner is None or kept.owner() is not owner:
             owner.grad(theta, batch)
             kept = self._last_pass
         acts, buffers = kept.acts, kept.buffers
-        r_buffers = self._workspace(batch.n, self._r_workspaces)
+        r_buffers = self._workspace(batch.x.shape[:-1], self._r_workspaces)
         data, vdata = theta.data, v.data
         last = self.n_layers - 1
         # R-forward: Rz of every block's output, Ra of every hidden activation
         for layer, (w0, w1, w_shape, b0, b1) in enumerate(self._layers):
-            V = vdata[w0:w1].reshape(w_shape).T
+            V = _block(vdata, w0, w1, w_shape).swapaxes(-1, -2)
             Rz = np.matmul(acts[layer], V, out=r_buffers[layer][0]) if layer < last \
                 else acts[layer] @ V
             if layer > 0:
-                W = data[w0:w1].reshape(w_shape).T
+                W = _block(data, w0, w1, w_shape).swapaxes(-1, -2)
                 Rz += np.matmul(Ra, W, out=r_buffers[layer][3]) if layer < last else Ra @ W
-            Rz += vdata[b0:b1]
+            Rz += vdata[..., None, b0:b1]
             if layer < last:
                 Ra = np.multiply(buffers[layer][3], Rz, out=r_buffers[layer][1])
         # R-backward from the logit curvature, reading the kept errors G
-        flat = np.empty(self.dim)
+        flat = np.empty(data.shape)
         RG = curvature(kept.logits, kept.lse, Rz)
         G = kept.top_error
         for layer in range(last, -1, -1):
             w0, w1, w_shape, b0, b1 = self._layers[layer]
-            block = flat[w0:w1].reshape(w_shape)
-            np.matmul(RG.T, acts[layer], out=block)
-            np.add.reduce(RG, axis=0, out=flat[b0:b1])
+            block = _block(flat, w0, w1, w_shape)
+            np.matmul(RG.swapaxes(-1, -2), acts[layer], out=block)
+            np.add.reduce(RG, axis=-2, out=flat[..., b0:b1])
             if layer > 0:
                 Rz_in, Ra_in, RG_in, tmp = r_buffers[layer - 1]
-                block += G.T @ Ra_in
-                np.matmul(RG, data[w0:w1].reshape(w_shape), out=RG_in)
-                RG_in += np.matmul(G, vdata[w0:w1].reshape(w_shape), out=tmp)
+                block += G.swapaxes(-1, -2) @ Ra_in
+                np.matmul(RG, _block(data, w0, w1, w_shape), out=RG_in)
+                RG_in += np.matmul(G, _block(vdata, w0, w1, w_shape), out=tmp)
                 G_in, deriv = buffers[layer - 1][2:]
                 RG_in *= deriv
                 if self.spec.activation == "tanh":  # tanh'' = -2 tanh tanh'; relu'' = 0
@@ -521,9 +558,10 @@ class MlpOracle(ObjectiveOracle):
             flat += self.l2 * vdata
         return theta._adopt(flat)
 
-    def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy plus the L2 term, and the logits it was computed
-        from: the kept pass's logits when it ran on these very objects."""
+    def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple:
+        """Mean cross-entropy plus the L2 term (a 0-d value, or one per seed
+        of a stack), and the logits it was computed from: the kept pass's
+        logits when it ran on these very objects."""
         kept = self._last_pass
         if kept is not None and kept.theta is theta and kept.batch is batch:
             z, lse = kept.logits, kept.lse
@@ -531,12 +569,13 @@ class MlpOracle(ObjectiveOracle):
             self._check_labels(batch)
             z = self.logits(theta, batch.x)
             lse = _logsumexp(z)
+        at_label = z.reshape(-1, z.shape[-1])[_label_index(batch.y)].reshape(batch.y.shape)
         # np.mean's value (sum, then divide by the count) without its dispatch
-        ce = float(np.add.reduce(lse - z[np.arange(batch.n), batch.y]) / batch.n)
-        return ce + 0.5 * self.l2 * float(theta.data @ theta.data), z
+        ce = np.add.reduce(lse - at_label, axis=-1) / batch.n
+        return ce + 0.5 * self.l2 * _self_dots(theta.data), z
 
-    def loss(self, theta, batch=None) -> float:
-        return self._loss_and_logits(theta, batch)[0]
+    def loss(self, theta, batch=None):
+        return _scalar(self._loss_and_logits(theta, batch)[0])
 
     def grad(self, theta, batch=None) -> ParamVector:
         return self.grad_from_output_error(
@@ -544,6 +583,31 @@ class MlpOracle(ObjectiveOracle):
 
     def hvp(self, theta, v, batch=None) -> ParamVector:
         return self.hvp_from_curvature(theta, v, batch, self, _ce_curvature)
+
+    def select_rows(self, theta: ParamVector, batch: Batch,
+                    rows: np.ndarray) -> tuple["MlpOracle", ParamVector, Batch]:
+        """This objective, ``theta`` and ``batch`` narrowed to the seed-stack
+        ``rows`` (an index array); every seed-stack objective has one."""
+        return (self, *self._keep_rows(theta, batch, rows, self, self))
+
+    def _keep_rows(self, theta: ParamVector, batch: Batch, rows: np.ndarray,
+                   source, owner) -> tuple[ParamVector, Batch]:
+        """``theta`` and ``batch`` narrowed to the stack ``rows``; when the
+        kept pass is ``source``'s gradient on them, it is narrowed too (its
+        rows copied) and tagged with ``owner``, the narrowed objective, so an
+        HVP on the narrowed objects reads it."""
+        sub_theta = theta._adopt(theta.data[rows])
+        sub_batch = Batch._rows(batch.x[rows], batch.y[rows])
+        kept = self._last_pass
+        if kept is not None and kept.theta is theta and kept.batch is batch \
+                and kept.owner is not None and kept.owner() is source:
+            buffers = [tuple(b[rows] for b in layer) for layer in kept.buffers]
+            logits = kept.logits[rows]
+            logits.setflags(write=False)
+            self._last_pass = _KeptPass(
+                sub_theta, sub_batch, [sub_batch.x] + [layer[1] for layer in buffers],
+                logits, buffers, kept.lse[rows], kept.top_error[rows], weakref.ref(owner))
+        return sub_theta, sub_batch
 
     def representations(self, theta: ParamVector, x: np.ndarray, layer: int) -> np.ndarray:
         """Input activations feeding weight block W{layer} (layer 0 sees x), as a copy."""

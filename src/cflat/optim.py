@@ -29,6 +29,17 @@ then takes the gradient at the ascent point. ``step`` is the plain step
 theta - eta * d. Steppers are the only step API: ``make_stepper`` builds one
 by name, ``train_epochs`` drives one, and a projection method
 (continual.GpmStepper) wraps any stepper's direction instead of stepping.
+
+Seed lockstep: the body also steps a stack of S seeds' parameters (theta of
+shape (S, d), see numcore) on a stack of S batches in one pass per oracle
+call. A ``SeedGroup`` holds one stepper per seed, which is that row's gate and
+cross-step state; the body calls each row's gate once per step, in row order,
+and returns one StepStats per row. Work beyond the gradient runs on the rows
+that need it only (the C-Flat direction on the rows whose gate is on, the
+ascent gradient on SAM's rows), through the objective's ``select_rows``, so
+no row pays for, or fails on, another row's branch. Every row is
+bit-identical to the same step on that seed alone. A non-finite value raises
+DivergenceError naming the first row that has one.
 """
 from __future__ import annotations
 
@@ -37,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numcore import ParamVector, SeededRng, all_finite, axpy, norm2
+from .numcore import ParamVector, SeededRng, axpy, norm2
 from .objective import Batch, ObjectiveOracle
 
 __all__ = [
@@ -53,6 +64,7 @@ __all__ = [
     "train_epochs",
     "Stepper",
     "DescentStepper",
+    "SeedGroup",
     "SgdStepper",
     "SamStepper",
     "CflatStepper",
@@ -67,18 +79,22 @@ __all__ = [
 class DivergenceError(RuntimeError):
     """Raised when a loss or gradient turns non-finite.
 
-    Carries the step index within its training run, the task (set by the
-    continual harness), and the loss and gradient norm of the last step that
+    Carries the step index within its training run, the task and the seed
+    (set by the continual harness), the stack row that failed (0 for a lone
+    vector), and that row's loss and gradient norm of the last step that
     finished (None when the run failed on its first step).
     """
 
     def __init__(self, message: str, step: int | None = None, task: int | None = None,
-                 last_loss: float | None = None, grad_norm: float | None = None):
+                 last_loss: float | None = None, grad_norm: float | None = None,
+                 row: int | None = None, seed: int | None = None):
         super().__init__(message)
         self.step = step
         self.task = task
         self.last_loss = last_loss
         self.grad_norm = grad_norm
+        self.row = row
+        self.seed = seed
 
 
 @dataclass(frozen=True)
@@ -166,16 +182,50 @@ class StepStats:
     gpm_src_norm: float | None = None
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
+def _require_finite(arr: np.ndarray, what: str, rows=None) -> None:
+    """DivergenceError naming the first row of ``arr`` (a vector or a stack)
+    with a non-finite entry; ``rows`` maps a sub-stack's rows to the stack's."""
     if not np.isfinite(arr).all():
-        raise DivergenceError(f"non-finite {what} encountered")
+        row = int(np.flatnonzero(~np.isfinite(arr).all(axis=-1))[0])
+        raise DivergenceError(f"non-finite {what} encountered",
+                              row=row if rows is None else int(rows[row]))
+
+
+def _col(norm):
+    """A stack's row norms as a column that divides each row; a float as it is."""
+    return norm[:, None] if isinstance(norm, np.ndarray) else norm
+
+
+def _per_row(theta: ParamVector, items: list):
+    """``items`` (one per stack row) for a stack; the one item for a 1-D theta."""
+    return items if theta.data.ndim == 2 else items[0]
+
+
+def _narrow(oracle, theta: ParamVector, batch, rows: list, *vectors: ParamVector) -> tuple:
+    """The objective, theta, batch and ``vectors`` on the stack ``rows`` only;
+    as they are when ``rows`` is every row (always so for a 1-D theta)."""
+    if len(rows) == theta.stack_size:
+        return (oracle, theta, batch, *vectors)
+    index = np.asarray(rows)
+    return (*oracle.select_rows(theta, batch, index),
+            *(v._adopt(v.data[index]) for v in vectors))
+
+
+def _merge(full: ParamVector, rows: list, part: ParamVector) -> ParamVector:
+    """``full`` with its stack ``rows`` replaced by the rows of ``part``."""
+    if part.data.shape == full.data.shape:
+        return part
+    data = full.data.copy()
+    data[rows] = part.data
+    return full._adopt(data)
 
 
 def sam_perturb(g: ParamVector, rho: float, eps_guard: float) -> ParamVector:
-    """Ascent perturbation rho * g / (||g|| + eps); zero gradient gives zero."""
+    """Ascent perturbation rho * g / (||g|| + eps), row by row on a stack;
+    zero gradient gives zero."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return g._adopt(rho * g.data / (norm2(g) + eps_guard))
+    return g._adopt(rho * g.data / (_col(norm2(g)) + eps_guard))
 
 
 def ascent_point(theta: ParamVector, d: ParamVector, cfg: OptimConfig) -> ParamVector:
@@ -183,32 +233,43 @@ def ascent_point(theta: ParamVector, d: ParamVector, cfg: OptimConfig) -> ParamV
     return axpy(1.0, sam_perturb(d, cfg.rho, cfg.eps_guard), theta)
 
 
-def _cflat_direction(oracle, theta, batch, cfg, g: ParamVector,
-                     stats: StepStats) -> ParamVector:
+def _ascent_gradient(oracle, theta, batch, d: ParamVector, cfg, rows: list) -> ParamVector:
+    """``d`` with its stack ``rows`` replaced by the gradient at the
+    neighborhood point along them."""
+    sub_oracle, sub_theta, sub_batch, sub_d = _narrow(oracle, theta, batch, rows, d)
+    g0 = sub_oracle.grad(ascent_point(sub_theta, sub_d, cfg), sub_batch)
+    _require_finite(g0.data, "perturbed gradient", rows)
+    return _merge(d, rows, g0)
+
+
+def _cflat_direction(oracle, theta, batch, g: ParamVector, cfg, stats: list,
+                     rows=None) -> ParamVector:
     """Combined direction g0 + lam*g1 given the already-computed gradient at theta.
 
     h is taken first, while the gradient pass at theta is the oracle's last.
-    Records the C-Flat cost (5 gradient evaluations, 2 of them HVPs) on stats.
+    Records the C-Flat cost (5 gradient evaluations, 2 of them HVPs) on each
+    row's stats; ``rows`` maps these rows to the stack's for divergence.
     """
     eps = cfg.eps_guard
 
-    ghat = g._adopt(g.data / (norm2(g) + eps))
+    ghat = g._adopt(g.data / (_col(norm2(g)) + eps))
     h = oracle.hvp(theta, ghat, batch)
-    _require_finite(h.data, "hvp")
+    _require_finite(h.data, "hvp", rows)
 
     g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
-    _require_finite(g0.data, "perturbed gradient")
+    _require_finite(g0.data, "perturbed gradient", rows)
 
     theta1 = ascent_point(theta, h, cfg)
     g_at1 = oracle.grad(theta1, batch)
-    _require_finite(g_at1.data, "gradient at flatness point")
-    ghat1 = g_at1._adopt(g_at1.data / (norm2(g_at1) + eps))
+    _require_finite(g_at1.data, "gradient at flatness point", rows)
+    ghat1 = g_at1._adopt(g_at1.data / (_col(norm2(g_at1)) + eps))
     g1 = oracle.hvp(theta1, ghat1, batch)
-    _require_finite(g1.data, "hvp at flatness point")
+    _require_finite(g1.data, "hvp at flatness point", rows)
 
-    stats.used_cflat = True
-    stats.grad_evals = 5
-    stats.hvp_evals = 2
+    for row in stats:
+        row.used_cflat = True
+        row.grad_evals = 5
+        row.hvp_evals = 2
     return g0._adopt(g0.data + cfg.lam * g1.data)
 
 
@@ -276,29 +337,48 @@ class DescentStepper(Stepper):
 
     ``direction`` is the one step body (see the module docstring); an
     optimizer overrides its gate ``use_cflat``, which the body calls once per
-    step, in step order. ``direction`` returns (d, stats) and advances any
-    cross-step state, so a wrapper (such as gradient projection) can use d
-    without stepping.
+    step and row, in step order, and sets ``ascent_gradient`` when d is the
+    gradient at the ascent point instead. ``direction`` returns (d, stats)
+    and advances any cross-step state, so a wrapper (such as gradient
+    projection) can use d without stepping; stats is one StepStats, or a list
+    of one per row for a stack.
     """
+
+    ascent_gradient = False
+
+    def gates(self) -> tuple["DescentStepper", ...]:
+        """The stepper that gates each row of the stack: this one, for one seed."""
+        return (self,)
 
     def use_cflat(self, stats: StepStats) -> bool:
         """Whether this step takes the C-Flat direction; the default never does."""
         return False
 
-    def direction(self, oracle, theta, batch, cfg) -> tuple[ParamVector, StepStats]:
+    def direction(self, oracle, theta, batch, cfg) -> tuple[ParamVector, StepStats | list]:
+        gates = self.gates()
+        if theta.stack_size != len(gates):
+            raise ValueError(f"theta of shape {theta.data.shape} needs one gate per row, "
+                             f"got {len(gates)}")
+        _require_finite(theta.data, "parameters")
         # The gradient comes before the loss, so an oracle that keeps its last
         # forward pass (MlpOracle) reads the loss from it.
-        if not all_finite(theta):
-            raise DivergenceError("parameters contain NaN/Inf")
         g = oracle.grad(theta, batch)
         loss = oracle.loss(theta, batch)
-        if not math.isfinite(loss):
-            raise DivergenceError("non-finite loss")
+        _require_finite(np.reshape(loss, (-1, 1)), "loss")
         _require_finite(g.data, "gradient")
-        stats = StepStats(loss=loss, sq_grad_norm=norm2(g) ** 2, grad_evals=1)
-        if self.use_cflat(stats):
-            return _cflat_direction(oracle, theta, batch, cfg, g, stats), stats
-        return g, stats
+        stats = [StepStats(loss=float(row_loss), sq_grad_norm=float(norm) ** 2, grad_evals=1)
+                 for row_loss, norm in zip(np.reshape(loss, -1), np.reshape(norm2(g), -1))]
+        d = g
+        flat = [row for row, (gate, s) in enumerate(zip(gates, stats)) if gate.use_cflat(s)]
+        if flat:
+            sub = _narrow(oracle, theta, batch, flat, g)
+            d = _merge(d, flat, _cflat_direction(*sub, cfg, [stats[row] for row in flat], flat))
+        ascent = [row for row, gate in enumerate(gates) if gate.ascent_gradient]
+        if ascent:
+            d = _ascent_gradient(oracle, theta, batch, d, cfg, ascent)
+            for row in ascent:
+                stats[row].grad_evals = 2
+        return d, _per_row(theta, stats)
 
     def step(self, oracle, theta, batch, cfg):
         d, stats = self.direction(oracle, theta, batch, cfg)
@@ -312,12 +392,7 @@ class SgdStepper(DescentStepper):
 class SamStepper(DescentStepper):
     """d = grad(theta + ascent perturbation)."""
 
-    def direction(self, oracle, theta, batch, cfg):
-        g, stats = super().direction(oracle, theta, batch, cfg)
-        g0 = oracle.grad(ascent_point(theta, g, cfg), batch)
-        _require_finite(g0.data, "perturbed gradient")
-        stats.grad_evals = 2
-        return g0, stats
+    ascent_gradient = True
 
 
 class CflatStepper(DescentStepper):
@@ -371,6 +446,26 @@ class HybridStepper(DescentStepper):
         return on
 
 
+class SeedGroup(DescentStepper):
+    """Steps a stack of seeds' parameters in lockstep: row i is gated by
+    ``members[i]``, the stepper of seed i, which keeps that seed's cross-step
+    state. ``prepare`` and ``reset_task`` reach every member."""
+
+    def __init__(self, members):
+        self.members = tuple(members)
+
+    def gates(self):
+        return self.members
+
+    def prepare(self, total_steps: int):
+        for member in self.members:
+            member.prepare(total_steps)
+
+    def reset_task(self):
+        for member in self.members:
+            member.reset_task()
+
+
 OPTIMIZER_NAMES = ("sgd", "sam", "cflat", "cflat++", "hybrid")
 
 
@@ -404,10 +499,10 @@ def train_epochs(
     stepper: Stepper,
     epochs: int,
     batch_size: int,
-    rng: SeededRng,
+    rng,
     milestones: tuple[int, ...] = (),
     lr_decay: float = 0.1,
-) -> tuple[ParamVector, list[StepStats]]:
+) -> tuple[ParamVector, list]:
     """Shuffled mini-batch training with learning-rate milestones.
 
     The learning rate multiplies by lr_decay at each milestone epoch. Steps
@@ -416,19 +511,31 @@ def train_epochs(
     epoch (fewer than batch_size rows) is dropped. ``x`` and ``y`` are checked
     once, as one ``Batch``, before any step; each step's batch is a row
     selection of the checked arrays. Divergence aborts with the step index and
-    the loss and gradient norm of the last finished step.
+    the loss and gradient norm of the failing row's last finished step.
+
+    A seed stack trains in lockstep: ``theta`` (S, d) with ``x`` (S, N, d_in),
+    ``y`` (S, N), ``rng`` a sequence of S generators and a stepper with one
+    gate per seed (``SeedGroup``). Each seed draws its batch order from its
+    own generator, every step gathers the S batches in one index, and the
+    trace is one list of StepStats per seed.
     """
-    n = len(y)
+    stacked = theta.data.ndim == 2
+    rngs = list(rng) if stacked else [rng]
+    n = np.shape(y)[-1]
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     data = Batch(x, y)
     x, y = data.x, data.y
+    if x.shape[:-2] != theta.data.shape[:-1] or len(rngs) != theta.stack_size:
+        raise ValueError(f"theta of shape {theta.data.shape} needs features with one "
+                         f"leading row per seed and one rng per seed")
+    seed_index = (np.arange(len(rngs))[:, None],) if stacked else ()
     steps_per_epoch = n // batch_size
     stepper.prepare(epochs * steps_per_epoch)
 
-    trace: list[StepStats] = []
+    traces: list[list[StepStats]] = [[] for _ in rngs]
     eta = cfg.eta
     step_idx = 0
     for epoch in range(epochs):
@@ -436,19 +543,21 @@ def train_epochs(
             eta *= lr_decay
         eta_i = min(max(eta, cfg.eta_min), cfg.eta_max)
         cfg_i = replace(cfg, eta=eta_i, rho=rho_schedule(cfg, eta_i))
-        order = rng.permutation(n)
+        order = np.stack([r.permutation(n) for r in rngs]).reshape(theta.data.shape[:-1] + (n,))
         for b in range(steps_per_epoch):
-            idx = order[b * batch_size : (b + 1) * batch_size]
+            idx = (*seed_index, order[..., b * batch_size : (b + 1) * batch_size])
             batch = Batch._rows(x[idx], y[idx])
             try:
                 theta, stats = stepper.step(oracle, theta, batch, cfg_i)
             except DivergenceError as err:
                 err.step = step_idx
+                trace = traces[err.row or 0]
                 if trace:
                     err.last_loss = trace[-1].loss
                     err.grad_norm = math.sqrt(trace[-1].sq_grad_norm)
                 raise
-            stats.epoch = epoch
-            trace.append(stats)
+            for trace, row in zip(traces, stats if stacked else [stats]):
+                row.epoch = epoch
+                trace.append(row)
             step_idx += 1
-    return theta, trace
+    return theta, _per_row(theta, traces)

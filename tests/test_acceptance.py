@@ -56,7 +56,7 @@ def bench():
     runs = {}
     for method, opt in [("finetune", "sgd"), ("replay", "sgd"), ("replay", "cflat"),
                         ("wa", "sgd"), ("wa", "cflat")]:
-        runs[(method, opt)] = [run_cl_experiment(stream, method, opt, cfg, cl, s) for s in SEEDS]
+        runs[(method, opt)] = run_cl_experiment(stream, method, opt, cfg, cl, SEEDS)
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
 
 
@@ -69,7 +69,7 @@ def efficiency_bench():
     cl = CLConfig(hidden=(32,), activation="relu", epochs=15, batch_size=32)
     cfg = OptimConfig(eta=0.1)
     runs = {
-        opt: [run_cl_experiment(stream, "replay", opt, cfg, cl, s) for s in SEEDS]
+        opt: [run_cl_experiment(stream, "replay", opt, cfg, cl, [s])[0] for s in SEEDS]
         for opt in ("cflat", "cflat++")
     }
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
@@ -373,8 +373,7 @@ def test_criterion_8_gpm_projection():
     cl = CLConfig(hidden=(12,), epochs=4, batch_size=16, gpm_eta1=0.0)
     checked = 0
     worst = 0.0
-    for r in [run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3), cl, s)
-              for s in (0, 1)]:
+    for r in run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3), cl, (0, 1)):
         for s in r.trace:
             if s.gpm_in_span is None:
                 continue
@@ -491,7 +490,7 @@ def test_criterion_13_hybrid_grid(bench):
         cl = CLConfig(hidden=(32,), activation="tanh", epochs=15, batch_size=32,
                       hybrid_p=p, hybrid_ordering="cflat_last")
         accs.append(mean_avg_accuracy(
-            [run_cl_experiment(stream, "replay", "hybrid", cfg, cl, s) for s in SEEDS]
+            run_cl_experiment(stream, "replay", "hybrid", cfg, cl, SEEDS)
         ))
     corr = spearman(ps, accs)
     ok = corr > 0

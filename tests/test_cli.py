@@ -624,6 +624,56 @@ def test_unsplittable_csv_classes_fail_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_checks_every_csv_cell_split_before_running_any(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = [f"{c}," + ",".join(f"{v:.6f}" for v in rng.normal(size=3))
+            for c in range(4) for _ in range(10)]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    doc = base_config(out)
+    doc["dataset"] = {"kind": "csv", "path": str(data)}
+    # 4 classes split into tasks of 2 but not of 3
+    assert main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--axis", "increment=2,3"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == "increment"
+    assert "cannot divide 4 classes" in error["message"]
+    assert not out.exists()
+
+
+def test_divergence_payload_names_the_first_seed_to_diverge(tmp_path, capsys, monkeypatch):
+    from cflat import continual
+
+    train_epochs = continual.train_epochs
+
+    def poisoned(oracle, theta, x, y, *args):
+        data = theta.data.copy()
+        data[-1] = np.nan  # the group's last seed
+        return train_epochs(oracle, theta._adopt(data), x, y, *args)
+
+    monkeypatch.setattr(continual, "train_epochs", poisoned)
+    cfg = write_config(tmp_path, base_config(tmp_path / "x", seeds=[3, 8]))
+    assert main(["run", "--config", cfg]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "divergence"
+    assert (error["seed"], error["task"], error["step"]) == (8, 0, 0)
+    assert error["last_loss"] is None
+
+
+@pytest.mark.parametrize("seeds, jobs, groups", [
+    ([0, 1, 2, 3, 4], 1, [[0, 1, 2, 3, 4]]),
+    ([0, 1, 2, 3, 4], 2, [[0, 1], [2, 3, 4]]),
+    ([5, 6, 7], 3, [[5], [6], [7]]),
+    ([5, 6], 8, [[5], [6]]),
+    ([-1, 2**64 - 1, 5], 2, [[-1], [2**64 - 1, 5]]),  # seeds stay exact ints
+])
+def test_jobs_split_the_seeds_into_contiguous_groups(seeds, jobs, groups):
+    from cflat.cli import _seed_groups
+
+    assert _seed_groups(seeds, jobs) == groups
+
+
 def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg = write_config(tmp_path, base_config(out))

@@ -482,7 +482,7 @@ def test_gpm_zero_significance_is_unprojected():
                         energy_threshold=state.energy_threshold, layer=state.layer)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
     stepper = GpmStepper(CflatStepper(), eta1=0.0, eta2=0.1)
-    stepper.gpm_state = state
+    stepper.gpm_states = [state]
     new_theta, stats = stepper.step(oracle, theta, batch, cfg)
     # reduces to an unprojected step along the perturbed gradient
     d, _ = CflatStepper().direction(oracle, theta, batch, cfg)
@@ -501,7 +501,7 @@ def test_gpm_full_space_basis_freezes_block():
                             energy_threshold=1.0, layer=state.layer)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
     stepper = GpmStepper(CflatStepper(), eta1=0.0, eta2=0.1)
-    stepper.gpm_state = state
+    stepper.gpm_states = [state]
     new_theta, _ = stepper.step(oracle, theta, batch, cfg)
     name = f"W{state.layer}"
     np.testing.assert_allclose(new_theta.view(name), theta.view(name), atol=1e-12)
@@ -512,9 +512,9 @@ def test_gpm_significance_update_clamped():
     state = gpm_extract_basis(oracle, theta, batch, 0.95)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
     stepper = GpmStepper(CflatStepper(), eta1=50.0, eta2=0.1)
-    stepper.gpm_state = state
+    stepper.gpm_states = [state]
     stepper.step(oracle, theta, batch, cfg)
-    new_state = stepper.gpm_state
+    new_state = stepper.gpm_states[0]
     assert (new_state.significance >= 0.0).all()
     assert (new_state.significance <= 1.0).all()
 
@@ -562,7 +562,7 @@ def test_the_gate_runs_once_per_step_in_order_and_sets_the_step_cost(name, proje
     stepper = inner
     if projected:
         stepper = GpmStepper(inner, eta1=0.0, eta2=0.05)
-        stepper.gpm_state = gpm_extract_basis(oracle, theta, batch, 0.95)
+        stepper.gpm_states = [gpm_extract_basis(oracle, theta, batch, 0.95)]
     calls = []
     gate = inner.use_cflat
 
@@ -594,7 +594,7 @@ def test_projection_with_zero_significance_is_the_plain_step_at_eta2(name, plain
     rng, oracle, theta, batch = gpm_setup()
     state = gpm_extract_basis(oracle, theta, batch, 0.95)
     stepper = GpmStepper(make_stepper(name), eta1=0.0, eta2=0.07)
-    stepper.gpm_state = replace(state, significance=np.zeros(state.rank))
+    stepper.gpm_states = [replace(state, significance=np.zeros(state.rank))]
     got, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.3, rho=0.2))
     expected, plain_stats = plain().step(oracle, theta, batch, OptimConfig(eta=0.07, rho=0.2))
     assert np.array_equal(got.data, expected.data)
@@ -624,7 +624,7 @@ def test_gpm_sensitivities_match_a_central_difference_of_the_post_step_loss(acti
     state = replace(state, significance=rng.uniform(0.2, 0.8, state.rank))
     g_c = oracle.grad(theta, batch)
     eta2, h = 0.5, 1e-5
-    exact = _significance_sensitivity(oracle, theta, batch, state, g_c, eta2)
+    (exact,) = _significance_sensitivity(oracle, theta, batch, [state], g_c, eta2)
 
     def post_step_loss(significance):
         proj, _ = gpm_project(replace(state, significance=significance), g_c)
@@ -649,12 +649,12 @@ def test_significance_update_costs_one_gradient_and_no_loss(monkeypatch):
     counts = []
     for eta1 in (0.0, 0.5):
         stepper = GpmStepper(SgdStepper(), eta1=eta1, eta2=0.1)
-        stepper.gpm_state = state
+        stepper.gpm_states = [state]
         before = dict(calls)
         _, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.1))
         counts.append((stats.grad_evals, calls["grad"] - before["grad"],
                        calls["loss"] - before["loss"]))
-    assert stepper.gpm_state.significance.tolist() != state.significance.tolist()
+    assert stepper.gpm_states[0].significance.tolist() != state.significance.tolist()
     assert counts == [(1, 1, 1), (2, 2, 1)]
 
 
@@ -678,7 +678,7 @@ def test_single_task_matrix_is_plain_accuracy():
     ds = quick_dataset(classes=4, dims=6, per_class=40)
     stream = make_stream(ds, "B0", 4)  # one task covering everything
     matrix = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
-                               small_cl(), 0).matrix
+                               small_cl(), [0])[0].matrix
     assert len(matrix) == 1 and len(matrix[0]) == 1
     assert 0.0 <= matrix[0][0] <= 1.0
 
@@ -686,7 +686,7 @@ def test_single_task_matrix_is_plain_accuracy():
 def test_finetune_exhibits_forgetting():
     stream = small_stream()
     m = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
-                          small_cl(epochs=5), 0).matrix
+                          small_cl(epochs=5), [0])[0].matrix
     assert m[1][0] < m[0][0]
 
 
@@ -695,8 +695,8 @@ def test_replay_with_unbounded_memory_matches_joint_training():
     two_task = make_stream(ds, "B0", 2)
     joint = make_stream(ds, "B0", 4)
     cl = CLConfig(hidden=(16,), epochs=10, batch_size=32, memory_capacity=10_000)
-    replay = run_cl_experiment(two_task, "replay", "sgd", OptimConfig(eta=0.5), cl, 0)
-    joint_run = run_cl_experiment(joint, "finetune", "sgd", OptimConfig(eta=0.5), cl, 0)
+    replay = run_cl_experiment(two_task, "replay", "sgd", OptimConfig(eta=0.5), cl, [0])[0]
+    joint_run = run_cl_experiment(joint, "finetune", "sgd", OptimConfig(eta=0.5), cl, [0])[0]
     gap = abs(last_accuracy(replay.matrix) - last_accuracy(joint_run.matrix))
     assert gap <= 0.03
 
@@ -712,7 +712,7 @@ def test_memory_stays_legal_throughout(monkeypatch):
 
     monkeypatch.setattr(continual, "train_epochs", recording)
     run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
-                      small_cl(memory_capacity=5), 0)
+                      small_cl(memory_capacity=5), [0])[0]
     assert len(trained) == len(stream.tasks)
     seen: set[int] = set()
     for task, (x, y) in zip(stream.tasks, trained):
@@ -730,7 +730,7 @@ def test_memory_stays_legal_throughout(monkeypatch):
 def test_every_method_optimizer_combination_runs(method, optimizer):
     stream = small_stream()
     seed_result = run_cl_experiment(stream, method, optimizer, OptimConfig(eta=0.3),
-                                    small_cl(epochs=2), 0)
+                                    small_cl(epochs=2), [0])[0]
     assert len(seed_result.matrix) == len(stream.tasks)
     for t, row in enumerate(seed_result.matrix):
         assert len(row) == t + 1
@@ -743,16 +743,16 @@ def test_every_method_optimizer_combination_runs(method, optimizer):
 def test_experiment_is_deterministic_per_seed():
     stream = small_stream()
     a = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.3),
-                          small_cl(), 3)
+                          small_cl(), [3])[0]
     b = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.3),
-                          small_cl(), 3)
+                          small_cl(), [3])[0]
     assert a.matrix == b.matrix
     assert np.array_equal(a.final_theta.data, b.final_theta.data)
 
 
 def test_pre_train_and_baseline_recorded_for_fwt():
     stream = small_stream(classes=6, increment=2)
-    r = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), small_cl(), 0)
+    r = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), small_cl(), [0])[0]
     assert r.pre_train_acc[0] is None
     assert len(r.pre_train_acc) == 3
     assert all(v is not None for v in r.pre_train_acc[1:])
@@ -762,7 +762,7 @@ def test_pre_train_and_baseline_recorded_for_fwt():
 def test_gpm_in_span_invariant_during_run():
     stream = small_stream(classes=6, increment=2)
     res = run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3),
-                            small_cl(gpm_eta1=0.0), 0)
+                            small_cl(gpm_eta1=0.0), [0])[0]
     projected = [s for s in res.trace if s.gpm_in_span is not None]
     assert projected, "projection never engaged"
     for s in projected:
@@ -771,7 +771,7 @@ def test_gpm_in_span_invariant_during_run():
 
 def test_wa_gammas_recorded():
     stream = small_stream()
-    gammas = run_cl_experiment(stream, "wa", "sgd", OptimConfig(eta=0.5), small_cl(), 0).gammas
+    gammas = run_cl_experiment(stream, "wa", "sgd", OptimConfig(eta=0.5), small_cl(), [0])[0].gammas
     assert gammas[0] is None
     assert gammas[1] is not None and gammas[1] > 0
 
@@ -779,7 +779,7 @@ def test_wa_gammas_recorded():
 def test_unknown_method_rejected():
     stream = small_stream()
     with pytest.raises(ValueError, match="unknown method"):
-        run_cl_experiment(stream, "ewc", "sgd", OptimConfig(eta=0.5), small_cl(), 0)
+        run_cl_experiment(stream, "ewc", "sgd", OptimConfig(eta=0.5), small_cl(), [0])[0]
 
 
 def test_cflat_throughput_below_sgd_on_identical_workload():
@@ -787,7 +787,7 @@ def test_cflat_throughput_below_sgd_on_identical_workload():
     ds = quick_dataset(classes=4, dims=16, per_class=100, seed=19)
     stream = make_stream(ds, "B0", 2)
     cl = CLConfig(hidden=(32,), epochs=6, batch_size=64)
-    sgd = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), cl, 0)
-    cflat = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.5), cl, 0)
+    sgd = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), cl, [0])[0]
+    cflat = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.5), cl, [0])[0]
     thr = lambda res: res.examples / res.train_seconds
     assert thr(cflat) < thr(sgd)

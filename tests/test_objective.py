@@ -447,11 +447,11 @@ def test_repeated_grads_reuse_the_workspace_buffers():
     theta = oracle.init_theta(rng.spawn(0))
     small, large = random_batch(rng, 32, 4, 3), random_batch(rng, 64, 4, 3)
     oracle.grad(theta, small)
-    buffers = [buf for layer in oracle._workspace(32) for buf in layer]
+    buffers = [buf for layer in oracle._workspace((32,)) for buf in layer]
     assert len(buffers) == 8
     for batch in (small, large, small):
         oracle.grad(theta, batch)
-    again = [buf for layer in oracle._workspace(32) for buf in layer]
+    again = [buf for layer in oracle._workspace((32,)) for buf in layer]
     assert all(a is b for a, b in zip(again, buffers))
     acts, pre = oracle._forward(theta, small.x)
     assert acts[1] is buffers[1] and pre[0] is buffers[0]
@@ -464,7 +464,7 @@ def test_workspace_keeps_a_bounded_number_of_row_counts():
     for n in range(1, 21):
         oracle.grad(theta, random_batch(rng, n, 3, 2))
     assert 1 <= len(oracle._workspaces) <= 8
-    assert 20 in oracle._workspaces
+    assert (20,) in oracle._workspaces
 
 
 def test_mlp_hvp_zero_direction():
