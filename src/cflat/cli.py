@@ -640,20 +640,20 @@ def cmd_landscape(args) -> int:
     rng = SeededRng(args.probe_seed)
 
     # the gradient at theta keeps the pass every HVP of the eigen-solve and
-    # the trace estimate reads; the one eigen-solve gives lambda_max and the
+    # the exact trace read; the one eigen-solve gives lambda_max and the
     # slice directions
     g = oracle.grad(theta, batch)
     eigen = top2_eigenpairs(oracle, theta, batch, iters=args.iters, rng=rng.spawn(1))
     report = flatness_report(
-        oracle, theta, batch, rho=args.rho, rng=rng, trace_probes=args.probes,
-        ball_samples=args.samples, grad=g, eigen=eigen,
+        oracle, theta, batch, rho=args.rho, rng=rng, ball_samples=args.samples,
+        grad=g, eigen=eigen,
     )
     doc = report.to_dict()
     doc["r0_le_r1"] = bool(report.r0_sample <= report.r1_sample * 1.02 + 1e-12)
     doc["probe_seed"] = args.probe_seed
     doc["checkpoint"] = os.path.relpath(args.checkpoint, args.out)
     (out_dir / "flatness.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
+        json.dumps(doc, sort_keys=True, indent=1, allow_nan=False), encoding="utf-8"
     )
 
     v1, v2 = eigen.vectors[0], eigen.vectors[-1]  # a 1-parameter model has one direction
@@ -768,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     land_p.add_argument("--out", required=True)
     land_p.add_argument("--rho", type=float, default=0.2)
     land_p.add_argument("--samples", type=int, default=2000)
-    land_p.add_argument("--probes", type=int, default=200)
+    land_p.add_argument("--probes", type=int, default=200,
+                        help="checked to be >= 1 and otherwise unused: the trace is exact")
     land_p.add_argument("--iters", type=int, default=200,
                         help="most HVPs the one eigen-solve takes")
     land_p.add_argument("--grid", type=int, default=21)

@@ -344,8 +344,9 @@ class DistillObjective(ObjectiveOracle):
     previous model's distribution, restricted to old classes. Both terms
     carry coefficient 1.
 
-    Its gradient and its exact HVP go through the current model's entries
-    with this objective's logit error and logit curvature; the KL term adds
+    Its gradient, its exact HVP and its exact Hessian trace go through the
+    current model's entries with this objective's logit error and logit
+    curvature (``_curvature``); the KL term adds
     (q - p) / (T n) to the old-class block of the error and
     (diag(q) - q q^T) Rz / (T^2 n) to that block of the curvature, for the
     softened current distribution q and the old model's p. On a seed stack
@@ -402,15 +403,20 @@ class DistillObjective(ObjectiveOracle):
 
         return self.base.grad_from_output_error(theta, batch, output_error, owner=self)
 
-    def hvp(self, theta, v, batch=None) -> ParamVector:
-        def curvature(z, lse, u):
-            h = _ce_curvature(z, lse, u)
-            k, t = self.n_old, self.temperature
-            jvp = _softmax_jvp(_softmax(z[..., :k] / t), u[..., :k])
-            h[..., :k] += jvp / (t * t * z.shape[-2])
-            return h
+    def _curvature(self, z, lse, u):
+        """Logit-space Hessian of this objective applied to u (the
+        ``curvature`` callback of the base oracle's entries)."""
+        h = _ce_curvature(z, lse, u)
+        k, t = self.n_old, self.temperature
+        jvp = _softmax_jvp(_softmax(z[..., :k] / t), u[..., :k])
+        h[..., :k] += jvp / (t * t * z.shape[-2])
+        return h
 
-        return self.base.hvp_from_curvature(theta, v, batch, self, curvature)
+    def hvp(self, theta, v, batch=None) -> ParamVector:
+        return self.base.hvp_from_curvature(theta, v, batch, self, self._curvature)
+
+    def hessian_trace(self, theta, batch=None) -> float:
+        return self.base.trace_from_curvature(theta, batch, self, self._curvature)
 
 
 def wa_align(w_old: np.ndarray, w_new: np.ndarray) -> float:

@@ -1,17 +1,19 @@
-"""Flatness diagnostics: extreme-eigenvalue and trace estimators, brute-force
+"""Flatness diagnostics: extreme eigenvalues, the Hessian trace, brute-force
 neighborhood sharpness measurements, and 2-D loss-surface slices.
 
-All estimators consume only the oracle's hvp/grad/loss entry points and are
-deterministic given their probe seed. The magnitude-dominant eigenpairs come
+The estimators consume only the oracle's hvp/grad/loss entry points and are
+deterministic given their probe seed; the report's trace is the oracle's own
+exact ``hessian_trace``, and ``hutchinson_trace`` is kept as the reference
+estimator it is checked against. The magnitude-dominant eigenpairs come
 from one Lanczos solve with full reorthogonalisation (``lanczos_eigenpairs``)
 that stops when the Ritz residuals of the requested pairs certify them, as in
 PyHessian (Yao et al. 2020); ``power_iter_lambda_max`` and
 ``top2_eigenpairs`` are views of it. Run right after a gradient at theta, on
 an oracle that keeps its last gradient pass (``MlpOracle``), every product
-reads that pass. The sampled sharpness R0 and flatness R1 share one set of
-ball points (``ball_sharpness``), streamed a block at a time, and each
-point's loss is read after its gradient, so such an oracle evaluates every
-point once.
+and the exact trace read that pass. The sampled sharpness R0 and flatness R1
+share one set of ball points (``ball_sharpness``), streamed a block at a
+time, and each point's loss is read after its gradient, so such an oracle
+evaluates every point once.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from .numcore import ParamVector, SeededRng, norm2
 from .objective import Batch, ObjectiveOracle
+from .optim import DivergenceError
 
 __all__ = [
     "FlatnessReport",
@@ -45,9 +48,10 @@ LANCZOS_TOL = 1e-10
 class FlatnessReport:
     """Per-checkpoint diagnostics with the probe counts used to produce them.
 
-    ``lanczos_products`` is the number of HVPs the eigen-solve took and
-    ``lanczos_residual`` the largest relative Ritz residual of its pairs,
-    which certifies them when it is at most ``lanczos_tol``.
+    ``trace`` is the exact Hessian trace. ``lanczos_products`` is the number
+    of HVPs the eigen-solve took and ``lanczos_residual`` the largest
+    relative Ritz residual of its pairs, which certifies them when it is at
+    most ``lanczos_tol``.
     """
 
     sq_grad_norm: float
@@ -59,7 +63,6 @@ class FlatnessReport:
     lanczos_products: int
     lanczos_residual: float
     lanczos_tol: float
-    trace_probes: int
     ball_samples: int
 
     def to_dict(self) -> dict:
@@ -251,7 +254,9 @@ def ball_sharpness(
     point's gradient is evaluated before its loss, so an oracle that keeps its
     last forward pass (``MlpOracle``) costs one gradient per point. The points
     come from the ``_ball_samples`` stream, each used before the next is
-    drawn, so memory holds one block of offsets and the n radii.
+    drawn, so memory holds one block of offsets and the n radii. A
+    non-finite gradient norm or loss raises ``DivergenceError`` naming the
+    estimator and the ball sample, since ``max`` would drop a NaN.
     """
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
@@ -260,11 +265,18 @@ def ball_sharpness(
     base = oracle.loss(theta, batch)
     worst_loss = -np.inf
     worst_grad = 0.0
-    for row in _ball_samples(rng, theta.dim, rho, n_samples):
+    for index, row in enumerate(_ball_samples(rng, theta.dim, rho, n_samples)):
         point = theta._adopt(theta.data + row)
-        worst_grad = max(worst_grad, norm2(oracle.grad(point, batch)))
-        worst_loss = max(worst_loss, oracle.loss(point, batch))
+        grad_norm = _finite(norm2(oracle.grad(point, batch)), "R1 gradient norm", index)
+        worst_grad = max(worst_grad, grad_norm)
+        worst_loss = max(worst_loss, _finite(oracle.loss(point, batch), "R0 loss", index))
     return float(worst_loss - base), float(rho * worst_grad)
+
+
+def _finite(value: float, estimator: str, index: int) -> float:
+    if not np.isfinite(value):
+        raise DivergenceError(f"ball_sharpness: {estimator} is {value} at ball sample {index}")
+    return value
 
 
 def r0_bruteforce(oracle: ObjectiveOracle, theta: ParamVector, batch: Batch | None,
@@ -315,7 +327,6 @@ def flatness_report(
     rho: float,
     rng: SeededRng,
     iters: int = 200,
-    trace_probes: int = 200,
     ball_samples: int = 2000,
     grad: ParamVector | None = None,
     eigen: Eigenpairs | None = None,
@@ -325,14 +336,15 @@ def flatness_report(
     ``grad`` is the gradient at theta (evaluated when omitted), which gives
     the squared gradient norm. ``eigen`` is the eigen-solve whose top value
     is ``lambda_max`` (``top2_eigenpairs`` with at most ``iters`` products on
-    ``rng.spawn(1)`` when omitted). The trace estimate runs before the ball
-    points, so with an oracle that keeps its last gradient pass every HVP
-    here reads the pass at theta. R0 and R1 come from one set of ball points.
+    ``rng.spawn(1)`` when omitted). The exact trace, ``oracle.hessian_trace``,
+    runs before the ball points, so with an oracle that keeps its last
+    gradient pass it and every HVP here read the pass at theta. R0 and R1
+    come from one set of ball points.
     """
     g = grad if grad is not None else oracle.grad(theta, batch)
     if eigen is None:
         eigen = top2_eigenpairs(oracle, theta, batch, iters, rng=rng.spawn(1))
-    trace = hutchinson_trace(oracle, theta, batch, trace_probes, rng.spawn(2))
+    trace = oracle.hessian_trace(theta, batch)
     r0, r1 = ball_sharpness(oracle, theta, batch, rho, ball_samples, rng.spawn(4))
     return FlatnessReport(
         sq_grad_norm=norm2(g) ** 2,
@@ -344,6 +356,5 @@ def flatness_report(
         lanczos_products=eigen.products,
         lanczos_residual=eigen.residual,
         lanczos_tol=eigen.tol,
-        trace_probes=trace_probes,
         ball_samples=ball_samples,
     )

@@ -1,11 +1,13 @@
 """Differentiable objectives: a quadratic oracle and a softmax MLP oracle.
 
-Every oracle exposes ``loss``, ``grad`` and ``hvp`` on a batch, and every
-Hessian-vector product is exact. The MLP takes it by Pearlmutter's R-op
-(Pearlmutter 1994, "Fast exact multiplication by the Hessian"): an R-forward
-pass that carries the directional derivative of every pre-activation, then an
-R-backward pass that starts from the loss's logit-space curvature applied to
-the logits' derivative. A softmax-model gradient costs one forward and one
+Every oracle exposes ``loss``, ``grad``, ``hvp`` and ``hessian_trace`` on a
+batch, and every Hessian-vector product and trace is exact. The MLP takes its
+products by Pearlmutter's R-op (Pearlmutter 1994, "Fast exact multiplication
+by the Hessian"): an R-forward pass that carries the directional derivative
+of every pre-activation, then an R-backward pass that starts from the loss's
+logit-space curvature applied to the logits' derivative. Its trace
+back-propagates each example's pre-activation Hessian from the same
+curvature, layer by layer. A softmax-model gradient costs one forward and one
 backward pass; an HVP on the point and batch of the last gradient costs the
 two R passes only, and elsewhere a gradient pass beyond them. Losses are
 mean-reduced over the batch so step sizes and perturbation radii transfer
@@ -40,11 +42,13 @@ pass's activations, activation derivatives and back-propagated errors. A
 ``loss`` on the same two objects reads the loss from the logits and ``lse``
 instead of running the forward pass again, so a loss right after a gradient,
 as in every optimizer step's prologue, costs no second pass and no exp, and
-is bit-identical to a fresh one. An ``hvp`` of the same objective on the same
-two objects reads the rest and runs no primal pass.
-Any forward pass at the entry's leading batch shape drops it, since it
-overwrites the buffers the entry reads. The entry matches objects by identity: a
-``ParamVector`` is read-only, and a ``Batch``'s arrays must not be mutated
+is bit-identical to a fresh one. Three entries share the pass:
+``grad_from_output_error`` keeps it, and ``hvp_from_curvature`` (``hvp``) and
+``trace_from_curvature`` (``hessian_trace``) of the same objective on the
+same two objects read the rest and run no primal pass. Any forward pass at
+the entry's leading batch shape drops it, since it overwrites the buffers the
+entry reads. The entry matches objects by identity: a ``ParamVector`` is
+read-only, and a ``Batch``'s arrays must not be mutated
 after construction (the distillation objective's cached old-model
 probabilities assume the same).
 
@@ -146,9 +150,21 @@ class ObjectiveOracle:
     def hvp(self, theta: ParamVector, v: ParamVector, batch: Batch | None = None) -> ParamVector:
         raise NotImplementedError
 
+    def hessian_trace(self, theta: ParamVector, batch: Batch | None = None) -> float:
+        raise NotImplementedError
+
     def _require_dim(self, theta: ParamVector) -> None:
         if theta.dim != self.dim:
             raise ValueError(f"dimension mismatch: theta has {theta.dim}, oracle expects {self.dim}")
+
+    @staticmethod
+    def _require_one_seed(theta: ParamVector, batch: Batch | None = None) -> None:
+        """The exact trace is of one seed's loss: a 1-D theta and a 2-D batch."""
+        if theta.data.ndim != 1 or (batch is not None and batch.x.ndim != 2):
+            raise ValueError(
+                f"hessian_trace takes one seed's 1-D theta and 2-D batch, got theta of shape "
+                f"{theta.data.shape}" + ("" if batch is None else
+                                         f" and features of shape {batch.x.shape}"))
 
 
 class QuadraticOracle(ObjectiveOracle):
@@ -189,6 +205,11 @@ class QuadraticOracle(ObjectiveOracle):
         if v.dim != self.dim:
             raise ValueError("direction dimension mismatch")
         return v._adopt(self.H @ v.data)
+
+    def hessian_trace(self, theta, batch=None) -> float:
+        self._require_dim(theta)
+        self._require_one_seed(theta)
+        return float(np.trace(self.H))
 
 
 def make_quadratic(H, c=None) -> QuadraticOracle:
@@ -269,6 +290,10 @@ def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
 # Row counts whose buffers an oracle keeps; the oldest set is dropped first.
 _WORKSPACE_ROW_COUNTS = 8
 
+# Rows whose curvature blocks the exact trace carries at once: its
+# temporaries are (rows, width, width) per layer.
+_TRACE_BLOCK_ROWS = 64
+
 ACTIVATION_NAMES = ("tanh", "relu")
 
 
@@ -333,10 +358,13 @@ class MlpOracle(ObjectiveOracle):
     backpropagates an output-layer error computed from its logits, L2 term
     included. ``hvp_from_curvature`` is the one product entry: it applies the
     Hessian of the same loss by one R-forward and one R-backward pass, given
-    the loss's logit-space curvature. Cross-entropy (``grad``, ``hvp``) and
-    distillation differ only in those two callbacks. Both entries keep or
-    read the last gradient pass (see the module docstring), so a loss or an
-    HVP right after a gradient on the same objects runs no forward pass.
+    the loss's logit-space curvature. ``trace_from_curvature`` takes the
+    exact Hessian trace from the same curvature by back-propagating each
+    example's pre-activation Hessian. Cross-entropy (``grad``, ``hvp``,
+    ``hessian_trace``) and distillation differ only in those two callbacks.
+    The entries keep or read the last gradient pass (see the module
+    docstring), so a loss, an HVP or the trace right after a gradient on the
+    same objects runs no forward pass.
 
     Each layer's (W start, W stop, W shape, b start, b stop) in the flat
     vector is computed once from the manifest; passes read the blocks as
@@ -512,11 +540,7 @@ class MlpOracle(ObjectiveOracle):
             raise ValueError(
                 f"dimension mismatch: direction has shape {v.data.shape}, "
                 f"theta has {theta.data.shape}")
-        kept = self._last_pass
-        if kept is None or kept.theta is not theta or kept.batch is not batch \
-                or kept.owner is None or kept.owner() is not owner:
-            owner.grad(theta, batch)
-            kept = self._last_pass
+        kept = self._kept_pass_of(theta, batch, owner)
         acts, buffers = kept.acts, kept.buffers
         r_buffers = self._workspace(batch.x.shape[:-1], self._r_workspaces)
         data, vdata = theta.data, v.data
@@ -558,6 +582,70 @@ class MlpOracle(ObjectiveOracle):
             flat += self.l2 * vdata
         return theta._adopt(flat)
 
+    def trace_from_curvature(self, theta: ParamVector, batch: Batch, owner,
+                             curvature) -> float:
+        """Exact Hessian trace, L2 term included, of the loss whose gradient is
+        ``owner.grad``, by back-propagating each example's pre-activation
+        Hessian (Dangel, Harmeling & Hennig 2020, Hessian backpropagation).
+
+        It reads the kept pass as ``hvp_from_curvature`` does. For each block
+        of ``_TRACE_BLOCK_ROWS`` rows, ``curvature`` applied to the C unit
+        vectors (as one leading axis of u) gives every row's logit-space
+        Hessian block B. ``curvature`` is mean-reduced over the rows it is
+        given, so the blocks are rescaled from the block's rows to the
+        batch's. Then, from the top layer down, the trace gains
+        sum_n (||a_n||^2 + 1) tr(B_n) for the layer's input activations a,
+        and the blocks step down a layer as D' (W^T B W) D', minus, for tanh,
+        2 a G on the diagonal, where G is the kept back-propagated error
+        (the R-op's tanh'' = -2 tanh tanh' identity; relu'' = 0). The bottom
+        layer needs only the diagonal of its blocks, so a one-hidden-layer
+        model never forms a (rows, width, width) array.
+        """
+        self._check_theta(theta)
+        self._require_one_seed(theta, batch)
+        kept = self._kept_pass_of(theta, batch, owner)
+        n, C = kept.logits.shape
+        units = np.eye(C)[:, None, :]
+        data = theta.data
+        total = 0.0
+        for start in range(0, n, _TRACE_BLOCK_ROWS):
+            rows = slice(start, start + _TRACE_BLOCK_ROWS)
+            z = kept.logits[rows]
+            m = len(z)
+            # entry [c, r, i] is row r's block applied to e_c: B_r[i, c]
+            B = curvature(z, kept.lse[rows], units).transpose(1, 2, 0) * (m / n)
+            diagonal = np.einsum("rii->ri", B)
+            for layer in range(self.n_layers - 1, -1, -1):
+                a = kept.acts[layer][rows]
+                total += float((np.einsum("ri,ri->r", a, a) + 1.0) @ diagonal.sum(axis=1))
+                if layer == 0:
+                    break
+                w0, w1, (d_out, d_in), _, _ = self._layers[layer]
+                W = _block(data, w0, w1, (d_out, d_in))
+                BW = (B.reshape(-1, d_out) @ W).reshape(m, d_out, d_in)
+                G_in, deriv = kept.buffers[layer - 1][2:]
+                d = deriv[rows]
+                # the diagonal of the blocks one layer down
+                diagonal = np.einsum("rci,ci->ri", BW, W) * (d * d)
+                if self.spec.activation == "tanh":
+                    diagonal -= 2.0 * a * G_in[rows]
+                if layer > 1:  # whole blocks only while a layer below reads them
+                    B = np.matmul(W.T, BW)
+                    B *= d[:, :, None]
+                    B *= d[:, None, :]
+                    B.reshape(m, -1)[:, ::d_in + 1] = diagonal
+        return total + self.l2 * self.dim
+
+    def _kept_pass_of(self, theta: ParamVector, batch: Batch, owner) -> _KeptPass:
+        """The kept pass when it is ``owner``'s gradient on these ``theta``
+        and ``batch`` objects; otherwise ``owner.grad`` runs first to keep one."""
+        kept = self._last_pass
+        if kept is None or kept.theta is not theta or kept.batch is not batch \
+                or kept.owner is None or kept.owner() is not owner:
+            owner.grad(theta, batch)
+            kept = self._last_pass
+        return kept
+
     def _loss_and_logits(self, theta: ParamVector, batch: Batch) -> tuple:
         """Mean cross-entropy plus the L2 term (a 0-d value, or one per seed
         of a stack), and the logits it was computed from: the kept pass's
@@ -583,6 +671,9 @@ class MlpOracle(ObjectiveOracle):
 
     def hvp(self, theta, v, batch=None) -> ParamVector:
         return self.hvp_from_curvature(theta, v, batch, self, _ce_curvature)
+
+    def hessian_trace(self, theta, batch=None) -> float:
+        return self.trace_from_curvature(theta, batch, self, _ce_curvature)
 
     def select_rows(self, theta: ParamVector, batch: Batch,
                     rows: np.ndarray) -> tuple["MlpOracle", ParamVector, Batch]:

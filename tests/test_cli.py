@@ -395,12 +395,41 @@ def test_landscape_iters_bounds_the_eigen_solve_products(tmp_path, monkeypatch, 
     assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--samples", "4",
                  "--probes", "3", "--iters", str(iters), "--grid", "3"]) == 0
     report = json.loads((out / "flatness.json").read_text())
-    # the one eigen-solve takes the products the trace estimate does not
-    assert report["lanczos_products"] == iters == len(calls) - 3
+    # the exact trace reads the gradient pass: every product is the eigen-solve's
+    assert report["lanczos_products"] == iters == len(calls)
     # not converged at the cap, and still a finite certificate
     assert math.isfinite(report["lanczos_residual"]) and report["lanczos_residual"] > 1e-10
     assert "power_iters" not in report
     assert len((out / "slice.csv").read_text().splitlines()) == 1 + 9
+
+
+def test_landscape_probes_flag_is_checked_but_changes_no_byte(tmp_path, mlp_checkpoint):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(mlp_checkpoint), encoding="utf-8")
+    outs = {}
+    for probes in ("10", "200"):
+        outs[probes] = tmp_path / f"land{probes}"
+        assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(outs[probes]),
+                     "--samples", "4", "--probes", probes, "--iters", "5", "--grid", "3"]) == 0
+    for name in ("flatness.json", "slice.csv"):
+        assert (outs["10"] / name).read_bytes() == (outs["200"] / name).read_bytes()
+    report = json.loads((outs["10"] / "flatness.json").read_text())
+    assert "trace_probes" not in report and math.isfinite(report["trace"])
+
+
+def test_landscape_fails_on_a_non_finite_ball_value(tmp_path, capsys, mlp_checkpoint):
+    # at this radius the ball points overflow, so their loss and gradient are NaN
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(mlp_checkpoint), encoding="utf-8")
+    out = tmp_path / "land"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--rho", "1e308",
+                   "--samples", "4", "--probes", "3", "--iters", "5", "--grid", "3"])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["kind"] == "divergence"
+    assert "at ball sample 0" in error["message"]
+    assert not (out / "flatness.json").exists()
 
 
 def test_landscape_writes_the_checkpoint_path_relative_to_out(tmp_path, mlp_checkpoint):

@@ -17,7 +17,8 @@ from cflat.landscape import (
     top2_eigenpairs,
 )
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, QuadraticOracle, make_quadratic
+from cflat.optim import DivergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,21 @@ def test_hutchinson_trace_statistical():
     est = hutchinson_trace(q, ParamVector(np.zeros(3)), None, probes=10_000,
                            rng=SeededRng(5))
     assert abs(est - 6.0) / 6.0 <= 0.02
+
+
+def test_hutchinson_trace_lands_near_the_exact_trace_of_a_small_mlp():
+    rng = SeededRng(26)
+    oracle = MlpOracle(MlpSpec(3, (5,), 3, l2=0.1))
+    theta = oracle.init_theta(rng.spawn(0))
+    batch = Batch(rng.normal(size=(64, 3)), rng.integers(0, 3, 64))
+    exact = oracle.hessian_trace(theta, batch)
+    # the 2% bound is at least 5 standard errors of the 10,000-probe mean,
+    # whose variance is 2 (||H||_F^2 - sum_i H_ii^2) / probes
+    H = np.array([oracle.hvp(theta, theta._adopt(e), batch).data for e in np.eye(oracle.dim)])
+    std_err = np.sqrt(2.0 * ((H * H).sum() - (np.diag(H) ** 2).sum()) / 10_000)
+    assert 0.02 * exact >= 5.0 * std_err
+    est = hutchinson_trace(oracle, theta, batch, probes=10_000, rng=SeededRng(27))
+    assert abs(est - exact) / exact <= 0.02
 
 
 def test_hutchinson_zero_hessian_every_probe():
@@ -354,6 +370,37 @@ def test_rho_must_be_positive():
                 estimator(q, ParamVector(np.zeros(2)), None, 0.1, n_samples, SeededRng(0))
 
 
+class _NonFiniteAt(QuadraticOracle):
+    """A quadratic whose gradient (or loss) at the k-th ball point is NaN."""
+
+    def __init__(self, k, entry):
+        super().__init__(np.eye(2))
+        self.k, self.entry, self.calls = k, entry, {"grad": 0, "loss": 0}
+
+    def _count(self, entry, value):
+        self.calls[entry] += 1
+        # the first loss is the base value at theta, before any ball point
+        index = self.calls[entry] - (2 if entry == "loss" else 1)
+        return value * np.nan if entry == self.entry and index == self.k else value
+
+    def grad(self, theta, batch=None):
+        g = super().grad(theta, batch)
+        return g._adopt(self._count("grad", g.data.copy()))
+
+    def loss(self, theta, batch=None):
+        return self._count("loss", super().loss(theta, batch))
+
+
+@pytest.mark.parametrize("entry, estimator", [("grad", "R1 gradient norm"),
+                                              ("loss", "R0 loss")])
+def test_ball_sharpness_fails_at_the_first_non_finite_ball_value(entry, estimator):
+    oracle = _NonFiniteAt(3, entry)
+    with pytest.raises(DivergenceError, match=f"{estimator} is nan at ball sample 3"):
+        ball_sharpness(oracle, ParamVector([0.1, 0.2]), None, 0.5, 10, SeededRng(28))
+    # it stops at that point: no later sample is evaluated
+    assert oracle.calls["grad"] == 4
+
+
 def test_ball_sharpness_takes_r0_and_r1_from_one_set_of_points():
     rng = SeededRng(23)
     spec = MlpSpec(3, (5,), 3, l2=0.01)
@@ -385,7 +432,7 @@ def test_flatness_report_does_not_depend_on_call_history():
 
     def report(model):
         return flatness_report(model, theta, batch, rho=0.2, rng=SeededRng(25),
-                               iters=30, trace_probes=5, ball_samples=30)
+                               iters=30, ball_samples=30)
 
     first = report(oracle)
     assert report(oracle) == first
@@ -440,7 +487,7 @@ def test_slice_symmetric_around_quadratic_minimum():
 def test_flatness_report_bundles_checks():
     q = make_quadratic(np.diag([1.0, 2.0]))
     rep = flatness_report(q, ParamVector([0.0, 0.0]), None, rho=0.1,
-                          rng=SeededRng(17), iters=500, trace_probes=500,
+                          rng=SeededRng(17), iters=500,
                           ball_samples=2000)
     assert rep.lambda_max == pytest.approx(2.0, abs=1e-12)
     # the basis spans both dimensions after two products
@@ -449,6 +496,6 @@ def test_flatness_report_bundles_checks():
     assert rep.r0_sample <= rep.r1_sample * 1.02 + 1e-12
     assert rep.rho_used == 0.1
     again = flatness_report(q, ParamVector([0.0, 0.0]), None, rho=0.1,
-                            rng=SeededRng(17), iters=500, trace_probes=500,
+                            rng=SeededRng(17), iters=500,
                             ball_samples=2000)
     assert rep == again

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from cflat.continual import DistillObjective
-from cflat.numcore import ParamVector, SeededRng, norm2
+from cflat.numcore import ParamVector, SeededRng, norm2, stack
 from cflat.continual import grow_head
 from cflat.objective import (
     Batch,
     MlpOracle,
     MlpSpec,
+    _TRACE_BLOCK_ROWS,
     _logsumexp,
     make_logreg,
     make_quadratic,
@@ -829,3 +830,96 @@ def test_a_discarded_objective_is_freed_without_the_cycle_collector():
         assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# exact Hessian trace
+# ---------------------------------------------------------------------------
+
+
+def dense_diagonal_sum(obj, theta, batch):
+    """Sum of the Hessian diagonal, one exact ``hvp`` per unit vector."""
+    eye = np.eye(theta.dim)
+    return math.fsum(obj.hvp(theta, theta._adopt(eye[i]), batch).data[i]
+                     for i in range(theta.dim))
+
+
+def trace_case(kind, rng):
+    """(objective, its current-model MlpOracle, theta, batch) for a trace case."""
+    n = 20
+    if kind == "logreg":
+        oracle = make_logreg(4, 3)
+    elif kind == "distill":
+        oracle = MlpOracle(MlpSpec(4, (6,), 5, l2=0.01))
+    else:
+        hidden, activation, l2, n = {
+            "tanh7_l2": ((7,), "tanh", 0.1, 20),
+            "tanh6_5": ((6, 5), "tanh", 0.0, 20),
+            "relu6_5_4_l2": ((6, 5, 4), "relu", 0.05, 20),
+            # two full trace blocks and a ragged third
+            "ragged_rows": ((6, 5), "tanh", 0.0, 2 * _TRACE_BLOCK_ROWS + 22),
+        }[kind]
+        oracle = MlpOracle(MlpSpec(4, hidden, 3, activation, l2))
+    theta = oracle.init_theta(rng.spawn(0))
+    theta = theta.with_data(theta.data + 0.3 * rng.normal(size=theta.dim))
+    batch = random_batch(rng, n, 4, oracle.n_classes)
+    if kind != "distill":
+        return oracle, oracle, theta, batch
+    old = MlpOracle(MlpSpec(4, (6,), 3))
+    return DistillObjective(oracle, old.init_theta(rng.spawn(1))), oracle, theta, batch
+
+
+TRACE_CASES = ["logreg", "tanh7_l2", "tanh6_5", "relu6_5_4_l2", "distill", "ragged_rows"]
+
+
+@pytest.mark.parametrize("kind", TRACE_CASES)
+def test_hessian_trace_equals_the_dense_hessian_diagonal_sum(kind):
+    rng = SeededRng(40)
+    obj, _, theta, batch = trace_case(kind, rng)
+    trace = obj.hessian_trace(theta, batch)
+    want = dense_diagonal_sum(obj, theta, batch)
+    assert isinstance(trace, float)
+    assert abs(trace - want) <= 1e-12 * abs(want)
+
+
+def test_quadratic_hessian_trace_is_the_trace_of_h():
+    H = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 4.5]])
+    q = make_quadratic(H, ParamVector([1.0, 2.0, 3.0]))
+    assert q.hessian_trace(ParamVector([0.3, -0.2, 0.1])) == 5.5
+
+
+@pytest.mark.parametrize("kind", ["tanh6_5", "distill"])
+def test_hessian_trace_after_a_gradient_reads_its_pass(monkeypatch, kind):
+    rng = SeededRng(41)
+    obj, oracle, theta, batch = trace_case(kind, rng)
+    want = obj.hessian_trace(theta, batch)  # no kept pass: runs the gradient
+    obj.grad(theta, batch)
+    grad_calls = []
+    grad = type(obj).grad
+
+    def counted(self, *args, **kwargs):
+        grad_calls.append(1)
+        return grad(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(obj), "grad", counted)
+    forwards = count_forward_passes(monkeypatch, oracle)
+    assert obj.hessian_trace(theta, batch) == want
+    assert grad_calls == [] and forwards == []
+    # on an equal batch in a new object the gradient runs first
+    assert obj.hessian_trace(theta, Batch(batch.x, batch.y)) == want
+    assert grad_calls == [1] and forwards == [batch.n]
+
+
+def test_hessian_trace_rejects_a_seed_stack():
+    rng = SeededRng(42)
+    oracle = MlpOracle(MlpSpec(3, (4,), 3))
+    theta = oracle.init_theta(rng.spawn(0))
+    stacked = stack([theta, theta])
+    batch = random_batch(rng, 5, 3, 3)
+    with pytest.raises(ValueError, match=r"theta of shape \(2, %d\)" % oracle.dim):
+        oracle.hessian_trace(stacked, Batch(np.stack([batch.x] * 2), np.stack([batch.y] * 2)))
+    with pytest.raises(ValueError, match=r"features of shape \(2, 5, 3\)"):
+        oracle.hessian_trace(theta, Batch(np.stack([batch.x] * 2), np.stack([batch.y] * 2)))
+    q = make_quadratic(np.eye(2))
+    with pytest.raises(ValueError, match=r"theta of shape \(3, 2\)"):
+        q.hessian_trace(stack([ParamVector([0.0, 0.0])] * 3))
