@@ -131,10 +131,14 @@ class ConfigError(ValueError):
 
 
 def _check_leaf(path: str, default, value):
-    if default is None:  # an optional number
-        if value is None or isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value) if value is not None else None
-        raise ConfigError(f"{path} must be a number or null", path)
+    if default is None or isinstance(default, float):  # a number; None marks an optional one
+        if value is None and default is None:
+            return None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{path} must be a number{' or null' if default is None else ''}", path)
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails both
+            raise ConfigError(f"{path} must be finite, got {value}", path)
+        return float(value)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be a boolean", path)
@@ -143,10 +147,6 @@ def _check_leaf(path: str, default, value):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path} must be an integer", path)
         return value
-    if isinstance(default, float):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path} must be a number", path)
-        return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string", path)
@@ -189,8 +189,11 @@ def resolve_config(user: dict) -> dict:
         return out
 
     cfg = walk(_DEFAULT_CONFIG, user, "")
-    if cfg["dataset"]["kind"] == "csv" and not cfg["dataset"]["path"]:
-        raise ConfigError("dataset.path is required for csv datasets", "dataset.path")
+    if cfg["dataset"]["kind"] == "csv":
+        if not cfg["dataset"]["path"]:
+            raise ConfigError("dataset.path is required for csv datasets", "dataset.path")
+        if not 0.0 < cfg["dataset"]["test_fraction"] < 1.0:
+            raise ConfigError("dataset.test_fraction must lie in (0, 1)", "dataset.test_fraction")
     if not cfg["seeds"]:
         raise ConfigError("seeds must be nonempty", "seeds")
     _check_distinct_seeds(cfg["seeds"], "seeds")
@@ -255,11 +258,18 @@ def _build(cfg: dict, cls, **extra):
 
 
 def _build_dataset(cfg: dict) -> Dataset:
+    """The config's dataset. A csv that cannot be read, parsed or split
+    raises a ConfigError naming the file, with field dataset.path."""
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
         return synth_dataset(_build(cfg, SyntheticSpec))
-    x, y = load_csv_dataset(ds["path"])
-    dataset = split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
+    path = ds["path"]
+    try:
+        x, y = load_csv_dataset(path)
+        dataset = split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
+    except (ValueError, OSError) as err:
+        message = str(err) if path in str(err) else f"{path}: {err}"
+        raise ConfigError(f"dataset.path: {message}", "dataset.path") from None
     _check_split(cfg, dataset.n_classes)  # a csv's classes are known once it is read
     return dataset
 
@@ -528,7 +538,7 @@ def cmd_sweep(args) -> int:
     base_out = Path(base_doc.get("out_dir", _DEFAULT_CONFIG["out_dir"]))
 
     cells = []
-    csv_classes: dict = {}  # each distinct csv is read once, before any cell runs
+    csv_classes: dict = {}  # each distinct csv dataset is built once, before any cell runs
     cell_dirs = set()
     for combo in itertools.product(*[values for _, values in axes]):
         doc = copy.deepcopy(base_doc)
@@ -542,13 +552,11 @@ def cmd_sweep(args) -> int:
         cell_dirs.add(cell_dir)
         doc["out_dir"] = str(base_out / cell_dir)
         cfg = resolve_config(doc)
-        ds = cfg["dataset"]
-        if ds["kind"] == "csv":
-            if ds["path"] not in csv_classes:
-                x, y = load_csv_dataset(ds["path"])
-                csv_classes[ds["path"]] = split_dataset(
-                    x, y, ds["test_fraction"], ds["split_seed"]).n_classes
-            _check_split(cfg, csv_classes[ds["path"]])
+        if cfg["dataset"]["kind"] == "csv":
+            key = json.dumps(cfg["dataset"], sort_keys=True)
+            if key not in csv_classes:
+                csv_classes[key] = _build_dataset(cfg).n_classes
+            _check_split(cfg, csv_classes[key])
         cells.append((cfg, cell_dir, combo))
 
     manifests = _map_jobs(_sweep_cell, [cfg for cfg, _, _ in cells], args.jobs)

@@ -105,8 +105,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least two classes")
-        if self.dims < 1 or self.per_class < 1:
-            raise ValueError("dims and per_class must be positive")
+        if self.dims < 1:
+            raise ValueError("dims must be positive")
+        if self.per_class < 3:
+            raise ValueError("per_class must be >= 3, or some class has no test example")
         if self.cluster_std < 0:
             raise ValueError("cluster_std must be nonnegative")
         if not 0.0 <= self.label_noise < 1.0:
@@ -211,7 +213,8 @@ def split_dataset(x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int)
     classes = np.unique(y)
     n_classes = int(classes.max()) + 1
     if not np.array_equal(classes, np.arange(n_classes)):
-        raise ValueError("labels must cover 0..C-1 contiguously")
+        missing = np.setdiff1d(np.arange(n_classes), classes).tolist()
+        raise ValueError(f"labels must cover 0..{n_classes - 1} contiguously; missing {missing}")
     rng = SeededRng(seed, _STREAM_SPLIT)
     train_idx, test_idx = [], []
     for c in classes:
@@ -672,6 +675,10 @@ class CLConfig:
 
 @dataclass
 class SeedResult:
+    """One seed's record of a run. ``examples`` and ``train_seconds`` are
+    group values: every seed of a lockstep group trains on as many examples,
+    and each gets the group's training time divided by its number of seeds."""
+
     seed: int
     matrix: list[list[float]]
     pre_train_acc: list
@@ -700,13 +707,16 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
     Every optimizer step steps all seeds' parameters as one stack (see
     ``train_epochs``); what differs between seeds stays per seed: the
     initialization, head growth, batch order, replay buffer, GPM basis, WA's
-    gamma and evaluation. Each seed's result is bit-identical to a call with
-    that seed alone. After each task the model is evaluated on every seen
-    task's test split; before each new task (head already grown) its test
-    split is evaluated for forward transfer. Throughput counts training
-    examples per wall second; each seed's ``train_seconds`` is the group's
-    training time divided by the number of seeds. Divergence of any seed
-    aborts the run, naming the first seed to diverge in step order.
+    gamma and evaluation. Each seed's ``SeedResult`` is made before the
+    first task and filled in place after each one, and is bit-identical to a
+    call with that seed alone. After each task the model is evaluated on
+    every seen task's test split; before each new task (head already grown)
+    its test split is evaluated for forward transfer. Throughput counts
+    training examples per wall second; each seed's ``train_seconds`` is the
+    group's training time divided by the number of seeds. Divergence of any
+    seed aborts the run: the ``DivergenceError`` from ``train_epochs`` gets
+    the task and the first seed to diverge in step order, its message is
+    prefixed with both, and it is re-raised.
     """
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
@@ -720,15 +730,15 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
     total_classes = sum(t.n_new for t in tasks)
     roots = [SeededRng(seed) for seed in seeds]
 
-    # untrained full-head reference for forward transfer
-    ref_oracle = MlpOracle(MlpSpec(d_in, cl.hidden, total_classes, cl.activation, cl.l2))
-    baseline_acc = []
-    for root in roots:
-        ref_theta = ref_oracle.init_theta(root.spawn(_STREAM_BASELINE))
-        baseline_acc.append([_accuracy(ref_oracle, ref_theta, t.test_x, t.test_y) for t in tasks])
-
     oracle = MlpOracle(MlpSpec(d_in, cl.hidden, tasks[0].n_new, cl.activation, cl.l2))
     theta = stack([oracle.init_theta(root.spawn(_STREAM_INIT)) for root in roots])
+    # untrained full-head reference for forward transfer
+    ref_oracle = MlpOracle(MlpSpec(d_in, cl.hidden, total_classes, cl.activation, cl.l2))
+    results = []
+    for seed, root, row in zip(seeds, roots, unstack(theta)):
+        ref_theta = ref_oracle.init_theta(root.spawn(_STREAM_BASELINE))
+        baseline = [_accuracy(ref_oracle, ref_theta, t.test_x, t.test_y) for t in tasks]
+        results.append(SeedResult(seed, [], [None], baseline, [], 0, 0.0, row, [None] * T))
     stepper = SeedGroup([
         make_stepper(optimizer, proxy=cl.proxy, proxy_reset_per_task=cl.proxy_reset_per_task,
                      hybrid_p=cl.hybrid_p, hybrid_ordering=cl.hybrid_ordering)
@@ -739,10 +749,6 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
 
     buffers = [MemoryBuffer(cl.memory_capacity) for _ in seeds]
     theta_prev: ParamVector | None = None
-    matrices: list[list[list[float]]] = [[] for _ in seeds]
-    pre_train_acc: list[list] = [[None] for _ in seeds]
-    traces: list[list[StepStats]] = [[] for _ in seeds]
-    gammas: list[list] = [[None] * T for _ in seeds]
     examples = 0
     train_seconds = 0.0
     n_old = 0
@@ -752,8 +758,8 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
             theta = stack([grow_head(row, task.n_new, root.spawn(_STREAM_GROW, t))
                            for row, root in zip(unstack(theta), roots)])
             oracle = oracle.with_head(n_old + task.n_new)
-            for acc, row in zip(pre_train_acc, unstack(theta)):
-                acc.append(_accuracy(oracle, row, task.test_x, task.test_y))
+            for result, row in zip(results, unstack(theta)):
+                result.pre_train_acc.append(_accuracy(oracle, row, task.test_x, task.test_y))
         stepper.reset_task()
 
         data_x = np.stack([task.train_x] * S)
@@ -775,57 +781,41 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
                 cl.milestones, cl.lr_decay,
             )
         except DivergenceError as err:
-            seed = seeds[err.row or 0]
-            raise DivergenceError(
-                f"divergence in task {t} at step {err.step} of seed {seed}: {err}", err.step,
-                task=t, last_loss=err.last_loss, grad_norm=err.grad_norm,
-                row=err.row, seed=seed,
-            ) from err
+            err.task, err.seed = t, seeds[err.row or 0]
+            err.args = (f"divergence in task {t} at step {err.step} of seed {err.seed}: {err}",)
+            raise
         train_seconds += time.perf_counter() - start
         examples += len(task_traces[0]) * cl.batch_size
-        for trace, task_trace in zip(traces, task_traces):
-            for stats in task_trace:
-                stats.task = t
-            trace.extend(task_trace)
 
         rows = unstack(theta)
         if method == "gpm":
             k = min(cl.gpm_sample, len(task.train_y))
             sample = Batch(task.train_x[:k], task.train_y[:k])
-            states = stepper.gpm_states
-            for i, row in enumerate(rows):
-                if states[i] is None:
-                    states[i] = gpm_extract_basis(oracle, row, sample, cl.gpm_energy_threshold)
-                else:
-                    states[i] = gpm_update_basis(states[i], oracle, row, sample)
+            stepper.gpm_states = [
+                gpm_extract_basis(oracle, row, sample, cl.gpm_energy_threshold) if t == 0
+                else gpm_update_basis(state, oracle, row, sample)
+                for state, row in zip(stepper.gpm_states, rows)
+            ]
 
         n_new_start = n_old
         n_old += task.n_new
-        for i, (row, root) in enumerate(zip(rows, roots)):
+        for i, (result, row, task_trace) in enumerate(zip(results, rows, task_traces)):
+            for stats in task_trace:
+                stats.task = t
+            result.trace.extend(task_trace)
             gamma = None
             if method == "wa" and t > 0:
                 W = row.view(oracle.head_weight_name)
-                gamma = gammas[i][t] = wa_align(W[:n_new_start], W[n_new_start:])
+                gamma = result.gammas[t] = wa_align(W[:n_new_start], W[n_new_start:])
             buffers[i] = buffer_update(buffers[i], task.train_x, task.train_y,
-                                       root.spawn(_STREAM_BUFFER, t))
-            matrices[i].append([
+                                       roots[i].spawn(_STREAM_BUFFER, t))
+            result.matrix.append([
                 _accuracy(oracle, row, tasks[j].test_x, tasks[j].test_y, gamma=gamma,
                           new_block_start=n_new_start if gamma is not None else None)
                 for j in range(t + 1)
             ])
         theta_prev = theta
 
-    return [
-        SeedResult(
-            seed=seed,
-            matrix=matrices[i],
-            pre_train_acc=pre_train_acc[i],
-            baseline_acc=baseline_acc[i],
-            trace=traces[i],
-            examples=examples,
-            train_seconds=train_seconds / S,
-            final_theta=row,
-            gammas=gammas[i],
-        )
-        for i, (seed, row) in enumerate(zip(seeds, unstack(theta)))
-    ]
+    for result, row in zip(results, unstack(theta)):
+        result.examples, result.train_seconds, result.final_theta = examples, train_seconds / S, row
+    return results

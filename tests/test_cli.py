@@ -604,6 +604,7 @@ def test_run_and_sweep_reject_a_bad_seeds_or_jobs_flag(tmp_path, capsys, command
     ("dataset.classes", 1),
     ("optim", {"rho": 0.5, "rho_max": 0.3}),
     ("seeds", [3, 0, 3]),
+    ("dataset.per_class", 2),
 ])
 def test_config_value_the_library_rejects_fails_at_load(tmp_path, capsys, field, value):
     out = tmp_path / "run"
@@ -668,6 +669,72 @@ def test_sweep_checks_every_csv_cell_split_before_running_any(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "config" and error["field"] == "increment"
     assert "cannot divide 4 classes" in error["message"]
+    assert not out.exists()
+
+
+# csv datasets that cannot be loaded or split: name -> file text (None: no file)
+_BAD_CSVS = {
+    "missing": None,
+    "bad_cell": "0,1.0,2.0\n1,1.0,x\n",
+    "gap": "".join(f"{c},{i}.0,1.0\n" for c in (0, 1, 3) for i in range(5)),  # no label 2
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CSVS))
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_unloadable_csv_fails_naming_the_file_before_any_output(tmp_path, capsys,
+                                                                   command, name):
+    data = tmp_path / f"{name}.csv"
+    if _BAD_CSVS[name] is not None:
+        data.write_text(_BAD_CSVS[name], encoding="utf-8")
+    out = tmp_path / "out"
+    doc = base_config(out)
+    doc["dataset"] = {"kind": "csv", "path": str(data)}
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--axis", "increment=1,2"]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == "dataset.path"
+    assert str(data) in error["message"]
+    if name == "gap":
+        assert "missing [2]" in error["message"]
+    assert not out.exists()
+
+
+def test_csv_test_fraction_outside_the_open_unit_interval_fails_at_load(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{c},{i}.0\n" for c in range(4) for i in range(5)),
+                    encoding="utf-8")
+    for fraction in (0.0, 1.0):
+        out = tmp_path / "run"
+        doc = base_config(out)
+        doc["dataset"] = {"kind": "csv", "path": str(data), "test_fraction": fraction}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and error["field"] == "dataset.test_fraction"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("optim.eta", "Infinity"),
+    ("optim.rho", "1e999"),
+    ("optim.rho_max", "-Infinity"),
+    ("dataset.cluster_std", "NaN"),
+    pytest.param("optim.eta_min", "1" + "0" * 400, id="optim.eta_min-huge_integer"),
+])
+def test_a_non_finite_config_number_fails_at_load(tmp_path, capsys, field, literal):
+    out = tmp_path / "run"
+    doc = base_config(out)
+    section, key = field.split(".")
+    doc[section][key] = "LITERAL"
+    text = json.dumps(doc).replace('"LITERAL"', literal)
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == field
+    assert "must be finite" in error["message"]
     assert not out.exists()
 
 

@@ -63,6 +63,13 @@ def test_synth_dataset_shapes_and_split():
         assert (ds.test_y == c).sum() == 10
 
 
+def test_synth_dataset_needs_three_examples_per_class():
+    with pytest.raises(ValueError, match="per_class must be >= 3"):
+        quick_dataset(per_class=2)
+    ds = quick_dataset(classes=4, per_class=3)  # the smallest size left with a test example
+    assert np.array_equal(np.unique(ds.test_y), np.arange(4))
+
+
 def test_synth_dataset_zero_std_is_separable():
     ds = quick_dataset(classes=3, per_class=20, std=0.0, seed=21)
     lr = make_logreg(ds.d_in, 3)
@@ -176,6 +183,12 @@ def test_csv_loader_rejects_bad_rows_by_data_row(tmp_path, body, match):
     path.write_text("label,f0,f1\n" + body, encoding="utf-8")
     with pytest.raises(ValueError, match=match):
         load_csv_dataset(str(path))
+
+
+def test_split_dataset_names_the_missing_labels():
+    x = np.zeros((6, 2))
+    with pytest.raises(ValueError, match=r"cover 0\.\.3 contiguously; missing \[0, 2\]"):
+        split_dataset(x, np.array([1, 1, 3, 3, 1, 3]), test_fraction=0.5, seed=0)
 
 
 def test_split_dataset_stratified():

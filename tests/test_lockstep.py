@@ -260,6 +260,28 @@ def test_divergence_names_the_first_failing_row_and_its_seed(monkeypatch):
     assert "of seed 6" in str(err.value)
 
 
+def test_the_harness_annotates_the_divergence_error_it_caught(monkeypatch):
+    from cflat import continual
+
+    raised = DivergenceError("non-finite loss encountered", step=4, last_loss=0.5,
+                             grad_norm=2.0, row=2)
+
+    def diverging(*args):
+        raise raised
+
+    monkeypatch.setattr(continual, "train_epochs", diverging)
+    spec = SyntheticSpec(classes=4, dims=5, per_class=20, cluster_std=1.0, seed=4)
+    stream = make_stream(synth_dataset(spec), "B0", 2)
+    with pytest.raises(DivergenceError) as err:
+        run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.3),
+                          CLConfig(hidden=(8,), epochs=1, batch_size=16), [5, 6, 7])
+    assert err.value is raised
+    assert (err.value.task, err.value.seed, err.value.row, err.value.step) == (0, 7, 2, 4)
+    assert (err.value.last_loss, err.value.grad_norm) == (0.5, 2.0)
+    assert str(err.value) == ("divergence in task 0 at step 4 of seed 7: "
+                              "non-finite loss encountered")
+
+
 def test_a_one_row_stack_and_a_vector_take_the_same_step():
     rng, oracle, thetas, batches, _ = _setup()
     cfg = OptimConfig(eta=0.2)

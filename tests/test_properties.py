@@ -1,7 +1,10 @@
-"""Property tests over random MLPs: the optimizer reductions are bit-identical."""
+"""Property tests over random MLPs: the optimizer reductions are bit-identical;
+and over the config resolver: a non-finite number is rejected by its key."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cflat.cli import _DEFAULT_CONFIG, ConfigError, resolve_config
 from cflat.continual import GpmStepper
 from cflat.numcore import ParamVector, SeededRng
 from cflat.objective import Batch, MlpOracle, MlpSpec
@@ -73,3 +76,41 @@ def test_gpm_without_basis_is_its_inner_stepper(problem, name, eta, rho, seed):
                                  batch_size=len(batch.y), rng=SeededRng(seed)))
     assert np.array_equal(runs[0][0].data, runs[1][0].data)
     assert runs[0][1] == runs[1][1]
+
+
+def _numeric_leaves(node: dict, prefix: str = "") -> list[str]:
+    """Dotted keys of the config's number leaves (None marks an optional number)."""
+    leaves = []
+    for key, value in node.items():
+        if isinstance(value, dict):
+            leaves += _numeric_leaves(value, f"{prefix}{key}.")
+        elif value is None or isinstance(value, (int, float)) and not isinstance(value, bool):
+            leaves.append(prefix + key)
+    return leaves
+
+
+NUMERIC_LEAVES = _numeric_leaves(_DEFAULT_CONFIG)
+
+
+def test_the_config_has_float_int_and_optional_number_leaves():
+    kinds = set()
+    for path in NUMERIC_LEAVES:
+        node = _DEFAULT_CONFIG
+        for part in path.split("."):
+            node = node[part]
+        kinds.add(type(node))
+    assert kinds == {float, int, type(None)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(NUMERIC_LEAVES), st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_a_non_finite_number_is_rejected_by_its_key(path, value):
+    *sections, key = path.split(".")
+    doc: dict = {}
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    with pytest.raises(ConfigError) as err:
+        resolve_config(doc)
+    assert err.value.field == path
