@@ -21,12 +21,12 @@ from .optim import (
     OptimConfig,
     ProxyState,
     SeedGroup,
-    StepStats,
     hybrid_step_plan,
     make_stepper,
     proxy_value,
     rho_schedule,
     sam_perturb,
+    step_record,
     train_epochs,
 )
 from .continual import (

@@ -48,7 +48,8 @@ from .metrics import (
 )
 from .numcore import ParamVector, SeededRng
 from .objective import ACTIVATION_NAMES, Batch, MlpOracle, MlpSpec, make_quadratic
-from .optim import DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, OPTIMIZER_NAMES
+from .optim import (DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, OPTIMIZER_NAMES,
+                    STEP_FIELDS)
 
 SCHEMA_VERSION = 1
 
@@ -287,11 +288,20 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def _trace_rows(seed_result):
+    """The seed's trace.csv rows: seed, then the columns of its step record
+    with the step index after the epoch; a NaN (empty) cell prints empty."""
+    trace = seed_result.trace
+    task, epoch, *cells = ([None if v != v else v for v in trace[name].tolist()]
+                           for name in STEP_FIELDS.names)
+    return zip(itertools.repeat(seed_result.seed), task, epoch, range(len(trace)), *cells)
 
 
 def _seed_metrics(seed_result, n_tasks: int) -> dict:
@@ -439,12 +449,8 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         [r.seed, m["avg_accuracy"], m["last_accuracy"], m["bwt"], m["fwt"], n_tasks]
         for r, m in zip(results, metrics)
     ))
-    _write_csv(out_dir / "trace.csv", "seed,task,epoch,step,loss,sq_grad_norm,used_cflat,"
-               "proxy_value,grad_evals,hvp_evals,gpm_in_span,gpm_src_norm", (
-        [r.seed, s.task, s.epoch, step, s.loss, s.sq_grad_norm, s.used_cflat,
-         s.proxy_value, s.grad_evals, s.hvp_evals, s.gpm_in_span, s.gpm_src_norm]
-        for r in results for step, s in enumerate(r.trace)
-    ))
+    _write_csv(out_dir / "trace.csv", "seed,task,epoch,step," + ",".join(STEP_FIELDS.names[2:]),
+               (row for r in results for row in _trace_rows(r)))
     for seed_result in results:
         _write_checkpoint(
             out_dir / f"checkpoint_seed{seed_result.seed}.json",

@@ -31,7 +31,6 @@ from .optim import (
     OptimConfig,
     ProxyState,
     SeedGroup,
-    StepStats,
     Stepper,
     _ascent_gradient,
     _require_finite,
@@ -597,31 +596,28 @@ class GpmStepper(Stepper):
     def reset_task(self):
         self.inner.reset_task()
 
-    def step(self, oracle, theta, batch, cfg):
-        d, stats = self.inner.direction(oracle, theta, batch, cfg)
+    def step(self, oracle, theta, batch, cfg, row=None):
+        d, row = self.inner.direction(oracle, theta, batch, cfg, row)
         states = self.gpm_states
         if all(state is None for state in states):
-            return axpy(-cfg.eta, d, theta), stats
-        rows = stats if isinstance(stats, list) else [stats]
+            return axpy(-cfg.eta, d, theta), row
         g_c = d
-        flat = [i for i, row in enumerate(rows) if row.used_cflat]
-        if flat:
+        flat = np.flatnonzero(row["used_cflat"])
+        if flat.size:
             g_c = _ascent_gradient(oracle, theta, batch, d, cfg, flat)
-            for i in flat:
-                rows[i].grad_evals += 1
+            row["grad_evals"][flat] += 1
         eta2 = self.eta2 if self.eta2 is not None else cfg.eta
         if self.eta1 != 0.0:
             sens = _significance_sensitivity(oracle, theta, batch, states, g_c, eta2)
             for i, (state, row_sens) in enumerate(zip(states, sens)):
                 sig = np.clip(state.significance - self.eta1 * row_sens, 0.0, 1.0)
                 states[i] = replace(state, significance=sig)
-                rows[i].grad_evals += 1
-        projected = [gpm_project(state, row) for state, row in zip(states, unstack(g_c))]
-        for row, (_, in_span), norm in zip(rows, projected, np.reshape(norm2(g_c), -1)):
-            row.gpm_in_span = in_span
-            row.gpm_src_norm = float(norm)
+            row["grad_evals"] += 1
+        projected = [gpm_project(state, vec) for state, vec in zip(states, unstack(g_c))]
+        row["gpm_in_span"] = [in_span for _, in_span in projected]
+        row["gpm_src_norm"] = norm2(g_c)
         proj = restack(theta, [vec for vec, _ in projected])
-        return axpy(-eta2, proj, theta), stats
+        return axpy(-eta2, proj, theta), row
 
 
 @dataclass(frozen=True)
@@ -675,15 +671,17 @@ class CLConfig:
 
 @dataclass
 class SeedResult:
-    """One seed's record of a run. ``examples`` and ``train_seconds`` are
-    group values: every seed of a lockstep group trains on as many examples,
-    and each gets the group's training time divided by its number of seeds."""
+    """One seed's record of a run. ``trace`` is the seed's column of the
+    run's step record (``optim.step_record``): one cell per step of every
+    task, in step order. ``examples`` and ``train_seconds`` are group values:
+    every seed of a lockstep group trains on as many examples, and each gets
+    the group's training time divided by its number of seeds."""
 
     seed: int
     matrix: list[list[float]]
     pre_train_acc: list
     baseline_acc: list[float]
-    trace: list[StepStats]
+    trace: np.ndarray | None
     examples: int
     train_seconds: float
     final_theta: ParamVector
@@ -709,11 +707,13 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
     initialization, head growth, batch order, replay buffer, GPM basis, WA's
     gamma and evaluation. Each seed's ``SeedResult`` is made before the
     first task and filled in place after each one, and is bit-identical to a
-    call with that seed alone. After each task the model is evaluated on
-    every seen task's test split; before each new task (head already grown)
-    its test split is evaluated for forward transfer. Throughput counts
-    training examples per wall second; each seed's ``train_seconds`` is the
-    group's training time divided by the number of seeds. Divergence of any
+    call with that seed alone; the tasks' step records, their task columns
+    set, join into one whose columns are the seeds' traces. After each task
+    the model is evaluated on every seen task's test split; before each new
+    task (head already grown) its test split is evaluated for forward
+    transfer. Throughput counts training examples per wall second; each
+    seed's ``train_seconds`` is the group's training time divided by the
+    number of seeds. Divergence of any
     seed aborts the run: the ``DivergenceError`` from ``train_epochs`` gets
     the task and the first seed to diverge in step order, its message is
     prefixed with both, and it is re-raised.
@@ -738,7 +738,7 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
     for seed, root, row in zip(seeds, roots, unstack(theta)):
         ref_theta = ref_oracle.init_theta(root.spawn(_STREAM_BASELINE))
         baseline = [_accuracy(ref_oracle, ref_theta, t.test_x, t.test_y) for t in tasks]
-        results.append(SeedResult(seed, [], [None], baseline, [], 0, 0.0, row, [None] * T))
+        results.append(SeedResult(seed, [], [None], baseline, None, 0, 0.0, row, [None] * T))
     stepper = SeedGroup([
         make_stepper(optimizer, proxy=cl.proxy, proxy_reset_per_task=cl.proxy_reset_per_task,
                      hybrid_p=cl.hybrid_p, hybrid_ordering=cl.hybrid_ordering)
@@ -748,6 +748,7 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
         stepper = GpmStepper(stepper, cl.gpm_eta1, cl.gpm_eta2)
 
     buffers = [MemoryBuffer(cl.memory_capacity) for _ in seeds]
+    records = []
     theta_prev: ParamVector | None = None
     examples = 0
     train_seconds = 0.0
@@ -775,7 +776,7 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
 
         start = time.perf_counter()
         try:
-            theta, task_traces = train_epochs(
+            theta, record = train_epochs(
                 train_oracle, theta, data_x, data_y, cfg, stepper,
                 cl.epochs, cl.batch_size, [root.spawn(_STREAM_SHUFFLE, t) for root in roots],
                 cl.milestones, cl.lr_decay,
@@ -785,7 +786,9 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
             err.args = (f"divergence in task {t} at step {err.step} of seed {err.seed}: {err}",)
             raise
         train_seconds += time.perf_counter() - start
-        examples += len(task_traces[0]) * cl.batch_size
+        examples += len(record) * cl.batch_size
+        record["task"] = t
+        records.append(record)
 
         rows = unstack(theta)
         if method == "gpm":
@@ -799,10 +802,7 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
 
         n_new_start = n_old
         n_old += task.n_new
-        for i, (result, row, task_trace) in enumerate(zip(results, rows, task_traces)):
-            for stats in task_trace:
-                stats.task = t
-            result.trace.extend(task_trace)
+        for i, (result, row) in enumerate(zip(results, rows)):
             gamma = None
             if method == "wa" and t > 0:
                 W = row.view(oracle.head_weight_name)
@@ -816,6 +816,8 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
             ])
         theta_prev = theta
 
-    for result, row in zip(results, unstack(theta)):
+    trace = np.concatenate(records)
+    for i, (result, row) in enumerate(zip(results, unstack(theta))):
         result.examples, result.train_seconds, result.final_theta = examples, train_seconds / S, row
+        result.trace = trace[:, i]
     return results

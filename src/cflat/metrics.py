@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import StepStats
-
 __all__ = [
     "validate_matrix",
     "last_accuracy",
@@ -73,11 +71,12 @@ def fwt(pre_train_acc: list[float | None], baseline_acc: list[float]) -> float:
     return float(np.mean(vals))
 
 
-def cflat_proportion(trace: list[StepStats]) -> float:
-    """Fraction of steps that applied the C-Flat update."""
-    if not trace:
+def cflat_proportion(trace: np.ndarray) -> float:
+    """Fraction of steps that applied the C-Flat update, from a step
+    record's (``optim.step_record``) used_cflat column."""
+    if not trace.size:
         raise ValueError("trace is empty")
-    return float(np.mean([1.0 if s.used_cflat else 0.0 for s in trace]))
+    return float(np.mean(trace["used_cflat"]))
 
 
 def relative_return(value: float, sgd_value: float) -> float:

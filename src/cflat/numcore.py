@@ -22,7 +22,6 @@ __all__ = [
     "SeededRng",
     "norm2",
     "axpy",
-    "all_finite",
     "stack",
     "unstack",
     "restack",
@@ -219,10 +218,6 @@ def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
     """y + alpha * x as a new vector; inputs are not modified."""
     _check_dims(x, y)
     return y._adopt(y.data + float(alpha) * x.data)
-
-
-def all_finite(v: ParamVector) -> bool:
-    return bool(np.isfinite(v.data).all())
 
 
 def stack(vectors) -> ParamVector:

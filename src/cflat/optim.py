@@ -21,20 +21,27 @@ gradient norm exceeds a sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}),
 whose bound A adapts by error feedback A <- A - eta0 * E.
 
 Every descent optimizer shares one step body, ``DescentStepper.direction``:
-it checks theta, takes the gradient and the loss, builds the step's StepStats,
-and asks the optimizer's gate ``use_cflat(stats)`` whether d is the C-Flat
-direction or the gradient. SGD never says yes, C-Flat always does, C-Flat++
-asks its proxy (advancing it) and the hybrid reads its plan; SAM says no and
-then takes the gradient at the ascent point. ``step`` is the plain step
-theta - eta * d. Steppers are the only step API: ``make_stepper`` builds one
-by name, ``train_epochs`` drives one, and a projection method
-(continual.GpmStepper) wraps any stepper's direction instead of stepping.
+it checks theta, takes the gradient and the loss, writes them into the step's
+row of the step record, and asks the optimizer's gate ``use_cflat(row, i)``
+whether d is the C-Flat direction or the gradient. SGD never says yes, C-Flat
+always does, C-Flat++ asks its proxy (advancing it) and the hybrid reads its
+plan; SAM says no and then takes the gradient at the ascent point. ``step``
+is the plain step theta - eta * d. Steppers are the only step API:
+``make_stepper`` builds one by name, ``train_epochs`` drives one, and a
+projection method (continual.GpmStepper) wraps any stepper's direction
+instead of stepping.
+
+A training run's ``step_record`` is one structured array of shape (steps, S)
+(a 1-D theta is a stack of one) whose fields are its columns. Whoever knows a
+cell writes it: the body the loss, squared gradient norm and cost, C-Flat++'s
+gate its proxy, the projection its gpm_* cells and extra gradients,
+``train_epochs`` the epoch column and the continual harness the task column.
 
 Seed lockstep: the body also steps a stack of S seeds' parameters (theta of
 shape (S, d), see numcore) on a stack of S batches in one pass per oracle
 call. A ``SeedGroup`` holds one stepper per seed, which is that row's gate and
 cross-step state; the body calls each row's gate once per step, in row order,
-and returns one StepStats per row. Work beyond the gradient runs on the rows
+and writes every row's cells. Work beyond the gradient runs on the rows
 that need it only (the C-Flat direction on the rows whose gate is on, the
 ascent gradient on SAM's rows), through the objective's ``select_rows``, so
 no row pays for, or fails on, another row's branch. Every row is
@@ -48,13 +55,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numcore import ParamVector, SeededRng, axpy, norm2
+from .numcore import ParamVector, axpy, norm2
 from .objective import Batch, ObjectiveOracle
 
 __all__ = [
     "OptimConfig",
     "ProxyState",
-    "StepStats",
+    "STEP_FIELDS",
+    "step_record",
     "DivergenceError",
     "sam_perturb",
     "ascent_point",
@@ -157,29 +165,22 @@ class ProxyState:
             raise ValueError("A must be finite")
 
 
-@dataclass(slots=True)
-class StepStats:
-    """Per-step bookkeeping, one object per step, filled in place by its owners.
+# The step record's columns in trace.csv order (the step index goes after epoch).
+# grad_evals counts direct gradient evaluations plus one per Hessian-vector
+# product, so a C-Flat direction counts 3 + 2 = 5.
+STEP_FIELDS = np.dtype([
+    ("task", "i8"), ("epoch", "i8"), ("loss", "f8"), ("sq_grad_norm", "f8"),
+    ("used_cflat", "?"), ("proxy_value", "f8"), ("grad_evals", "i8"), ("hvp_evals", "i8"),
+    ("gpm_in_span", "f8"), ("gpm_src_norm", "f8"),
+])
 
-    grad_evals follows the optimizer's cost accounting: direct gradient
-    evaluations plus one per Hessian-vector product, so a C-Flat direction
-    counts 3 + 2 = 5. ``DescentStepper.direction`` creates the object; the
-    fields it cannot know are set on it by whoever knows them: epoch by
-    ``train_epochs``, task by the continual harness, proxy_value by
-    ``CflatPPStepper``'s gate, and the gpm_* fields and the projection's extra
-    grad_evals by ``continual.GpmStepper``.
-    """
 
-    loss: float
-    sq_grad_norm: float
-    used_cflat: bool = False
-    proxy_value: float | None = None
-    grad_evals: int = 0
-    hvp_evals: int = 0
-    epoch: int = 0
-    task: int = 0
-    gpm_in_span: float | None = None
-    gpm_src_norm: float | None = None
+def step_record(steps: int, seeds: int = 1) -> np.ndarray:
+    """A blank record of ``steps`` rows and ``seeds`` columns: zero cells, and
+    NaN, which marks an empty cell, in proxy_value and the gpm_* fields."""
+    record = np.zeros((steps, seeds), STEP_FIELDS)
+    record[["proxy_value", "gpm_in_span", "gpm_src_norm"]] = np.nan
+    return record
 
 
 def _require_finite(arr: np.ndarray, what: str, rows=None) -> None:
@@ -194,11 +195,6 @@ def _require_finite(arr: np.ndarray, what: str, rows=None) -> None:
 def _col(norm):
     """A stack's row norms as a column that divides each row; a float as it is."""
     return norm[:, None] if isinstance(norm, np.ndarray) else norm
-
-
-def _per_row(theta: ParamVector, items: list):
-    """``items`` (one per stack row) for a stack; the one item for a 1-D theta."""
-    return items if theta.data.ndim == 2 else items[0]
 
 
 def _narrow(oracle, theta: ParamVector, batch, rows: list, *vectors: ParamVector) -> tuple:
@@ -242,13 +238,11 @@ def _ascent_gradient(oracle, theta, batch, d: ParamVector, cfg, rows: list) -> P
     return _merge(d, rows, g0)
 
 
-def _cflat_direction(oracle, theta, batch, g: ParamVector, cfg, stats: list,
-                     rows=None) -> ParamVector:
+def _cflat_direction(oracle, theta, batch, g: ParamVector, cfg, rows=None) -> ParamVector:
     """Combined direction g0 + lam*g1 given the already-computed gradient at theta.
 
     h is taken first, while the gradient pass at theta is the oracle's last.
-    Records the C-Flat cost (5 gradient evaluations, 2 of them HVPs) on each
-    row's stats; ``rows`` maps these rows to the stack's for divergence.
+    ``rows`` maps these rows to the stack's for divergence.
     """
     eps = cfg.eps_guard
 
@@ -265,11 +259,6 @@ def _cflat_direction(oracle, theta, batch, g: ParamVector, cfg, stats: list,
     ghat1 = g_at1._adopt(g_at1.data / (_col(norm2(g_at1)) + eps))
     g1 = oracle.hvp(theta1, ghat1, batch)
     _require_finite(g1.data, "hvp at flatness point", rows)
-
-    for row in stats:
-        row.used_cflat = True
-        row.grad_evals = 5
-        row.hvp_evals = 2
     return g0._adopt(g0.data + cfg.lam * g1.data)
 
 
@@ -328,7 +317,7 @@ class Stepper:
     def reset_task(self) -> None:
         """Called at task boundaries by the continual harness."""
 
-    def step(self, oracle, theta, batch, cfg):
+    def step(self, oracle, theta, batch, cfg, row=None):
         raise NotImplementedError
 
 
@@ -338,10 +327,10 @@ class DescentStepper(Stepper):
     ``direction`` is the one step body (see the module docstring); an
     optimizer overrides its gate ``use_cflat``, which the body calls once per
     step and row, in step order, and sets ``ascent_gradient`` when d is the
-    gradient at the ascent point instead. ``direction`` returns (d, stats)
-    and advances any cross-step state, so a wrapper (such as gradient
-    projection) can use d without stepping; stats is one StepStats, or a list
-    of one per row for a stack.
+    gradient at the ascent point instead. ``direction`` writes the step's
+    cells into ``row``, the step's row of a step record (a fresh one-step
+    record when None), returns (d, row) and advances any cross-step state, so
+    a wrapper (such as gradient projection) can use d without stepping.
     """
 
     ascent_gradient = False
@@ -350,15 +339,18 @@ class DescentStepper(Stepper):
         """The stepper that gates each row of the stack: this one, for one seed."""
         return (self,)
 
-    def use_cflat(self, stats: StepStats) -> bool:
-        """Whether this step takes the C-Flat direction; the default never does."""
+    def use_cflat(self, row: np.ndarray, i: int) -> bool:
+        """Whether seed ``i`` takes the C-Flat direction, given the step's record
+        ``row`` with its loss and squared gradient norm written; never, here."""
         return False
 
-    def direction(self, oracle, theta, batch, cfg) -> tuple[ParamVector, StepStats | list]:
+    def direction(self, oracle, theta, batch, cfg, row=None) -> tuple[ParamVector, np.ndarray]:
         gates = self.gates()
         if theta.stack_size != len(gates):
             raise ValueError(f"theta of shape {theta.data.shape} needs one gate per row, "
                              f"got {len(gates)}")
+        if row is None:
+            row = step_record(1, len(gates))[0]
         _require_finite(theta.data, "parameters")
         # The gradient comes before the loss, so an oracle that keeps its last
         # forward pass (MlpOracle) reads the loss from it.
@@ -366,23 +358,27 @@ class DescentStepper(Stepper):
         loss = oracle.loss(theta, batch)
         _require_finite(np.reshape(loss, (-1, 1)), "loss")
         _require_finite(g.data, "gradient")
-        stats = [StepStats(loss=float(row_loss), sq_grad_norm=float(norm) ** 2, grad_evals=1)
-                 for row_loss, norm in zip(np.reshape(loss, -1), np.reshape(norm2(g), -1))]
+        row["loss"] = loss
+        # Python's float power, which rounds differently from numpy's square
+        row["sq_grad_norm"] = [norm ** 2 for norm in np.reshape(norm2(g), -1).tolist()]
+        row["grad_evals"] = 1
         d = g
-        flat = [row for row, (gate, s) in enumerate(zip(gates, stats)) if gate.use_cflat(s)]
+        flat = [i for i, gate in enumerate(gates) if gate.use_cflat(row, i)]
         if flat:
             sub = _narrow(oracle, theta, batch, flat, g)
-            d = _merge(d, flat, _cflat_direction(*sub, cfg, [stats[row] for row in flat], flat))
-        ascent = [row for row, gate in enumerate(gates) if gate.ascent_gradient]
+            d = _merge(d, flat, _cflat_direction(*sub, cfg, flat))
+            row["used_cflat"][flat] = True
+            row["grad_evals"][flat] = 5
+            row["hvp_evals"][flat] = 2
+        ascent = [i for i, gate in enumerate(gates) if gate.ascent_gradient]
         if ascent:
             d = _ascent_gradient(oracle, theta, batch, d, cfg, ascent)
-            for row in ascent:
-                stats[row].grad_evals = 2
-        return d, _per_row(theta, stats)
+            row["grad_evals"][ascent] = 2
+        return d, row
 
-    def step(self, oracle, theta, batch, cfg):
-        d, stats = self.direction(oracle, theta, batch, cfg)
-        return axpy(-cfg.eta, d, theta), stats
+    def step(self, oracle, theta, batch, cfg, row=None):
+        d, row = self.direction(oracle, theta, batch, cfg, row)
+        return axpy(-cfg.eta, d, theta), row
 
 
 class SgdStepper(DescentStepper):
@@ -398,7 +394,7 @@ class SamStepper(DescentStepper):
 class CflatStepper(DescentStepper):
     """d = g0 + lam * g1 (see module docstring) on every step."""
 
-    def use_cflat(self, stats):
+    def use_cflat(self, row, i):
         return True
 
 
@@ -418,10 +414,10 @@ class CflatPPStepper(DescentStepper):
         if self.reset_per_task:
             self.state = self.initial
 
-    def use_cflat(self, stats):
+    def use_cflat(self, row, i):
         state = self.state
-        stats.proxy_value = proxy_value(state)
-        feedback = stats.proxy_value - stats.sq_grad_norm
+        proxy = row["proxy_value"][i] = proxy_value(state)
+        feedback = proxy - float(row["sq_grad_norm"][i])
         self.state = ProxyState(A=state.A - state.eta0 * feedback, k=state.k, i0=state.i0,
                                 eta0=state.eta0, i=state.i + 1)
         return feedback <= 0
@@ -440,7 +436,7 @@ class HybridStepper(DescentStepper):
         self.plan = hybrid_step_plan(total_steps, self.p, self.ordering)
         self.idx = 0
 
-    def use_cflat(self, stats):
+    def use_cflat(self, row, i):
         on = bool(self.plan[self.idx]) if self.idx < len(self.plan) else False
         self.idx += 1
         return on
@@ -502,7 +498,7 @@ def train_epochs(
     rng,
     milestones: tuple[int, ...] = (),
     lr_decay: float = 0.1,
-) -> tuple[ParamVector, list]:
+) -> tuple[ParamVector, np.ndarray]:
     """Shuffled mini-batch training with learning-rate milestones.
 
     The learning rate multiplies by lr_decay at each milestone epoch. Steps
@@ -510,14 +506,17 @@ def train_epochs(
     and the radius follows rho_schedule at that rate. The ragged tail of each
     epoch (fewer than batch_size rows) is dropped. ``x`` and ``y`` are checked
     once, as one ``Batch``, before any step; each step's batch is a row
-    selection of the checked arrays. Divergence aborts with the step index and
-    the loss and gradient norm of the failing row's last finished step.
+    selection of the checked arrays. Returns the trained theta and the run's
+    step record (``step_record``), of shape (steps, S), whose rows the
+    stepper fills and whose epoch column is written here. Divergence aborts
+    with the step index and the loss and gradient norm of the failing seed's
+    last finished step, read from the record.
 
     A seed stack trains in lockstep: ``theta`` (S, d) with ``x`` (S, N, d_in),
     ``y`` (S, N), ``rng`` a sequence of S generators and a stepper with one
     gate per seed (``SeedGroup``). Each seed draws its batch order from its
-    own generator, every step gathers the S batches in one index, and the
-    trace is one list of StepStats per seed.
+    own generator and every step gathers the S batches in one index; a 1-D
+    theta is a stack of one, so its record has one column.
     """
     stacked = theta.data.ndim == 2
     rngs = list(rng) if stacked else [rng]
@@ -535,9 +534,9 @@ def train_epochs(
     steps_per_epoch = n // batch_size
     stepper.prepare(epochs * steps_per_epoch)
 
-    traces: list[list[StepStats]] = [[] for _ in rngs]
+    record = step_record(epochs * steps_per_epoch, len(rngs))
+    record["epoch"] = np.repeat(np.arange(epochs), steps_per_epoch)[:, None]
     eta = cfg.eta
-    step_idx = 0
     for epoch in range(epochs):
         if epoch in milestones:
             eta *= lr_decay
@@ -547,17 +546,14 @@ def train_epochs(
         for b in range(steps_per_epoch):
             idx = (*seed_index, order[..., b * batch_size : (b + 1) * batch_size])
             batch = Batch._rows(x[idx], y[idx])
+            step_idx = epoch * steps_per_epoch + b
             try:
-                theta, stats = stepper.step(oracle, theta, batch, cfg_i)
+                theta, _ = stepper.step(oracle, theta, batch, cfg_i, record[step_idx])
             except DivergenceError as err:
                 err.step = step_idx
-                trace = traces[err.row or 0]
-                if trace:
-                    err.last_loss = trace[-1].loss
-                    err.grad_norm = math.sqrt(trace[-1].sq_grad_norm)
+                if step_idx:
+                    last = record[step_idx - 1, err.row or 0]
+                    err.last_loss = float(last["loss"])
+                    err.grad_norm = math.sqrt(last["sq_grad_norm"])
                 raise
-            for trace, row in zip(traces, stats if stacked else [stats]):
-                row.epoch = epoch
-                trace.append(row)
-            step_idx += 1
-    return theta, _per_row(theta, traces)
+    return theta, record

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cflat.cli import ConfigError, _build_cl, _build_optim, main, resolve_config
+from cflat.cli import ConfigError, _build_cl, _build_optim, _fmt, main, resolve_config
 from cflat.continual import CLConfig
 from cflat.optim import OptimConfig
 
@@ -43,6 +43,16 @@ def test_config_enums_are_the_library_name_tuples():
     assert cli._ENUMS["optimizer"] is optim.OPTIMIZER_NAMES
     assert cli._ENUMS["model.activation"] is objective.ACTIVATION_NAMES
     assert cli._ENUMS["hybrid.ordering"] is optim.HYBRID_ORDERINGS
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.True_, "true"), (np.False_, "false"), (True, "true"),
+    (np.int64(3), "3"), (np.float64(0.1), "0.1"), (None, ""),
+    # NaN only turns into an empty cell in the trace writer, never in _fmt
+    (np.float64("nan"), "nan"),
+])
+def test_csv_cells_format_numpy_scalars_like_python_ones(value, text):
+    assert _fmt(value) == text
 
 
 def test_run_produces_all_outputs(tmp_path):

@@ -496,7 +496,7 @@ def test_gpm_zero_significance_is_unprojected():
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
     stepper = GpmStepper(CflatStepper(), eta1=0.0, eta2=0.1)
     stepper.gpm_states = [state]
-    new_theta, stats = stepper.step(oracle, theta, batch, cfg)
+    new_theta, _ = stepper.step(oracle, theta, batch, cfg)
     # reduces to an unprojected step along the perturbed gradient
     d, _ = CflatStepper().direction(oracle, theta, batch, cfg)
     g_c = oracle.grad(ascent_point(theta, d, cfg), batch)
@@ -544,18 +544,18 @@ def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
     wrapped = GpmStepper(make_stepper(name, **kw), eta1=0.5, eta2=0.05)
     runs = []
     for stepper in (plain, wrapped):
-        theta, trace = start, []
+        theta, parts = start, []
         for task in range(2):  # two tasks: reset_task and a fresh plan in between
             stepper.reset_task()
             theta, part = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.2), stepper,
                                        epochs=2, batch_size=10, rng=rng.spawn(1, task))
-            trace += part
-        runs.append((theta, trace))
+            parts.append(part)
+        runs.append((theta, np.concatenate(parts)))
     assert np.array_equal(runs[0][0].data, runs[1][0].data)
-    assert runs[0][1] == runs[1][1]
+    assert runs[0][1].tobytes() == runs[1][1].tobytes()  # every cell, empty ones too
     if name == "cflat++":
         assert plain.state == wrapped.inner.state
-        assert 0 < sum(s.used_cflat for s in runs[0][1]) < len(runs[0][1])
+        assert 0 < runs[0][1]["used_cflat"].sum() < len(runs[0][1])
     if name == "hybrid":
         assert plain.idx == wrapped.inner.idx
         assert np.array_equal(plain.plan, wrapped.inner.plan)
@@ -579,27 +579,29 @@ def test_the_gate_runs_once_per_step_in_order_and_sets_the_step_cost(name, proje
     calls = []
     gate = inner.use_cflat
 
-    def recorded(stats):
-        calls.append((stats, gate(stats)))
-        return calls[-1][1]
+    def recorded(row, i):
+        calls.append((row, i, gate(row, i)))
+        return calls[-1][2]
 
     inner.use_cflat = recorded
     _, trace = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.2), stepper,
                             epochs=2, batch_size=10, rng=rng.spawn(1))
     assert len(calls) == len(trace) == 12
-    assert all(stats is s for (stats, _), s in zip(calls, trace))
-    assert [on for _, on in calls] == [s.used_cflat for s in trace]
+    assert all(np.shares_memory(row, step) and i == 0
+               for (row, i, _), step in zip(calls, trace))
+    trace = trace[:, 0]
+    assert [on for _, _, on in calls] == trace["used_cflat"].tolist()
     if name in ("cflat++", "hybrid"):
-        assert 0 < sum(s.used_cflat for s in trace) < len(trace)
+        assert 0 < trace["used_cflat"].sum() < len(trace)
     else:
-        assert {s.used_cflat for s in trace} == {name == "cflat"}
+        assert set(trace["used_cflat"].tolist()) == {name == "cflat"}
     for s in trace:
-        grad_evals, hvp_evals = _STEP_COST[s.used_cflat]
+        grad_evals, hvp_evals = _STEP_COST[bool(s["used_cflat"])]
         if name == "sam":
             grad_evals = 2
-        if projected and s.used_cflat:
+        if projected and s["used_cflat"]:
             grad_evals += 1  # the gradient at the neighborhood point, projected
-        assert (s.grad_evals, s.hvp_evals) == (grad_evals, hvp_evals)
+        assert (s["grad_evals"], s["hvp_evals"]) == (grad_evals, hvp_evals)
 
 
 @pytest.mark.parametrize("name, plain", [("sgd", SgdStepper), ("sam", SamStepper)])
@@ -611,8 +613,9 @@ def test_projection_with_zero_significance_is_the_plain_step_at_eta2(name, plain
     got, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.3, rho=0.2))
     expected, plain_stats = plain().step(oracle, theta, batch, OptimConfig(eta=0.07, rho=0.2))
     assert np.array_equal(got.data, expected.data)
-    assert stats.gpm_in_span is not None
-    assert replace(stats, gpm_in_span=None, gpm_src_norm=None) == plain_stats
+    assert np.isfinite(stats["gpm_in_span"]).all()
+    stats["gpm_in_span"] = stats["gpm_src_norm"] = np.nan
+    assert stats.tobytes() == plain_stats.tobytes()
 
 
 def test_gpm_update_basis_merges_orthonormally():
@@ -664,8 +667,8 @@ def test_significance_update_costs_one_gradient_and_no_loss(monkeypatch):
         stepper = GpmStepper(SgdStepper(), eta1=eta1, eta2=0.1)
         stepper.gpm_states = [state]
         before = dict(calls)
-        _, stats = stepper.step(oracle, theta, batch, OptimConfig(eta=0.1))
-        counts.append((stats.grad_evals, calls["grad"] - before["grad"],
+        _, (stats,) = stepper.step(oracle, theta, batch, OptimConfig(eta=0.1))
+        counts.append((stats["grad_evals"], calls["grad"] - before["grad"],
                        calls["loss"] - before["loss"]))
     assert stepper.gpm_states[0].significance.tolist() != state.significance.tolist()
     assert counts == [(1, 1, 1), (2, 2, 1)]
@@ -748,9 +751,8 @@ def test_every_method_optimizer_combination_runs(method, optimizer):
     for t, row in enumerate(seed_result.matrix):
         assert len(row) == t + 1
         assert all(0.0 <= v <= 1.0 for v in row)
-    for stats in seed_result.trace:
-        if stats.used_cflat:
-            assert stats.hvp_evals >= 2
+    trace = seed_result.trace
+    assert (trace["hvp_evals"][trace["used_cflat"]] >= 2).all()
 
 
 def test_experiment_is_deterministic_per_seed():
@@ -776,10 +778,9 @@ def test_gpm_in_span_invariant_during_run():
     stream = small_stream(classes=6, increment=2)
     res = run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3),
                             small_cl(gpm_eta1=0.0), [0])[0]
-    projected = [s for s in res.trace if s.gpm_in_span is not None]
-    assert projected, "projection never engaged"
-    for s in projected:
-        assert s.gpm_in_span <= 1e-8 * s.gpm_src_norm
+    projected = res.trace[~np.isnan(res.trace["gpm_in_span"])]
+    assert projected.size, "projection never engaged"
+    assert (projected["gpm_in_span"] <= 1e-8 * projected["gpm_src_norm"]).all()
 
 
 def test_wa_gammas_recorded():

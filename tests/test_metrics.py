@@ -11,7 +11,7 @@ from cflat.metrics import (
     validate_matrix,
 )
 from cflat.numcore import SeededRng
-from cflat.optim import StepStats
+from cflat.optim import step_record
 
 
 def random_matrix(rng, T):
@@ -75,14 +75,16 @@ def test_fwt_matches_direct_recomputation():
 
 
 def test_cflat_proportion_endpoints_and_hybrid():
-    sgd_trace = [StepStats(loss=0.0, sq_grad_norm=0.0) for _ in range(10)]
+    sgd_trace = step_record(10)[:, 0]
     assert cflat_proportion(sgd_trace) == 0.0
-    cflat_trace = [StepStats(loss=0.0, sq_grad_norm=0.0, used_cflat=True) for _ in range(10)]
+    cflat_trace = step_record(10)[:, 0]
+    cflat_trace["used_cflat"] = True
     assert cflat_proportion(cflat_trace) == 1.0
-    mixed = [StepStats(loss=0.0, sq_grad_norm=0.0, used_cflat=(i >= 6)) for i in range(8)]
+    mixed = step_record(8)[:, 0]
+    mixed["used_cflat"][6:] = True
     assert cflat_proportion(mixed) == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        cflat_proportion([])
+        cflat_proportion(step_record(0)[:, 0])
 
 
 def test_relative_return():

@@ -5,7 +5,6 @@ from cflat.numcore import (
     ParamVector,
     SeededRng,
     Segment,
-    all_finite,
     axpy,
     norm2,
 )
@@ -103,12 +102,6 @@ def test_param_vector_pickle_round_trip_stays_read_only():
     assert v.manifest == segs
     assert v.data.tobytes() == np.arange(6.0).tobytes()
     assert not v.data.flags.writeable
-
-
-def test_all_finite():
-    assert all_finite(ParamVector([1.0, 2.0]))
-    assert not all_finite(ParamVector([1.0, np.nan]))
-    assert not all_finite(ParamVector([np.inf, 0.0]))
 
 
 def test_public_constructor_and_with_data_copy_their_input():

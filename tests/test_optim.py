@@ -61,9 +61,9 @@ def dummy_batch(n=4, d=2, C=2, seed=0):
 
 def test_sgd_closed_form():
     q = make_quadratic(np.eye(2))
-    theta, stats = SgdStepper().step(q, ParamVector([1.0, 0.0]), None, OptimConfig(eta=0.1))
+    theta, (stats,) = SgdStepper().step(q, ParamVector([1.0, 0.0]), None, OptimConfig(eta=0.1))
     np.testing.assert_allclose(theta.data, [0.9, 0.0])
-    assert stats.grad_evals == 1 and not stats.used_cflat
+    assert stats["grad_evals"] == 1 and not stats["used_cflat"]
 
 
 def test_sgd_zero_eta_is_identity():
@@ -141,12 +141,12 @@ def test_sam_closed_form_on_quadratic():
     q = make_quadratic(H)
     theta0 = np.array([1.0, 1.0])
     rho, eta = 0.1, 0.1
-    got, stats = SamStepper().step(q, ParamVector(theta0), None, OptimConfig(eta=eta, rho=rho))
+    got, (stats,) = SamStepper().step(q, ParamVector(theta0), None, OptimConfig(eta=eta, rho=rho))
     # hand-expanded: theta - eta * H (theta + rho * H theta / ||H theta||)
     g = H @ theta0
     expected = theta0 - eta * H @ (theta0 + rho * g / (np.linalg.norm(g) + EPS))
     np.testing.assert_allclose(got.data, expected, rtol=1e-14)
-    assert stats.grad_evals == 2
+    assert stats["grad_evals"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_cflat_gradient_matches_hand_expansion_on_quadratic():
     theta0 = np.array([1.0, 0.5])
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
 
-    combined, stats = CflatStepper().direction(q, ParamVector(theta0), None, cfg)
+    combined, (stats,) = CflatStepper().direction(q, ParamVector(theta0), None, cfg)
 
     # every line expanded by hand with the analytic H
     g = H @ (theta0 - c)
@@ -174,7 +174,7 @@ def test_cflat_gradient_matches_hand_expansion_on_quadratic():
     expected = g0 + cfg.lam * g1
 
     np.testing.assert_allclose(combined.data, expected, rtol=1e-14)
-    assert stats.grad_evals == 5 and stats.hvp_evals == 2 and stats.used_cflat
+    assert stats["grad_evals"] == 5 and stats["hvp_evals"] == 2 and stats["used_cflat"]
 
 
 # C-Flat: the gradients at theta, the ascent point and theta1; each HVP reads
@@ -195,9 +195,9 @@ def test_step_reads_its_loss_from_the_gradient_pass(monkeypatch, stepper, passes
         return forward(th, x)
 
     monkeypatch.setattr(oracle, "_forward", counted)
-    _, stats = stepper().step(oracle, theta, batch, OptimConfig(eta=0.1, rho=0.2, lam=0.2))
+    _, (stats,) = stepper().step(oracle, theta, batch, OptimConfig(eta=0.1, rho=0.2, lam=0.2))
     assert len(calls) == passes
-    assert stats.loss == expected
+    assert stats["loss"] == expected
 
 
 def test_cflat_guards_at_exact_minimum():
@@ -327,10 +327,10 @@ def test_cflatpp_error_feedback_arithmetic():
     q = make_quadratic(np.eye(2))
     theta = ParamVector([math.sqrt(3.0), 0.0])
     stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80))
-    _, stats = stepper.step(q, theta, None, OptimConfig(eta=0.1))
+    _, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
     new_state = stepper.state
-    assert stats.proxy_value == pytest.approx(2.5)
-    assert stats.used_cflat
+    assert stats["proxy_value"] == pytest.approx(2.5)
+    assert stats["used_cflat"]
     assert new_state.A == pytest.approx(5.0 + 5e-3 * 0.5, rel=1e-12)
     assert new_state.i == 81
 
@@ -339,10 +339,10 @@ def test_cflatpp_sgd_branch_shrinks_bound():
     q = make_quadratic(np.eye(2))
     theta = ParamVector([0.1, 0.0])  # s = 0.01 < proxy
     stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80))
-    _, stats = stepper.step(q, theta, None, OptimConfig(eta=0.1))
+    _, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
     new_state = stepper.state
-    assert not stats.used_cflat
-    assert stats.hvp_evals == 0 and stats.grad_evals == 1
+    assert not stats["used_cflat"]
+    assert stats["hvp_evals"] == 0 and stats["grad_evals"] == 1
     assert new_state.A < 5.0
 
 
@@ -351,8 +351,8 @@ def test_cflatpp_stationary_point_never_fires():
     theta = ParamVector([0.4, 0.4])
     stepper = CflatPPStepper(ProxyState())
     for _ in range(50):
-        theta, stats = stepper.step(q, theta, None, OptimConfig(eta=0.1))
-        assert not stats.used_cflat
+        theta, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
+        assert not stats["used_cflat"]
 
 
 def test_cflatpp_gating_is_exact_on_mlp_run():
@@ -365,12 +365,12 @@ def test_cflatpp_gating_is_exact_on_mlp_run():
         oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.2), stepper,
         epochs=4, batch_size=10, rng=rng.spawn(1),
     )
-    fired = sum(s.used_cflat for s in trace)
+    fired = trace["used_cflat"].sum()
     assert 0 < fired < len(trace)
-    for s in trace:
-        assert s.used_cflat == (s.proxy_value - s.sq_grad_norm <= 0)
-        if s.used_cflat:
-            assert s.hvp_evals >= 2
+    for s in trace[:, 0]:
+        assert s["used_cflat"] == (s["proxy_value"] - s["sq_grad_norm"] <= 0)
+        if s["used_cflat"]:
+            assert s["hvp_evals"] >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,7 @@ def test_train_epochs_zero_epochs():
         q, theta0, np.zeros((4, 2)), np.zeros(4, dtype=int), OptimConfig(eta=0.1),
         make_stepper("sgd"), epochs=0, batch_size=2, rng=SeededRng(0),
     )
-    assert trace == []
+    assert trace.shape == (0, 1)
     assert np.array_equal(theta.data, theta0.data)
 
 
@@ -442,7 +442,7 @@ def test_train_epochs_hybrid_proportion_matches_plan():
         oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.1), stepper,
         epochs=2, batch_size=10, rng=rng.spawn(1),
     )
-    used = [s.used_cflat for s in trace]
+    used = trace["used_cflat"][:, 0].tolist()
     assert len(used) == 8
     assert used == [False] * 6 + [True] * 2
 
@@ -512,9 +512,9 @@ class CountingStepper(SgdStepper):
     def __init__(self):
         self.calls = 0
 
-    def step(self, oracle, theta, batch, cfg):
+    def step(self, oracle, theta, batch, cfg, row=None):
         self.calls += 1
-        return super().step(oracle, theta, batch, cfg)
+        return super().step(oracle, theta, batch, cfg, row)
 
 
 @pytest.mark.parametrize("x_rows, y, message", [
@@ -541,9 +541,9 @@ def test_train_epochs_fills_each_step_record_in_place():
     stepper = CflatPPStepper(ProxyState(A=1.0, i0=2))
     _, trace = train_epochs(oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.1), stepper,
                             epochs=3, batch_size=4, rng=rng.spawn(1))
-    assert [s.epoch for s in trace] == [0] * 3 + [1] * 3 + [2] * 3
-    assert len({id(s) for s in trace}) == len(trace)
-    assert all(s.proxy_value is not None for s in trace)
+    assert trace.shape == (9, 1)  # a 1-D theta is a stack of one
+    assert trace["epoch"][:, 0].tolist() == [0] * 3 + [1] * 3 + [2] * 3
+    assert np.isfinite(trace["proxy_value"]).all()  # no empty cell
     assert stepper.state.i == len(trace) + 1
 
 
@@ -583,7 +583,7 @@ def test_sq_grad_norm_trend_decreases_on_converging_run():
             oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.5, rho=0.1, lam=0.2),
             make_stepper(name), epochs=10, batch_size=20, rng=rng.spawn(1),
         )
-        series = [s.sq_grad_norm for s in trace]
+        series = trace["sq_grad_norm"][:, 0]
         assert np.mean(series[-10:]) < np.mean(series[:10])
 
 

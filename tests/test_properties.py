@@ -1,11 +1,13 @@
-"""Property tests over random MLPs: the optimizer reductions are bit-identical;
-and over the config resolver: a non-finite number is rejected by its key."""
+"""Property tests over random MLPs: the optimizer reductions are bit-identical
+and head growth keeps every old head weight; over the config resolver: a
+non-finite number is rejected by its key; and over the CSV loader: a corrupted
+row is rejected by its number."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cflat.cli import _DEFAULT_CONFIG, ConfigError, resolve_config
-from cflat.continual import GpmStepper
+from cflat.continual import GpmStepper, grow_head, load_csv_dataset
 from cflat.numcore import ParamVector, SeededRng
 from cflat.objective import Batch, MlpOracle, MlpSpec
 from cflat.optim import (
@@ -75,7 +77,58 @@ def test_gpm_without_basis_is_its_inner_stepper(problem, name, eta, rho, seed):
         runs.append(train_epochs(oracle, theta, x, y, cfg, stepper, epochs=2,
                                  batch_size=len(batch.y), rng=SeededRng(seed)))
     assert np.array_equal(runs[0][0].data, runs[1][0].data)
-    assert runs[0][1] == runs[1][1]
+    assert runs[0][1].tobytes() == runs[1][1].tobytes()  # every cell, empty ones too
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.lists(st.integers(1, 6), max_size=2), st.integers(2, 5),
+       st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_grow_head_keeps_every_old_head_weight_and_bias(d_in, hidden, n_out, new, seed):
+    rng = SeededRng(seed)
+    oracle = MlpOracle(MlpSpec(d_in, tuple(hidden), n_out))
+    theta = ParamVector(rng.normal(0.0, 1.0, oracle.dim), oracle.manifest)
+    grown = grow_head(theta, new, rng.spawn(1))
+    assert grown.manifest == oracle.with_head(n_out + new).manifest
+    w_name, b_name = (seg.name for seg in theta.manifest[-2:])
+    assert grown.view(w_name)[:n_out].tobytes() == theta.view(w_name).tobytes()
+    assert grown.view(b_name)[:n_out].tobytes() == theta.view(b_name).tobytes()
+    assert (grown.view(b_name)[n_out:] == 0.0).all()
+    body = theta.manifest[-2].offset
+    assert grown.data[:body].tobytes() == theta.data[:body].tobytes()
+
+
+# (cell to write, column it goes in: "label", "feature" or "any"); None means
+# the row loses its last cell, "extra" that it gains one
+CSV_CORRUPTIONS = [
+    (None, "any"), ("extra", "any"), ("abc", "any"), ("", "any"),
+    ("nan", "any"), ("inf", "any"), ("-inf", "feature"),
+    ("-1", "label"), ("-3", "label"), ("0.5", "label"), ("2.25", "label"),
+]
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(1, 4), st.sampled_from(CSV_CORRUPTIONS),
+       st.data(), st.integers(0, 2**31 - 1))
+def test_load_csv_dataset_rejects_a_corrupted_row_by_its_number(tmp_path_factory, n, dims,
+                                                                corruption, data, seed):
+    rng = SeededRng(seed)
+    rows = [[str(int(label))] + [repr(float(v)) for v in features]
+            for label, features in zip(rng.integers(0, 3, n), rng.normal(size=(n, dims)))]
+    cell, where = corruption
+    # the first data row sets the width, so a width change goes on a later row
+    k = data.draw(st.integers(1 if cell in (None, "extra") else 0, n - 1), label="row")
+    if cell is None:
+        rows[k].pop()
+    elif cell == "extra":
+        rows[k].append("0.0")
+    else:
+        columns = {"label": [0], "feature": list(range(1, dims + 1))}.get(where, range(dims + 1))
+        rows[k][data.draw(st.sampled_from(list(columns)), label="column")] = cell
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    lines = ["label," + ",".join(f"f{j}" for j in range(dims))] + [",".join(r) for r in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f": data row {k + 1} has"):
+        load_csv_dataset(str(path))
 
 
 def _numeric_leaves(node: dict, prefix: str = "") -> list[str]:
