@@ -54,9 +54,10 @@ from .optim import (DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, 
 SCHEMA_VERSION = 1
 
 # Config keys that set a dataclass field: JSON path -> (dataclass, field).
-# Their defaults come from the dataclass, and _build_optim / _build_cl build
-# the dataclasses from them.
+# Their defaults come from the dataclass, and _build_dataset / _build_optim /
+# _build_cl build the dataclasses from them.
 _DATACLASS_KEYS = (
+    *((f"dataset.{f.name}", SyntheticSpec, f.name) for f in dataclasses.fields(SyntheticSpec)),
     *((f"optim.{f.name}", OptimConfig, f.name) for f in dataclasses.fields(OptimConfig)),
     ("model.hidden", CLConfig, "hidden"),
     ("model.activation", CLConfig, "activation"),
@@ -91,16 +92,11 @@ def _dataclass_sections() -> dict:
     return sections
 
 
+_SECTIONS = _dataclass_sections()
 _DEFAULT_CONFIG = {
     "dataset": {
         "kind": "synthetic",
-        "classes": 10,
-        "dims": 16,
-        "per_class": 100,
-        "cluster_std": 1.0,
-        "label_noise": 0.0,
-        "feature_scale": 1.0,
-        "seed": 7,
+        **_SECTIONS.pop("dataset"),  # the synthetic dataset's keys
         "path": "",
         "test_fraction": 0.2,
         "split_seed": 0,
@@ -110,7 +106,7 @@ _DEFAULT_CONFIG = {
     "perm_seed": 1993,
     "method": "replay",
     "optimizer": "cflat",
-    **_dataclass_sections(),
+    **_SECTIONS,
     "seeds": [0, 1, 2],
     "out_dir": "runs/out",
 }
@@ -221,13 +217,6 @@ def _check_distinct_seeds(seeds: list[int], field: str) -> None:
         raise ConfigError(f"{field} must not repeat a seed, got {seeds}", field)
 
 
-def _config_keys(cls) -> list[tuple[str, str]]:
-    """(JSON path, field name) of every config key that sets a field of ``cls``."""
-    if cls is SyntheticSpec:
-        return [(f"dataset.{f.name}", f.name) for f in dataclasses.fields(cls)]
-    return [(path, name) for path, owner, name in _DATACLASS_KEYS if owner is cls]
-
-
 def _dataclass_kwargs(cfg: dict, keys: list[tuple[str, str]]) -> dict:
     kwargs = {}
     for path, name in keys:
@@ -242,7 +231,7 @@ def _build(cfg: dict, cls, **extra):
     ConfigError naming the key that fails on its own (the others at their
     defaults), or else the section of the keys set away from their defaults:
     a cross-field check such as rho_min <= rho <= rho_max."""
-    keys = _config_keys(cls)
+    keys = [(path, name) for path, owner, name in _DATACLASS_KEYS if owner is cls]
     kwargs = _dataclass_kwargs(cfg, keys)
     try:
         return cls(**extra, **kwargs)
@@ -461,9 +450,12 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
 
 def _read_json(path: Path):
     """The JSON document in ``path``; malformed JSON raises a ConfigError
-    naming the file and the decoder's line and column."""
+    naming the file and the decoder's line and column, and bytes that are not
+    UTF-8 one naming the file and the byte's position."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: malformed JSON at line {err.lineno} column "
                           f"{err.colno}: {err.msg}") from None

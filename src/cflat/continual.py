@@ -90,14 +90,15 @@ class SyntheticSpec:
     """Gaussian-cluster classification data: one cluster per class.
 
     feature_scale multiplies every feature after generation; it sets the
-    gradient-norm scale without changing class separability.
+    gradient-norm scale without changing class separability. The defaults are
+    the config's ``dataset`` defaults (``cflat.cli`` reads them from here).
     """
 
-    classes: int
-    dims: int
-    per_class: int
-    cluster_std: float
-    seed: int
+    classes: int = 10
+    dims: int = 16
+    per_class: int = 100
+    cluster_std: float = 1.0
+    seed: int = 7
     label_noise: float = 0.0
     feature_scale: float = 1.0
 

@@ -75,7 +75,6 @@ __all__ = [
     "MlpSpec",
     "MlpOracle",
     "make_quadratic",
-    "make_logreg",
     "mlp_manifest",
 ]
 
@@ -130,10 +129,6 @@ class Batch:
     def n(self) -> int:
         """Examples per seed."""
         return self.x.shape[-2]
-
-    @property
-    def d_in(self) -> int:
-        return self.x.shape[-1]
 
 
 class ObjectiveOracle:
@@ -720,8 +715,3 @@ class MlpOracle(ObjectiveOracle):
 
 def _layout(manifest) -> str:
     return "[" + ", ".join(f"{seg.name}{seg.shape}@{seg.offset}" for seg in manifest) + "]"
-
-
-def make_logreg(d_in: int, n_classes: int, l2: float = 0.0) -> MlpOracle:
-    """Multinomial logistic regression: an MLP with no hidden layer."""
-    return MlpOracle(MlpSpec(d_in, (), n_classes, l2=l2))

@@ -29,7 +29,7 @@ from cflat.landscape import (
 )
 from cflat.metrics import average_accuracy, bwt, cflat_proportion
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, make_logreg, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, make_quadratic
 from cflat.optim import CflatStepper, OptimConfig, SamStepper, SgdStepper
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -101,7 +101,7 @@ def test_criterion_1_gradient_correctness():
     worst_mlp, worst_analytic = 0.0, 0.0
 
     mlp = MlpOracle(MlpSpec(3, (4,), 3, activation="tanh", l2=0.01))
-    logreg = make_logreg(4, 3, l2=0.01)
+    logreg = MlpOracle(MlpSpec(4, (), 3, l2=0.01))
     quad = make_quadratic(np.diag([1.0, 2.0, 3.0]), c=np.array([0.1, -0.2, 0.3]))
 
     for trial in range(20):
@@ -171,7 +171,7 @@ def test_criterion_2_hvp_correctness():
 
     quad_H = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, -0.3], [0.0, -0.3, 3.0]])
     quad = make_quadratic(quad_H)
-    logreg = make_logreg(3, 3, l2=0.02)
+    logreg = MlpOracle(MlpSpec(3, (), 3, l2=0.02))
     worst_exact = 0.0
     for trial in range(10):
         theta_q = ParamVector(rng.normal(size=3))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cflat.cli import ConfigError, _build_cl, _build_optim, _fmt, main, resolve_config
-from cflat.continual import CLConfig
+from cflat.continual import CLConfig, SyntheticSpec
 from cflat.optim import OptimConfig
 
 
@@ -236,6 +237,12 @@ def test_dataclasses_built_from_the_default_config_are_the_library_defaults():
     cfg = resolve_config({})
     assert _build_cl(cfg) == CLConfig()
     assert _build_optim(cfg) == OptimConfig()
+
+
+def test_the_default_synthetic_dataset_is_the_library_default():
+    dataset = resolve_config({})["dataset"]
+    defaults = dataclasses.asdict(SyntheticSpec())
+    assert {key: dataset[key] for key in defaults} == defaults
 
 
 def test_gpm_cflatpp_run_replays_its_gate_from_trace(tmp_path):
@@ -832,6 +839,22 @@ def test_malformed_json_names_the_file_line_and_column(tmp_path, capsys, command
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "config"
     assert error["message"].startswith(f"{bad}: malformed JSON at line 3 column 1")
+
+
+@pytest.mark.parametrize("command", ["run", "landscape", "report"])
+def test_non_utf8_json_names_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "cell" / "manifest.json"
+    bad.parent.mkdir()
+    bad.write_bytes(b'\xff{"seeds": [0]}\n')
+    argv = {
+        "run": ["run", "--config", str(bad)],
+        "landscape": ["landscape", "--checkpoint", str(bad), "--out", str(tmp_path / "land")],
+        "report": ["report", "--results", str(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0")
 
 
 @pytest.mark.parametrize("section, key", [

@@ -28,7 +28,7 @@ from cflat.continual import (
 from cflat.continual import _significance_sensitivity
 from cflat.metrics import last_accuracy
 from cflat.numcore import ParamVector, SeededRng, axpy, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, make_logreg
+from cflat.objective import Batch, MlpOracle, MlpSpec
 from cflat.optim import (
     CflatStepper,
     OptimConfig,
@@ -72,7 +72,7 @@ def test_synth_dataset_needs_three_examples_per_class():
 
 def test_synth_dataset_zero_std_is_separable():
     ds = quick_dataset(classes=3, per_class=20, std=0.0, seed=21)
-    lr = make_logreg(ds.d_in, 3)
+    lr = MlpOracle(MlpSpec(ds.d_in, (), 3))
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
     batch = Batch(ds.train_x, ds.train_y)
     for _ in range(200):
@@ -84,7 +84,7 @@ def test_synth_dataset_relabel_symmetry():
     ds = quick_dataset(classes=3, dims=5, per_class=60, seed=13)
 
     def trained_accuracy(train_y, test_y):
-        lr = make_logreg(5, 3)
+        lr = MlpOracle(MlpSpec(5, (), 3))
         theta = ParamVector(np.zeros(lr.dim), lr.manifest)
         batch = Batch(ds.train_x, train_y)
         for _ in range(150):
@@ -105,7 +105,7 @@ def test_synth_dataset_bayes_accuracy_two_classes():
     mu1 = ds.train_x[ds.train_y == 1].mean(axis=0)
     delta = float(np.linalg.norm(mu1 - mu0))
     bayes = 0.5 * (1 + math.erf(delta / (2 * sigma) / math.sqrt(2)))
-    lr = make_logreg(4, 2)
+    lr = MlpOracle(MlpSpec(4, (), 2))
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
     batch = Batch(ds.train_x, ds.train_y)
     for _ in range(300):
@@ -250,8 +250,8 @@ def test_icarl_loss_self_distillation_identity():
 
 def test_distill_kl_matches_hand_arithmetic():
     # 2 old classes, 2 examples, logreg heads; every number recomputed inline
-    oracle = make_logreg(2, 3)
-    old = make_logreg(2, 2)
+    oracle = MlpOracle(MlpSpec(2, (), 3))
+    old = MlpOracle(MlpSpec(2, (), 2))
     theta = ParamVector(np.array([0.5, -0.2, 0.1, 0.3, -0.4, 0.2, 0.05, -0.05, 0.1]),
                         oracle.manifest)
     theta_old = ParamVector(np.array([0.2, 0.1, -0.3, 0.4, 0.0, -0.1]), old.manifest)

@@ -14,7 +14,6 @@ from cflat.objective import (
     MlpSpec,
     _TRACE_BLOCK_ROWS,
     _logsumexp,
-    make_logreg,
     make_quadratic,
 )
 from test_acceptance import dense_logreg_hessian
@@ -94,7 +93,7 @@ def test_quadratic_center():
 
 def test_logreg_uniform_loss_is_log_c():
     for C in (2, 3, 7):
-        lr = make_logreg(4, C)
+        lr = MlpOracle(MlpSpec(4, (), C))
         theta = ParamVector(np.zeros(lr.dim), lr.manifest)
         batch = random_batch(SeededRng(1), 16, 4, C)
         assert lr.loss(theta, batch) == pytest.approx(math.log(C), rel=1e-12)
@@ -102,7 +101,7 @@ def test_logreg_uniform_loss_is_log_c():
 
 def test_logreg_exact_hvp_matches_finite_difference():
     rng = SeededRng(2)
-    lr = make_logreg(3, 4, l2=0.01)
+    lr = MlpOracle(MlpSpec(3, (), 4, l2=0.01))
     theta = ParamVector(rng.normal(size=lr.dim), lr.manifest)
     batch = random_batch(rng, 12, 3, 4)
     for _ in range(5):
@@ -115,7 +114,7 @@ def test_logreg_exact_hvp_matches_finite_difference():
 
 def test_logreg_hessian_positive_semidefinite():
     rng = SeededRng(3)
-    lr = make_logreg(5, 3, l2=0.0)
+    lr = MlpOracle(MlpSpec(5, (), 3, l2=0.0))
     theta = ParamVector(rng.normal(size=lr.dim), lr.manifest)
     batch = random_batch(rng, 20, 5, 3)
     for _ in range(20):
@@ -126,7 +125,7 @@ def test_logreg_hessian_positive_semidefinite():
 
 def test_logreg_hvp_symmetry_and_linearity():
     rng = SeededRng(4)
-    lr = make_logreg(4, 3, l2=0.05)
+    lr = MlpOracle(MlpSpec(4, (), 3, l2=0.05))
     theta = ParamVector(rng.normal(size=lr.dim), lr.manifest)
     batch = random_batch(rng, 10, 4, 3)
     u = ParamVector(rng.normal(size=lr.dim), lr.manifest)
@@ -147,14 +146,14 @@ def test_logreg_hvp_symmetry_and_linearity():
     lambda lr, theta: lr.hvp(theta, theta, None),
 ], ids=["loss", "grad", "hvp"])
 def test_logreg_requires_a_batch(call):
-    lr = make_logreg(2, 3)
+    lr = MlpOracle(MlpSpec(2, (), 3))
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
     with pytest.raises(ValueError, match="requires a batch"):
         call(lr, theta)
 
 
 def test_logreg_label_outside_head_rejected():
-    lr = make_logreg(2, 2)
+    lr = MlpOracle(MlpSpec(2, (), 2))
     theta = ParamVector(np.zeros(lr.dim), lr.manifest)
     batch = Batch(np.zeros((1, 2)), np.array([5]))
     with pytest.raises(ValueError, match="outside head width"):
@@ -225,7 +224,7 @@ def test_mlp_zero_hidden_reduces_to_logreg():
     # exact logistic Hessian product, on a grown head as well
     rng = SeededRng(8)
     mlp = MlpOracle(MlpSpec(d_in=5, hidden=(), n_classes=4, l2=0.02))
-    lr = make_logreg(5, 4, l2=0.02)
+    lr = MlpOracle(MlpSpec(5, (), 4, l2=0.02))
     assert isinstance(lr, MlpOracle) and lr.spec == mlp.spec
     for oracle in (mlp, mlp.with_head(5)):
         theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
@@ -622,7 +621,7 @@ def test_mlp_loss_grad_hvp_equal_a_plain_reference_bit_for_bit(activation, hidde
 def test_every_vector_the_oracles_return_is_read_only():
     rng = SeededRng(20)
     batch = random_batch(rng, 5, 3, 2)
-    for oracle in (make_logreg(3, 2, l2=0.1), MlpOracle(MlpSpec(3, (4,), 2)),
+    for oracle in (MlpOracle(MlpSpec(3, (), 2, l2=0.1)), MlpOracle(MlpSpec(3, (4,), 2)),
                    make_quadratic(np.eye(3))):
         theta = ParamVector(rng.normal(size=oracle.dim), getattr(oracle, "manifest", None))
         v = theta.with_data(rng.normal(size=oracle.dim))
@@ -848,7 +847,7 @@ def trace_case(kind, rng):
     """(objective, its current-model MlpOracle, theta, batch) for a trace case."""
     n = 20
     if kind == "logreg":
-        oracle = make_logreg(4, 3)
+        oracle = MlpOracle(MlpSpec(4, (), 3))
     elif kind == "distill":
         oracle = MlpOracle(MlpSpec(4, (6,), 5, l2=0.01))
     else:
