@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .continual import (
     CLConfig,
-    Dataset,
     load_csv_dataset,
     make_stream,
     run_cl_experiment,
@@ -34,6 +33,7 @@ from .continual import (
     synth_dataset,
     SyntheticSpec,
     task_sizes,
+    TaskStream,
     METHOD_NAMES,
     PROTOCOL_NAMES,
 )
@@ -54,8 +54,8 @@ from .optim import (DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, 
 SCHEMA_VERSION = 1
 
 # Config keys that set a dataclass field: JSON path -> (dataclass, field).
-# Their defaults come from the dataclass, and _build_dataset / _build_optim /
-# _build_cl build the dataclasses from them.
+# Their defaults come from the dataclass, and _inputs builds the dataclasses
+# from them when it checks and builds a run's inputs.
 _DATACLASS_KEYS = (
     *((f"dataset.{f.name}", SyntheticSpec, f.name) for f in dataclasses.fields(SyntheticSpec)),
     *((f"optim.{f.name}", OptimConfig, f.name) for f in dataclasses.fields(OptimConfig)),
@@ -162,10 +162,9 @@ def _check_leaf(path: str, default, value):
 
 
 def resolve_config(user: dict) -> dict:
-    """Defaults plus user overrides. Unknown keys, bad types and values the
-    library's config dataclasses reject raise a ConfigError naming the key."""
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
+    """Defaults plus user overrides. Unknown keys, bad types, a CSV dataset
+    without a path or with test_fraction outside (0, 1) and a repeated seed
+    raise a ConfigError naming the key; _inputs checks what it builds."""
 
     def walk(defaults: dict, overrides: dict, prefix: str) -> dict:
         out = {}
@@ -194,21 +193,7 @@ def resolve_config(user: dict) -> dict:
     if not cfg["seeds"]:
         raise ConfigError("seeds must be nonempty", "seeds")
     _check_distinct_seeds(cfg["seeds"], "seeds")
-    if cfg["increment"] < 1:
-        raise ConfigError("increment must be >= 1", "increment")
-    if cfg["dataset"]["kind"] == "synthetic":
-        _check_split(cfg, _build(cfg, SyntheticSpec).classes)
-    _build_optim(cfg)
-    _build_cl(cfg)
     return cfg
-
-
-def _check_split(cfg: dict, n_classes: int) -> None:
-    """The dataset's classes must split into tasks under protocol/increment."""
-    try:
-        task_sizes(n_classes, cfg["protocol"], cfg["increment"])
-    except ValueError as err:
-        raise ConfigError(f"increment: {err}", "increment") from None
 
 
 def _check_distinct_seeds(seeds: list[int], field: str) -> None:
@@ -247,29 +232,37 @@ def _build(cfg: dict, cls, **extra):
         raise ConfigError(f"{section}: {err}", section) from None
 
 
-def _build_dataset(cfg: dict) -> Dataset:
-    """The config's dataset. A csv that cannot be read, parsed or split
-    raises a ConfigError naming the file, with field dataset.path."""
+def _inputs(cfg: dict, streams: dict | None = None) -> tuple[TaskStream, OptimConfig, CLConfig]:
+    """A resolved config's task stream, OptimConfig and CLConfig, checked and
+    built in this one place: a value a dataclass rejects fails as in _build,
+    classes that do not split into tasks with field increment (before a
+    synthetic dataset is drawn), and a CSV that cannot be read, parsed or
+    split with field dataset.path, naming the file. Sweep cells that pass one
+    ``streams`` and split one dataset alike share its stream."""
+    optim = _build(cfg, OptimConfig)
+    cl = _build(cfg, CLConfig, proxy=_build(cfg, ProxyState))
+    streams = {} if streams is None else streams
     ds = cfg["dataset"]
-    if ds["kind"] == "synthetic":
-        return synth_dataset(_build(cfg, SyntheticSpec))
-    path = ds["path"]
-    try:
-        x, y = load_csv_dataset(path)
-        dataset = split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
-    except (ValueError, OSError) as err:
-        message = str(err) if path in str(err) else f"{path}: {err}"
-        raise ConfigError(f"dataset.path: {message}", "dataset.path") from None
-    _check_split(cfg, dataset.n_classes)  # a csv's classes are known once it is read
-    return dataset
-
-
-def _build_optim(cfg: dict) -> OptimConfig:
-    return _build(cfg, OptimConfig)
-
-
-def _build_cl(cfg: dict) -> CLConfig:
-    return _build(cfg, CLConfig, proxy=_build(cfg, ProxyState))
+    key = json.dumps([ds, cfg["protocol"], cfg["increment"], cfg["perm_seed"]], sort_keys=True)
+    if key not in streams:
+        if ds["kind"] == "synthetic":
+            spec = _build(cfg, SyntheticSpec)
+            n_classes, draw = spec.classes, functools.partial(synth_dataset, spec)
+        else:
+            path = ds["path"]
+            try:
+                x, y = load_csv_dataset(path)
+                dataset = split_dataset(x, y, ds["test_fraction"], ds["split_seed"])
+            except (ValueError, OSError) as err:
+                message = str(err) if path in str(err) else f"{path}: {err}"
+                raise ConfigError(f"dataset.path: {message}", "dataset.path") from None
+            n_classes, draw = dataset.n_classes, lambda: dataset
+        try:
+            task_sizes(n_classes, cfg["protocol"], cfg["increment"])
+        except ValueError as err:
+            raise ConfigError(f"increment: {err}", "increment") from None
+        streams[key] = make_stream(draw(), cfg["protocol"], cfg["increment"], cfg["perm_seed"])
+    return streams[key], optim, cl
 
 
 def _fmt(value) -> str:
@@ -409,8 +402,8 @@ def _seed_groups(seeds: list[int], jobs: int) -> list[list[int]]:
     return [seeds[g * n // count:(g + 1) * n // count] for g in range(count)]
 
 
-def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
-    """Execute a resolved config and write manifest/metrics/trace/checkpoints.
+def run_experiment_from_config(cfg: dict, inputs: tuple, out_dir: Path, jobs: int = 1) -> dict:
+    """Execute a resolved config on its ``_inputs``; write manifest/metrics/trace/checkpoints.
 
     The seeds split into min(``jobs``, #seeds) contiguous groups; each group
     is one ``run_cl_experiment`` call that trains its seeds in lockstep, and
@@ -419,12 +412,9 @@ def run_experiment_from_config(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     so every file but the manifest's timing is byte-identical whatever
     ``jobs`` is.
     """
-    dataset = _build_dataset(cfg)
-    stream = make_stream(dataset, cfg["protocol"], cfg["increment"], cfg["perm_seed"])
-    experiment = functools.partial(
-        run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
-        _build_optim(cfg), _build_cl(cfg),
-    )
+    stream, optim, cl = inputs
+    experiment = functools.partial(run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
+                                   optim, cl)
     groups = _map_jobs(experiment, _seed_groups(cfg["seeds"], jobs), jobs)
     results = [result for group in groups for result in group]
     n_tasks = len(stream.tasks)
@@ -468,6 +458,8 @@ def _load_config_file(path: str) -> dict:
     doc = _read_json(p)
     if isinstance(doc, dict) and "config" in doc and "schema_version" in doc:
         doc = doc["config"]  # a manifest reproduces its own run
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config root must be a JSON object")
     return doc
 
 
@@ -495,7 +487,7 @@ def _apply_overrides(cfg_doc: dict, args) -> dict:
 def cmd_run(args) -> int:
     cfg_doc = _apply_overrides(_load_config_file(args.config), args)
     cfg = resolve_config(cfg_doc)
-    run_experiment_from_config(cfg, Path(cfg["out_dir"]), jobs=args.jobs)
+    run_experiment_from_config(cfg, _inputs(cfg), Path(cfg["out_dir"]), jobs=args.jobs)
     return 0
 
 
@@ -523,8 +515,9 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _sweep_cell(cfg: dict) -> dict:
-    return run_experiment_from_config(cfg, Path(cfg["out_dir"]))
+def _sweep_cell(cell: tuple) -> dict:
+    cfg, inputs = cell
+    return run_experiment_from_config(cfg, inputs, Path(cfg["out_dir"]))
 
 
 def cmd_sweep(args) -> int:
@@ -533,10 +526,11 @@ def cmd_sweep(args) -> int:
     keys = [key for key, _ in axes]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"--axis must not repeat a key, got {keys}", "--axis")
-    base_out = Path(base_doc.get("out_dir", _DEFAULT_CONFIG["out_dir"]))
+    default_out = _DEFAULT_CONFIG["out_dir"]
+    base_out = Path(_check_leaf("out_dir", default_out, base_doc.get("out_dir", default_out)))
 
     cells = []
-    csv_classes: dict = {}  # each distinct csv dataset is built once, before any cell runs
+    streams: dict = {}  # cells that split one dataset alike share its stream
     cell_dirs = set()
     for combo in itertools.product(*[values for _, values in axes]):
         doc = copy.deepcopy(base_doc)
@@ -550,14 +544,9 @@ def cmd_sweep(args) -> int:
         cell_dirs.add(cell_dir)
         doc["out_dir"] = str(base_out / cell_dir)
         cfg = resolve_config(doc)
-        if cfg["dataset"]["kind"] == "csv":
-            key = json.dumps(cfg["dataset"], sort_keys=True)
-            if key not in csv_classes:
-                csv_classes[key] = _build_dataset(cfg).n_classes
-            _check_split(cfg, csv_classes[key])
-        cells.append((cfg, cell_dir, combo))
+        cells.append(((cfg, _inputs(cfg, streams)), cell_dir, combo))
 
-    manifests = _map_jobs(_sweep_cell, [cfg for cfg, _, _ in cells], args.jobs)
+    manifests = _map_jobs(_sweep_cell, [cell for cell, _, _ in cells], args.jobs)
 
     aggregates = ["avg_accuracy_mean", "avg_accuracy_std", "last_accuracy_mean",
                   "cflat_proportion_mean"]

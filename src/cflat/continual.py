@@ -169,9 +169,9 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a CSV with an integer label in the first column, features after.
 
     A header row is skipped if its first cell does not parse as a number.
-    Rows must all have the first data row's width, labels must be nonnegative
-    integers and features finite; a ``ValueError`` names the first offending
-    data row, counted from 1 after the header, skipping blank lines.
+    Rows must have a label and features, all the first data row's width, labels
+    nonnegative integers and features finite; a ``ValueError`` names the first
+    offending data row, counted from 1 after the header, skipping blank lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -186,6 +186,8 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise ValueError(f"{path} has no data rows")
     width = len(rows[0])
+    if width < 2:
+        raise ValueError(f"{path}: data row 1 has 1 column, expected a label and features")
     values = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         where = f"{path}: data row {i + 1}"

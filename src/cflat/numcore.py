@@ -179,8 +179,9 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """``size`` distinct integers drawn from range(``n``)."""
+        return self._gen.choice(n, size=size, replace=False)
 
     def rademacher(self, size) -> np.ndarray:
         return self._gen.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0

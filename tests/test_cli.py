@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cflat.cli import ConfigError, _build_cl, _build_optim, _fmt, main, resolve_config
+from cflat.cli import ConfigError, _fmt, _inputs, main, resolve_config
 from cflat.continual import CLConfig, SyntheticSpec
 from cflat.optim import OptimConfig
 
@@ -84,7 +84,7 @@ def test_demo_config_twice_in_one_process_writes_identical_files(tmp_path):
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
     cfg = resolve_config(json.loads(demo.read_text(encoding="utf-8")))
     for out in ("a", "b"):
-        run_experiment_from_config(cfg, tmp_path / out)
+        run_experiment_from_config(cfg, _inputs(cfg), tmp_path / out)
     for name in ("metrics.csv", "trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -235,8 +235,9 @@ def test_resolve_config_fills_defaults():
 
 def test_dataclasses_built_from_the_default_config_are_the_library_defaults():
     cfg = resolve_config({})
-    assert _build_cl(cfg) == CLConfig()
-    assert _build_optim(cfg) == OptimConfig()
+    _, optim, cl = _inputs(cfg)
+    assert cl == CLConfig()
+    assert optim == OptimConfig()
 
 
 def test_the_default_synthetic_dataset_is_the_library_default():
@@ -694,6 +695,7 @@ _BAD_CSVS = {
     "missing": None,
     "bad_cell": "0,1.0,2.0\n1,1.0,x\n",
     "gap": "".join(f"{c},{i}.0,1.0\n" for c in (0, 1, 3) for i in range(5)),  # no label 2
+    "label_only": "0\n1\n0\n1\n",
 }
 
 
@@ -716,7 +718,60 @@ def test_an_unloadable_csv_fails_naming_the_file_before_any_output(tmp_path, cap
     assert str(data) in error["message"]
     if name == "gap":
         assert "missing [2]" in error["message"]
+    if name == "label_only":
+        assert "data row 1" in error["message"]
     assert not out.exists()
+
+
+def test_a_csv_sweep_reads_its_dataset_once_and_its_cells_share_a_stream(tmp_path, monkeypatch):
+    from cflat import cli
+
+    load = cli.load_csv_dataset
+    reads = []
+
+    def counted_load(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_csv_dataset", counted_load)
+    rng = np.random.default_rng(0)
+    rows = [f"{c}," + ",".join(f"{v:.6f}" for v in rng.normal(size=3))
+            for c in range(4) for _ in range(10)]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    doc = base_config(out)
+    doc["dataset"] = {"kind": "csv", "path": str(data)}
+    doc["train"] = {"epochs": 1, "batch_size": 16}
+    assert main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--axis", "optim.rho=0.1,0.2,0.3"]) == 0
+    assert reads == [str(data)]
+    # the last cell trained on the stream the other two trained on first, and
+    # writes the bytes of a run of its own
+    run = tmp_path / "run"
+    doc.update(optim={"eta": 0.3, "rho": 0.3}, out_dir=str(run))
+    assert main(["run", "--config", write_config(tmp_path, doc, "run.json")]) == 0
+    for name in ("metrics.csv", "trace.csv", "checkpoint_seed0.json"):
+        cell = out / "cell_optim_rho=0.3" / name
+        assert cell.read_bytes() == (run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "run_flags", "sweep"])
+def test_a_config_whose_root_is_not_an_object_names_the_file(tmp_path, capsys, monkeypatch,
+                                                            command):
+    monkeypatch.chdir(tmp_path)  # a run would write to the default out_dir under it
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]\n", encoding="utf-8")
+    argv = {
+        "run": ["run", "--config", str(bad)],
+        "run_flags": ["run", "--config", str(bad), "--seeds", "0", "--out", "o"],
+        "sweep": ["sweep", "--config", str(bad), "--axis", "optim.eta=0.1"],
+    }[command]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"] == f"{bad}: config root must be a JSON object"
+    assert [p.name for p in tmp_path.iterdir()] == ["list.json"]
 
 
 def test_csv_test_fraction_outside_the_open_unit_interval_fails_at_load(tmp_path, capsys):
@@ -793,6 +848,17 @@ def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--axis", "gpm.sample=16,0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["field"] == "gpm.sample"
     assert not out.exists()
+
+
+def test_sweep_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = base_config(tmp_path)
+    doc["out_dir"] = 5
+    assert main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--axis", "optim.eta=0.1"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == "out_dir"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("axes", [
