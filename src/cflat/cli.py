@@ -235,10 +235,11 @@ def _build(cfg: dict, cls, **extra):
 def _inputs(cfg: dict, streams: dict | None = None) -> tuple[TaskStream, OptimConfig, CLConfig]:
     """A resolved config's task stream, OptimConfig and CLConfig, checked and
     built in this one place: a value a dataclass rejects fails as in _build,
-    classes that do not split into tasks with field increment (before a
-    synthetic dataset is drawn), and a CSV that cannot be read, parsed or
-    split with field dataset.path, naming the file. Sweep cells that pass one
-    ``streams`` and split one dataset alike share its stream."""
+    classes that do not split into tasks, or give the first fewer than two,
+    with field increment (before a synthetic dataset is drawn), and a CSV
+    that cannot be read, parsed or split with field dataset.path, naming the
+    file. Sweep cells that pass one ``streams`` and split one dataset alike
+    share its stream."""
     optim = _build(cfg, OptimConfig)
     cl = _build(cfg, CLConfig, proxy=_build(cfg, ProxyState))
     streams = {} if streams is None else streams

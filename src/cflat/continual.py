@@ -7,6 +7,7 @@ projection is GpmStepper wrapped around the optimizer's own stepper.
 """
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -254,30 +255,27 @@ class TaskStream:
 
 
 def task_sizes(n_classes: int, protocol: str, y: int) -> list[int]:
-    """Classes per task, in task order; a ValueError if they do not split.
+    """Classes per task, in task order; a ValueError if they do not split or
+    the first task holds fewer than two classes, the fewest a model's head
+    can start with.
 
     "B0" divides all classes into tasks of y; "B50" gives the first task half
     of the classes (rounded up) and divides the rest into tasks of y.
     """
     if y < 1:
         raise ValueError("increment must be >= 1")
-    C = n_classes
-    if protocol == "B0":
-        if C % y != 0:
-            raise ValueError(
-                f"cannot divide {C} classes into tasks of {y}: remainder {C % y}"
-            )
-        return [y] * (C // y)
-    if protocol == "B50":
-        first = (C + 1) // 2
-        rest = C - first
-        if rest % y != 0:
-            raise ValueError(
-                f"cannot divide the remaining {rest} classes into tasks of {y}: "
-                f"remainder {rest % y}"
-            )
-        return [first] + [y] * (rest // y)
-    raise ValueError(f"unknown protocol {protocol!r}; expected {' or '.join(PROTOCOL_NAMES)}")
+    if protocol not in PROTOCOL_NAMES:
+        raise ValueError(f"unknown protocol {protocol!r}; expected {' or '.join(PROTOCOL_NAMES)}")
+    first = [(n_classes + 1) // 2] if protocol == "B50" else []
+    rest = n_classes - sum(first)
+    if rest % y != 0:
+        what = f"the remaining {rest} classes" if first else f"{rest} classes"
+        raise ValueError(f"cannot divide {what} into tasks of {y}: remainder {rest % y}")
+    sizes = first + [y] * (rest // y)
+    if sum(sizes[:1]) < 2:
+        raise ValueError(f"a first task of {sum(sizes[:1])} class(es) under {protocol}: "
+                         f"the model needs at least two classes to start")
+    return sizes
 
 
 def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) -> TaskStream:
@@ -384,9 +382,12 @@ class DistillObjective(ObjectiveOracle):
         return self._probs
 
     def select_rows(self, theta, batch, rows):
-        sub = DistillObjective(self.base, self.theta_old._adopt(self.theta_old.data[rows]),
-                               self.temperature)
+        """A shallow copy on the stack ``rows``: the oracles are shared,
+        ``theta_old`` and the cached old-model probabilities narrowed."""
+        sub = copy.copy(self)
+        sub.theta_old = self.theta_old._adopt(self.theta_old.data[rows])
         sub_theta, sub_batch = self.base._keep_rows(theta, batch, rows, self, sub)
+        sub._probs_batch = sub._probs = None
         if self._probs_batch is batch:
             sub._probs, sub._probs_batch = self._probs[rows], sub_batch
             sub._probs.setflags(write=False)
@@ -596,9 +597,6 @@ class GpmStepper(Stepper):
     def prepare(self, total_steps: int):
         self.inner.prepare(total_steps)
 
-    def reset_task(self):
-        self.inner.reset_task()
-
     def step(self, oracle, theta, batch, cfg, row=None):
         d, row = self.inner.direction(oracle, theta, batch, cfg, row)
         states = self.gpm_states
@@ -714,10 +712,12 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
     set, join into one whose columns are the seeds' traces. After each task
     the model is evaluated on every seen task's test split; before each new
     task (head already grown) its test split is evaluated for forward
-    transfer. Throughput counts training examples per wall second; each
-    seed's ``train_seconds`` is the group's training time divided by the
-    number of seeds. Divergence of any
-    seed aborts the run: the ``DivergenceError`` from ``train_epochs`` gets
+    transfer. Each task is one ``train_epochs`` run, so the stepper's
+    ``prepare`` starts every task (C-Flat++'s bounds and counters carry over
+    only with ``cl.proxy_reset_per_task`` off). Throughput counts training
+    examples per wall second; each seed's ``train_seconds`` is the group's
+    training time divided by the number of seeds. Divergence of any seed
+    aborts the run: the ``DivergenceError`` from ``train_epochs`` gets
     the task and the first seed to diverge in step order, its message is
     prefixed with both, and it is re-raised.
     """
@@ -764,7 +764,6 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
             oracle = oracle.with_head(n_old + task.n_new)
             for result, row in zip(results, unstack(theta)):
                 result.pre_train_acc.append(_accuracy(oracle, row, task.test_x, task.test_y))
-        stepper.reset_task()
 
         data_x = np.stack([task.train_x] * S)
         data_y = np.stack([task.train_y] * S)

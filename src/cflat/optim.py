@@ -29,7 +29,9 @@ plan; SAM says no and then takes the gradient at the ascent point. ``step``
 is the plain step theta - eta * d. Steppers are the only step API:
 ``make_stepper`` builds one by name, ``train_epochs`` drives one, and a
 projection method (continual.GpmStepper) wraps any stepper's direction
-instead of stepping.
+instead of stepping. A stepper keeps its own cross-step state (C-Flat++'s
+bound A and counter i, the hybrid's plan), which ``prepare``, the one hook
+``train_epochs`` calls before a run's first step, (re)starts.
 
 A training run's ``step_record`` is one structured array of shape (steps, S)
 (a 1-D theta is a stack of one) whose fields are its columns. Whoever knows a
@@ -148,17 +150,14 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class ProxyState:
-    """Adaptive sharpness-proxy state: bound A, curvature k, inflection i0.
-
-    The iteration counter starts at 1 and advances by one per step; only A is
-    adapted by error feedback, k and i0 stay fixed.
-    """
+    """The sharpness proxy's fixed settings: initial bound A, curvature k,
+    inflection i0 and feedback rate eta0. The bound and step counter that
+    error feedback adapts live on the gate, ``CflatPPStepper``."""
 
     A: float = 5.0
     k: float = 0.01
     i0: int = 80
     eta0: float = 5e-3
-    i: int = 1
 
     def __post_init__(self):
         if not math.isfinite(self.A):
@@ -276,12 +275,13 @@ def rho_schedule(cfg: OptimConfig, eta_i: float) -> float:
     return cfg.rho_min + slope * (eta_i - cfg.eta_min)
 
 
-def proxy_value(state: ProxyState) -> float:
-    """Sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}) at the current i."""
-    x = -state.k * (state.i - state.i0)
+def proxy_value(proxy: ProxyState, A: float, i: int) -> float:
+    """Sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}) for the bound ``A``
+    and counter ``i`` a gate holds, with k and i0 from ``proxy``."""
+    x = -proxy.k * (i - proxy.i0)
     if x > 700.0:  # exp would overflow; the sigmoid is ~0 here
         return 0.0
-    return state.A / (1.0 + math.exp(x))
+    return A / (1.0 + math.exp(x))
 
 
 HYBRID_ORDERINGS = ("cflat_first", "cflat_last")
@@ -312,10 +312,8 @@ class Stepper:
     """Per-run optimizer wrapper: owns any cross-step state."""
 
     def prepare(self, total_steps: int) -> None:
-        """Called once before a training run with the planned step count."""
-
-    def reset_task(self) -> None:
-        """Called at task boundaries by the continual harness."""
+        """The one hook that starts a training run: ``train_epochs`` calls it
+        with the planned step count before the run's first step."""
 
     def step(self, oracle, theta, batch, cfg, row=None):
         raise NotImplementedError
@@ -357,10 +355,11 @@ class DescentStepper(Stepper):
         g = oracle.grad(theta, batch)
         loss = oracle.loss(theta, batch)
         _require_finite(np.reshape(loss, (-1, 1)), "loss")
-        _require_finite(g.data, "gradient")
         row["loss"] = loss
         # Python's float power, which rounds differently from numpy's square
         row["sq_grad_norm"] = [norm ** 2 for norm in np.reshape(norm2(g), -1).tolist()]
+        # a non-finite gradient, or a finite one whose norm overflows (C-Flat++'s A feeds on it)
+        _require_finite(np.reshape(row["sq_grad_norm"], (-1, 1)), "squared gradient norm")
         row["grad_evals"] = 1
         d = g
         flat = [i for i, gate in enumerate(gates) if gate.use_cflat(row, i)]
@@ -401,25 +400,28 @@ class CflatStepper(DescentStepper):
 class CflatPPStepper(DescentStepper):
     """The C-Flat direction when the sharpness proxy gates it on, else the gradient.
 
-    E = proxy - ||g||^2 decides the branch (C-Flat when E <= 0); the bound
-    updates to A - eta0 * E either way, and i advances.
+    The gate holds the bound ``A`` and counter ``i``, from ``proxy.A`` and 1.
+    E = proxy_value - ||g||^2 decides the branch (C-Flat when E <= 0); A
+    updates to A - eta0 * E either way, and i advances. ``prepare`` restarts
+    both unless ``reset_per_task`` is off, which carries them across runs.
     """
 
     def __init__(self, proxy: ProxyState | None = None, reset_per_task: bool = True):
-        self.initial = proxy if proxy is not None else ProxyState()
-        self.state = self.initial
+        self.proxy = proxy if proxy is not None else ProxyState()
         self.reset_per_task = reset_per_task
+        self.A, self.i = self.proxy.A, 1
 
-    def reset_task(self):
+    def prepare(self, total_steps: int):
         if self.reset_per_task:
-            self.state = self.initial
+            self.A, self.i = self.proxy.A, 1
 
     def use_cflat(self, row, i):
-        state = self.state
-        proxy = row["proxy_value"][i] = proxy_value(state)
-        feedback = proxy - float(row["sq_grad_norm"][i])
-        self.state = ProxyState(A=state.A - state.eta0 * feedback, k=state.k, i0=state.i0,
-                                eta0=state.eta0, i=state.i + 1)
+        value = row["proxy_value"][i] = proxy_value(self.proxy, self.A, self.i)
+        feedback = value - float(row["sq_grad_norm"][i])
+        self.A -= self.proxy.eta0 * feedback
+        self.i += 1
+        if not math.isfinite(self.A):
+            raise DivergenceError("non-finite C-Flat++ bound encountered", row=i)
         return feedback <= 0
 
 
@@ -445,7 +447,7 @@ class HybridStepper(DescentStepper):
 class SeedGroup(DescentStepper):
     """Steps a stack of seeds' parameters in lockstep: row i is gated by
     ``members[i]``, the stepper of seed i, which keeps that seed's cross-step
-    state. ``prepare`` and ``reset_task`` reach every member."""
+    state. ``prepare`` reaches every member."""
 
     def __init__(self, members):
         self.members = tuple(members)
@@ -456,10 +458,6 @@ class SeedGroup(DescentStepper):
     def prepare(self, total_steps: int):
         for member in self.members:
             member.prepare(total_steps)
-
-    def reset_task(self):
-        for member in self.members:
-            member.reset_task()
 
 
 OPTIMIZER_NAMES = ("sgd", "sam", "cflat", "cflat++", "hybrid")

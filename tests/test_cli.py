@@ -272,6 +272,30 @@ def test_gpm_cflatpp_run_replays_its_gate_from_trace(tmp_path):
     assert all(r["grad_evals"] == "6" for r in fired)  # the C-Flat step plus g_c
 
 
+@pytest.mark.parametrize("reset, task1_proxy", [(True, 1.5608433470857979),
+                                                (False, 2.051017390284791)])
+def test_icarl_cflatpp_gate_carries_over_tasks_only_when_not_reset(tmp_path, reset,
+                                                                   task1_proxy):
+    demo = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+                      .read_text(encoding="utf-8"))
+    demo.update(method="icarl", optimizer="cflat++", seeds=[0], out_dir=str(tmp_path / "run"),
+                proxy={"reset_per_task": reset})
+    assert main(["run", "--config", write_config(tmp_path, demo)]) == 0
+    proxy_cfg = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]["proxy"]
+    lines = (tmp_path / "run" / "trace.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    first = next(row for row in rows if row["task"] == "1")
+    assert float(first["proxy_value"]) == task1_proxy
+    # the gate's bound and counter restart at each task, or run on through them
+    A, i, task = proxy_cfg["A"], 1, "0"
+    for row in rows:
+        if reset and row["task"] != task:
+            A, i, task = proxy_cfg["A"], 1, row["task"]
+        proxy = A / (1.0 + math.exp(-proxy_cfg["k"] * (i - proxy_cfg["i0"])))
+        assert float(row["proxy_value"]) == proxy
+        A, i = A - proxy_cfg["eta0"] * (proxy - float(row["sq_grad_norm"])), i + 1
+
+
 def test_sweep_lambda_zero_cell_matches_sam_run_byte_identically(tmp_path):
     sweep_out = tmp_path / "sweep"
     cfg = write_config(tmp_path, base_config(sweep_out), "sweep.json")
@@ -653,6 +677,29 @@ def test_unsplittable_synthetic_classes_fail_at_load(tmp_path, capsys, monkeypat
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "config" and error["field"] == "increment"
     assert "cannot divide" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["B0", "B50", "csv", "sweep"])
+def test_a_first_task_of_one_class_fails_at_load_naming_increment(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    doc = base_config(out, increment=1)  # B0: four tasks of one class
+    argv = ["run"]
+    if case == "B50":
+        doc["protocol"] = "B50"
+        doc["dataset"]["classes"] = 2  # a first half of one class
+    if case == "csv":
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{c},{i}.0,1.0\n" for c in range(3) for i in range(5)),
+                        encoding="utf-8")
+        doc["dataset"] = {"kind": "csv", "path": str(data)}
+    if case == "sweep":
+        doc["increment"] = 2
+        argv = ["sweep", "--axis", "increment=2,1"]  # the first cell would run
+    assert main(argv + ["--config", write_config(tmp_path, doc)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == "increment"
+    assert "a first task of 1 class(es)" in error["message"]
     assert not out.exists()
 
 

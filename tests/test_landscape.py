@@ -17,7 +17,8 @@ from cflat.landscape import (
     top2_eigenpairs,
 )
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, QuadraticOracle, make_quadratic
+from cflat.objective import (Batch, MlpOracle, MlpSpec, ObjectiveOracle, QuadraticOracle,
+                             make_quadratic)
 from cflat.optim import DivergenceError
 
 
@@ -286,8 +287,22 @@ def test_ball_samples_equal_the_one_shot_formula(n, d):
     assert streamed.normal(0.0, 1.0, 5).tobytes() == rng.normal(0.0, 1.0, 5).tobytes()
 
 
+class _HalfSquaredNorm(ObjectiveOracle):
+    """L(theta) = ||theta||^2 / 2 with gradient theta: the identity quadratic
+    without its dense d x d matrix."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def loss(self, theta, batch=None):
+        return 0.5 * float(theta.data @ theta.data)
+
+    def grad(self, theta, batch=None):
+        return theta
+
+
 def test_ball_sharpness_memory_does_not_grow_with_the_samples():
-    q = make_quadratic(np.eye(3000))
+    q = _HalfSquaredNorm(3000)
     theta = ParamVector(np.zeros(3000))
 
     def peak_bytes(n):

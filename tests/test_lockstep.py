@@ -180,8 +180,11 @@ def test_a_narrowed_objective_reads_only_its_own_kept_pass():
     olds = [oracle.with_head(2).init_theta(rng.spawn(2, s)) for s in range(S)]
     theta = stack(thetas)
     oracle.grad(theta, stacked)  # a cross-entropy pass on the same objects
-    sub, sub_theta, sub_batch = DistillObjective(oracle, stack(olds)).select_rows(
-        theta, stacked, np.array([1]))
+    objective = DistillObjective(oracle, stack(olds))
+    sub, sub_theta, sub_batch = objective.select_rows(theta, stacked, np.array([1]))
+    # the narrowed objective shares both oracles and narrows the old parameters
+    assert sub.old_oracle is objective.old_oracle and sub.base is oracle
+    assert sub.theta_old.data.tobytes() == stack(olds[1:2]).data.tobytes()
     v = ParamVector(rng.normal(size=(1, oracle.dim)), oracle.manifest)
     narrowed = sub.hvp(sub_theta, v, sub_batch)
     alone = DistillObjective(oracle, olds[1]).hvp(thetas[1], v.row(0), batches[1])

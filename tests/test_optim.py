@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cflat.numcore import ParamVector, SeededRng, norm2
+from cflat.numcore import ParamVector, SeededRng, norm2, stack
 from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, make_quadratic
 from cflat.optim import (
     CflatPPStepper,
@@ -13,6 +13,7 @@ from cflat.optim import (
     OptimConfig,
     ProxyState,
     SamStepper,
+    SeedGroup,
     SgdStepper,
     ascent_point,
     hybrid_step_plan,
@@ -95,6 +96,38 @@ def test_steps_reject_non_finite_theta():
             SgdStepper().step(q, ParamVector(bad), None, cfg)
         with pytest.raises(DivergenceError):
             CflatStepper().step(q, ParamVector(bad), None, cfg)
+
+
+class _Diagonal(ObjectiveOracle):
+    """L(theta) = 0.5 * sum_j h_j theta_j^2, row by row on a seed stack."""
+
+    def __init__(self, h):
+        self.h = np.asarray(h, dtype=np.float64)
+        self.dim = len(self.h)
+
+    def loss(self, theta, batch=None):
+        return 0.5 * (self.h * theta.data ** 2).sum(axis=-1)
+
+    def grad(self, theta, batch=None):
+        return theta._adopt(self.h * theta.data)
+
+
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_a_finite_gradient_whose_squared_norm_overflows_diverges(name):
+    # the gradient (1e160, 1) is finite, its squared norm is not
+    cfg = OptimConfig(eta=0.1)
+    with pytest.raises(DivergenceError, match="squared gradient norm") as err, \
+            np.errstate(over="ignore"):
+        make_stepper(name).step(make_quadratic(np.diag([1e160, 1.0])),
+                                ParamVector([1.0, 1.0]), None, cfg)
+    assert err.value.row == 0
+    # on a seed stack it names the row whose norm overflows
+    theta = stack([ParamVector([1e-200, 1.0]), ParamVector([1.0, 1.0])])
+    group = SeedGroup([make_stepper(name) for _ in range(2)])
+    with pytest.raises(DivergenceError, match="squared gradient norm") as err, \
+            np.errstate(over="ignore", under="ignore"):
+        group.step(_Diagonal([1e160, 1.0]), theta, None, cfg)
+    assert err.value.row == 1
 
 
 def test_sgd_divergence_reports():
@@ -314,36 +347,48 @@ def test_rho_schedule_rejects_out_of_range_eta():
 
 
 def test_proxy_value_midpoint_asymptote_flat():
-    state = ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80)
-    assert proxy_value(state) == pytest.approx(2.5)
-    far = ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80 + 10**6)
-    assert abs(proxy_value(far) - 5.0) <= 1e-9
-    flat = ProxyState(A=5.0, k=0.0, i0=80, eta0=5e-3, i=7)
-    assert proxy_value(flat) == pytest.approx(2.5)
+    proxy = ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3)
+    assert proxy_value(proxy, 5.0, 80) == pytest.approx(2.5)
+    assert abs(proxy_value(proxy, 5.0, 80 + 10**6) - 5.0) <= 1e-9
+    flat = ProxyState(A=5.0, k=0.0, i0=80, eta0=5e-3)
+    assert proxy_value(flat, 5.0, 7) == pytest.approx(2.5)
 
 
 def test_cflatpp_error_feedback_arithmetic():
     # s = 3.0 > proxy = 2.5 so the flatness branch runs and A grows
     q = make_quadratic(np.eye(2))
     theta = ParamVector([math.sqrt(3.0), 0.0])
-    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80))
+    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3))
+    stepper.i = 80
     _, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
-    new_state = stepper.state
     assert stats["proxy_value"] == pytest.approx(2.5)
     assert stats["used_cflat"]
-    assert new_state.A == pytest.approx(5.0 + 5e-3 * 0.5, rel=1e-12)
-    assert new_state.i == 81
+    assert stepper.A == pytest.approx(5.0 + 5e-3 * 0.5, rel=1e-12)
+    assert stepper.i == 81
 
 
 def test_cflatpp_sgd_branch_shrinks_bound():
     q = make_quadratic(np.eye(2))
     theta = ParamVector([0.1, 0.0])  # s = 0.01 < proxy
-    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3, i=80))
+    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3))
+    stepper.i = 80
     _, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
-    new_state = stepper.state
     assert not stats["used_cflat"]
     assert stats["hvp_evals"] == 0 and stats["grad_evals"] == 1
-    assert new_state.A < 5.0
+    assert stepper.A < 5.0
+
+
+def test_cflatpp_bound_that_overflows_diverges():
+    # finite norms, but a feedback rate so large that the bound overflows on
+    # the second step: A = 5 - 1e300 * E
+    q = make_quadratic(np.eye(2))
+    theta = ParamVector([1.0, 1.0])
+    stepper = CflatPPStepper(ProxyState(eta0=1e300))
+    theta, _ = stepper.step(q, theta, None, OptimConfig(eta=0.01))
+    assert math.isfinite(stepper.A) and stepper.i == 2
+    with pytest.raises(DivergenceError, match="C-Flat\\+\\+ bound") as err:
+        stepper.step(q, theta, None, OptimConfig(eta=0.01))
+    assert err.value.row == 0
 
 
 def test_cflatpp_stationary_point_never_fires():
@@ -544,7 +589,33 @@ def test_train_epochs_fills_each_step_record_in_place():
     assert trace.shape == (9, 1)  # a 1-D theta is a stack of one
     assert trace["epoch"][:, 0].tolist() == [0] * 3 + [1] * 3 + [2] * 3
     assert np.isfinite(trace["proxy_value"]).all()  # no empty cell
-    assert stepper.state.i == len(trace) + 1
+    assert stepper.i == len(trace) + 1
+
+
+@pytest.mark.parametrize("reset", [True, False])
+def test_cflatpp_bound_and_counter_restart_at_each_run_unless_carried_over(reset):
+    rng = SeededRng(8)
+    oracle = MlpOracle(MlpSpec(3, (4,), 2))
+    x = rng.normal(size=(12, 3))
+    y = rng.integers(0, 2, 12)
+    proxy = ProxyState(A=1.0, i0=2)
+    stepper = CflatPPStepper(proxy, reset_per_task=reset)
+    theta = oracle.init_theta(rng.spawn(0))
+    runs = []
+    for run in range(2):
+        theta, trace = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.1), stepper,
+                                    epochs=2, batch_size=4, rng=rng.spawn(1, run))
+        runs.append((trace, stepper.A, stepper.i))
+    (first, A, i), (second, _, i_end) = runs
+    assert i == len(first) + 1
+    assert first[0, 0]["proxy_value"] == proxy_value(proxy, 1.0, 1)
+    if reset:
+        assert second[0, 0]["proxy_value"] == proxy_value(proxy, 1.0, 1)
+        assert i_end == len(second) + 1
+    else:
+        assert A != 1.0
+        assert second[0, 0]["proxy_value"] == proxy_value(proxy, A, i)
+        assert i_end == len(first) + len(second) + 1
 
 
 def test_optimizer_vectors_are_read_only():
