@@ -47,11 +47,16 @@ from .metrics import (
     relative_return,
 )
 from .numcore import ParamVector, SeededRng
-from .objective import ACTIVATION_NAMES, Batch, MlpOracle, MlpSpec, make_quadratic
+from .objective import ACTIVATION_NAMES, Batch, MlpOracle, MlpSpec, QuadraticOracle
 from .optim import (DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, OPTIMIZER_NAMES,
                     STEP_FIELDS)
 
 SCHEMA_VERSION = 1
+
+# numpy's floating-point warnings, which a command turns off: every
+# non-finite value a run or a landscape meets is checked and reported as one
+# JSON error, and a warning printed on the way would come before it on stderr.
+_QUIET_FLOATS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 # Config keys that set a dataclass field: JSON path -> (dataclass, field).
 # Their defaults come from the dataclass, and _inputs builds the dataclasses
@@ -386,14 +391,21 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
     worker processes when that is more than one, otherwise in this process.
 
     Workers are spawned, not forked, so none inherits the parent's BLAS
-    threads; ``fn`` and ``items`` must pickle.
+    threads, nor ``main``'s numpy error state, which each call sets again;
+    ``fn`` and ``items`` must pickle.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(functools.partial(_quietly, fn), items))
+
+
+def _quietly(fn, item):
+    """``fn(item)`` under ``main``'s numpy error state, in a worker process."""
+    with np.errstate(**_QUIET_FLOATS):
+        return fn(item)
 
 
 def _seed_groups(seeds: list[int], jobs: int) -> list[list[int]]:
@@ -601,7 +613,7 @@ def _load_checkpoint(path: str):
         theta = _checkpoint_array(doc, "theta", (n,))
         c = _checkpoint_array(doc, "c", (n,)) if "c" in doc else None
         try:
-            oracle = make_quadratic(H, c)
+            oracle = QuadraticOracle(H, c)
         except ValueError as err:  # the shapes are checked, so H is not symmetric
             raise ConfigError(f"checkpoint {err}", "H") from None
         return oracle, ParamVector(theta), None
@@ -783,7 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(**_QUIET_FLOATS):
+            return args.func(args)
     except ConfigError as err:
         payload = {"error": {"kind": "config", "message": str(err)}}
         if err.field:

@@ -401,7 +401,7 @@ class DistillObjective(ObjectiveOracle):
         return _scalar(ce + kl)
 
     def grad(self, theta, batch=None) -> ParamVector:
-        def output_error(z):  # the old model is a separate oracle, so it may run here
+        def output_error(z):
             G, lse = _ce_output_error(z, batch.y)
             q = _softmax(z[..., : self.n_old] / self.temperature)
             G[..., : self.n_old] += (q - self._old_probs(batch)) / (self.temperature * batch.n)

@@ -23,14 +23,9 @@ runs the same lines on today's arrays. ``select_rows`` narrows an objective,
 its parameters and its batch to some rows of the stack, carrying the kept pass
 (below) along, so a step can work on the seeds that need more work alone.
 
-Workspace contract of the MLP oracle: it keeps one set of hidden-layer buffers
-per leading batch shape, (n,) or (S, n) (for the last few shapes it has
-seen), for its forward and backward passes, and another for its R passes, and
-writes into them instead of allocating. Every array it returns (logits,
-representations, gradients, products) is fresh, so no caller sees a buffer
-that a later call overwrites. The price is that an ``output_error`` or
-``curvature`` callback must not call back into the same oracle: the buffers of
-the pass it sits in would be overwritten.
+Every pass of the MLP oracle allocates its own arrays, and every array it
+returns (logits, representations, gradients, products) is fresh, so no call
+overwrites what an earlier one returned or kept.
 
 Kept pass of the MLP oracle: every gradient's ``output_error`` callback
 returns the pair ``(G, lse)``, the logit error and the row log-sum-exp of the
@@ -45,11 +40,10 @@ as in every optimizer step's prologue, costs no second pass and no exp, and
 is bit-identical to a fresh one. Three entries share the pass:
 ``grad_from_output_error`` keeps it, and ``hvp_from_curvature`` (``hvp``) and
 ``trace_from_curvature`` (``hessian_trace``) of the same objective on the
-same two objects read the rest and run no primal pass. Any forward pass at
-the entry's leading batch shape drops it, since it overwrites the buffers the
-entry reads. The entry matches objects by identity: a ``ParamVector`` is
-read-only, and a ``Batch``'s arrays must not be mutated
-after construction (the distillation objective's cached old-model
+same two objects read the rest and run no primal pass. The entry owns its
+arrays, so only the next gradient replaces it. It matches objects by
+identity: a ``ParamVector`` is read-only, and a ``Batch``'s arrays must not be
+mutated after construction (the distillation objective's cached old-model
 probabilities assume the same).
 
 Parameter layout of the MLP oracle: it reads each layer's weight and bias as
@@ -74,7 +68,6 @@ __all__ = [
     "ACTIVATION_NAMES",
     "MlpSpec",
     "MlpOracle",
-    "make_quadratic",
     "mlp_manifest",
 ]
 
@@ -207,10 +200,6 @@ class QuadraticOracle(ObjectiveOracle):
         return float(np.trace(self.H))
 
 
-def make_quadratic(H, c=None) -> QuadraticOracle:
-    return QuadraticOracle(H, c)
-
-
 def _exp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(z - row max), its row sums (..., n, 1) and the row log-sum-exp (..., n)."""
     m = z.max(axis=-1, keepdims=True)
@@ -282,9 +271,6 @@ def mlp_manifest(widths: tuple[int, ...]) -> tuple[Segment, ...]:
     return tuple(segs)
 
 
-# Row counts whose buffers an oracle keeps; the oldest set is dropped first.
-_WORKSPACE_ROW_COUNTS = 8
-
 # Rows whose curvature blocks the exact trace carries at once: its
 # temporaries are (rows, width, width) per layer.
 _TRACE_BLOCK_ROWS = 64
@@ -324,20 +310,22 @@ class MlpSpec:
 class _KeptPass:
     """The last gradient pass of an ``MlpOracle`` (see the module docstring).
 
-    ``buffers`` is the workspace the hidden entries of ``acts`` live in (for
-    a pass narrowed by ``select_rows``, copies of its rows), which also holds
-    each hidden layer's back-propagated error and activation derivative; ``top_error`` and ``lse`` are the pair ``output_error``
-    returned. ``owner`` is a weak reference to the objective, or None when
-    the gradient named none: a strong one would make a cycle through the
-    oracle, which keeps a discarded oracle's workspaces alive until the
-    cyclic garbage collector runs.
+    ``errors`` and ``derivs`` hold each hidden layer's back-propagated error
+    and activation derivative, as ``_backprop`` returned them (for a pass
+    narrowed by ``select_rows``, copies of their rows); ``top_error`` and
+    ``lse`` are the pair ``output_error`` returned. ``owner`` is a weak
+    reference to the objective, or None when the gradient named none: a
+    strong one would make a cycle through the oracle, which keeps a
+    discarded oracle and its kept arrays alive until the cyclic garbage
+    collector runs.
     """
 
     theta: ParamVector
     batch: Batch
     acts: list
     logits: np.ndarray
-    buffers: list
+    errors: list
+    derivs: list
     lse: np.ndarray
     top_error: np.ndarray
     owner: weakref.ref | None
@@ -367,14 +355,9 @@ class MlpOracle(ObjectiveOracle):
     fresh flat array. A theta whose manifest differs from the oracle's is
     rejected with a ``ValueError`` naming both layouts.
 
-    Each hidden layer's pre-activation, activation, back-propagated error and
-    activation derivative live in a workspace kept per leading batch shape,
-    and the R passes' four per-layer arrays in a second one, so a pass at a
-    shape seen before allocates only the logit-sized arrays and the flat
-    result. Every pass is written once for a vector or a seed stack: blocks
-    are read with ``...`` and reduced over ``axis=-2``. Outputs are always
-    fresh arrays; a callback must not call back into the same oracle (see the
-    module docstring).
+    Every pass allocates its own arrays, and the kept pass owns the ones it
+    keeps. Every pass is written once for a vector or a seed stack: blocks
+    are read with ``...`` and reduced over ``axis=-2``.
     """
 
     def __init__(self, spec: MlpSpec):
@@ -389,8 +372,6 @@ class MlpOracle(ObjectiveOracle):
             for w, b in zip(self.manifest[0::2], self.manifest[1::2])
         )
         self._known_manifest = self.manifest  # last manifest object found equal
-        self._workspaces: dict = {}
-        self._r_workspaces: dict = {}
         self._last_pass: _KeptPass | None = None
 
     def with_head(self, n_classes: int) -> "MlpOracle":
@@ -418,82 +399,53 @@ class MlpOracle(ObjectiveOracle):
             )
         self._known_manifest = manifest
 
-    def _act(self, z: np.ndarray, out: np.ndarray) -> None:
-        if self.spec.activation == "tanh":
-            np.tanh(z, out=out)
-        else:
-            np.maximum(z, 0.0, out=out)
+    def _act(self, z: np.ndarray) -> np.ndarray:
+        return np.tanh(z) if self.spec.activation == "tanh" else np.maximum(z, 0.0)
 
-    def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _act_deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         if self.spec.activation == "tanh":
-            np.multiply(a, a, out=out)
-            return np.subtract(1.0, out, out=out)
+            d = a * a
+            return np.subtract(1.0, d, out=d)
         # subgradient 0 at exactly 0
-        return np.greater(z, 0.0, out=out)
-
-    def _workspace(self, lead: tuple, cache: dict | None = None) -> list[tuple[np.ndarray, ...]]:
-        """Per hidden layer four ``lead`` + (width,) buffers from ``cache``
-        (default the primal workspace: pre-activation, activation,
-        back-propagated error, derivative); ``lead`` is the batch's leading
-        shape, (n,) or (S, n)."""
-        cache = self._workspaces if cache is None else cache
-        buffers = cache.get(lead)
-        if buffers is None:
-            if len(cache) >= _WORKSPACE_ROW_COUNTS:
-                del cache[next(iter(cache))]
-            buffers = cache[lead] = [tuple(np.empty(lead + (w,)) for _ in range(4))
-                                     for w in self.spec.hidden]
-        return buffers
+        return np.greater(z, 0.0, out=np.empty(z.shape))
 
     def _forward(self, theta: ParamVector, x: np.ndarray):
-        """(acts, pre): each block's input and its affine output; pre[-1] is the logits.
-
-        Checks theta's layout and drops a kept pass at this leading shape,
-        whose buffers it overwrites. Hidden-layer entries are workspace
-        buffers; the logits are fresh.
-        """
+        """(acts, pre): each block's input and its affine output; pre[-1] is
+        the logits. Checks theta's layout."""
         self._check_theta(theta)
-        lead = x.shape[:-1]
-        kept = self._last_pass
-        if kept is not None and kept.batch.x.shape[:-1] == lead:
-            self._last_pass = None
-        buffers = self._workspace(lead)
         data = theta.data
         last = self.n_layers - 1
         acts = [x]
         pre = []
-        a = x
         for layer, (w0, w1, w_shape, b0, b1) in enumerate(self._layers):
-            W = _block(data, w0, w1, w_shape).swapaxes(-1, -2)
-            z = np.matmul(a, W, out=buffers[layer][0]) if layer < last else a @ W
+            z = acts[layer] @ _block(data, w0, w1, w_shape).swapaxes(-1, -2)
             z += data[..., None, b0:b1]
             pre.append(z)
             if layer < last:
-                a = buffers[layer][1]
-                self._act(z, out=a)
-                acts.append(a)
+                acts.append(self._act(z))
         return acts, pre
 
-    def _backprop(self, theta: ParamVector, acts, pre, dlogits) -> np.ndarray:
-        """Flat gradient for the logit error ``dlogits``, L2 term included, as
-        one fresh array written block by block. Each hidden layer's error and
-        activation derivative stay in its workspace buffers."""
-        buffers = self._workspace(acts[0].shape[:-1])
+    def _backprop(self, theta: ParamVector, acts, pre, dlogits) -> tuple:
+        """(flat, errors, derivs): the flat gradient for the logit error
+        ``dlogits``, L2 term included, as one fresh array written block by
+        block, and each hidden layer's back-propagated error and activation
+        derivative."""
         data = theta.data
         flat = np.empty(data.shape)
+        errors, derivs = [None] * (self.n_layers - 1), [None] * (self.n_layers - 1)
         G = dlogits
         for layer in range(self.n_layers - 1, -1, -1):
             w0, w1, w_shape, b0, b1 = self._layers[layer]
             np.matmul(G.swapaxes(-1, -2), acts[layer], out=_block(flat, w0, w1, w_shape))
             np.add.reduce(G, axis=-2, out=flat[..., b0:b1])
             if layer > 0:
-                _, _, GW, deriv = buffers[layer - 1]
-                np.matmul(G, _block(data, w0, w1, w_shape), out=GW)
-                GW *= self._act_deriv(pre[layer - 1], acts[layer], out=deriv)
-                G = GW
+                G = G @ _block(data, w0, w1, w_shape)
+                derivs[layer - 1] = self._act_deriv(pre[layer - 1], acts[layer])
+                G *= derivs[layer - 1]
+                errors[layer - 1] = G
         if self.l2 > 0:
             flat += self.l2 * data
-        return flat
+        return flat, errors, derivs
 
     def logits(self, theta: ParamVector, x: np.ndarray) -> np.ndarray:
         _, pre = self._forward(theta, x)
@@ -504,18 +456,18 @@ class MlpOracle(ObjectiveOracle):
         """Gradient, L2 term included, of a loss on ``batch``; one forward pass.
 
         ``output_error(logits)`` returns ``(G, lse)``, the loss's logit
-        gradient and the logits' row log-sum-exp, and must not call this
-        oracle. After the backward pass the pass is kept whole for
-        ``_loss_and_logits`` and, tagged with the objective ``owner`` whose
-        gradient this is, for ``hvp_from_curvature``."""
+        gradient and the logits' row log-sum-exp. After the backward pass the
+        pass is kept whole for ``_loss_and_logits`` and, tagged with the
+        objective ``owner`` whose gradient this is, for
+        ``hvp_from_curvature``."""
         self._check_labels(batch)
         acts, pre = self._forward(theta, batch.x)
         z = pre[-1]
         z.setflags(write=False)
         G, lse = output_error(z)
-        flat = self._backprop(theta, acts, pre, G)
-        self._last_pass = _KeptPass(theta, batch, acts, z, self._workspace(batch.x.shape[:-1]),
-                                    lse, G, None if owner is None else weakref.ref(owner))
+        flat, errors, derivs = self._backprop(theta, acts, pre, G)
+        self._last_pass = _KeptPass(theta, batch, acts, z, errors, derivs, lse, G,
+                                    None if owner is None else weakref.ref(owner))
         return theta._adopt(flat)
 
     def hvp_from_curvature(self, theta: ParamVector, v: ParamVector, batch: Batch,
@@ -528,7 +480,6 @@ class MlpOracle(ObjectiveOracle):
         derivative u. The R passes read
         the kept pass when it is ``owner``'s gradient on these ``theta`` and
         ``batch`` objects; otherwise ``owner.grad`` runs first to keep one.
-        ``curvature`` must not call this oracle.
         """
         self._check_theta(theta)
         if v.data.shape != theta.data.shape:
@@ -536,21 +487,19 @@ class MlpOracle(ObjectiveOracle):
                 f"dimension mismatch: direction has shape {v.data.shape}, "
                 f"theta has {theta.data.shape}")
         kept = self._kept_pass_of(theta, batch, owner)
-        acts, buffers = kept.acts, kept.buffers
-        r_buffers = self._workspace(batch.x.shape[:-1], self._r_workspaces)
+        acts = kept.acts
         data, vdata = theta.data, v.data
         last = self.n_layers - 1
         # R-forward: Rz of every block's output, Ra of every hidden activation
+        Rzs, Ras = [], []
         for layer, (w0, w1, w_shape, b0, b1) in enumerate(self._layers):
-            V = _block(vdata, w0, w1, w_shape).swapaxes(-1, -2)
-            Rz = np.matmul(acts[layer], V, out=r_buffers[layer][0]) if layer < last \
-                else acts[layer] @ V
+            Rz = acts[layer] @ _block(vdata, w0, w1, w_shape).swapaxes(-1, -2)
             if layer > 0:
-                W = _block(data, w0, w1, w_shape).swapaxes(-1, -2)
-                Rz += np.matmul(Ra, W, out=r_buffers[layer][3]) if layer < last else Ra @ W
+                Rz += Ras[-1] @ _block(data, w0, w1, w_shape).swapaxes(-1, -2)
             Rz += vdata[..., None, b0:b1]
             if layer < last:
-                Ra = np.multiply(buffers[layer][3], Rz, out=r_buffers[layer][1])
+                Rzs.append(Rz)
+                Ras.append(kept.derivs[layer] * Rz)
         # R-backward from the logit curvature, reading the kept errors G
         flat = np.empty(data.shape)
         RG = curvature(kept.logits, kept.lse, Rz)
@@ -561,15 +510,14 @@ class MlpOracle(ObjectiveOracle):
             np.matmul(RG.swapaxes(-1, -2), acts[layer], out=block)
             np.add.reduce(RG, axis=-2, out=flat[..., b0:b1])
             if layer > 0:
-                Rz_in, Ra_in, RG_in, tmp = r_buffers[layer - 1]
-                block += G.swapaxes(-1, -2) @ Ra_in
-                np.matmul(RG, _block(data, w0, w1, w_shape), out=RG_in)
-                RG_in += np.matmul(G, _block(vdata, w0, w1, w_shape), out=tmp)
-                G_in, deriv = buffers[layer - 1][2:]
-                RG_in *= deriv
+                block += G.swapaxes(-1, -2) @ Ras[layer - 1]
+                RG_in = RG @ _block(data, w0, w1, w_shape)
+                RG_in += G @ _block(vdata, w0, w1, w_shape)
+                G_in = kept.errors[layer - 1]
+                RG_in *= kept.derivs[layer - 1]
                 if self.spec.activation == "tanh":  # tanh'' = -2 tanh tanh'; relu'' = 0
-                    np.multiply(acts[layer], G_in, out=tmp)
-                    tmp *= Rz_in
+                    tmp = acts[layer] * G_in
+                    tmp *= Rzs[layer - 1]
                     tmp *= 2.0
                     RG_in -= tmp
                 RG, G = RG_in, G_in
@@ -618,12 +566,11 @@ class MlpOracle(ObjectiveOracle):
                 w0, w1, (d_out, d_in), _, _ = self._layers[layer]
                 W = _block(data, w0, w1, (d_out, d_in))
                 BW = (B.reshape(-1, d_out) @ W).reshape(m, d_out, d_in)
-                G_in, deriv = kept.buffers[layer - 1][2:]
-                d = deriv[rows]
+                G_in, d = kept.errors[layer - 1][rows], kept.derivs[layer - 1][rows]
                 # the diagonal of the blocks one layer down
                 diagonal = np.einsum("rci,ci->ri", BW, W) * (d * d)
                 if self.spec.activation == "tanh":
-                    diagonal -= 2.0 * a * G_in[rows]
+                    diagonal -= 2.0 * a * G_in
                 if layer > 1:  # whole blocks only while a layer below reads them
                     B = np.matmul(W.T, BW)
                     B *= d[:, :, None]
@@ -687,20 +634,21 @@ class MlpOracle(ObjectiveOracle):
         kept = self._last_pass
         if kept is not None and kept.theta is theta and kept.batch is batch \
                 and kept.owner is not None and kept.owner() is source:
-            buffers = [tuple(b[rows] for b in layer) for layer in kept.buffers]
             logits = kept.logits[rows]
             logits.setflags(write=False)
             self._last_pass = _KeptPass(
-                sub_theta, sub_batch, [sub_batch.x] + [layer[1] for layer in buffers],
-                logits, buffers, kept.lse[rows], kept.top_error[rows], weakref.ref(owner))
+                sub_theta, sub_batch, [sub_batch.x] + [a[rows] for a in kept.acts[1:]], logits,
+                [e[rows] for e in kept.errors], [d[rows] for d in kept.derivs],
+                kept.lse[rows], kept.top_error[rows], weakref.ref(owner))
         return sub_theta, sub_batch
 
     def representations(self, theta: ParamVector, x: np.ndarray, layer: int) -> np.ndarray:
-        """Input activations feeding weight block W{layer} (layer 0 sees x), as a copy."""
+        """Input activations feeding weight block W{layer} (for layer 0, a copy
+        of x), as a fresh array."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range")
         acts, _ = self._forward(theta, x)
-        return np.array(acts[layer], dtype=np.float64)
+        return acts[layer] if layer else np.array(x, dtype=np.float64)
 
     def _check_labels(self, batch: Batch) -> None:
         if batch is None:

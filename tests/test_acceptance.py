@@ -29,7 +29,7 @@ from cflat.landscape import (
 )
 from cflat.metrics import average_accuracy, bwt, cflat_proportion
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import Batch, MlpOracle, MlpSpec, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, QuadraticOracle
 from cflat.optim import CflatStepper, OptimConfig, SamStepper, SgdStepper
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -102,7 +102,7 @@ def test_criterion_1_gradient_correctness():
 
     mlp = MlpOracle(MlpSpec(3, (4,), 3, activation="tanh", l2=0.01))
     logreg = MlpOracle(MlpSpec(4, (), 3, l2=0.01))
-    quad = make_quadratic(np.diag([1.0, 2.0, 3.0]), c=np.array([0.1, -0.2, 0.3]))
+    quad = QuadraticOracle(np.diag([1.0, 2.0, 3.0]), c=np.array([0.1, -0.2, 0.3]))
 
     for trial in range(20):
         theta = ParamVector(rng.normal(size=mlp.dim), mlp.manifest)
@@ -170,7 +170,7 @@ def test_criterion_2_hvp_correctness():
     rng = SeededRng(102)
 
     quad_H = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, -0.3], [0.0, -0.3, 3.0]])
-    quad = make_quadratic(quad_H)
+    quad = QuadraticOracle(quad_H)
     logreg = MlpOracle(MlpSpec(3, (), 3, l2=0.02))
     worst_exact = 0.0
     for trial in range(10):
@@ -210,7 +210,7 @@ def test_criterion_2_hvp_correctness():
 def test_criterion_3_reduction_lattice():
     rng = SeededRng(103)
     mlp = MlpOracle(MlpSpec(3, (4,), 3))
-    quad = make_quadratic(np.diag(np.linspace(0.5, 2.0, mlp.dim)))
+    quad = QuadraticOracle(np.diag(np.linspace(0.5, 2.0, mlp.dim)))
     identical = 0
     total = 0
     for trial in range(100):
@@ -247,7 +247,7 @@ def test_criterion_4_sharpness_ordering():
     for trial in range(100):
         d = int(rng.integers(2, 6))
         A = rng.normal(size=(d, d))
-        oracle = make_quadratic(A + A.T)
+        oracle = QuadraticOracle(A + A.T)
         theta = ParamVector(rng.normal(size=d))
         rho = [0.05, 0.1, 0.2][trial % 3]
         probes = SeededRng(104, 1000 + trial)
@@ -271,7 +271,7 @@ def test_criterion_5_eigenvalue_relation():
     for d in (2, 3, 4, 5):
         A = rng.normal(size=(d, d))
         H = A @ A.T + 0.5 * np.eye(d)
-        oracle = make_quadratic(H)
+        oracle = QuadraticOracle(H)
         lam_max = float(np.linalg.eigvalsh(H)[-1])
         rho = 0.1
         r1 = r1_bruteforce(oracle, ParamVector(np.zeros(d)), None, rho, 10_000,
@@ -295,7 +295,7 @@ def test_criterion_6_eigen_trace_oracles():
         d = 6
         A = rng.normal(size=(d, d))
         H_sym = A + A.T
-        oracle = make_quadratic(H_sym)
+        oracle = QuadraticOracle(H_sym)
         vals = np.linalg.eigvalsh(H_sym)
         dominant = vals[np.argmax(np.abs(vals))]
         got = power_iter_lambda_max(oracle, ParamVector(np.zeros(d)), None,
@@ -304,7 +304,7 @@ def test_criterion_6_eigen_trace_oracles():
 
         # PSD matrices so the trace dominates the off-diagonal probe variance
         H_psd = A @ A.T
-        est = hutchinson_trace(make_quadratic(H_psd), ParamVector(np.zeros(d)), None,
+        est = hutchinson_trace(QuadraticOracle(H_psd), ParamVector(np.zeros(d)), None,
                                probes=10_000, rng=SeededRng(106, 100 + trial))
         worst_trace = max(worst_trace, abs(est - np.trace(H_psd)) / abs(np.trace(H_psd)))
     ok = worst_eig <= 1e-4 and worst_trace <= 0.02

@@ -178,9 +178,7 @@ def test_divergent_run_exits_with_error_json(tmp_path, capsys):
     doc["optim"] = {"eta": 1e200}
     doc["model"] = {"hidden": [8], "activation": "relu"}
     cfg = write_config(tmp_path, doc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["run", "--config", cfg])
-    assert rc == 3
+    assert main(["run", "--config", cfg]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "divergence"
     assert err["error"]["task"] == 0
@@ -189,6 +187,31 @@ def test_divergent_run_exits_with_error_json(tmp_path, capsys):
     assert math.isfinite(err["error"]["grad_norm"]) and err["error"]["grad_norm"] > 0
     assert err["error"]["message"].startswith(f"divergence in task 0 at step {err['error']['step']}")
     assert "step" in err["error"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_diverging_run_writes_one_json_line_to_stderr(tmp_path, jobs):
+    # the forward pass overflows on the way to the non-finite gradient norm
+    # that ends the run; no numpy warning may come before the payload, in
+    # this process or in a worker
+    import subprocess
+    import sys
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+                     .read_text(encoding="utf-8"))
+    doc["dataset"]["feature_scale"] = 1e155
+    doc["model"] = {"hidden": [32], "activation": "relu"}
+    doc["seeds"] = [0, 1]
+    cfg = write_config(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cflat.cli", "run", "--config", cfg, "--jobs", jobs,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"]["kind"] == "divergence"
 
 
 def test_seeds_flag_overrides_config(tmp_path):
@@ -464,11 +487,9 @@ def test_landscape_fails_on_a_non_finite_ball_value(tmp_path, capsys, mlp_checkp
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(mlp_checkpoint), encoding="utf-8")
     out = tmp_path / "land"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--rho", "1e308",
-                   "--samples", "4", "--probes", "3", "--iters", "5", "--grid", "3"])
-    assert rc == 3
-    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--rho", "1e308",
+                 "--samples", "4", "--probes", "3", "--iters", "5", "--grid", "3"]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "divergence"
     assert "at ball sample 0" in error["message"]
     assert not (out / "flatness.json").exists()

@@ -17,8 +17,7 @@ from cflat.landscape import (
     top2_eigenpairs,
 )
 from cflat.numcore import ParamVector, SeededRng, norm2
-from cflat.objective import (Batch, MlpOracle, MlpSpec, ObjectiveOracle, QuadraticOracle,
-                             make_quadratic)
+from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, QuadraticOracle
 from cflat.optim import DivergenceError
 
 
@@ -28,19 +27,19 @@ from cflat.optim import DivergenceError
 
 
 def test_power_iteration_diagonal():
-    q = make_quadratic(np.diag([1.0, 2.0, 3.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0, 3.0]))
     lam = power_iter_lambda_max(q, ParamVector(np.zeros(3)), None, rng=SeededRng(0))
     assert lam == pytest.approx(3.0, abs=1e-6)
 
 
 def test_power_iteration_negative_definite_signed():
-    q = make_quadratic(-np.eye(3))
+    q = QuadraticOracle(-np.eye(3))
     lam = power_iter_lambda_max(q, ParamVector(np.zeros(3)), None, rng=SeededRng(1))
     assert lam == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_power_iteration_zero_hessian():
-    q = make_quadratic(np.zeros((2, 2)))
+    q = QuadraticOracle(np.zeros((2, 2)))
     lam = power_iter_lambda_max(q, ParamVector(np.zeros(2)), None, rng=SeededRng(2))
     assert lam == 0.0
 
@@ -50,7 +49,7 @@ def test_power_iteration_matches_dense_eigensolver():
     for trial in range(10):
         A = rng.normal(size=(5, 5))
         H = (A + A.T) / 2
-        q = make_quadratic(H)
+        q = QuadraticOracle(H)
         expected_vals = np.linalg.eigvalsh(H)
         expected = expected_vals[np.argmax(np.abs(expected_vals))]
         got = power_iter_lambda_max(
@@ -73,7 +72,7 @@ def assert_orthonormal(vectors):
 
 def test_top2_eigenpairs_diagonal():
     H = np.diag([5.0, 3.0, 1.0, 0.5])
-    eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(4)), None,
+    eig = top2_eigenpairs(QuadraticOracle(H), ParamVector(np.zeros(4)), None,
                           rng=SeededRng(4))
     assert eig.values == pytest.approx((5.0, 3.0), abs=1e-12)
     assert abs(eig.vectors[0].data[0]) == pytest.approx(1.0, abs=1e-12)
@@ -88,7 +87,7 @@ def test_lanczos_top2_exact_on_random_quadratics(d):
         A = rng.normal(size=(d, d))
         H = (A + A.T) / 2
         vals, vecs = dense_top(H, 2)
-        eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(d)), None,
+        eig = top2_eigenpairs(QuadraticOracle(H), ParamVector(np.zeros(d)), None,
                               rng=SeededRng(31, trial))
         np.testing.assert_allclose(eig.values, vals, rtol=1e-12, atol=0)
         assert eig.residual <= eig.tol
@@ -100,14 +99,14 @@ def test_lanczos_top2_exact_on_random_quadratics(d):
 
 def test_lanczos_signed_negative_dominant_eigenvalue():
     H = np.diag([-5.0, 3.0, 1.0, -0.5, 2.0])
-    eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(5)), None,
+    eig = top2_eigenpairs(QuadraticOracle(H), ParamVector(np.zeros(5)), None,
                           rng=SeededRng(32))
     assert eig.values == pytest.approx((-5.0, 3.0), rel=1e-12)
     assert abs(eig.vectors[0].data[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lanczos_zero_hessian_breaks_down_to_exact_zero_pairs():
-    eig = top2_eigenpairs(make_quadratic(np.zeros((3, 3))), ParamVector(np.zeros(3)), None,
+    eig = top2_eigenpairs(QuadraticOracle(np.zeros((3, 3))), ParamVector(np.zeros(3)), None,
                           rng=SeededRng(33))
     # each product is zero, so each step restarts from a fresh orthogonal draw
     assert eig.values == (0.0, 0.0)
@@ -116,7 +115,7 @@ def test_lanczos_zero_hessian_breaks_down_to_exact_zero_pairs():
 
 
 def test_lanczos_one_dimension_gives_its_one_pair():
-    eig = top2_eigenpairs(make_quadratic(np.array([[-2.5]])), ParamVector(np.zeros(1)), None,
+    eig = top2_eigenpairs(QuadraticOracle(np.array([[-2.5]])), ParamVector(np.zeros(1)), None,
                           rng=SeededRng(34))
     assert eig.values == pytest.approx((-2.5,), rel=1e-15)
     assert len(eig.vectors) == 1 and abs(eig.vectors[0].data[0]) == 1.0
@@ -125,20 +124,20 @@ def test_lanczos_one_dimension_gives_its_one_pair():
 
 def test_lanczos_two_dimensions_breakdown():
     # a multiple of the identity: the start vector spans an invariant subspace
-    eig = top2_eigenpairs(make_quadratic(2.0 * np.eye(2)), ParamVector(np.zeros(2)), None,
+    eig = top2_eigenpairs(QuadraticOracle(2.0 * np.eye(2)), ParamVector(np.zeros(2)), None,
                           rng=SeededRng(35))
     assert eig.values == pytest.approx((2.0, 2.0), rel=1e-15)
     assert eig.products == 2 and eig.residual <= 1e-15
     assert_orthonormal(eig.vectors)
     H = np.array([[1.0, 2.0], [2.0, -3.0]])
     vals, _ = dense_top(H, 2)
-    eig = top2_eigenpairs(make_quadratic(H), ParamVector(np.zeros(2)), None, rng=SeededRng(36))
+    eig = top2_eigenpairs(QuadraticOracle(H), ParamVector(np.zeros(2)), None, rng=SeededRng(36))
     np.testing.assert_allclose(eig.values, vals, rtol=1e-14)
     assert eig.products == 2 and eig.residual <= eig.tol
 
 
 def test_lanczos_rejects_bad_counts():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     with pytest.raises(ValueError, match="iters"):
         lanczos_eigenpairs(q, ParamVector(np.zeros(2)), None, iters=0)
     with pytest.raises(ValueError, match="k"):
@@ -146,7 +145,7 @@ def test_lanczos_rejects_bad_counts():
 
 
 def test_hutchinson_trace_statistical():
-    q = make_quadratic(np.diag([1.0, 2.0, 3.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0, 3.0]))
     est = hutchinson_trace(q, ParamVector(np.zeros(3)), None, probes=10_000,
                            rng=SeededRng(5))
     assert abs(est - 6.0) / 6.0 <= 0.02
@@ -168,7 +167,7 @@ def test_hutchinson_trace_lands_near_the_exact_trace_of_a_small_mlp():
 
 
 def test_hutchinson_zero_hessian_every_probe():
-    q = make_quadratic(np.zeros((3, 3)))
+    q = QuadraticOracle(np.zeros((3, 3)))
     est = hutchinson_trace(q, ParamVector(np.zeros(3)), None, probes=50, rng=SeededRng(6))
     assert est == 0.0
 
@@ -176,18 +175,18 @@ def test_hutchinson_zero_hessian_every_probe():
 def test_hutchinson_trace_linearity_shared_seed():
     H = np.diag([1.0, -2.0, 4.0])
     theta = ParamVector(np.zeros(3))
-    base = hutchinson_trace(make_quadratic(H), theta, None, probes=64, rng=SeededRng(7))
+    base = hutchinson_trace(QuadraticOracle(H), theta, None, probes=64, rng=SeededRng(7))
     # power-of-two scaling commutes with rounding: identical probes, exact 2x
-    doubled = hutchinson_trace(make_quadratic(2.0 * H), theta, None, probes=64,
+    doubled = hutchinson_trace(QuadraticOracle(2.0 * H), theta, None, probes=64,
                                rng=SeededRng(7))
     assert doubled == 2.0 * base
-    tripled = hutchinson_trace(make_quadratic(3.0 * H), theta, None, probes=64,
+    tripled = hutchinson_trace(QuadraticOracle(3.0 * H), theta, None, probes=64,
                                rng=SeededRng(7))
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
 
 
 def test_estimators_deterministic_given_probe_seed():
-    q = make_quadratic(np.diag([1.0, 4.0]))
+    q = QuadraticOracle(np.diag([1.0, 4.0]))
     theta = ParamVector([0.3, -0.7])
     a = hutchinson_trace(q, theta, None, probes=32, rng=SeededRng(8))
     b = hutchinson_trace(q, theta, None, probes=32, rng=SeededRng(8))
@@ -319,7 +318,7 @@ def test_ball_sharpness_memory_does_not_grow_with_the_samples():
 
 
 def test_r0_quadratic_minimum_closed_form():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     est = r0_bruteforce(q, ParamVector(np.zeros(2)), None, rho=0.1,
                         n_samples=10_000, rng=SeededRng(10))
     # sup over the ball is rho^2 / 2 at the boundary
@@ -328,14 +327,14 @@ def test_r0_quadratic_minimum_closed_form():
 
 
 def test_r0_constant_loss_zero():
-    q = make_quadratic(np.zeros((2, 2)))
+    q = QuadraticOracle(np.zeros((2, 2)))
     est = r0_bruteforce(q, ParamVector([1.0, 2.0]), None, rho=0.5,
                         n_samples=100, rng=SeededRng(11))
     assert est == 0.0
 
 
 def test_r0_monotone_in_rho_shared_directions():
-    q = make_quadratic(np.diag([1.0, 3.0]), c=np.array([0.2, -0.1]))
+    q = QuadraticOracle(np.diag([1.0, 3.0]), c=np.array([0.2, -0.1]))
     theta = ParamVector([0.2, -0.1])  # at the minimum: growth is monotone on rays
     small = r0_bruteforce(q, theta, None, 0.1, 2000, SeededRng(12))
     large = r0_bruteforce(q, theta, None, 0.2, 2000, SeededRng(12))
@@ -343,7 +342,7 @@ def test_r0_monotone_in_rho_shared_directions():
 
 
 def test_r1_quadratic_minimum_matches_eigenvalue_relation():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     est = r1_bruteforce(q, ParamVector(np.zeros(2)), None, rho=0.1,
                         n_samples=10_000, rng=SeededRng(13))
     assert est <= 0.01 + 1e-12
@@ -351,7 +350,7 @@ def test_r1_quadratic_minimum_matches_eigenvalue_relation():
 
 
 def test_r1_zero_hessian():
-    q = make_quadratic(np.zeros((2, 2)))
+    q = QuadraticOracle(np.zeros((2, 2)))
     est = r1_bruteforce(q, ParamVector([0.3, 0.4]), None, rho=0.2,
                         n_samples=100, rng=SeededRng(14))
     assert est == 0.0
@@ -361,7 +360,7 @@ def test_r0_bounded_by_r1_on_random_quadratics():
     rng = SeededRng(15)
     for trial in range(20):
         A = rng.normal(size=(3, 3))
-        q = make_quadratic(A + A.T)
+        q = QuadraticOracle(A + A.T)
         theta = ParamVector(rng.normal(size=3))
         rho = [0.05, 0.1, 0.2][trial % 3]
         probe = SeededRng(200 + trial)
@@ -371,7 +370,7 @@ def test_r0_bounded_by_r1_on_random_quadratics():
 
 
 def test_rho_must_be_positive():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     with pytest.raises(ValueError):
         r0_bruteforce(q, ParamVector(np.zeros(2)), None, 0.0, 10, SeededRng(0))
     with pytest.raises(ValueError):
@@ -460,7 +459,7 @@ def test_flatness_report_does_not_depend_on_call_history():
 
 
 def test_slice_center_equals_loss():
-    q = make_quadratic(np.diag([1.0, 2.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0]))
     theta = ParamVector([0.5, -0.5])
     d1 = ParamVector([1.0, 0.0])
     d2 = ParamVector([0.0, 1.0])
@@ -471,14 +470,14 @@ def test_slice_center_equals_loss():
 
 @pytest.mark.parametrize("extent", [0.0, -1.0, float("nan"), float("inf")])
 def test_slice_rejects_an_extent_that_is_not_finite_and_positive(extent):
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     d1, d2 = ParamVector([1.0, 0.0]), ParamVector([0.0, 1.0])
     with pytest.raises(ValueError, match="extent must be finite and positive"):
         landscape_slice_2d(q, ParamVector([0.0, 0.0]), None, d1, d2, extent=extent, grid_n=3)
 
 
 def test_slice_quadratic_second_differences_constant():
-    q = make_quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    q = QuadraticOracle(np.array([[2.0, 0.3], [0.3, 1.0]]))
     theta = ParamVector([0.1, 0.2])
     rng = SeededRng(16)
     d1 = ParamVector(rng.normal(size=2))
@@ -491,7 +490,7 @@ def test_slice_quadratic_second_differences_constant():
 
 
 def test_slice_symmetric_around_quadratic_minimum():
-    q = make_quadratic(np.diag([1.0, 3.0]))
+    q = QuadraticOracle(np.diag([1.0, 3.0]))
     theta = ParamVector([0.0, 0.0])
     d1 = ParamVector([1.0, 0.0])
     d2 = ParamVector([0.0, 1.0])
@@ -500,7 +499,7 @@ def test_slice_symmetric_around_quadratic_minimum():
 
 
 def test_flatness_report_bundles_checks():
-    q = make_quadratic(np.diag([1.0, 2.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0]))
     rep = flatness_report(q, ParamVector([0.0, 0.0]), None, rho=0.1,
                           rng=SeededRng(17), iters=500,
                           ball_samples=2000)

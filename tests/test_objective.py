@@ -12,9 +12,9 @@ from cflat.objective import (
     Batch,
     MlpOracle,
     MlpSpec,
+    QuadraticOracle,
     _TRACE_BLOCK_ROWS,
     _logsumexp,
-    make_quadratic,
 )
 from test_acceptance import dense_logreg_hessian
 
@@ -54,20 +54,20 @@ def central_diff_hvp(grad_fn, theta, v, delta_fd=1e-4):
 
 
 def test_quadratic_identity_loss():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     assert q.loss(ParamVector([1.0, 1.0])) == 1.0
     assert q.loss(ParamVector([0.0, 0.0])) == 0.0
 
 
 def test_quadratic_gradient_and_stationarity():
-    q = make_quadratic(np.diag([1.0, 2.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0]))
     g = q.grad(ParamVector([1.0, 1.0]))
     np.testing.assert_allclose(g.data, [1.0, 2.0])
     assert np.array_equal(q.grad(ParamVector([0.0, 0.0])).data, np.zeros(2))
 
 
 def test_quadratic_hvp_exact():
-    q = make_quadratic(np.diag([1.0, 2.0, 3.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0, 3.0]))
     hv = q.hvp(ParamVector(np.zeros(3)), ParamVector([1.0, 1.0, 1.0]))
     np.testing.assert_allclose(hv.data, [1.0, 2.0, 3.0])
     zero = q.hvp(ParamVector(np.zeros(3)), ParamVector(np.zeros(3)))
@@ -76,12 +76,12 @@ def test_quadratic_hvp_exact():
 
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        make_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        QuadraticOracle(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_quadratic_center():
     c = np.array([1.0, -1.0])
-    q = make_quadratic(2.0 * np.eye(2), c)
+    q = QuadraticOracle(2.0 * np.eye(2), c)
     assert q.loss(ParamVector(c)) == 0.0
     np.testing.assert_allclose(q.grad(ParamVector([2.0, 0.0])).data, [2.0, 2.0])
 
@@ -425,7 +425,7 @@ def test_returned_arrays_survive_later_oracle_calls(activation):
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_workspace_results_match_a_fresh_oracle_across_row_counts(activation):
+def test_mlp_results_do_not_depend_on_call_history(activation):
     rng = SeededRng(16)
     spec = MlpSpec(8, (16, 12), 5, activation=activation, l2=0.02)
     oracle = MlpOracle(spec)
@@ -439,32 +439,6 @@ def test_workspace_results_match_a_fresh_oracle_across_row_counts(activation):
         fresh = MlpOracle(spec)
         assert oracle.hvp(theta, v, batch).data.tobytes() == fresh.hvp(theta, v, batch).data.tobytes()
         theta = theta.with_data(theta.data - 0.1 * oracle.grad(theta, batch).data)
-
-
-def test_repeated_grads_reuse_the_workspace_buffers():
-    rng = SeededRng(17)
-    oracle = MlpOracle(MlpSpec(4, (6, 5), 3))
-    theta = oracle.init_theta(rng.spawn(0))
-    small, large = random_batch(rng, 32, 4, 3), random_batch(rng, 64, 4, 3)
-    oracle.grad(theta, small)
-    buffers = [buf for layer in oracle._workspace((32,)) for buf in layer]
-    assert len(buffers) == 8
-    for batch in (small, large, small):
-        oracle.grad(theta, batch)
-    again = [buf for layer in oracle._workspace((32,)) for buf in layer]
-    assert all(a is b for a, b in zip(again, buffers))
-    acts, pre = oracle._forward(theta, small.x)
-    assert acts[1] is buffers[1] and pre[0] is buffers[0]
-
-
-def test_workspace_keeps_a_bounded_number_of_row_counts():
-    rng = SeededRng(18)
-    oracle = MlpOracle(MlpSpec(3, (4,), 2))
-    theta = oracle.init_theta(rng.spawn(0))
-    for n in range(1, 21):
-        oracle.grad(theta, random_batch(rng, n, 3, 2))
-    assert 1 <= len(oracle._workspaces) <= 8
-    assert (20,) in oracle._workspaces
 
 
 def test_mlp_hvp_zero_direction():
@@ -508,7 +482,7 @@ def test_batch_validation():
 
 class PlainMlp:
     """The MLP written out with per-name views and ``np.concatenate``, sharing
-    nothing with the oracle's slices, workspaces or logits cache."""
+    nothing with the oracle's slices or kept pass."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -622,7 +596,7 @@ def test_every_vector_the_oracles_return_is_read_only():
     rng = SeededRng(20)
     batch = random_batch(rng, 5, 3, 2)
     for oracle in (MlpOracle(MlpSpec(3, (), 2, l2=0.1)), MlpOracle(MlpSpec(3, (4,), 2)),
-                   make_quadratic(np.eye(3))):
+                   QuadraticOracle(np.eye(3))):
         theta = ParamVector(rng.normal(size=oracle.dim), getattr(oracle, "manifest", None))
         v = theta.with_data(rng.normal(size=oracle.dim))
         outputs = [oracle.grad(theta, batch), oracle.hvp(theta, v, batch),
@@ -749,8 +723,7 @@ def test_mlp_hvp_equals_a_dense_complex_step_hessian(activation, hidden, distill
 
 @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
 @pytest.mark.parametrize("intruder", ["logits", "loss", "representations"])
-def test_a_forward_pass_at_the_kept_row_count_drops_the_kept_pass(monkeypatch, hidden,
-                                                                  intruder):
+def test_other_forward_passes_leave_the_kept_pass_valid(monkeypatch, hidden, intruder):
     rng = SeededRng(31)
     spec = MlpSpec(3, hidden, 4, l2=0.01)
     oracle = MlpOracle(spec)
@@ -759,25 +732,25 @@ def test_a_forward_pass_at_the_kept_row_count_drops_the_kept_pass(monkeypatch, h
     batch, same_rows = random_batch(rng, 6, 3, 4), random_batch(rng, 6, 3, 4)
     v = theta.with_data(rng.normal(size=theta.dim))
     expected = MlpOracle(spec).hvp(theta, v, batch)
+    expected_loss = MlpOracle(spec).loss(theta, batch)
 
     oracle.grad(theta, batch)
+    kept = oracle._last_pass
     calls = count_forward_passes(monkeypatch, oracle)
-    # a pass at another row count leaves the kept buffers alone
-    oracle.logits(other, random_batch(rng, 7, 3, 4).x)
-    assert oracle.hvp(theta, v, batch).data.tobytes() == expected.data.tobytes()
-    assert calls == [7]
     run = {
-        "logits": lambda: oracle.logits(other, same_rows.x),
-        "loss": lambda: oracle.loss(other, same_rows),
-        "representations": lambda: oracle.representations(other, same_rows.x, 0),
+        "logits": lambda b: oracle.logits(other, b.x),
+        "loss": lambda b: oracle.loss(other, b),
+        "representations": lambda b: oracle.representations(other, b.x, len(hidden)),
     }[intruder]
-    run()
-    assert oracle._last_pass is None
+    # passes at another row count and at the kept one, on other objects
+    run(random_batch(rng, 7, 3, 4))
+    run(same_rows)
+    assert calls == [7, 6]
+    assert oracle._last_pass is kept
     assert oracle.hvp(theta, v, batch).data.tobytes() == expected.data.tobytes()
-    # the product ran its own gradient pass, and the next one reads it
-    assert calls == [7, 6, 6]
-    assert oracle.hvp(theta, v, batch).data.tobytes() == expected.data.tobytes()
-    assert calls == [7, 6, 6]
+    assert oracle.loss(theta, batch) == expected_loss
+    # the product and the loss read the kept pass
+    assert calls == [7, 6]
 
 
 def test_a_pass_serves_only_the_objective_that_made_it(monkeypatch):
@@ -808,7 +781,7 @@ def test_a_pass_serves_only_the_objective_that_made_it(monkeypatch):
 
 def test_a_discarded_objective_is_freed_without_the_cycle_collector():
     # the kept pass names its objective weakly, so refcounting alone frees an
-    # oracle and its workspaces once the harness drops them
+    # oracle and its kept arrays once the harness drops them
     rng = SeededRng(33)
     spec = MlpSpec(3, (5,), 4, l2=0.01)
     small = MlpOracle(spec).with_head(2)
@@ -883,7 +856,7 @@ def test_hessian_trace_equals_the_dense_hessian_diagonal_sum(kind):
 
 def test_quadratic_hessian_trace_is_the_trace_of_h():
     H = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 4.5]])
-    q = make_quadratic(H, ParamVector([1.0, 2.0, 3.0]))
+    q = QuadraticOracle(H, ParamVector([1.0, 2.0, 3.0]))
     assert q.hessian_trace(ParamVector([0.3, -0.2, 0.1])) == 5.5
 
 
@@ -919,6 +892,6 @@ def test_hessian_trace_rejects_a_seed_stack():
         oracle.hessian_trace(stacked, Batch(np.stack([batch.x] * 2), np.stack([batch.y] * 2)))
     with pytest.raises(ValueError, match=r"features of shape \(2, 5, 3\)"):
         oracle.hessian_trace(theta, Batch(np.stack([batch.x] * 2), np.stack([batch.y] * 2)))
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     with pytest.raises(ValueError, match=r"theta of shape \(3, 2\)"):
         q.hessian_trace(stack([ParamVector([0.0, 0.0])] * 3))

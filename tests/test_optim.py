@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cflat.numcore import ParamVector, SeededRng, norm2, stack
-from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, make_quadratic
+from cflat.objective import Batch, MlpOracle, MlpSpec, ObjectiveOracle, QuadraticOracle
 from cflat.optim import (
     CflatPPStepper,
     CflatStepper,
@@ -61,21 +61,21 @@ def dummy_batch(n=4, d=2, C=2, seed=0):
 
 
 def test_sgd_closed_form():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     theta, (stats,) = SgdStepper().step(q, ParamVector([1.0, 0.0]), None, OptimConfig(eta=0.1))
     np.testing.assert_allclose(theta.data, [0.9, 0.0])
     assert stats["grad_evals"] == 1 and not stats["used_cflat"]
 
 
 def test_sgd_zero_eta_is_identity():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     start = ParamVector([0.3, -0.4])
     theta, _ = SgdStepper().step(q, start, None, OptimConfig(eta=0.0))
     assert np.array_equal(theta.data, start.data)
 
 
 def test_sgd_geometric_contraction():
-    q = make_quadratic(np.diag([1.0, 2.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0]))
     cfg = OptimConfig(eta=0.5)  # eta < 2 / lambda_max = 1
     theta = ParamVector([1.0, 1.0])
     norms = [norm2(theta)]
@@ -89,7 +89,7 @@ def test_sgd_geometric_contraction():
 
 
 def test_steps_reject_non_finite_theta():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     cfg = OptimConfig(eta=0.1)
     for bad in ([np.nan, 0.0], [np.inf, 1.0]):
         with pytest.raises(DivergenceError):
@@ -118,7 +118,7 @@ def test_a_finite_gradient_whose_squared_norm_overflows_diverges(name):
     cfg = OptimConfig(eta=0.1)
     with pytest.raises(DivergenceError, match="squared gradient norm") as err, \
             np.errstate(over="ignore"):
-        make_stepper(name).step(make_quadratic(np.diag([1e160, 1.0])),
+        make_stepper(name).step(QuadraticOracle(np.diag([1e160, 1.0])),
                                 ParamVector([1.0, 1.0]), None, cfg)
     assert err.value.row == 0
     # on a seed stack it names the row whose norm overflows
@@ -131,7 +131,7 @@ def test_a_finite_gradient_whose_squared_norm_overflows_diverges(name):
 
 
 def test_sgd_divergence_reports():
-    q = make_quadratic(np.array([[4.0]]))
+    q = QuadraticOracle(np.array([[4.0]]))
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
         theta = ParamVector([1e200])
         for _ in range(5):
@@ -171,7 +171,7 @@ def test_sam_reduces_to_sgd_at_zero_rho():
 
 def test_sam_closed_form_on_quadratic():
     H = np.diag([1.0, 2.0])
-    q = make_quadratic(H)
+    q = QuadraticOracle(H)
     theta0 = np.array([1.0, 1.0])
     rho, eta = 0.1, 0.1
     got, (stats,) = SamStepper().step(q, ParamVector(theta0), None, OptimConfig(eta=eta, rho=rho))
@@ -190,7 +190,7 @@ def test_sam_closed_form_on_quadratic():
 def test_cflat_gradient_matches_hand_expansion_on_quadratic():
     H = np.array([[2.0, 0.5], [0.5, 1.0]])
     c = np.array([0.3, -0.2])
-    q = make_quadratic(H, c)
+    q = QuadraticOracle(H, c)
     theta0 = np.array([1.0, 0.5])
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
 
@@ -236,7 +236,7 @@ def test_step_reads_its_loss_from_the_gradient_pass(monkeypatch, stepper, passes
 def test_cflat_guards_at_exact_minimum():
     H = np.diag([1.0, 3.0])
     c = np.array([0.5, -0.5])
-    q = make_quadratic(H, c)
+    q = QuadraticOracle(H, c)
     cfg = OptimConfig(eta=0.1, rho=0.2, lam=0.2)
     combined, _ = CflatStepper().direction(q, ParamVector(c), None, cfg)
     assert np.isfinite(combined.data).all()
@@ -246,7 +246,7 @@ def test_cflat_guards_at_exact_minimum():
 def test_reduction_lattice_bitwise():
     rng = SeededRng(3)
     oracle = MlpOracle(MlpSpec(3, (4,), 3))
-    q = make_quadratic(np.diag([1.0, 2.0, 3.0, 0.5] + [1.0] * (oracle.dim - 4)))
+    q = QuadraticOracle(np.diag([1.0, 2.0, 3.0, 0.5] + [1.0] * (oracle.dim - 4)))
     for trial in range(100):
         theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
         batch = dummy_batch(5, 3, 3, seed=trial)
@@ -308,7 +308,7 @@ def test_monotone_loss_decrease_small_eta_all_optimizers():
     # 100-step window stays in the descent regime (the normalized first-order
     # term gives constant-size steps once iterates reach a rho-scale ball)
     H = np.diag([1.0, 2.0, 4.0])
-    q = make_quadratic(H)
+    q = QuadraticOracle(H)
     cfg = OptimConfig(eta=0.1 / 4.0, rho=0.01, lam=0.05)
     for name in ("sgd", "sam", "cflat", "cflat++"):
         stepper = make_stepper(name)
@@ -356,7 +356,7 @@ def test_proxy_value_midpoint_asymptote_flat():
 
 def test_cflatpp_error_feedback_arithmetic():
     # s = 3.0 > proxy = 2.5 so the flatness branch runs and A grows
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     theta = ParamVector([math.sqrt(3.0), 0.0])
     stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3))
     stepper.i = 80
@@ -368,7 +368,7 @@ def test_cflatpp_error_feedback_arithmetic():
 
 
 def test_cflatpp_sgd_branch_shrinks_bound():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     theta = ParamVector([0.1, 0.0])  # s = 0.01 < proxy
     stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3))
     stepper.i = 80
@@ -381,7 +381,7 @@ def test_cflatpp_sgd_branch_shrinks_bound():
 def test_cflatpp_bound_that_overflows_diverges():
     # finite norms, but a feedback rate so large that the bound overflows on
     # the second step: A = 5 - 1e300 * E
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     theta = ParamVector([1.0, 1.0])
     stepper = CflatPPStepper(ProxyState(eta0=1e300))
     theta, _ = stepper.step(q, theta, None, OptimConfig(eta=0.01))
@@ -392,7 +392,7 @@ def test_cflatpp_bound_that_overflows_diverges():
 
 
 def test_cflatpp_stationary_point_never_fires():
-    q = make_quadratic(np.eye(2), c=np.array([0.4, 0.4]))
+    q = QuadraticOracle(np.eye(2), c=np.array([0.4, 0.4]))
     theta = ParamVector([0.4, 0.4])
     stepper = CflatPPStepper(ProxyState())
     for _ in range(50):
@@ -451,7 +451,7 @@ def test_hybrid_plan_contiguity_and_count():
 
 
 def test_train_epochs_zero_epochs():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     theta0 = ParamVector([1.0, 1.0])
     theta, trace = train_epochs(
         q, theta0, np.zeros((4, 2)), np.zeros(4, dtype=int), OptimConfig(eta=0.1),
@@ -462,7 +462,7 @@ def test_train_epochs_zero_epochs():
 
 
 def test_train_epochs_full_batch_equals_deterministic_sequence():
-    q = make_quadratic(np.diag([1.0, 2.0]))
+    q = QuadraticOracle(np.diag([1.0, 2.0]))
     x = np.zeros((5, 2))
     y = np.zeros(5, dtype=int)
     cfg = OptimConfig(eta=0.1)
@@ -493,7 +493,7 @@ def test_train_epochs_hybrid_proportion_matches_plan():
 
 
 def test_train_epochs_milestone_decay():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     x = np.zeros((2, 2))
     y = np.zeros(2, dtype=int)
     cfg = OptimConfig(eta=0.5)
@@ -507,7 +507,7 @@ def test_train_epochs_milestone_decay():
 
 
 def test_train_epochs_milestone_decay_stops_at_eta_min():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     x = np.zeros((2, 2))
     y = np.zeros(2, dtype=int)
     cfg = OptimConfig(eta=0.5, eta_min=0.1, rho_min=0.05)
@@ -521,7 +521,7 @@ def test_train_epochs_milestone_decay_stops_at_eta_min():
 
 
 def test_train_epochs_divergence_carries_step_index():
-    q = make_quadratic(np.array([[4.0]]))
+    q = QuadraticOracle(np.array([[4.0]]))
     x = np.zeros((2, 1))
     y = np.zeros(2, dtype=int)
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
@@ -568,7 +568,7 @@ class CountingStepper(SgdStepper):
 ])
 def test_train_epochs_checks_every_label_before_any_step(x_rows, y, message):
     # batch_size 2 leaves a ragged row that no step would ever see
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     stepper = CountingStepper()
     with pytest.raises(ValueError, match=message):
         train_epochs(
@@ -635,7 +635,7 @@ def test_optimizer_vectors_are_read_only():
 
 
 def test_train_epochs_batch_size_validation():
-    q = make_quadratic(np.eye(2))
+    q = QuadraticOracle(np.eye(2))
     with pytest.raises(ValueError, match="batch_size"):
         train_epochs(
             q, ParamVector([1.0, 1.0]), np.zeros((2, 2)), np.zeros(2, dtype=int),
