@@ -355,15 +355,6 @@ def _run_to_manifest(cfg: dict, results: list, metrics: list[dict], n_tasks: int
     avgs = [m["avg_accuracy"] for m in metrics]
     lasts = [m["last_accuracy"] for m in metrics]
     props = [m["cflat_proportion"] for m in metrics]
-    # a seed group trains in lockstep; each seed's share is the group's
-    # training time divided by its number of seeds
-    timing = {
-        "per_seed_train_seconds": [r.train_seconds for r in results],
-        "per_seed_examples_per_second": [
-            r.examples / r.train_seconds if r.train_seconds > 0 else None
-            for r in results
-        ],
-    }
     return {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -382,7 +373,9 @@ def _run_to_manifest(cfg: dict, results: list, metrics: list[dict], n_tasks: int
             "last_accuracy_std": float(np.std(lasts)),
             "cflat_proportion_mean": float(np.mean(props)),
         },
-        "timing": timing,
+        # a seed group trains in lockstep; each seed's share is the group's
+        # training time divided by its number of seeds
+        "timing": {"per_seed_train_seconds": [r.train_seconds for r in results]},
     }
 
 
@@ -452,11 +445,14 @@ def run_experiment_from_config(cfg: dict, inputs: tuple, out_dir: Path, jobs: in
 
 
 def _read_json(path: Path):
-    """The JSON document in ``path``; malformed JSON raises a ConfigError
-    naming the file and the decoder's line and column, and bytes that are not
-    UTF-8 one naming the file and the byte's position."""
+    """The JSON document in ``path``. A ConfigError names the file: with the
+    OS error for a path that cannot be read (missing, a directory, no
+    permission), the decoder's line and column for malformed JSON, and the
+    byte's position for bytes that are not UTF-8."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: {err}") from None
     except json.JSONDecodeError as err:
@@ -465,10 +461,7 @@ def _read_json(path: Path):
 
 
 def _load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    doc = _read_json(p)
+    doc = _read_json(Path(path))
     if isinstance(doc, dict) and "config" in doc and "schema_version" in doc:
         doc = doc["config"]  # a manifest reproduces its own run
     if not isinstance(doc, dict):
@@ -595,10 +588,7 @@ def _checkpoint_array(doc: dict, key: str, shape: tuple) -> np.ndarray:
 def _load_checkpoint(path: str):
     """(oracle, theta, batch) from a checkpoint; a malformed field raises
     ConfigError naming it."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    doc = _read_json(p)
+    doc = _read_json(Path(path))
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _CHECKPOINT_KEYS:
         raise ConfigError(f"unknown checkpoint kind {kind!r}", "kind")
@@ -674,12 +664,12 @@ def cmd_landscape(args) -> int:
     return 0
 
 
-# Manifest keys the report reads: section -> keys.
+# Manifest keys the report reads: section -> keys. Both sections are
+# deterministic, so a report is byte-identical across reruns and --jobs.
 _REPORT_KEYS = {
     "config": ("method", "optimizer"),
     "aggregate": ("avg_accuracy_mean", "avg_accuracy_std", "last_accuracy_mean",
                   "last_accuracy_std", "cflat_proportion_mean"),
-    "timing": ("per_seed_examples_per_second",),
 }
 
 
@@ -708,39 +698,31 @@ def cmd_report(args) -> int:
         key = (m["config"]["method"], m["config"]["optimizer"])
         if key in rows:
             raise ConfigError(f"duplicate method/optimizer cell: {key}")
-        speeds = [s for s in m["timing"]["per_seed_examples_per_second"] if s]
-        rows[key] = {
-            "avg_mean": m["aggregate"]["avg_accuracy_mean"],
-            "avg_std": m["aggregate"]["avg_accuracy_std"],
-            "last_mean": m["aggregate"]["last_accuracy_mean"],
-            "last_std": m["aggregate"]["last_accuracy_std"],
-            "proportion": m["aggregate"]["cflat_proportion_mean"],
-            "throughput": float(np.mean(speeds)) if speeds else float("nan"),
-        }
+        rows[key] = m["aggregate"]
 
-    sgd_ref = {method: row["avg_mean"] for (method, opt), row in rows.items() if opt == "sgd"}
+    sgd_ref = {method: row["avg_accuracy_mean"] for (method, opt), row in rows.items()
+               if opt == "sgd"}
     lines = [
         "# Continual-learning results",
         "",
         "Mean and std are over seeds (population std). Relative return compares",
         "average accuracy against the SGD row of the same method.",
         "",
-        "| method | optimizer | avg acc | last acc | proportion | img/s | rel. return |",
-        "|---|---|---|---|---|---|---|",
+        "| method | optimizer | avg acc | last acc | proportion | rel. return |",
+        "|---|---|---|---|---|---|",
     ]
     for (method, opt) in sorted(rows):
         row = rows[(method, opt)]
         if method in sgd_ref and sgd_ref[method] != 0:
-            rel = relative_return(row["avg_mean"], sgd_ref[method])
+            rel = relative_return(row["avg_accuracy_mean"], sgd_ref[method])
             rel_str = f"{rel * 100:+.2f}%"
         else:
             rel_str = "n/a"
         lines.append(
             f"| {method} | {opt} "
-            f"| {row['avg_mean']:.4f} ± {row['avg_std']:.4f} "
-            f"| {row['last_mean']:.4f} ± {row['last_std']:.4f} "
-            f"| {row['proportion'] * 100:.1f}% "
-            f"| {row['throughput']:.1f} "
+            f"| {row['avg_accuracy_mean']:.4f} ± {row['avg_accuracy_std']:.4f} "
+            f"| {row['last_accuracy_mean']:.4f} ± {row['last_accuracy_std']:.4f} "
+            f"| {row['cflat_proportion_mean'] * 100:.1f}% "
             f"| {rel_str} |"
         )
     out_path = Path(args.out) if args.out else Path(args.results) / "report.md"

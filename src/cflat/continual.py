@@ -126,10 +126,6 @@ class Dataset:
     test_y: np.ndarray
     n_classes: int
 
-    @property
-    def d_in(self) -> int:
-        return self.train_x.shape[1]
-
 
 def synth_dataset(spec: SyntheticSpec) -> Dataset:
     """Per-class means drawn once from the seed; 80/20 stratified split.
@@ -251,7 +247,6 @@ class Task:
 @dataclass(frozen=True)
 class TaskStream:
     tasks: tuple[Task, ...]
-    class_order: tuple[int, ...]
 
 
 def task_sizes(n_classes: int, protocol: str, y: int) -> list[int]:
@@ -304,7 +299,7 @@ def make_stream(dataset: Dataset, protocol: str, y: int, perm_seed: int = 1993) 
                 class_ids=tuple(int(c) for c in group),
             )
         )
-    return TaskStream(tasks=tuple(tasks), class_order=tuple(int(c) for c in order))
+    return TaskStream(tasks=tuple(tasks))
 
 
 @dataclass(frozen=True)

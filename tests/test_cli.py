@@ -387,6 +387,27 @@ def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
     assert start_methods == ["spawn"]
 
 
+def test_report_reads_no_timing_and_is_identical_across_jobs(tmp_path):
+    doc = base_config(tmp_path / "unused", seeds=[0, 1])
+    doc["train"] = {"epochs": 1, "batch_size": 16}
+    cfg = write_config(tmp_path, doc)
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in enumerate(outs, 1):
+        assert main(["sweep", "--config", cfg, "--axis", "optimizer=sgd,cflat++",
+                     "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert main(["report", "--results", str(out)]) == 0
+    reports = [(out / "report.md").read_bytes() for out in outs]
+    assert reports[0] == reports[1]
+    # the manifest keeps measured seconds only; a rate is examples / seconds
+    for out in outs:
+        manifest = json.loads((out / "cell_optimizer=sgd" / "manifest.json").read_text())
+        assert list(manifest["timing"]) == ["per_seed_train_seconds"]
+    lines = reports[0].decode("utf-8").splitlines()
+    assert lines[5] == "| method | optimizer | avg acc | last acc | proportion | rel. return |"
+    assert [ln.split(" | ")[:2] for ln in lines[7:]] == [["| replay", "cflat++"],
+                                                         ["| replay", "sgd"]]
+
+
 def test_landscape_on_quadratic_checkpoint(tmp_path):
     ckpt = tmp_path / "quad.json"
     H = [[3.0, 0.0], [0.0, 1.0]]
@@ -954,7 +975,6 @@ def _report_manifest():
         "aggregate": {"avg_accuracy_mean": 0.5, "avg_accuracy_std": 0.0,
                       "last_accuracy_mean": 0.5, "last_accuracy_std": 0.0,
                       "cflat_proportion_mean": 0.0},
-        "timing": {"per_seed_examples_per_second": [100.0]},
     }
 
 
@@ -991,9 +1011,29 @@ def test_non_utf8_json_names_the_file(tmp_path, capsys, command):
     assert error["message"].startswith(f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0")
 
 
+@pytest.mark.parametrize("command, path", [
+    ("run", "missing"), ("run", "directory"), ("sweep", "missing"), ("sweep", "directory"),
+    ("landscape", "missing"), ("landscape", "directory"), ("report", "directory"),
+])
+def test_an_unreadable_input_path_names_it(tmp_path, capsys, command, path):
+    bad = tmp_path / "cell" / "manifest.json"
+    if path == "directory":
+        bad.mkdir(parents=True)
+    argv = {
+        "run": ["run", "--config", str(bad)],
+        "sweep": ["sweep", "--config", str(bad), "--axis", "optim.lam=0.1"],
+        "landscape": ["landscape", "--checkpoint", str(bad), "--out", str(tmp_path / "land")],
+        "report": ["report", "--results", str(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(f"{bad}: ")
+    assert not (tmp_path / "land").exists()
+
+
 @pytest.mark.parametrize("section, key", [
     ("config", None), ("config", "optimizer"), ("aggregate", "avg_accuracy_std"),
-    ("timing", "per_seed_examples_per_second"),
 ])
 def test_report_names_a_malformed_manifest(tmp_path, capsys, section, key):
     results = tmp_path / "results"
