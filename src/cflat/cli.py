@@ -29,6 +29,7 @@ from .continual import (
     load_csv_dataset,
     make_stream,
     run_cl_experiment,
+    seed_rows,
     split_dataset,
     synth_dataset,
     SyntheticSpec,
@@ -283,13 +284,24 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _trace_rows(seed_result):
-    """The seed's trace.csv rows: seed, then the columns of its step record
-    with the step index after the epoch; a NaN (empty) cell prints empty."""
-    trace = seed_result.trace
-    task, epoch, *cells = ([None if v != v else v for v in trace[name].tolist()]
+def _column(values: np.ndarray) -> list[str]:
+    """A step-record column's cells as _fmt writes them, by its dtype; a NaN
+    (an empty cell) as nothing."""
+    if values.dtype == np.bool_:
+        return [("false", "true")[v] for v in values.tolist()]
+    if values.dtype.kind == "f":
+        return ["" if v != v else repr(v) for v in values.tolist()]
+    return list(map(str, values.tolist()))
+
+
+def _trace_lines(results) -> list[str]:
+    """trace.csv's rows, seed by seed: the seed, then the columns of its step
+    record with the step index after the epoch; each column formatted once."""
+    task, epoch, *cells = (_column(np.concatenate([r.trace[name] for r in results]))
                            for name in STEP_FIELDS.names)
-    return zip(itertools.repeat(seed_result.seed), task, epoch, range(len(trace)), *cells)
+    seed = [str(r.seed) for r in results for _ in range(len(r.trace))]
+    step = [str(i) for r in results for i in range(len(r.trace))]
+    return list(map(",".join, zip(seed, task, epoch, step, *cells)))
 
 
 def _seed_metrics(seed_result, n_tasks: int) -> dict:
@@ -316,28 +328,35 @@ def _manifest_doc(manifest) -> list:
     return [[seg.name, seg.offset, list(seg.shape)] for seg in manifest]
 
 
-def _write_checkpoint(path: Path, seed_result, cfg: dict, stream) -> None:
-    theta = seed_result.final_theta
-    n_classes = theta.manifest[-1].shape[0]
+def _eval_members(stream) -> str:
+    """A checkpoint's "eval_x" and "eval_y" members as json.dumps(doc,
+    sort_keys=True) writes them: the stream's first 512 test rows, which every
+    checkpoint of the stream shares, so they are encoded once."""
     x = np.concatenate([task.test_x for task in stream.tasks])[:512]
     y = np.concatenate([task.test_y for task in stream.tasks])[:512]
+    return json.dumps({"eval_x": x.tolist(), "eval_y": y.tolist()})[1:-1]
+
+
+def _write_checkpoint(path: Path, seed_result, cfg: dict, stream, eval_members: str) -> None:
+    """json.dumps(doc, sort_keys=True) of the checkpoint; its two eval_*
+    members sort first, so ``eval_members`` is spliced in at the front."""
+    theta = seed_result.final_theta
     doc = {
         "kind": "mlp",
         "schema_version": SCHEMA_VERSION,
         "seed": seed_result.seed,
         "model": {
-            "d_in": int(x.shape[1]),
+            "d_in": int(stream.tasks[0].test_x.shape[1]),
             "hidden": list(cfg["model"]["hidden"]),
-            "n_classes": int(n_classes),
+            "n_classes": int(theta.manifest[-1].shape[0]),
             "activation": cfg["model"]["activation"],
             "l2": cfg["model"]["l2"],
         },
         "manifest": _manifest_doc(theta.manifest),
-        "theta": [float(v) for v in theta.data],
-        "eval_x": [[float(v) for v in row] for row in x],
-        "eval_y": [int(v) for v in y],
+        "theta": theta.data.tolist(),
     }
-    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    text = "{" + eval_members + ", " + json.dumps(doc, sort_keys=True)[1:]
+    path.write_text(text, encoding="utf-8")
 
 
 def _run_to_manifest(cfg: dict, results: list, metrics: list[dict], n_tasks: int) -> dict:
@@ -373,8 +392,8 @@ def _run_to_manifest(cfg: dict, results: list, metrics: list[dict], n_tasks: int
             "last_accuracy_std": float(np.std(lasts)),
             "cflat_proportion_mean": float(np.mean(props)),
         },
-        # a seed group trains in lockstep; each seed's share is the group's
-        # training time divided by its number of seeds
+        # a group trains its rows, across cells, in lockstep; each row's share
+        # is the group's training time divided by its number of rows
         "timing": {"per_seed_train_seconds": [r.train_seconds for r in results]},
     }
 
@@ -401,28 +420,67 @@ def _quietly(fn, item):
         return fn(item)
 
 
-def _seed_groups(seeds: list[int], jobs: int) -> list[list[int]]:
+def _seed_groups(seeds: list, jobs: int) -> list[list]:
     """``seeds`` split into min(``jobs``, len(``seeds``)) contiguous groups
     whose sizes differ by at most one."""
     n, count = len(seeds), min(jobs, len(seeds))
     return [seeds[g * n // count:(g + 1) * n // count] for g in range(count)]
 
 
-def run_experiment_from_config(cfg: dict, inputs: tuple, out_dir: Path, jobs: int = 1) -> dict:
-    """Execute a resolved config on its ``_inputs``; write manifest/metrics/trace/checkpoints.
+# The config sections only a row's stepper reads: cells that differ in nothing
+# else (nor in out_dir) train as one lockstep group.
+_GATE_SECTIONS = ("optimizer", "proxy", "hybrid", "out_dir")
 
-    The seeds split into min(``jobs``, #seeds) contiguous groups; each group
-    is one ``run_cl_experiment`` call that trains its seeds in lockstep, and
-    with more than one group the groups run in worker processes. Their
-    results come back in seed order and every file is written from them once,
-    so every file but the manifest's timing is byte-identical whatever
-    ``jobs`` is.
+
+def _train(part: tuple) -> list:
+    """``run_cl_experiment`` on a part of a group: (cell index, (optimizer,
+    cell name), row) triples; a divergence gets the failing row's labels."""
+    stream, method, optim, cl, rows = part
+    try:
+        return run_cl_experiment(stream, method, optim, cl, [row for *_, row in rows])
+    except DivergenceError as err:
+        err.optimizer, err.cell = rows[err.row or 0][1]
+        raise
+
+
+def _run_cells(cells: list, jobs: int) -> list[dict]:
+    """Train ``cells``, (cfg, inputs, out_dir, cell name) tuples, and write
+    each cell's directory; returns their manifests.
+
+    Cells whose configs differ only in _GATE_SECTIONS form one group: one
+    ``run_cl_experiment`` call whose rows are the cells' ``seed_rows``, cell
+    by cell. Groups go to min(``jobs``, #groups) workers; with more jobs than
+    groups, the jobs are shared out among the groups and each group's rows
+    split into that many contiguous parts (``_seed_groups``). Files are
+    written only after every group trained, each cell's from its own rows,
+    so no byte but the manifest's timing depends on the grouping or ``jobs``.
     """
-    stream, optim, cl = inputs
-    experiment = functools.partial(run_cl_experiment, stream, cfg["method"], cfg["optimizer"],
-                                   optim, cl)
-    groups = _map_jobs(experiment, _seed_groups(cfg["seeds"], jobs), jobs)
-    results = [result for group in groups for result in group]
+    groups: dict = {}
+    for index, (cfg, (_, _, cl), _, cell) in enumerate(cells):
+        key = json.dumps({k: v for k, v in cfg.items() if k not in _GATE_SECTIONS},
+                         sort_keys=True)
+        groups.setdefault(key, []).extend((index, (cfg["optimizer"], cell), row)
+                                          for row in seed_rows(cfg["optimizer"], cfg["seeds"], cl))
+    parts = []
+    for g, rows in enumerate(groups.values()):
+        cfg, (stream, optim, cl), _, _ = cells[rows[0][0]]
+        share = max(1, (g + 1) * jobs // len(groups) - g * jobs // len(groups))
+        parts += [(stream, cfg["method"], optim, cl, part) for part in _seed_groups(rows, share)]
+    results = [r for part in _map_jobs(_train, parts, jobs) for r in part]
+    owners = [index for *_, rows in parts for index, _, _ in rows]
+    encoded: dict = {}  # each stream's checkpoint eval members, encoded once
+    manifests = []
+    for index, (cfg, (stream, _, _), out_dir, _) in enumerate(cells):
+        if id(stream) not in encoded:
+            encoded[id(stream)] = _eval_members(stream)
+        own = [r for r, owner in zip(results, owners) if owner == index]
+        manifests.append(_write_run(cfg, stream, own, out_dir, encoded[id(stream)]))
+    return manifests
+
+
+def _write_run(cfg: dict, stream, results: list, out_dir: Path, eval_members: str) -> dict:
+    """A run's manifest, metrics.csv, trace.csv and checkpoints, from its
+    per-seed results in seed order."""
     n_tasks = len(stream.tasks)
     metrics = [_seed_metrics(r, n_tasks) for r in results]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -434,14 +492,19 @@ def run_experiment_from_config(cfg: dict, inputs: tuple, out_dir: Path, jobs: in
         [r.seed, m["avg_accuracy"], m["last_accuracy"], m["bwt"], m["fwt"], n_tasks]
         for r, m in zip(results, metrics)
     ))
-    _write_csv(out_dir / "trace.csv", "seed,task,epoch,step," + ",".join(STEP_FIELDS.names[2:]),
-               (row for r in results for row in _trace_rows(r)))
+    header = "seed,task,epoch,step," + ",".join(STEP_FIELDS.names[2:])
+    (out_dir / "trace.csv").write_text("\n".join([header, *_trace_lines(results)]) + "\n",
+                                       encoding="utf-8")
     for seed_result in results:
-        _write_checkpoint(
-            out_dir / f"checkpoint_seed{seed_result.seed}.json",
-            seed_result, cfg, stream,
-        )
+        _write_checkpoint(out_dir / f"checkpoint_seed{seed_result.seed}.json",
+                          seed_result, cfg, stream, eval_members)
     return manifest
+
+
+def run_experiment_from_config(cfg: dict, inputs: tuple, out_dir: Path, jobs: int = 1) -> dict:
+    """Execute a resolved config on its ``_inputs``; write manifest/metrics/trace/checkpoints.
+    The one-cell case of ``_run_cells``: --jobs splits the seeds into groups."""
+    return _run_cells([(cfg, inputs, out_dir, None)], jobs)[0]
 
 
 def _read_json(path: Path):
@@ -521,11 +584,6 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _sweep_cell(cell: tuple) -> dict:
-    cfg, inputs = cell
-    return run_experiment_from_config(cfg, inputs, Path(cfg["out_dir"]))
-
-
 def cmd_sweep(args) -> int:
     base_doc = _apply_overrides(_load_config_file(args.config), args)
     axes = [_parse_axis(spec) for spec in args.axis]
@@ -538,7 +596,8 @@ def cmd_sweep(args) -> int:
     cells = []
     streams: dict = {}  # cells that split one dataset alike share its stream
     cell_dirs = set()
-    for combo in itertools.product(*[values for _, values in axes]):
+    combos = list(itertools.product(*[values for _, values in axes]))
+    for combo in combos:
         doc = copy.deepcopy(base_doc)
         slug_parts = []
         for key, value in zip(keys, combo):
@@ -550,17 +609,17 @@ def cmd_sweep(args) -> int:
         cell_dirs.add(cell_dir)
         doc["out_dir"] = str(base_out / cell_dir)
         cfg = resolve_config(doc)
-        cells.append(((cfg, _inputs(cfg, streams)), cell_dir, combo))
+        cells.append((cfg, _inputs(cfg, streams), Path(cfg["out_dir"]), cell_dir))
 
-    manifests = _map_jobs(_sweep_cell, [cell for cell, _, _ in cells], args.jobs)
+    manifests = _run_cells(cells, args.jobs)
 
     aggregates = ["avg_accuracy_mean", "avg_accuracy_std", "last_accuracy_mean",
                   "cflat_proportion_mean"]
     base_out.mkdir(parents=True, exist_ok=True)
     _write_csv(base_out / "sweep.csv", ",".join(keys + ["cell_dir"] + aggregates), (
         [v if isinstance(v, str) else json.dumps(v) for v in combo]
-        + [cell_dir] + [manifest["aggregate"][name] for name in aggregates]
-        for (_, cell_dir, combo), manifest in zip(cells, manifests)
+        + [cell[3]] + [manifest["aggregate"][name] for name in aggregates]
+        for combo, cell, manifest in zip(combos, cells, manifests)
     ))
     return 0
 
@@ -788,7 +847,9 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         payload = {"error": {"kind": "divergence", "message": str(err), "step": err.step,
                              "task": err.task, "seed": err.seed, "last_loss": err.last_loss,
-                             "grad_norm": err.grad_norm}}
+                             "grad_norm": err.grad_norm, "optimizer": err.optimizer}}
+        if err.cell is not None:  # a sweep names the failing row's cell directory
+            payload["error"]["cell"] = err.cell
         print(json.dumps(payload), file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

@@ -63,6 +63,7 @@ __all__ = [
     "gpm_update_basis",
     "gpm_project",
     "GpmStepper",
+    "seed_rows",
     "run_cl_experiment",
     "METHOD_NAMES",
     "PROTOCOL_NAMES",
@@ -667,11 +668,11 @@ class CLConfig:
 
 @dataclass
 class SeedResult:
-    """One seed's record of a run. ``trace`` is the seed's column of the
+    """One row's record of a run. ``trace`` is the row's column of the
     run's step record (``optim.step_record``): one cell per step of every
     task, in step order. ``examples`` and ``train_seconds`` are group values:
-    every seed of a lockstep group trains on as many examples, and each gets
-    the group's training time divided by its number of seeds."""
+    every row of a lockstep group trains on as many examples, and each gets
+    the group's training time divided by its number of rows."""
 
     seed: int
     matrix: list[list[float]]
@@ -694,33 +695,42 @@ def _accuracy(oracle: MlpOracle, theta: ParamVector, x: np.ndarray, y: np.ndarra
     return float(np.mean(np.argmax(z, axis=1) == y))
 
 
-def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
-                      cfg: OptimConfig, cl: CLConfig, seeds) -> list[SeedResult]:
-    """Run the full incremental protocol once per seed, all seeds in lockstep.
+def seed_rows(optimizer: str, seeds, cl: CLConfig) -> list[tuple[int, Stepper]]:
+    """``run_cl_experiment``'s (seed, stepper) rows for one optimizer: a fresh
+    stepper per seed, with ``cl``'s gate settings (C-Flat++'s proxy and its
+    reset, the hybrid plan)."""
+    return [(seed, make_stepper(optimizer, cl.proxy, cl.proxy_reset_per_task, cl.hybrid_p,
+                                cl.hybrid_ordering)) for seed in seeds]
 
-    Every optimizer step steps all seeds' parameters as one stack (see
-    ``train_epochs``); what differs between seeds stays per seed: the
-    initialization, head growth, batch order, replay buffer, GPM basis, WA's
-    gamma and evaluation. Each seed's ``SeedResult`` is made before the
-    first task and filled in place after each one, and is bit-identical to a
-    call with that seed alone; the tasks' step records, their task columns
-    set, join into one whose columns are the seeds' traces. After each task
-    the model is evaluated on every seen task's test split; before each new
-    task (head already grown) its test split is evaluated for forward
-    transfer. Each task is one ``train_epochs`` run, so the stepper's
-    ``prepare`` starts every task (C-Flat++'s bounds and counters carry over
-    only with ``cl.proxy_reset_per_task`` off). Throughput counts training
-    examples per wall second; each seed's ``train_seconds`` is the group's
-    training time divided by the number of seeds. Divergence of any seed
-    aborts the run: the ``DivergenceError`` from ``train_epochs`` gets
-    the task and the first seed to diverge in step order, its message is
-    prefixed with both, and it is re-raised.
+
+def run_cl_experiment(stream: TaskStream, method: str, cfg: OptimConfig, cl: CLConfig,
+                      rows) -> list[SeedResult]:
+    """Run the full incremental protocol once per row, all rows in lockstep.
+
+    ``rows`` are (seed, stepper) pairs (``seed_rows``); the steppers may mix
+    optimizers and gate settings (``cl``'s are not read here). Every
+    optimizer step steps all rows' parameters as one stack (see
+    ``train_epochs``); what differs between rows stays per row: the stepper
+    and, drawn from the seed, the initialization, head growth, batch order,
+    replay buffer, GPM basis, WA's gamma and evaluation. Each row's
+    ``SeedResult`` is made before the first task and filled in place after
+    each one, and is bit-identical to a call with that row alone; the tasks'
+    step records, their task columns set, join into one whose columns are
+    the rows' traces. After each task the model is evaluated on every seen
+    task's test split; before each new task (head already grown) its test
+    split is evaluated for forward transfer. Each task is one
+    ``train_epochs`` run, so the stepper's ``prepare`` starts every task.
+    Throughput counts training examples per wall second; each row's
+    ``train_seconds`` is the group's training time divided by the number of
+    rows. Divergence of any row aborts the run: the ``DivergenceError`` from
+    ``train_epochs`` gets the task and the seed of the first row to diverge
+    in step order, its message is prefixed with both, and it is re-raised.
     """
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    seeds = [int(seed) for seed in seeds]
+    seeds = [int(seed) for seed, _ in rows]
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise ValueError("need at least one row")
     tasks = stream.tasks
     T = len(tasks)
     S = len(seeds)
@@ -737,11 +747,7 @@ def run_cl_experiment(stream: TaskStream, method: str, optimizer: str,
         ref_theta = ref_oracle.init_theta(root.spawn(_STREAM_BASELINE))
         baseline = [_accuracy(ref_oracle, ref_theta, t.test_x, t.test_y) for t in tasks]
         results.append(SeedResult(seed, [], [None], baseline, None, 0, 0.0, row, [None] * T))
-    stepper = SeedGroup([
-        make_stepper(optimizer, proxy=cl.proxy, proxy_reset_per_task=cl.proxy_reset_per_task,
-                     hybrid_p=cl.hybrid_p, hybrid_ordering=cl.hybrid_ordering)
-        for _ in seeds
-    ])
+    stepper = SeedGroup([row_stepper for _, row_stepper in rows])
     if method == "gpm":
         stepper = GpmStepper(stepper, cl.gpm_eta1, cl.gpm_eta2)
 

@@ -91,8 +91,9 @@ class DivergenceError(RuntimeError):
 
     Carries the step index within its training run, the task and the seed
     (set by the continual harness), the stack row that failed (0 for a lone
-    vector), and that row's loss and gradient norm of the last step that
-    finished (None when the run failed on its first step).
+    vector), that row's loss and gradient norm of the last step that
+    finished (None when the run failed on its first step), and the row's
+    optimizer and sweep cell (set by the CLI; None elsewhere).
     """
 
     def __init__(self, message: str, step: int | None = None, task: int | None = None,
@@ -105,6 +106,7 @@ class DivergenceError(RuntimeError):
         self.grad_norm = grad_norm
         self.row = row
         self.seed = seed
+        self.optimizer = self.cell = None
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from cflat.continual import (
     SyntheticSpec,
     make_stream,
     run_cl_experiment,
+    seed_rows,
     synth_dataset,
 )
 from cflat.landscape import (
@@ -56,7 +57,7 @@ def bench():
     runs = {}
     for method, opt in [("finetune", "sgd"), ("replay", "sgd"), ("replay", "cflat"),
                         ("wa", "sgd"), ("wa", "cflat")]:
-        runs[(method, opt)] = run_cl_experiment(stream, method, opt, cfg, cl, SEEDS)
+        runs[(method, opt)] = run_cl_experiment(stream, method, cfg, cl, seed_rows(opt, SEEDS, cl))
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
 
 
@@ -69,7 +70,8 @@ def efficiency_bench():
     cl = CLConfig(hidden=(32,), activation="relu", epochs=15, batch_size=32)
     cfg = OptimConfig(eta=0.1)
     runs = {
-        opt: [run_cl_experiment(stream, "replay", opt, cfg, cl, [s])[0] for s in SEEDS]
+        opt: [run_cl_experiment(stream, "replay", cfg, cl, seed_rows(opt, [s], cl))[0]
+              for s in SEEDS]
         for opt in ("cflat", "cflat++")
     }
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
@@ -373,7 +375,8 @@ def test_criterion_8_gpm_projection():
     cl = CLConfig(hidden=(12,), epochs=4, batch_size=16, gpm_eta1=0.0)
     checked = 0
     worst = 0.0
-    for r in run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3), cl, (0, 1)):
+    for r in run_cl_experiment(stream, "gpm", OptimConfig(eta=0.3), cl,
+                               seed_rows("cflat", (0, 1), cl)):
         projected = r.trace[~np.isnan(r.trace["gpm_in_span"])]
         checked += projected.size
         ratios = projected["gpm_in_span"] / np.maximum(projected["gpm_src_norm"], 1e-300)
@@ -489,7 +492,7 @@ def test_criterion_13_hybrid_grid(bench):
         cl = CLConfig(hidden=(32,), activation="tanh", epochs=15, batch_size=32,
                       hybrid_p=p, hybrid_ordering="cflat_last")
         accs.append(mean_avg_accuracy(
-            run_cl_experiment(stream, "replay", "hybrid", cfg, cl, SEEDS)
+            run_cl_experiment(stream, "replay", cfg, cl, seed_rows("hybrid", SEEDS, cl))
         ))
     corr = spearman(ps, accs)
     ok = corr > 0

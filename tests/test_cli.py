@@ -1054,3 +1054,176 @@ def test_report_names_a_malformed_manifest(tmp_path, capsys, section, key):
     assert error["field"] == f"{section}.{key or 'method'}"
     assert str(path) in error["message"]
     assert not (tmp_path / "r.md").exists()
+
+
+# ---------------------------------------------------------------------------
+# sweep cells that differ only in gate keys train as one lockstep group
+# ---------------------------------------------------------------------------
+
+
+def _gated_doc(out_dir, **overrides):
+    """Two seeds at a tiny shape whose C-Flat++ gates switch on and off, and
+    whose GPM significances adapt."""
+    doc = base_config(out_dir, seeds=[0, 1], **overrides)
+    doc["dataset"]["feature_scale"] = 3.0
+    doc["proxy"] = {"A": 1.0, "k": 0.05, "i0": 10}
+    doc["gpm"] = {"eta1": 0.3}
+    return doc
+
+
+def _run_files(out_dir):
+    """A run directory's deterministic files: metrics, trace and checkpoints."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
+
+
+def _group_sizes(monkeypatch) -> list:
+    """The rows of every ``run_cl_experiment`` call the CLI makes in this process."""
+    from cflat import cli
+    from cflat.continual import run_cl_experiment
+
+    sizes = []
+
+    def recorded(stream, method, cfg, cl, rows):
+        sizes.append(len(rows))
+        return run_cl_experiment(stream, method, cfg, cl, rows)
+
+    monkeypatch.setattr(cli, "run_cl_experiment", recorded)
+    return sizes
+
+
+def _assert_cells_equal_runs_alone(sweep_out, alone_out) -> list:
+    cells = sorted(p for p in sweep_out.iterdir() if p.is_dir())
+    for cell in cells:
+        alone = alone_out / cell.name
+        assert main(["run", "--config", str(cell / "manifest.json"), "--out", str(alone)]) == 0
+        files = _run_files(alone)
+        assert len(files) == 4, files.keys()  # metrics, trace and two checkpoints
+        assert _run_files(cell) == files, cell.name
+    return cells
+
+
+def test_a_grouped_sweep_writes_each_cells_bytes_of_a_run_alone(tmp_path, monkeypatch):
+    # one group per method: distillation or a GPM basis with adapted
+    # significances, SAM's ascent rows, and C-Flat++ rows whose gates differ
+    # at one step, all stepping with the other optimizers' rows
+    cfg = write_config(tmp_path, _gated_doc(tmp_path / "unused"))
+    axes = ["--axis", "method=icarl,gpm", "--axis", "optimizer=sgd,sam,cflat,cflat++,hybrid"]
+    sizes = _group_sizes(monkeypatch)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs1"), *axes]) == 0
+    assert sizes == [10, 10]
+    # three jobs for two groups: one runs whole, the other in two parts
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs3"), "--jobs", "3",
+                 *axes]) == 0
+    cells = _assert_cells_equal_runs_alone(tmp_path / "jobs1", tmp_path / "alone")
+    assert len(cells) == 10
+    for cell in cells:
+        assert _run_files(tmp_path / "jobs3" / cell.name) == _run_files(cell), cell.name
+    assert ((tmp_path / "jobs1" / "sweep.csv").read_bytes()
+            == (tmp_path / "jobs3" / "sweep.csv").read_bytes())
+    for method in ("icarl", "gpm"):
+        lines = (tmp_path / "jobs1" / f"cell_method={method}__optimizer=cflat++" / "trace.csv"
+                 ).read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        gates = {seed: [r["used_cflat"] for r in rows if r["seed"] == seed] for seed in "01"}
+        assert gates["0"] != gates["1"] and set(gates["0"]) == {"true", "false"}
+
+
+@pytest.mark.parametrize("optimizer, axis, sizes", [
+    ("hybrid", "hybrid.p=0.25,0.75", [4]),
+    ("cflat++", "proxy.A=1.0,2.0", [4]),
+    ("cflat++", "optim.rho=0.1,0.2", [2, 2]),
+    ("cflat++", "method=icarl,gpm", [2, 2]),
+])
+def test_only_cells_that_differ_in_gate_keys_share_a_group(tmp_path, monkeypatch, optimizer,
+                                                            axis, sizes):
+    cfg = write_config(tmp_path, _gated_doc(tmp_path / "unused", optimizer=optimizer))
+    recorded = _group_sizes(monkeypatch)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"), "--axis", axis]) == 0
+    assert recorded == sizes
+    assert len(_assert_cells_equal_runs_alone(tmp_path / "sweep", tmp_path / "alone")) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_diverging_row_aborts_its_group_and_the_payload_names_its_cell(tmp_path, jobs):
+    import subprocess
+    import sys
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+                     .read_text(encoding="utf-8"))
+    doc["dataset"]["feature_scale"] = 1e155  # every row's first forward pass overflows
+    doc["model"] = {"hidden": [32], "activation": "relu"}
+    doc["seeds"] = [0]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sweep"
+    for command, extra in (("sweep", ["--axis", "optimizer=sgd,cflat"]), ("run", [])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cflat.cli", command, "--config", cfg, "--jobs", jobs,
+             "--out", str(out if command == "sweep" else tmp_path / "run"), *extra],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "divergence"
+        assert (error["seed"], error["task"], error["step"]) == (0, 0, 0)
+        if command == "sweep":
+            # the first row of the group to diverge is the sgd cell's
+            assert (error["optimizer"], error["cell"]) == ("sgd", "cell_optimizer=sgd")
+        else:
+            assert error["optimizer"] == "cflat" and "cell" not in error
+    assert not out.exists() or not list(out.glob("cell_*"))
+
+
+def test_checkpoints_are_their_documents_json_encoded_with_sorted_keys(tmp_path):
+    # the eval rows are encoded once per stream and spliced into every seed's
+    # document; the bytes stay those of json.dumps of the whole document
+    from cflat.cli import run_experiment_from_config
+    from cflat.continual import run_cl_experiment, seed_rows
+
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    cfg = resolve_config(json.loads(demo.read_text(encoding="utf-8")))
+    stream, optim, cl = inputs = _inputs(cfg)
+    run_experiment_from_config(cfg, inputs, tmp_path)
+    x = np.concatenate([task.test_x for task in stream.tasks])[:512]
+    y = np.concatenate([task.test_y for task in stream.tasks])[:512]
+    results = run_cl_experiment(stream, cfg["method"], optim, cl,
+                                seed_rows(cfg["optimizer"], cfg["seeds"], cl))
+    for r in results:
+        text = (tmp_path / f"checkpoint_seed{r.seed}.json").read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), sort_keys=True) == text
+        theta = r.final_theta
+        doc = {  # the document as it was built whole
+            "kind": "mlp",
+            "schema_version": 1,
+            "seed": r.seed,
+            "model": {"d_in": int(x.shape[1]), "hidden": list(cfg["model"]["hidden"]),
+                      "n_classes": int(theta.manifest[-1].shape[0]),
+                      "activation": cfg["model"]["activation"], "l2": cfg["model"]["l2"]},
+            "manifest": [[seg.name, seg.offset, list(seg.shape)] for seg in theta.manifest],
+            "theta": [float(v) for v in theta.data],
+            "eval_x": [[float(v) for v in row] for row in x],
+            "eval_y": [int(v) for v in y],
+        }
+        assert text == json.dumps(doc, sort_keys=True)
+
+
+def test_trace_lines_format_every_cell_as_fmt_does(tmp_path):
+    # NaN cells (no proxy on the projection's first task, no gpm_* before a
+    # basis), bools, ints and floats, over two seeds' columns
+    from cflat.cli import _trace_lines
+    from cflat.continual import run_cl_experiment, seed_rows
+    from cflat.optim import STEP_FIELDS
+
+    cfg = resolve_config(_gated_doc(tmp_path, method="gpm", optimizer="cflat++"))
+    stream, optim, cl = _inputs(cfg)
+    results = run_cl_experiment(stream, "gpm", optim, cl, seed_rows("cflat++", [0, 1], cl))
+    expected = [
+        ",".join(_fmt(None if isinstance(v, float) and v != v else v) for v in (
+            r.seed, cells["task"], cells["epoch"], step,
+            *(cells[name] for name in STEP_FIELDS.names[2:])))
+        for r in results for step, cells in enumerate(r.trace)
+    ]
+    assert any(",," in line for line in expected)
+    assert _trace_lines(results) == expected

@@ -20,6 +20,7 @@ from cflat.continual import (
     load_csv_dataset,
     make_stream,
     run_cl_experiment,
+    seed_rows,
     scale_new_logits,
     split_dataset,
     synth_dataset,
@@ -691,16 +692,18 @@ def small_cl(**kw):
 def test_single_task_matrix_is_plain_accuracy():
     ds = quick_dataset(classes=4, dims=6, per_class=40)
     stream = make_stream(ds, "B0", 4)  # one task covering everything
-    matrix = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
-                               small_cl(), [0])[0].matrix
+    cl = small_cl()
+    matrix = run_cl_experiment(stream, "finetune", OptimConfig(eta=0.5), cl,
+                               seed_rows("sgd", [0], cl))[0].matrix
     assert len(matrix) == 1 and len(matrix[0]) == 1
     assert 0.0 <= matrix[0][0] <= 1.0
 
 
 def test_finetune_exhibits_forgetting():
     stream = small_stream()
-    m = run_cl_experiment(stream, "finetune", "sgd", OptimConfig(eta=0.5),
-                          small_cl(epochs=5), [0])[0].matrix
+    cl = small_cl(epochs=5)
+    m = run_cl_experiment(stream, "finetune", OptimConfig(eta=0.5), cl,
+                          seed_rows("sgd", [0], cl))[0].matrix
     assert m[1][0] < m[0][0]
 
 
@@ -709,8 +712,10 @@ def test_replay_with_unbounded_memory_matches_joint_training():
     two_task = make_stream(ds, "B0", 2)
     joint = make_stream(ds, "B0", 4)
     cl = CLConfig(hidden=(16,), epochs=10, batch_size=32, memory_capacity=10_000)
-    replay = run_cl_experiment(two_task, "replay", "sgd", OptimConfig(eta=0.5), cl, [0])[0]
-    joint_run = run_cl_experiment(joint, "finetune", "sgd", OptimConfig(eta=0.5), cl, [0])[0]
+    replay = run_cl_experiment(two_task, "replay", OptimConfig(eta=0.5), cl,
+                               seed_rows("sgd", [0], cl))[0]
+    joint_run = run_cl_experiment(joint, "finetune", OptimConfig(eta=0.5), cl,
+                                  seed_rows("sgd", [0], cl))[0]
     gap = abs(last_accuracy(replay.matrix) - last_accuracy(joint_run.matrix))
     assert gap <= 0.03
 
@@ -725,8 +730,8 @@ def test_memory_stays_legal_throughout(monkeypatch):
         return train_epochs(oracle, theta, x, y, *args)
 
     monkeypatch.setattr(continual, "train_epochs", recording)
-    run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5),
-                      small_cl(memory_capacity=5), [0])[0]
+    cl = small_cl(memory_capacity=5)
+    run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl, seed_rows("sgd", [0], cl))[0]
     assert len(trained) == len(stream.tasks)
     seen: set[int] = set()
     for task, (x, y) in zip(stream.tasks, trained):
@@ -743,8 +748,9 @@ def test_memory_stays_legal_throughout(monkeypatch):
 @pytest.mark.parametrize("optimizer", ["sgd", "sam", "cflat", "cflat++", "hybrid"])
 def test_every_method_optimizer_combination_runs(method, optimizer):
     stream = small_stream()
-    seed_result = run_cl_experiment(stream, method, optimizer, OptimConfig(eta=0.3),
-                                    small_cl(epochs=2), [0])[0]
+    cl = small_cl(epochs=2)
+    seed_result = run_cl_experiment(stream, method, OptimConfig(eta=0.3), cl,
+                                    seed_rows(optimizer, [0], cl))[0]
     assert len(seed_result.matrix) == len(stream.tasks)
     for t, row in enumerate(seed_result.matrix):
         assert len(row) == t + 1
@@ -755,17 +761,19 @@ def test_every_method_optimizer_combination_runs(method, optimizer):
 
 def test_experiment_is_deterministic_per_seed():
     stream = small_stream()
-    a = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.3),
-                          small_cl(), [3])[0]
-    b = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.3),
-                          small_cl(), [3])[0]
+    cl = small_cl()
+    a = run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
+                          seed_rows("cflat", [3], cl))[0]
+    b = run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
+                          seed_rows("cflat", [3], cl))[0]
     assert a.matrix == b.matrix
     assert np.array_equal(a.final_theta.data, b.final_theta.data)
 
 
 def test_pre_train_and_baseline_recorded_for_fwt():
     stream = small_stream(classes=6, increment=2)
-    r = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), small_cl(), [0])[0]
+    cl = small_cl()
+    r = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl, seed_rows("sgd", [0], cl))[0]
     assert r.pre_train_acc[0] is None
     assert len(r.pre_train_acc) == 3
     assert all(v is not None for v in r.pre_train_acc[1:])
@@ -774,8 +782,9 @@ def test_pre_train_and_baseline_recorded_for_fwt():
 
 def test_gpm_in_span_invariant_during_run():
     stream = small_stream(classes=6, increment=2)
-    res = run_cl_experiment(stream, "gpm", "cflat", OptimConfig(eta=0.3),
-                            small_cl(gpm_eta1=0.0), [0])[0]
+    cl = small_cl(gpm_eta1=0.0)
+    res = run_cl_experiment(stream, "gpm", OptimConfig(eta=0.3), cl,
+                            seed_rows("cflat", [0], cl))[0]
     projected = res.trace[~np.isnan(res.trace["gpm_in_span"])]
     assert projected.size, "projection never engaged"
     assert (projected["gpm_in_span"] <= 1e-8 * projected["gpm_src_norm"]).all()
@@ -783,15 +792,18 @@ def test_gpm_in_span_invariant_during_run():
 
 def test_wa_gammas_recorded():
     stream = small_stream()
-    gammas = run_cl_experiment(stream, "wa", "sgd", OptimConfig(eta=0.5), small_cl(), [0])[0].gammas
+    cl = small_cl()
+    gammas = run_cl_experiment(stream, "wa", OptimConfig(eta=0.5), cl,
+                               seed_rows("sgd", [0], cl))[0].gammas
     assert gammas[0] is None
     assert gammas[1] is not None and gammas[1] > 0
 
 
 def test_unknown_method_rejected():
     stream = small_stream()
+    cl = small_cl()
     with pytest.raises(ValueError, match="unknown method"):
-        run_cl_experiment(stream, "ewc", "sgd", OptimConfig(eta=0.5), small_cl(), [0])[0]
+        run_cl_experiment(stream, "ewc", OptimConfig(eta=0.5), cl, seed_rows("sgd", [0], cl))[0]
 
 
 def test_cflat_throughput_below_sgd_on_identical_workload():
@@ -799,7 +811,9 @@ def test_cflat_throughput_below_sgd_on_identical_workload():
     ds = quick_dataset(classes=4, dims=16, per_class=100, seed=19)
     stream = make_stream(ds, "B0", 2)
     cl = CLConfig(hidden=(32,), epochs=6, batch_size=64)
-    sgd = run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.5), cl, [0])[0]
-    cflat = run_cl_experiment(stream, "replay", "cflat", OptimConfig(eta=0.5), cl, [0])[0]
+    sgd = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl,
+                            seed_rows("sgd", [0], cl))[0]
+    cflat = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl,
+                              seed_rows("cflat", [0], cl))[0]
     thr = lambda res: res.examples / res.train_seconds
     assert thr(cflat) < thr(sgd)

@@ -11,6 +11,7 @@ from cflat.continual import (
     gpm_extract_basis,
     make_stream,
     run_cl_experiment,
+    seed_rows,
     synth_dataset,
 )
 from cflat.numcore import ParamVector, SeededRng, norm2, stack, unstack
@@ -203,10 +204,10 @@ def test_a_seed_group_equals_one_seed_runs(method, optimizer):
                   proxy=ProxyState(A=2.0, k=0.05, i0=10))
     cfg = OptimConfig(eta=0.3)
     seeds = [4, 0, 9]
-    group = run_cl_experiment(stream, method, optimizer, cfg, cl, seeds)
+    group = run_cl_experiment(stream, method, cfg, cl, seed_rows(optimizer, seeds, cl))
     assert [r.seed for r in group] == seeds
     for r in group:
-        (alone,) = run_cl_experiment(stream, method, optimizer, cfg, cl, [r.seed])
+        (alone,) = run_cl_experiment(stream, method, cfg, cl, seed_rows(optimizer, [r.seed], cl))
         assert _differing_columns(r.trace, alone.trace) == []
         assert r.matrix == alone.matrix and r.pre_train_acc == alone.pre_train_acc
         assert r.baseline_acc == alone.baseline_acc and r.gammas == alone.gammas
@@ -264,9 +265,10 @@ def test_divergence_names_the_first_failing_row_and_its_seed(monkeypatch):
     monkeypatch.setattr(continual, "train_epochs", poisoned)
     spec = SyntheticSpec(classes=4, dims=5, per_class=20, cluster_std=1.0, seed=4)
     stream = make_stream(synth_dataset(spec), "B0", 2)
+    cl = CLConfig(hidden=(8,), epochs=1, batch_size=16)
     with pytest.raises(DivergenceError) as err:
-        run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.3),
-                          CLConfig(hidden=(8,), epochs=1, batch_size=16), [5, 6, 7])
+        run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
+                          seed_rows("sgd", [5, 6, 7], cl))
     assert (err.value.seed, err.value.row, err.value.task, err.value.step) == (6, 1, 0, 0)
     assert "of seed 6" in str(err.value)
 
@@ -314,9 +316,10 @@ def test_the_harness_annotates_the_divergence_error_it_caught(monkeypatch):
     monkeypatch.setattr(continual, "train_epochs", diverging)
     spec = SyntheticSpec(classes=4, dims=5, per_class=20, cluster_std=1.0, seed=4)
     stream = make_stream(synth_dataset(spec), "B0", 2)
+    cl = CLConfig(hidden=(8,), epochs=1, batch_size=16)
     with pytest.raises(DivergenceError) as err:
-        run_cl_experiment(stream, "replay", "sgd", OptimConfig(eta=0.3),
-                          CLConfig(hidden=(8,), epochs=1, batch_size=16), [5, 6, 7])
+        run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
+                          seed_rows("sgd", [5, 6, 7], cl))
     assert err.value is raised
     assert (err.value.task, err.value.seed, err.value.row, err.value.step) == (0, 7, 2, 4)
     assert (err.value.last_loss, err.value.grad_norm) == (0.5, 2.0)
