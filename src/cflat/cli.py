@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -49,8 +49,8 @@ from .metrics import (
 )
 from .numcore import ParamVector, SeededRng
 from .objective import ACTIVATION_NAMES, Batch, MlpOracle, MlpSpec, QuadraticOracle
-from .optim import (DivergenceError, OptimConfig, ProxyState, HYBRID_ORDERINGS, OPTIMIZER_NAMES,
-                    STEP_FIELDS)
+from .optim import (CflatPPStepper, DescentStepper, DivergenceError, HybridStepper, OptimConfig,
+                    HYBRID_ORDERINGS, OPTIMIZER_NAMES, STEP_FIELDS, STEPPERS)
 
 SCHEMA_VERSION = 1
 
@@ -59,12 +59,20 @@ SCHEMA_VERSION = 1
 # JSON error, and a warning printed on the way would come before it on stderr.
 _QUIET_FLOATS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
-# Config keys that set a dataclass field: JSON path -> (dataclass, field).
-# Their defaults come from the dataclass, and _inputs builds the dataclasses
-# from them when it checks and builds a run's inputs.
-_DATACLASS_KEYS = (
-    *((f"dataset.{f.name}", SyntheticSpec, f.name) for f in dataclasses.fields(SyntheticSpec)),
-    *((f"optim.{f.name}", OptimConfig, f.name) for f in dataclasses.fields(OptimConfig)),
+
+@functools.cache
+def _defaults(owner) -> dict:
+    """``owner``'s constructor parameters and their defaults."""
+    return {name: param.default for name, param in inspect.signature(owner).parameters.items()}
+
+
+# Config keys that set a constructor parameter: JSON path -> (owner, parameter),
+# where an owner is a dataclass or a stepper class. Their defaults come from
+# the owner's signature, and _inputs builds the owners from them when it
+# checks and builds a run's inputs.
+_CONFIG_KEYS = (
+    *((f"dataset.{name}", SyntheticSpec, name) for name in _defaults(SyntheticSpec)),
+    *((f"optim.{name}", OptimConfig, name) for name in _defaults(OptimConfig)),
     ("model.hidden", CLConfig, "hidden"),
     ("model.activation", CLConfig, "activation"),
     ("model.l2", CLConfig, "l2"),
@@ -74,13 +82,8 @@ _DATACLASS_KEYS = (
     ("train.lr_decay", CLConfig, "lr_decay"),
     ("memory.capacity_per_class", CLConfig, "memory_capacity"),
     ("icarl.temperature", CLConfig, "temperature"),
-    ("proxy.A", ProxyState, "A"),
-    ("proxy.k", ProxyState, "k"),
-    ("proxy.i0", ProxyState, "i0"),
-    ("proxy.eta0", ProxyState, "eta0"),
-    ("proxy.reset_per_task", CLConfig, "proxy_reset_per_task"),
-    ("hybrid.p", CLConfig, "hybrid_p"),
-    ("hybrid.ordering", CLConfig, "hybrid_ordering"),
+    *((f"proxy.{name}", CflatPPStepper, name) for name in _defaults(CflatPPStepper)),
+    *((f"hybrid.{name}", HybridStepper, name) for name in _defaults(HybridStepper)),
     ("gpm.energy_threshold", CLConfig, "gpm_energy_threshold"),
     ("gpm.eta1", CLConfig, "gpm_eta1"),
     ("gpm.eta2", CLConfig, "gpm_eta2"),
@@ -88,17 +91,17 @@ _DATACLASS_KEYS = (
 )
 
 
-def _dataclass_sections() -> dict:
-    """The config sections of _DATACLASS_KEYS, at the dataclass defaults."""
+def _default_sections() -> dict:
+    """The config sections of _CONFIG_KEYS, at their owners' defaults."""
     sections: dict = {}
-    for path, cls, name in _DATACLASS_KEYS:
+    for path, owner, name in _CONFIG_KEYS:
         section, key = path.split(".")
-        value = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+        value = _defaults(owner)[name]
         sections.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
     return sections
 
 
-_SECTIONS = _dataclass_sections()
+_SECTIONS = _default_sections()
 _DEFAULT_CONFIG = {
     "dataset": {
         "kind": "synthetic",
@@ -208,7 +211,7 @@ def _check_distinct_seeds(seeds: list[int], field: str) -> None:
         raise ConfigError(f"{field} must not repeat a seed, got {seeds}", field)
 
 
-def _dataclass_kwargs(cfg: dict, keys: list[tuple[str, str]]) -> dict:
+def _owner_kwargs(cfg: dict, keys: list[tuple[str, str]]) -> dict:
     kwargs = {}
     for path, name in keys:
         section, key = path.split(".")
@@ -217,17 +220,17 @@ def _dataclass_kwargs(cfg: dict, keys: list[tuple[str, str]]) -> dict:
     return kwargs
 
 
-def _build(cfg: dict, cls, **extra):
+def _build(cfg: dict, cls):
     """``cls`` from its config keys. A ValueError from its checks becomes a
     ConfigError naming the key that fails on its own (the others at their
     defaults), or else the section of the keys set away from their defaults:
     a cross-field check such as rho_min <= rho <= rho_max."""
-    keys = [(path, name) for path, owner, name in _DATACLASS_KEYS if owner is cls]
-    kwargs = _dataclass_kwargs(cfg, keys)
+    keys = [(path, name) for path, owner, name in _CONFIG_KEYS if owner is cls]
+    kwargs = _owner_kwargs(cfg, keys)
     try:
-        return cls(**extra, **kwargs)
+        return cls(**kwargs)
     except ValueError as err:
-        defaults = _dataclass_kwargs(_DEFAULT_CONFIG, keys)
+        defaults = _owner_kwargs(_DEFAULT_CONFIG, keys)
         changed = [(path, name) for path, name in keys if kwargs[name] != defaults[name]]
         for path, name in changed:
             try:
@@ -238,16 +241,19 @@ def _build(cfg: dict, cls, **extra):
         raise ConfigError(f"{section}: {err}", section) from None
 
 
-def _inputs(cfg: dict, streams: dict | None = None) -> tuple[TaskStream, OptimConfig, CLConfig]:
-    """A resolved config's task stream, OptimConfig and CLConfig, checked and
-    built in this one place: a value a dataclass rejects fails as in _build,
-    classes that do not split into tasks, or give the first fewer than two,
-    with field increment (before a synthetic dataset is drawn), and a CSV
-    that cannot be read, parsed or split with field dataset.path, naming the
-    file. Sweep cells that pass one ``streams`` and split one dataset alike
-    share its stream."""
+def _inputs(cfg: dict, streams: dict | None = None
+            ) -> tuple[TaskStream, OptimConfig, CLConfig, DescentStepper]:
+    """A resolved config's task stream, OptimConfig, CLConfig and unstarted
+    stepper, checked and built in this one place: a value an owner rejects
+    fails as in _build (every stepper class is built, so a gate setting
+    fails under any optimizer), classes that do not split into tasks, or
+    give the first fewer than two, with field increment (before a synthetic
+    dataset is drawn), and a CSV that cannot be read, parsed or split with
+    field dataset.path, naming the file. Sweep cells that pass one
+    ``streams`` and split one dataset alike share its stream."""
     optim = _build(cfg, OptimConfig)
-    cl = _build(cfg, CLConfig, proxy=_build(cfg, ProxyState))
+    cl = _build(cfg, CLConfig)
+    steppers = {name: _build(cfg, cls) for name, cls in STEPPERS.items()}
     streams = {} if streams is None else streams
     ds = cfg["dataset"]
     key = json.dumps([ds, cfg["protocol"], cfg["increment"], cfg["perm_seed"]], sort_keys=True)
@@ -269,7 +275,7 @@ def _inputs(cfg: dict, streams: dict | None = None) -> tuple[TaskStream, OptimCo
         except ValueError as err:
             raise ConfigError(f"increment: {err}", "increment") from None
         streams[key] = make_stream(draw(), cfg["protocol"], cfg["increment"], cfg["perm_seed"])
-    return streams[key], optim, cl
+    return streams[key], optim, cl, steppers[cfg["optimizer"]]
 
 
 def _fmt(value) -> str:
@@ -427,9 +433,11 @@ def _seed_groups(seeds: list, jobs: int) -> list[list]:
     return [seeds[g * n // count:(g + 1) * n // count] for g in range(count)]
 
 
-# The config sections only a row's stepper reads: cells that differ in nothing
-# else (nor in out_dir) train as one lockstep group.
-_GATE_SECTIONS = ("optimizer", "proxy", "hybrid", "out_dir")
+# The config sections only a row's stepper reads, the optimizer and the
+# sections of stepper settings: cells that differ in nothing else (nor in
+# out_dir) train as one lockstep group.
+_GATE_SECTIONS = ("optimizer", *dict.fromkeys(path.split(".")[0] for path, owner, _ in _CONFIG_KEYS
+                                              if owner in STEPPERS.values()), "out_dir")
 
 
 def _train(part: tuple) -> list:
@@ -456,21 +464,21 @@ def _run_cells(cells: list, jobs: int) -> list[dict]:
     so no byte but the manifest's timing depends on the grouping or ``jobs``.
     """
     groups: dict = {}
-    for index, (cfg, (_, _, cl), _, cell) in enumerate(cells):
+    for index, (cfg, (*_, stepper), _, cell) in enumerate(cells):
         key = json.dumps({k: v for k, v in cfg.items() if k not in _GATE_SECTIONS},
                          sort_keys=True)
         groups.setdefault(key, []).extend((index, (cfg["optimizer"], cell), row)
-                                          for row in seed_rows(cfg["optimizer"], cfg["seeds"], cl))
+                                          for row in seed_rows(stepper, cfg["seeds"]))
     parts = []
     for g, rows in enumerate(groups.values()):
-        cfg, (stream, optim, cl), _, _ = cells[rows[0][0]]
+        cfg, (stream, optim, cl, _), _, _ = cells[rows[0][0]]
         share = max(1, (g + 1) * jobs // len(groups) - g * jobs // len(groups))
         parts += [(stream, cfg["method"], optim, cl, part) for part in _seed_groups(rows, share)]
     results = [r for part in _map_jobs(_train, parts, jobs) for r in part]
     owners = [index for *_, rows in parts for index, _, _ in rows]
     encoded: dict = {}  # each stream's checkpoint eval members, encoded once
     manifests = []
-    for index, (cfg, (stream, _, _), out_dir, _) in enumerate(cells):
+    for index, (cfg, (stream, *_), out_dir, _) in enumerate(cells):
         if id(stream) not in encoded:
             encoded[id(stream)] = _eval_members(stream)
         own = [r for r, owner in zip(results, owners) if owner == index]
@@ -732,7 +740,9 @@ _REPORT_KEYS = {
 }
 
 
-def _collect_manifests(results_dir: Path) -> list[dict]:
+def _collect_manifests(results_dir: Path) -> list[tuple[str, dict]]:
+    """(run, manifest) pairs for every manifest under ``results_dir``, where
+    run is the manifest's directory relative to ``results_dir``."""
     manifests = []
     for path in sorted(results_dir.rglob("manifest.json")):
         manifest = _read_json(path)
@@ -741,48 +751,47 @@ def _collect_manifests(results_dir: Path) -> list[dict]:
             for key in keys:
                 if not isinstance(node, dict) or key not in node:
                     raise ConfigError(f"{path} has no {section}.{key}", f"{section}.{key}")
-        manifests.append(manifest)
+        manifests.append((path.parent.relative_to(results_dir).as_posix(), manifest))
     if not manifests:
         raise ConfigError(f"no manifest.json found under {results_dir}")
-    versions = {m.get("schema_version") for m in manifests}
+    versions = {m.get("schema_version") for _, m in manifests}
     if len(versions) > 1:
         raise ConfigError(f"mixed manifest schema versions: {sorted(map(str, versions))}")
     return manifests
 
 
 def cmd_report(args) -> int:
-    manifests = _collect_manifests(Path(args.results))
-    rows = {}
-    for m in manifests:
-        key = (m["config"]["method"], m["config"]["optimizer"])
-        if key in rows:
-            raise ConfigError(f"duplicate method/optimizer cell: {key}")
-        rows[key] = m["aggregate"]
-
-    sgd_ref = {method: row["avg_accuracy_mean"] for (method, opt), row in rows.items()
-               if opt == "sgd"}
+    """One row per run, by method, optimizer and run directory. A row's
+    relative return is taken against the one SGD run whose config differs
+    only in _GATE_SECTIONS and seeds, and is n/a without exactly one."""
+    runs = sorted(_collect_manifests(Path(args.results)), key=lambda run: (
+        run[1]["config"]["method"], run[1]["config"]["optimizer"], run[0]))
+    shared = [{k: v for k, v in m["config"].items() if k not in (*_GATE_SECTIONS, "seeds")}
+              for _, m in runs]
+    sgd_refs = [(config, m["aggregate"]["avg_accuracy_mean"])
+                for config, (_, m) in zip(shared, runs) if m["config"]["optimizer"] == "sgd"]
     lines = [
         "# Continual-learning results",
         "",
         "Mean and std are over seeds (population std). Relative return compares",
         "average accuracy against the SGD row of the same method.",
         "",
-        "| method | optimizer | avg acc | last acc | proportion | rel. return |",
-        "|---|---|---|---|---|---|",
+        "| method | optimizer | avg acc | last acc | proportion | rel. return | run |",
+        "|---|---|---|---|---|---|---|",
     ]
-    for (method, opt) in sorted(rows):
-        row = rows[(method, opt)]
-        if method in sgd_ref and sgd_ref[method] != 0:
-            rel = relative_return(row["avg_accuracy_mean"], sgd_ref[method])
-            rel_str = f"{rel * 100:+.2f}%"
+    for config, (run, m) in zip(shared, runs):
+        row = m["aggregate"]
+        refs = [acc for ref, acc in sgd_refs if ref == config]
+        if len(refs) == 1 and refs[0] != 0:
+            rel_str = f"{relative_return(row['avg_accuracy_mean'], refs[0]) * 100:+.2f}%"
         else:
             rel_str = "n/a"
         lines.append(
-            f"| {method} | {opt} "
+            f"| {m['config']['method']} | {m['config']['optimizer']} "
             f"| {row['avg_accuracy_mean']:.4f} ± {row['avg_accuracy_std']:.4f} "
             f"| {row['last_accuracy_mean']:.4f} ± {row['last_accuracy_std']:.4f} "
             f"| {row['cflat_proportion_mean'] * 100:.1f}% "
-            f"| {rel_str} |"
+            f"| {rel_str} | {run} |"
         )
     out_path = Path(args.out) if args.out else Path(args.results) / "report.md"
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -30,12 +30,10 @@ from .optim import (
     DescentStepper,
     DivergenceError,
     OptimConfig,
-    ProxyState,
     SeedGroup,
     Stepper,
     _ascent_gradient,
     _require_finite,
-    make_stepper,
     train_epochs,
 )
 
@@ -634,10 +632,6 @@ class CLConfig:
     gpm_eta1: float = 0.0
     gpm_eta2: float | None = None
     gpm_sample: int = 256
-    hybrid_p: float = 0.5
-    hybrid_ordering: str = "cflat_last"
-    proxy: ProxyState = ProxyState()
-    proxy_reset_per_task: bool = True
 
     def __post_init__(self):
         if any(h < 1 for h in self.hidden):
@@ -662,8 +656,6 @@ class CLConfig:
             raise ValueError("gpm_eta2 must be nonnegative")
         if self.gpm_sample < 1:
             raise ValueError("gpm_sample must be >= 1")
-        if not 0.0 <= self.hybrid_p <= 1.0:
-            raise ValueError("hybrid_p must lie in [0, 1]")
 
 
 @dataclass
@@ -695,12 +687,10 @@ def _accuracy(oracle: MlpOracle, theta: ParamVector, x: np.ndarray, y: np.ndarra
     return float(np.mean(np.argmax(z, axis=1) == y))
 
 
-def seed_rows(optimizer: str, seeds, cl: CLConfig) -> list[tuple[int, Stepper]]:
-    """``run_cl_experiment``'s (seed, stepper) rows for one optimizer: a fresh
-    stepper per seed, with ``cl``'s gate settings (C-Flat++'s proxy and its
-    reset, the hybrid plan)."""
-    return [(seed, make_stepper(optimizer, cl.proxy, cl.proxy_reset_per_task, cl.hybrid_p,
-                                cl.hybrid_ordering)) for seed in seeds]
+def seed_rows(stepper: Stepper, seeds) -> list[tuple[int, Stepper]]:
+    """``run_cl_experiment``'s (seed, stepper) rows for one optimizer: each
+    seed gets a deep copy of the unstarted ``stepper``, with its settings."""
+    return [(seed, copy.deepcopy(stepper)) for seed in seeds]
 
 
 def run_cl_experiment(stream: TaskStream, method: str, cfg: OptimConfig, cl: CLConfig,
@@ -708,11 +698,11 @@ def run_cl_experiment(stream: TaskStream, method: str, cfg: OptimConfig, cl: CLC
     """Run the full incremental protocol once per row, all rows in lockstep.
 
     ``rows`` are (seed, stepper) pairs (``seed_rows``); the steppers may mix
-    optimizers and gate settings (``cl``'s are not read here). Every
-    optimizer step steps all rows' parameters as one stack (see
-    ``train_epochs``); what differs between rows stays per row: the stepper
-    and, drawn from the seed, the initialization, head growth, batch order,
-    replay buffer, GPM basis, WA's gamma and evaluation. Each row's
+    optimizers and gate settings. Every optimizer step steps all rows'
+    parameters as one stack (see ``train_epochs``); what differs between
+    rows stays per row: the stepper and, drawn from the seed, the
+    initialization, head growth, batch order, replay buffer, GPM basis,
+    WA's gamma and evaluation. Each row's
     ``SeedResult`` is made before the first task and filled in place after
     each one, and is bit-identical to a call with that row alone; the tasks'
     step records, their task columns set, join into one whose columns are

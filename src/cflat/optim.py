@@ -29,8 +29,9 @@ plan; SAM says no and then takes the gradient at the ascent point. ``step``
 is the plain step theta - eta * d. Steppers are the only step API:
 ``make_stepper`` builds one by name, ``train_epochs`` drives one, and a
 projection method (continual.GpmStepper) wraps any stepper's direction
-instead of stepping. A stepper keeps its own cross-step state (C-Flat++'s
-bound A and counter i, the hybrid's plan), which ``prepare``, the one hook
+instead of stepping. A stepper holds its own settings (C-Flat++'s proxy, the
+hybrid's share and ordering) and cross-step state (C-Flat++'s bound and
+counter i, the hybrid's plan), which ``prepare``, the one hook
 ``train_epochs`` calls before a run's first step, (re)starts.
 
 A training run's ``step_record`` is one structured array of shape (steps, S)
@@ -62,7 +63,6 @@ from .objective import Batch, ObjectiveOracle
 
 __all__ = [
     "OptimConfig",
-    "ProxyState",
     "STEP_FIELDS",
     "step_record",
     "DivergenceError",
@@ -81,6 +81,7 @@ __all__ = [
     "CflatPPStepper",
     "HybridStepper",
     "make_stepper",
+    "STEPPERS",
     "OPTIMIZER_NAMES",
     "HYBRID_ORDERINGS",
 ]
@@ -148,22 +149,6 @@ class OptimConfig:
             raise ValueError("need rho_min <= rho <= rho_max")
         if not self.eta_min <= self.eta <= self.eta_max:
             raise ValueError("need eta_min <= eta <= eta_max")
-
-
-@dataclass(frozen=True)
-class ProxyState:
-    """The sharpness proxy's fixed settings: initial bound A, curvature k,
-    inflection i0 and feedback rate eta0. The bound and step counter that
-    error feedback adapts live on the gate, ``CflatPPStepper``."""
-
-    A: float = 5.0
-    k: float = 0.01
-    i0: int = 80
-    eta0: float = 5e-3
-
-    def __post_init__(self):
-        if not math.isfinite(self.A):
-            raise ValueError("A must be finite")
 
 
 # The step record's columns in trace.csv order (the step index goes after epoch).
@@ -277,10 +262,9 @@ def rho_schedule(cfg: OptimConfig, eta_i: float) -> float:
     return cfg.rho_min + slope * (eta_i - cfg.eta_min)
 
 
-def proxy_value(proxy: ProxyState, A: float, i: int) -> float:
-    """Sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}) for the bound ``A``
-    and counter ``i`` a gate holds, with k and i0 from ``proxy``."""
-    x = -proxy.k * (i - proxy.i0)
+def proxy_value(A: float, k: float, i0: int, i: int) -> float:
+    """Sigmoidal sharpness proxy A / (1 + e^{-k(i - i0)}) at bound ``A`` and step ``i``."""
+    x = -k * (i - i0)
     if x > 700.0:  # exp would overflow; the sigmoid is ~0 here
         return 0.0
     return A / (1.0 + math.exp(x))
@@ -402,38 +386,42 @@ class CflatStepper(DescentStepper):
 class CflatPPStepper(DescentStepper):
     """The C-Flat direction when the sharpness proxy gates it on, else the gradient.
 
-    The gate holds the bound ``A`` and counter ``i``, from ``proxy.A`` and 1.
-    E = proxy_value - ||g||^2 decides the branch (C-Flat when E <= 0); A
-    updates to A - eta0 * E either way, and i advances. ``prepare`` restarts
-    both unless ``reset_per_task`` is off, which carries them across runs.
+    Its settings are the initial bound A, curvature k, inflection i0 and
+    feedback rate eta0 of the proxy. The gate adapts the bound ``bound`` and
+    counter ``i``, from A and 1: E = proxy_value - ||g||^2 decides the branch
+    (C-Flat when E <= 0), the bound updates to bound - eta0 * E either way,
+    and i advances. ``prepare`` restarts both unless ``reset_per_task`` is
+    off, which carries them across runs.
     """
 
-    def __init__(self, proxy: ProxyState | None = None, reset_per_task: bool = True):
-        self.proxy = proxy if proxy is not None else ProxyState()
-        self.reset_per_task = reset_per_task
-        self.A, self.i = self.proxy.A, 1
+    def __init__(self, A: float = 5.0, k: float = 0.01, i0: int = 80, eta0: float = 5e-3,
+                 reset_per_task: bool = True):
+        if not math.isfinite(A):
+            raise ValueError("A must be finite")
+        self.A, self.k, self.i0, self.eta0, self.reset_per_task = A, k, i0, eta0, reset_per_task
+        self.bound, self.i = A, 1
 
     def prepare(self, total_steps: int):
         if self.reset_per_task:
-            self.A, self.i = self.proxy.A, 1
+            self.bound, self.i = self.A, 1
 
     def use_cflat(self, row, i):
-        value = row["proxy_value"][i] = proxy_value(self.proxy, self.A, self.i)
+        value = row["proxy_value"][i] = proxy_value(self.bound, self.k, self.i0, self.i)
         feedback = value - float(row["sq_grad_norm"][i])
-        self.A -= self.proxy.eta0 * feedback
+        self.bound -= self.eta0 * feedback
         self.i += 1
-        if not math.isfinite(self.A):
+        if not math.isfinite(self.bound):
             raise DivergenceError("non-finite C-Flat++ bound encountered", row=i)
         return feedback <= 0
 
 
 class HybridStepper(DescentStepper):
-    """The C-Flat direction on the planned share of steps, the gradient elsewhere."""
+    """The C-Flat direction on the planned share of steps, the gradient
+    elsewhere; a bad p or ordering fails here, before any run."""
 
-    def __init__(self, p: float, ordering: str = "cflat_last"):
-        self.p = p
-        self.ordering = ordering
-        self.plan = np.zeros(0, dtype=bool)
+    def __init__(self, p: float = 0.5, ordering: str = "cflat_last"):
+        self.plan = hybrid_step_plan(0, p, ordering)
+        self.p, self.ordering = p, ordering
         self.idx = 0
 
     def prepare(self, total_steps: int):
@@ -462,28 +450,18 @@ class SeedGroup(DescentStepper):
             member.prepare(total_steps)
 
 
-OPTIMIZER_NAMES = ("sgd", "sam", "cflat", "cflat++", "hybrid")
+# Optimizer name -> stepper class; a class's constructor takes its settings.
+STEPPERS = {"sgd": SgdStepper, "sam": SamStepper, "cflat": CflatStepper,
+            "cflat++": CflatPPStepper, "hybrid": HybridStepper}
+OPTIMIZER_NAMES = tuple(STEPPERS)
 
 
-def make_stepper(
-    name: str,
-    proxy: ProxyState | None = None,
-    proxy_reset_per_task: bool = True,
-    hybrid_p: float = 0.5,
-    hybrid_ordering: str = "cflat_last",
-) -> DescentStepper:
-    """The stepper for one of OPTIMIZER_NAMES, with its cross-step settings."""
-    if name == "sgd":
-        return SgdStepper()
-    if name == "sam":
-        return SamStepper()
-    if name == "cflat":
-        return CflatStepper()
-    if name == "cflat++":
-        return CflatPPStepper(proxy, proxy_reset_per_task)
-    if name == "hybrid":
-        return HybridStepper(hybrid_p, hybrid_ordering)
-    raise ValueError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
+def make_stepper(name: str, **settings) -> DescentStepper:
+    """The stepper for one of OPTIMIZER_NAMES; ``settings`` go to its
+    constructor, so a setting it does not take raises TypeError."""
+    if name not in STEPPERS:
+        raise ValueError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
+    return STEPPERS[name](**settings)
 
 
 def train_epochs(

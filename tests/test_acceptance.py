@@ -31,7 +31,7 @@ from cflat.landscape import (
 from cflat.metrics import average_accuracy, bwt, cflat_proportion
 from cflat.numcore import ParamVector, SeededRng, norm2
 from cflat.objective import Batch, MlpOracle, MlpSpec, QuadraticOracle
-from cflat.optim import CflatStepper, OptimConfig, SamStepper, SgdStepper
+from cflat.optim import CflatStepper, OptimConfig, SamStepper, SgdStepper, make_stepper
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -57,7 +57,8 @@ def bench():
     runs = {}
     for method, opt in [("finetune", "sgd"), ("replay", "sgd"), ("replay", "cflat"),
                         ("wa", "sgd"), ("wa", "cflat")]:
-        runs[(method, opt)] = run_cl_experiment(stream, method, cfg, cl, seed_rows(opt, SEEDS, cl))
+        runs[(method, opt)] = run_cl_experiment(stream, method, cfg, cl,
+                                                seed_rows(make_stepper(opt), SEEDS))
     return {"stream": stream, "cl": cl, "cfg": cfg, "runs": runs}
 
 
@@ -70,7 +71,7 @@ def efficiency_bench():
     cl = CLConfig(hidden=(32,), activation="relu", epochs=15, batch_size=32)
     cfg = OptimConfig(eta=0.1)
     runs = {
-        opt: [run_cl_experiment(stream, "replay", cfg, cl, seed_rows(opt, [s], cl))[0]
+        opt: [run_cl_experiment(stream, "replay", cfg, cl, seed_rows(make_stepper(opt), [s]))[0]
               for s in SEEDS]
         for opt in ("cflat", "cflat++")
     }
@@ -376,7 +377,7 @@ def test_criterion_8_gpm_projection():
     checked = 0
     worst = 0.0
     for r in run_cl_experiment(stream, "gpm", OptimConfig(eta=0.3), cl,
-                               seed_rows("cflat", (0, 1), cl)):
+                               seed_rows(make_stepper("cflat"), (0, 1))):
         projected = r.trace[~np.isnan(r.trace["gpm_in_span"])]
         checked += projected.size
         ratios = projected["gpm_in_span"] / np.maximum(projected["gpm_src_norm"], 1e-300)
@@ -489,11 +490,9 @@ def test_criterion_13_hybrid_grid(bench):
     ps = [0.0, 0.25, 0.5, 0.75, 1.0]
     accs = []
     for p in ps:
-        cl = CLConfig(hidden=(32,), activation="tanh", epochs=15, batch_size=32,
-                      hybrid_p=p, hybrid_ordering="cflat_last")
-        accs.append(mean_avg_accuracy(
-            run_cl_experiment(stream, "replay", cfg, cl, seed_rows("hybrid", SEEDS, cl))
-        ))
+        cl = CLConfig(hidden=(32,), activation="tanh", epochs=15, batch_size=32)
+        rows = seed_rows(make_stepper("hybrid", p=p, ordering="cflat_last"), SEEDS)
+        accs.append(mean_avg_accuracy(run_cl_experiment(stream, "replay", cfg, cl, rows)))
     corr = spearman(ps, accs)
     ok = corr > 0
     report(13, ok, "accuracy by p: " + ", ".join(f"{a:.4f}" for a in accs)

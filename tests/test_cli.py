@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cflat.cli import ConfigError, _fmt, _inputs, main, resolve_config
+from cflat.cli import _GATE_SECTIONS, ConfigError, _defaults, _fmt, _inputs, main, resolve_config
 from cflat.continual import CLConfig, SyntheticSpec
-from cflat.optim import OptimConfig
+from cflat.optim import CflatPPStepper, HybridStepper, OptimConfig
 
 
 def base_config(out_dir, **overrides):
@@ -258,9 +258,16 @@ def test_resolve_config_fills_defaults():
 
 def test_dataclasses_built_from_the_default_config_are_the_library_defaults():
     cfg = resolve_config({})
-    _, optim, cl = _inputs(cfg)
+    _, optim, cl, _ = _inputs(cfg)
     assert cl == CLConfig()
     assert optim == OptimConfig()
+    # each gate's settings, read from the config's proxy.* and hybrid.* keys
+    for name, cls in (("cflat++", CflatPPStepper), ("hybrid", HybridStepper)):
+        built = _inputs({**cfg, "optimizer": name})[3]
+        assert type(built) is cls
+        assert {key: getattr(built, key) for key in _defaults(cls)} == \
+            {key: getattr(cls(), key) for key in _defaults(cls)}
+    assert set(_GATE_SECTIONS) == {"optimizer", "proxy", "hybrid", "out_dir"}
 
 
 def test_the_default_synthetic_dataset_is_the_library_default():
@@ -403,7 +410,8 @@ def test_report_reads_no_timing_and_is_identical_across_jobs(tmp_path):
         manifest = json.loads((out / "cell_optimizer=sgd" / "manifest.json").read_text())
         assert list(manifest["timing"]) == ["per_seed_train_seconds"]
     lines = reports[0].decode("utf-8").splitlines()
-    assert lines[5] == "| method | optimizer | avg acc | last acc | proportion | rel. return |"
+    assert lines[5] == ("| method | optimizer | avg acc | last acc | proportion | rel. return "
+                        "| run |")
     assert [ln.split(" | ")[:2] for ln in lines[7:]] == [["| replay", "cflat++"],
                                                          ["| replay", "sgd"]]
 
@@ -618,6 +626,27 @@ def test_report_single_manifest_and_sgd_reference(tmp_path):
     mean = sum(avgs) / 3
     hand_std = (sum((a - mean) ** 2 for a in avgs) / 3) ** 0.5
     assert manifest["aggregate"]["avg_accuracy_std"] == pytest.approx(hand_std, rel=1e-12)
+
+
+def test_report_rows_of_a_hyperparameter_sweep_take_rel_return_from_their_own_sgd_cell(tmp_path):
+    cfg = write_config(tmp_path, base_config(tmp_path / "unused", seeds=[0, 1]))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--axis", "optim.rho=0.1,0.2", "--axis", "optimizer=sgd,cflat"]) == 0
+    assert main(["report", "--results", str(out)]) == 0
+    lines = (out / "report.md").read_text(encoding="utf-8").splitlines()
+    rows = [[cell.strip() for cell in ln.split("|")[1:-1]] for ln in lines[7:]]
+    assert len(rows) == 4
+    by_run = {row[-1]: row for row in rows}
+    for rho in ("0.1", "0.2"):
+        sgd = json.loads((out / f"cell_optim_rho={rho}__optimizer=sgd" / "manifest.json")
+                         .read_text())["aggregate"]["avg_accuracy_mean"]
+        run = f"cell_optim_rho={rho}__optimizer=cflat"
+        acc = json.loads((out / run / "manifest.json").read_text()
+                         )["aggregate"]["avg_accuracy_mean"]
+        assert by_run[run][:2] == ["replay", "cflat"]
+        assert by_run[run][5] == f"{(acc - sgd) / sgd * 100:+.2f}%"
+        assert by_run[f"cell_optim_rho={rho}__optimizer=sgd"][5] == "+0.00%"
 
 
 def test_report_rejects_empty_dir(tmp_path, capsys):
@@ -1184,12 +1213,12 @@ def test_checkpoints_are_their_documents_json_encoded_with_sorted_keys(tmp_path)
 
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
     cfg = resolve_config(json.loads(demo.read_text(encoding="utf-8")))
-    stream, optim, cl = inputs = _inputs(cfg)
+    stream, optim, cl, stepper = inputs = _inputs(cfg)
     run_experiment_from_config(cfg, inputs, tmp_path)
     x = np.concatenate([task.test_x for task in stream.tasks])[:512]
     y = np.concatenate([task.test_y for task in stream.tasks])[:512]
     results = run_cl_experiment(stream, cfg["method"], optim, cl,
-                                seed_rows(cfg["optimizer"], cfg["seeds"], cl))
+                                seed_rows(stepper, cfg["seeds"]))
     for r in results:
         text = (tmp_path / f"checkpoint_seed{r.seed}.json").read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), sort_keys=True) == text
@@ -1217,8 +1246,8 @@ def test_trace_lines_format_every_cell_as_fmt_does(tmp_path):
     from cflat.optim import STEP_FIELDS
 
     cfg = resolve_config(_gated_doc(tmp_path, method="gpm", optimizer="cflat++"))
-    stream, optim, cl = _inputs(cfg)
-    results = run_cl_experiment(stream, "gpm", optim, cl, seed_rows("cflat++", [0, 1], cl))
+    stream, optim, cl, stepper = _inputs(cfg)
+    results = run_cl_experiment(stream, "gpm", optim, cl, seed_rows(stepper, [0, 1]))
     expected = [
         ",".join(_fmt(None if isinstance(v, float) and v != v else v) for v in (
             r.seed, cells["task"], cells["epoch"], step,

@@ -33,7 +33,6 @@ from cflat.objective import Batch, MlpOracle, MlpSpec
 from cflat.optim import (
     CflatStepper,
     OptimConfig,
-    ProxyState,
     SamStepper,
     SgdStepper,
     ascent_point,
@@ -532,6 +531,10 @@ def test_gpm_significance_update_clamped():
     assert (new_state.significance <= 1.0).all()
 
 
+# settings under which a C-Flat++ gate switches on and off within a few steps
+_GATE_SETTINGS = {"cflat++": dict(A=1.0, k=0.05, i0=10, eta0=5e-3), "hybrid": dict(p=0.4)}
+
+
 @pytest.mark.parametrize("name", ["sgd", "sam", "cflat", "cflat++", "hybrid"])
 def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
     rng = SeededRng(21)
@@ -539,7 +542,7 @@ def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
     start = oracle.init_theta(rng.spawn(0))
     x = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, 60)
-    kw = dict(proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3), hybrid_p=0.4)
+    kw = _GATE_SETTINGS.get(name, {})
     plain = make_stepper(name, **kw)
     wrapped = GpmStepper(make_stepper(name, **kw), eta1=0.5, eta2=0.05)
     runs = []
@@ -553,7 +556,7 @@ def test_gpm_without_basis_is_bit_identical_to_its_inner_stepper(name):
     assert np.array_equal(runs[0][0].data, runs[1][0].data)
     assert runs[0][1].tobytes() == runs[1][1].tobytes()  # every cell, empty ones too
     if name == "cflat++":
-        assert (plain.A, plain.i) == (wrapped.inner.A, wrapped.inner.i)
+        assert (plain.bound, plain.i) == (wrapped.inner.bound, wrapped.inner.i)
         assert 0 < runs[0][1]["used_cflat"].sum() < len(runs[0][1])
     if name == "hybrid":
         assert plain.idx == wrapped.inner.idx
@@ -569,8 +572,7 @@ _STEP_COST = {False: (1, 0), True: (5, 2)}
 def test_the_gate_runs_once_per_step_in_order_and_sets_the_step_cost(name, projected):
     rng, oracle, theta, batch = gpm_setup()
     x, y = rng.normal(size=(60, 4)), rng.integers(0, 3, 60)
-    inner = make_stepper(name, proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3),
-                         hybrid_p=0.4)
+    inner = make_stepper(name, **_GATE_SETTINGS.get(name, {}))
     stepper = inner
     if projected:
         stepper = GpmStepper(inner, eta1=0.0, eta2=0.05)
@@ -694,7 +696,7 @@ def test_single_task_matrix_is_plain_accuracy():
     stream = make_stream(ds, "B0", 4)  # one task covering everything
     cl = small_cl()
     matrix = run_cl_experiment(stream, "finetune", OptimConfig(eta=0.5), cl,
-                               seed_rows("sgd", [0], cl))[0].matrix
+                               seed_rows(make_stepper("sgd"), [0]))[0].matrix
     assert len(matrix) == 1 and len(matrix[0]) == 1
     assert 0.0 <= matrix[0][0] <= 1.0
 
@@ -703,7 +705,7 @@ def test_finetune_exhibits_forgetting():
     stream = small_stream()
     cl = small_cl(epochs=5)
     m = run_cl_experiment(stream, "finetune", OptimConfig(eta=0.5), cl,
-                          seed_rows("sgd", [0], cl))[0].matrix
+                          seed_rows(make_stepper("sgd"), [0]))[0].matrix
     assert m[1][0] < m[0][0]
 
 
@@ -713,9 +715,9 @@ def test_replay_with_unbounded_memory_matches_joint_training():
     joint = make_stream(ds, "B0", 4)
     cl = CLConfig(hidden=(16,), epochs=10, batch_size=32, memory_capacity=10_000)
     replay = run_cl_experiment(two_task, "replay", OptimConfig(eta=0.5), cl,
-                               seed_rows("sgd", [0], cl))[0]
+                               seed_rows(make_stepper("sgd"), [0]))[0]
     joint_run = run_cl_experiment(joint, "finetune", OptimConfig(eta=0.5), cl,
-                                  seed_rows("sgd", [0], cl))[0]
+                                  seed_rows(make_stepper("sgd"), [0]))[0]
     gap = abs(last_accuracy(replay.matrix) - last_accuracy(joint_run.matrix))
     assert gap <= 0.03
 
@@ -731,7 +733,8 @@ def test_memory_stays_legal_throughout(monkeypatch):
 
     monkeypatch.setattr(continual, "train_epochs", recording)
     cl = small_cl(memory_capacity=5)
-    run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl, seed_rows("sgd", [0], cl))[0]
+    run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl,
+                      seed_rows(make_stepper("sgd"), [0]))[0]
     assert len(trained) == len(stream.tasks)
     seen: set[int] = set()
     for task, (x, y) in zip(stream.tasks, trained):
@@ -750,7 +753,7 @@ def test_every_method_optimizer_combination_runs(method, optimizer):
     stream = small_stream()
     cl = small_cl(epochs=2)
     seed_result = run_cl_experiment(stream, method, OptimConfig(eta=0.3), cl,
-                                    seed_rows(optimizer, [0], cl))[0]
+                                    seed_rows(make_stepper(optimizer), [0]))[0]
     assert len(seed_result.matrix) == len(stream.tasks)
     for t, row in enumerate(seed_result.matrix):
         assert len(row) == t + 1
@@ -763,9 +766,9 @@ def test_experiment_is_deterministic_per_seed():
     stream = small_stream()
     cl = small_cl()
     a = run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
-                          seed_rows("cflat", [3], cl))[0]
+                          seed_rows(make_stepper("cflat"), [3]))[0]
     b = run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
-                          seed_rows("cflat", [3], cl))[0]
+                          seed_rows(make_stepper("cflat"), [3]))[0]
     assert a.matrix == b.matrix
     assert np.array_equal(a.final_theta.data, b.final_theta.data)
 
@@ -773,7 +776,8 @@ def test_experiment_is_deterministic_per_seed():
 def test_pre_train_and_baseline_recorded_for_fwt():
     stream = small_stream(classes=6, increment=2)
     cl = small_cl()
-    r = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl, seed_rows("sgd", [0], cl))[0]
+    r = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl,
+                          seed_rows(make_stepper("sgd"), [0]))[0]
     assert r.pre_train_acc[0] is None
     assert len(r.pre_train_acc) == 3
     assert all(v is not None for v in r.pre_train_acc[1:])
@@ -784,7 +788,7 @@ def test_gpm_in_span_invariant_during_run():
     stream = small_stream(classes=6, increment=2)
     cl = small_cl(gpm_eta1=0.0)
     res = run_cl_experiment(stream, "gpm", OptimConfig(eta=0.3), cl,
-                            seed_rows("cflat", [0], cl))[0]
+                            seed_rows(make_stepper("cflat"), [0]))[0]
     projected = res.trace[~np.isnan(res.trace["gpm_in_span"])]
     assert projected.size, "projection never engaged"
     assert (projected["gpm_in_span"] <= 1e-8 * projected["gpm_src_norm"]).all()
@@ -794,7 +798,7 @@ def test_wa_gammas_recorded():
     stream = small_stream()
     cl = small_cl()
     gammas = run_cl_experiment(stream, "wa", OptimConfig(eta=0.5), cl,
-                               seed_rows("sgd", [0], cl))[0].gammas
+                               seed_rows(make_stepper("sgd"), [0]))[0].gammas
     assert gammas[0] is None
     assert gammas[1] is not None and gammas[1] > 0
 
@@ -803,7 +807,8 @@ def test_unknown_method_rejected():
     stream = small_stream()
     cl = small_cl()
     with pytest.raises(ValueError, match="unknown method"):
-        run_cl_experiment(stream, "ewc", OptimConfig(eta=0.5), cl, seed_rows("sgd", [0], cl))[0]
+        run_cl_experiment(stream, "ewc", OptimConfig(eta=0.5), cl,
+                          seed_rows(make_stepper("sgd"), [0]))[0]
 
 
 def test_cflat_throughput_below_sgd_on_identical_workload():
@@ -812,8 +817,8 @@ def test_cflat_throughput_below_sgd_on_identical_workload():
     stream = make_stream(ds, "B0", 2)
     cl = CLConfig(hidden=(32,), epochs=6, batch_size=64)
     sgd = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl,
-                            seed_rows("sgd", [0], cl))[0]
+                            seed_rows(make_stepper("sgd"), [0]))[0]
     cflat = run_cl_experiment(stream, "replay", OptimConfig(eta=0.5), cl,
-                              seed_rows("cflat", [0], cl))[0]
+                              seed_rows(make_stepper("cflat"), [0]))[0]
     thr = lambda res: res.examples / res.train_seconds
     assert thr(cflat) < thr(sgd)

@@ -21,7 +21,6 @@ from cflat.optim import (
     STEP_FIELDS,
     DivergenceError,
     OptimConfig,
-    ProxyState,
     SeedGroup,
     make_stepper,
     train_epochs,
@@ -90,12 +89,17 @@ def _gpm_states(oracle, thetas, batches):
     return [gpm_extract_basis(oracle, th, b, 0.95) for th, b in zip(thetas, batches)]
 
 
-def _split_proxy(objectives, thetas, batches) -> tuple[ProxyState, int]:
-    """A fixed C-Flat++ proxy that gates on the row with the largest squared
-    gradient norm at ``thetas`` and off the others, and that row."""
+def _split_proxy(objectives, thetas, batches) -> tuple[dict, int]:
+    """The settings of a fixed C-Flat++ proxy that gates on the row with the
+    largest squared gradient norm at ``thetas`` and off the others, and that row."""
     sq = [norm2(obj.grad(th, b)) ** 2 for obj, th, b in zip(objectives, thetas, batches)]
     top, second = sorted(sq)[-1], sorted(sq)[-2]
-    return ProxyState(A=top + second, k=0.0, i0=0), int(np.argmax(sq))
+    return dict(A=top + second, k=0.0, i0=0), int(np.argmax(sq))
+
+
+def _gated(name: str, proxy: dict):
+    """The stepper ``name``, with the C-Flat++ settings ``proxy`` if it is cflat++."""
+    return make_stepper(name, **(proxy if name == "cflat++" else {}))
 
 
 @pytest.mark.parametrize("projected", [False, True])
@@ -114,10 +118,8 @@ def test_every_optimizer_step_on_a_stack_equals_one_seed_steps(name, projected):
         wrapped.gpm_states = list(bases)
         return wrapped
 
-    group = stepper(SeedGroup([make_stepper(name, proxy=proxy, hybrid_p=0.5)
-                               for _ in range(S)]), states)
-    singles = [stepper(make_stepper(name, proxy=proxy, hybrid_p=0.5), [state])
-               for state in states]
+    group = stepper(SeedGroup([_gated(name, proxy) for _ in range(S)]), states)
+    singles = [stepper(_gated(name, proxy), [state]) for state in states]
     theta, alone = stack(thetas), list(thetas)
     flat = []
     for _ in range(4):
@@ -147,7 +149,7 @@ def test_cflatpp_mixed_gates_run_the_flat_branch_on_the_gated_rows_only(distill)
         singles = [DistillObjective(oracle, old) for old in olds]
     proxy, on = _split_proxy(singles, thetas, batches)
     cfg = OptimConfig(eta=0.1)
-    group = SeedGroup([make_stepper("cflat++", proxy=proxy) for _ in range(S)])
+    group = SeedGroup([make_stepper("cflat++", **proxy) for _ in range(S)])
     calls = []
     grad, hvp = oracle.grad_from_output_error, oracle.hvp_from_curvature
 
@@ -170,7 +172,7 @@ def test_cflatpp_mixed_gates_run_the_flat_branch_on_the_gated_rows_only(distill)
                      ("grad", (1, oracle.dim)), ("grad", (1, oracle.dim)),
                      ("hvp", (1, oracle.dim))]
     for i in range(S):
-        alone = make_stepper("cflat++", proxy=proxy)
+        alone = make_stepper("cflat++", **proxy)
         d_i, s_i = alone.direction(singles[i], thetas[i], batches[i], cfg)
         assert d.data[i].tobytes() == d_i.data.tobytes()
         assert _differing_columns(stats[i:i + 1], s_i) == []
@@ -200,14 +202,14 @@ def test_a_seed_group_equals_one_seed_runs(method, optimizer):
     spec = SyntheticSpec(classes=6, dims=5, per_class=30, cluster_std=1.0, seed=4,
                          feature_scale=3.0)
     stream = make_stream(synth_dataset(spec), "B0", 2)
-    cl = CLConfig(hidden=(8,), epochs=2, batch_size=16, gpm_eta1=0.3,
-                  proxy=ProxyState(A=2.0, k=0.05, i0=10))
+    cl = CLConfig(hidden=(8,), epochs=2, batch_size=16, gpm_eta1=0.3)
+    stepper = _gated(optimizer, dict(A=2.0, k=0.05, i0=10))
     cfg = OptimConfig(eta=0.3)
     seeds = [4, 0, 9]
-    group = run_cl_experiment(stream, method, cfg, cl, seed_rows(optimizer, seeds, cl))
+    group = run_cl_experiment(stream, method, cfg, cl, seed_rows(stepper, seeds))
     assert [r.seed for r in group] == seeds
     for r in group:
-        (alone,) = run_cl_experiment(stream, method, cfg, cl, seed_rows(optimizer, [r.seed], cl))
+        (alone,) = run_cl_experiment(stream, method, cfg, cl, seed_rows(stepper, [r.seed]))
         assert _differing_columns(r.trace, alone.trace) == []
         assert r.matrix == alone.matrix and r.pre_train_acc == alone.pre_train_acc
         assert r.baseline_acc == alone.baseline_acc and r.gammas == alone.gammas
@@ -224,7 +226,7 @@ def test_a_seed_group_equals_one_seed_runs(method, optimizer):
 def test_reported_grad_evals_equal_the_counted_oracle_rows(name, projected):
     rng, oracle, thetas, batches, stacked = _setup()
     proxy, _ = _split_proxy([oracle] * S, thetas, batches)  # mixed C-Flat++ gates
-    inner = SeedGroup([make_stepper(name, proxy=proxy, hybrid_p=0.5) for _ in range(S)])
+    inner = SeedGroup([_gated(name, proxy) for _ in range(S)])
     stepper = inner
     if projected:
         stepper = GpmStepper(inner, eta1=0.5, eta2=0.1)
@@ -268,7 +270,7 @@ def test_divergence_names_the_first_failing_row_and_its_seed(monkeypatch):
     cl = CLConfig(hidden=(8,), epochs=1, batch_size=16)
     with pytest.raises(DivergenceError) as err:
         run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
-                          seed_rows("sgd", [5, 6, 7], cl))
+                          seed_rows(make_stepper("sgd"), [5, 6, 7]))
     assert (err.value.seed, err.value.row, err.value.task, err.value.step) == (6, 1, 0, 0)
     assert "of seed 6" in str(err.value)
 
@@ -319,7 +321,7 @@ def test_the_harness_annotates_the_divergence_error_it_caught(monkeypatch):
     cl = CLConfig(hidden=(8,), epochs=1, batch_size=16)
     with pytest.raises(DivergenceError) as err:
         run_cl_experiment(stream, "replay", OptimConfig(eta=0.3), cl,
-                          seed_rows("sgd", [5, 6, 7], cl))
+                          seed_rows(make_stepper("sgd"), [5, 6, 7]))
     assert err.value is raised
     assert (err.value.task, err.value.seed, err.value.row, err.value.step) == (0, 7, 2, 4)
     assert (err.value.last_loss, err.value.grad_norm) == (0.5, 2.0)

@@ -10,8 +10,8 @@ from cflat.optim import (
     CflatStepper,
     OPTIMIZER_NAMES,
     DivergenceError,
+    HybridStepper,
     OptimConfig,
-    ProxyState,
     SamStepper,
     SeedGroup,
     SgdStepper,
@@ -347,35 +347,33 @@ def test_rho_schedule_rejects_out_of_range_eta():
 
 
 def test_proxy_value_midpoint_asymptote_flat():
-    proxy = ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3)
-    assert proxy_value(proxy, 5.0, 80) == pytest.approx(2.5)
-    assert abs(proxy_value(proxy, 5.0, 80 + 10**6) - 5.0) <= 1e-9
-    flat = ProxyState(A=5.0, k=0.0, i0=80, eta0=5e-3)
-    assert proxy_value(flat, 5.0, 7) == pytest.approx(2.5)
+    assert proxy_value(5.0, 0.01, 80, 80) == pytest.approx(2.5)
+    assert abs(proxy_value(5.0, 0.01, 80, 80 + 10**6) - 5.0) <= 1e-9
+    assert proxy_value(5.0, 0.0, 80, 7) == pytest.approx(2.5)
 
 
 def test_cflatpp_error_feedback_arithmetic():
     # s = 3.0 > proxy = 2.5 so the flatness branch runs and A grows
     q = QuadraticOracle(np.eye(2))
     theta = ParamVector([math.sqrt(3.0), 0.0])
-    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3))
+    stepper = CflatPPStepper(A=5.0, k=0.01, i0=80, eta0=5e-3)
     stepper.i = 80
     _, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
     assert stats["proxy_value"] == pytest.approx(2.5)
     assert stats["used_cflat"]
-    assert stepper.A == pytest.approx(5.0 + 5e-3 * 0.5, rel=1e-12)
+    assert stepper.bound == pytest.approx(5.0 + 5e-3 * 0.5, rel=1e-12)
     assert stepper.i == 81
 
 
 def test_cflatpp_sgd_branch_shrinks_bound():
     q = QuadraticOracle(np.eye(2))
     theta = ParamVector([0.1, 0.0])  # s = 0.01 < proxy
-    stepper = CflatPPStepper(ProxyState(A=5.0, k=0.01, i0=80, eta0=5e-3))
+    stepper = CflatPPStepper(A=5.0, k=0.01, i0=80, eta0=5e-3)
     stepper.i = 80
     _, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
     assert not stats["used_cflat"]
     assert stats["hvp_evals"] == 0 and stats["grad_evals"] == 1
-    assert stepper.A < 5.0
+    assert stepper.bound < 5.0
 
 
 def test_cflatpp_bound_that_overflows_diverges():
@@ -383,9 +381,9 @@ def test_cflatpp_bound_that_overflows_diverges():
     # the second step: A = 5 - 1e300 * E
     q = QuadraticOracle(np.eye(2))
     theta = ParamVector([1.0, 1.0])
-    stepper = CflatPPStepper(ProxyState(eta0=1e300))
+    stepper = CflatPPStepper(eta0=1e300)
     theta, _ = stepper.step(q, theta, None, OptimConfig(eta=0.01))
-    assert math.isfinite(stepper.A) and stepper.i == 2
+    assert math.isfinite(stepper.bound) and stepper.i == 2
     with pytest.raises(DivergenceError, match="C-Flat\\+\\+ bound") as err:
         stepper.step(q, theta, None, OptimConfig(eta=0.01))
     assert err.value.row == 0
@@ -394,7 +392,7 @@ def test_cflatpp_bound_that_overflows_diverges():
 def test_cflatpp_stationary_point_never_fires():
     q = QuadraticOracle(np.eye(2), c=np.array([0.4, 0.4]))
     theta = ParamVector([0.4, 0.4])
-    stepper = CflatPPStepper(ProxyState())
+    stepper = CflatPPStepper()
     for _ in range(50):
         theta, (stats,) = stepper.step(q, theta, None, OptimConfig(eta=0.1))
         assert not stats["used_cflat"]
@@ -405,7 +403,7 @@ def test_cflatpp_gating_is_exact_on_mlp_run():
     oracle = MlpOracle(MlpSpec(4, (6,), 3))
     x = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, 60)
-    stepper = make_stepper("cflat++", proxy=ProxyState(A=1.0, k=0.05, i0=10, eta0=5e-3))
+    stepper = make_stepper("cflat++", A=1.0, k=0.05, i0=10, eta0=5e-3)
     theta, trace = train_epochs(
         oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.2), stepper,
         epochs=4, batch_size=10, rng=rng.spawn(1),
@@ -477,12 +475,26 @@ def test_train_epochs_full_batch_equals_deterministic_sequence():
     assert len(trace) == 3
 
 
+def test_a_bad_hybrid_setting_fails_when_the_stepper_is_built():
+    with pytest.raises(ValueError, match="unknown ordering"):
+        HybridStepper(0.5, "bogus")
+    with pytest.raises(ValueError, match="p must lie"):
+        HybridStepper(1.5)
+
+
+def test_make_stepper_rejects_a_setting_its_stepper_does_not_take():
+    with pytest.raises(TypeError):
+        make_stepper("cflat++", p=0.5)
+    with pytest.raises(TypeError):
+        make_stepper("sgd", A=1.0)
+
+
 def test_train_epochs_hybrid_proportion_matches_plan():
     rng = SeededRng(6)
     oracle = MlpOracle(MlpSpec(3, (4,), 2))
     x = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, 40)
-    stepper = make_stepper("hybrid", hybrid_p=0.25, hybrid_ordering="cflat_last")
+    stepper = make_stepper("hybrid", p=0.25, ordering="cflat_last")
     _, trace = train_epochs(
         oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.1), stepper,
         epochs=2, batch_size=10, rng=rng.spawn(1),
@@ -583,7 +595,7 @@ def test_train_epochs_fills_each_step_record_in_place():
     oracle = MlpOracle(MlpSpec(3, (4,), 2))
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, 12)
-    stepper = CflatPPStepper(ProxyState(A=1.0, i0=2))
+    stepper = CflatPPStepper(A=1.0, i0=2)
     _, trace = train_epochs(oracle, oracle.init_theta(rng.spawn(0)), x, y, OptimConfig(eta=0.1), stepper,
                             epochs=3, batch_size=4, rng=rng.spawn(1))
     assert trace.shape == (9, 1)  # a 1-D theta is a stack of one
@@ -598,23 +610,23 @@ def test_cflatpp_bound_and_counter_restart_at_each_run_unless_carried_over(reset
     oracle = MlpOracle(MlpSpec(3, (4,), 2))
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, 12)
-    proxy = ProxyState(A=1.0, i0=2)
-    stepper = CflatPPStepper(proxy, reset_per_task=reset)
+    stepper = CflatPPStepper(A=1.0, i0=2, reset_per_task=reset)
     theta = oracle.init_theta(rng.spawn(0))
     runs = []
     for run in range(2):
         theta, trace = train_epochs(oracle, theta, x, y, OptimConfig(eta=0.1), stepper,
                                     epochs=2, batch_size=4, rng=rng.spawn(1, run))
-        runs.append((trace, stepper.A, stepper.i))
+        runs.append((trace, stepper.bound, stepper.i))
     (first, A, i), (second, _, i_end) = runs
     assert i == len(first) + 1
-    assert first[0, 0]["proxy_value"] == proxy_value(proxy, 1.0, 1)
+    k, i0 = stepper.k, stepper.i0
+    assert first[0, 0]["proxy_value"] == proxy_value(1.0, k, i0, 1)
     if reset:
-        assert second[0, 0]["proxy_value"] == proxy_value(proxy, 1.0, 1)
+        assert second[0, 0]["proxy_value"] == proxy_value(1.0, k, i0, 1)
         assert i_end == len(second) + 1
     else:
         assert A != 1.0
-        assert second[0, 0]["proxy_value"] == proxy_value(proxy, A, i)
+        assert second[0, 0]["proxy_value"] == proxy_value(A, k, i0, i)
         assert i_end == len(first) + len(second) + 1
 
 

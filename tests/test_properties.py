@@ -14,7 +14,6 @@ from cflat.optim import (
     OPTIMIZER_NAMES,
     CflatStepper,
     OptimConfig,
-    ProxyState,
     SamStepper,
     SgdStepper,
     make_stepper,
@@ -70,7 +69,7 @@ def test_gpm_without_basis_is_its_inner_stepper(problem, name, eta, rho, seed):
     oracle, theta, batch = problem
     x = np.concatenate([batch.x] * 3)
     y = np.concatenate([batch.y] * 3)
-    kw = dict(proxy=ProxyState(A=0.5, k=0.05, i0=3, eta0=5e-3), hybrid_p=0.5)
+    kw = {"cflat++": dict(A=0.5, k=0.05, i0=3, eta0=5e-3), "hybrid": dict(p=0.5)}.get(name, {})
     cfg = OptimConfig(eta=eta, rho=rho)
     runs = []
     for stepper in (make_stepper(name, **kw), GpmStepper(make_stepper(name, **kw), 0.5, 0.05)):
