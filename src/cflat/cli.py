@@ -78,8 +78,6 @@ _CONFIG_KEYS = (
     ("model.l2", CLConfig, "l2"),
     ("train.epochs", CLConfig, "epochs"),
     ("train.batch_size", CLConfig, "batch_size"),
-    ("train.milestones", CLConfig, "milestones"),
-    ("train.lr_decay", CLConfig, "lr_decay"),
     ("memory.capacity_per_class", CLConfig, "memory_capacity"),
     ("icarl.temperature", CLConfig, "temperature"),
     *((f"proxy.{name}", CflatPPStepper, name) for name in _defaults(CflatPPStepper)),
@@ -112,7 +110,7 @@ _DEFAULT_CONFIG = {
     },
     "protocol": "B0",
     "increment": 2,
-    "perm_seed": 1993,
+    "perm_seed": _defaults(make_stream)["perm_seed"],
     "method": "replay",
     "optimizer": "cflat",
     **_SECTIONS,
@@ -224,7 +222,7 @@ def _build(cfg: dict, cls):
     """``cls`` from its config keys. A ValueError from its checks becomes a
     ConfigError naming the key that fails on its own (the others at their
     defaults), or else the section of the keys set away from their defaults:
-    a cross-field check such as rho_min <= rho <= rho_max."""
+    a cross-field check such as rho_min <= rho."""
     keys = [(path, name) for path, owner, name in _CONFIG_KEYS if owner is cls]
     kwargs = _owner_kwargs(cfg, keys)
     try:
@@ -825,10 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
     land_p.add_argument("--checkpoint", required=True)
     land_p.add_argument("--out", required=True)
     land_p.add_argument("--rho", type=float, default=0.2)
-    land_p.add_argument("--samples", type=int, default=2000)
+    land_p.add_argument("--samples", type=int, default=_defaults(flatness_report)["ball_samples"])
     land_p.add_argument("--probes", type=int, default=200,
                         help="checked to be >= 1 and otherwise unused: the trace is exact")
-    land_p.add_argument("--iters", type=int, default=200,
+    land_p.add_argument("--iters", type=int, default=_defaults(top2_eigenpairs)["iters"],
                         help="most HVPs the one eigen-solve takes")
     land_p.add_argument("--grid", type=int, default=21)
     land_p.add_argument("--extent", type=float, default=1.0)

@@ -624,8 +624,6 @@ class CLConfig:
     l2: float = 0.0
     epochs: int = 8
     batch_size: int = 32
-    milestones: tuple[int, ...] = ()
-    lr_decay: float = 0.1
     memory_capacity: int = 20
     temperature: float = 2.0
     gpm_energy_threshold: float = 0.95
@@ -642,8 +640,6 @@ class CLConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must lie in (0, 1]")
         if self.memory_capacity < 0:
             raise ValueError("memory_capacity must be nonnegative")
         if self.temperature <= 0:
@@ -772,7 +768,6 @@ def run_cl_experiment(stream: TaskStream, method: str, cfg: OptimConfig, cl: CLC
             theta, record = train_epochs(
                 train_oracle, theta, data_x, data_y, cfg, stepper,
                 cl.epochs, cl.batch_size, [root.spawn(_STREAM_SHUFFLE, t) for root in roots],
-                cl.milestones, cl.lr_decay,
             )
         except DivergenceError as err:
             err.task, err.seed = t, seeds[err.row or 0]

@@ -108,14 +108,13 @@ def lanczos_eigenpairs(
     """The k magnitude-dominant Hessian eigenpairs by Lanczos.
 
     The start vector is a normal draw from ``rng``. Each step takes one HVP
-    and reorthogonalises the new vector against the whole basis, twice; the
-    basis grows as the solve runs. After each step the Ritz pairs of the
-    tridiagonal projection give the k largest in magnitude and their residual
-    norms |beta * y_last|. The solve stops when every one is at most
-    tol * |lambda|, after ``iters`` products, or when the basis spans the
-    space. A zero beta means the Krylov space is invariant: its Ritz pairs
-    are exact, and the solve continues from a fresh draw orthogonal to the
-    basis until it holds k vectors.
+    and reorthogonalises the new vector against the whole basis, twice. After
+    each step the Ritz pairs of the tridiagonal projection give the k largest
+    in magnitude and their residual norms |beta * y_last|. The solve stops
+    when every one is at most tol * |lambda|, after ``iters`` products, or
+    when the basis spans the space. A zero beta means the Krylov space is
+    invariant: its Ritz pairs are exact, and the solve continues from a fresh
+    draw orthogonal to the basis until it holds k vectors.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -124,16 +123,13 @@ def lanczos_eigenpairs(
     rng = rng if rng is not None else SeededRng(0, 0)
     d = theta.dim
     cap = min(iters, d)
-    basis = np.empty((min(cap, 2 * k + 6), d))
+    # allocated once at its largest size: rows no step writes are never touched
+    basis = np.empty((cap, d))
     alphas = np.empty(cap)
     betas = np.empty(cap)  # betas[j] couples basis rows j and j + 1
     q = _unit(rng, d, basis[:0])
     m = 0
     while True:
-        if m == len(basis):  # grow by doubling, never beyond cap rows
-            grown = np.empty((min(2 * m, cap), d))
-            grown[:m] = basis
-            basis = grown
         basis[m] = q
         hq = oracle.hvp(theta, theta._adopt(q), batch).data
         alphas[m] = float(q @ hq)

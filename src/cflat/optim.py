@@ -5,10 +5,10 @@ A C-Flat step combines the loss gradient taken at a nearby ascent point
 neighborhood gradient-norm growth (first-order flatness):
 
     g   = grad(theta)
-    g0  = grad(theta + rho * g / (||g|| + eps))
-    h   = hvp(theta, g / (||g|| + eps))
-    th1 = theta + rho * h / (||h|| + eps)
-    g1  = hvp(th1, grad(th1) / (||grad(th1)|| + eps))
+    g0  = grad(theta + rho * g / (||g|| + EPS))
+    h   = hvp(theta, g / (||g|| + EPS))
+    th1 = theta + rho * h / (||h|| + EPS)
+    g1  = hvp(th1, grad(th1) / (||grad(th1)|| + EPS))
     theta' = theta - eta * (g0 + lam * g1)
 
 Both products are exact (the oracle's ``hvp``). Each is taken right after the
@@ -61,8 +61,12 @@ import numpy as np
 from .numcore import ParamVector, axpy, norm2
 from .objective import Batch, ObjectiveOracle
 
+# The guard in every normalisation v / (||v|| + EPS): a zero vector stays zero.
+EPS = 1e-12
+
 __all__ = [
     "OptimConfig",
+    "EPS",
     "STEP_FIELDS",
     "step_record",
     "DivergenceError",
@@ -112,21 +116,21 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Learning rate, neighborhood radius, trade-off, and scheduler bounds.
+    """Learning rate, neighborhood radius, trade-off, and the step-size schedule.
 
-    With the default bounds (rho_min = rho_max = rho, eta_min = 0,
-    eta_max = eta) the radius schedule is constant; setting rho_min < rho_max
-    ties the radius linearly to the decayed learning rate.
+    The rate starts at eta, multiplies by lr_decay at each milestone epoch
+    and is floored at eta_min; the radius follows it on the line from
+    (eta_min, rho_min) to (eta, rho) (``rho_schedule``). rho_min defaults to
+    rho, a constant radius.
     """
 
     eta: float = 0.5
     rho: float = 0.2
     lam: float = 0.2
-    eps_guard: float = 1e-12
     rho_min: float | None = None
-    rho_max: float | None = None
-    eta_min: float | None = None
-    eta_max: float | None = None
+    eta_min: float = 0.0
+    milestones: tuple[int, ...] = ()
+    lr_decay: float = 0.1
 
     def __post_init__(self):
         if self.eta < 0:
@@ -135,20 +139,14 @@ class OptimConfig:
             raise ValueError("rho must be nonnegative")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.eps_guard <= 0:
-            raise ValueError("eps_guard must be positive")
         if self.rho_min is None:
             object.__setattr__(self, "rho_min", self.rho)
-        if self.rho_max is None:
-            object.__setattr__(self, "rho_max", self.rho)
-        if self.eta_min is None:
-            object.__setattr__(self, "eta_min", 0.0)
-        if self.eta_max is None:
-            object.__setattr__(self, "eta_max", self.eta)
-        if not self.rho_min <= self.rho <= self.rho_max:
-            raise ValueError("need rho_min <= rho <= rho_max")
-        if not self.eta_min <= self.eta <= self.eta_max:
-            raise ValueError("need eta_min <= eta <= eta_max")
+        if not self.rho_min <= self.rho:
+            raise ValueError("need rho_min <= rho")
+        if not self.eta_min <= self.eta:
+            raise ValueError("need eta_min <= eta")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("lr_decay must lie in (0, 1]")
 
 
 # The step record's columns in trace.csv order (the step index goes after epoch).
@@ -202,17 +200,17 @@ def _merge(full: ParamVector, rows: list, part: ParamVector) -> ParamVector:
     return full._adopt(data)
 
 
-def sam_perturb(g: ParamVector, rho: float, eps_guard: float) -> ParamVector:
-    """Ascent perturbation rho * g / (||g|| + eps), row by row on a stack;
+def sam_perturb(g: ParamVector, rho: float) -> ParamVector:
+    """Ascent perturbation rho * g / (||g|| + EPS), row by row on a stack;
     zero gradient gives zero."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return g._adopt(rho * g.data / (_col(norm2(g)) + eps_guard))
+    return g._adopt(rho * g.data / (_col(norm2(g)) + EPS))
 
 
 def ascent_point(theta: ParamVector, d: ParamVector, cfg: OptimConfig) -> ParamVector:
-    """theta + rho * d / (||d|| + eps): the neighborhood point along d."""
-    return axpy(1.0, sam_perturb(d, cfg.rho, cfg.eps_guard), theta)
+    """theta + rho * d / (||d|| + EPS): the neighborhood point along d."""
+    return axpy(1.0, sam_perturb(d, cfg.rho), theta)
 
 
 def _ascent_gradient(oracle, theta, batch, d: ParamVector, cfg, rows: list) -> ParamVector:
@@ -230,9 +228,7 @@ def _cflat_direction(oracle, theta, batch, g: ParamVector, cfg, rows=None) -> Pa
     h is taken first, while the gradient pass at theta is the oracle's last.
     ``rows`` maps these rows to the stack's for divergence.
     """
-    eps = cfg.eps_guard
-
-    ghat = g._adopt(g.data / (_col(norm2(g)) + eps))
+    ghat = g._adopt(g.data / (_col(norm2(g)) + EPS))
     h = oracle.hvp(theta, ghat, batch)
     _require_finite(h.data, "hvp", rows)
 
@@ -242,23 +238,24 @@ def _cflat_direction(oracle, theta, batch, g: ParamVector, cfg, rows=None) -> Pa
     theta1 = ascent_point(theta, h, cfg)
     g_at1 = oracle.grad(theta1, batch)
     _require_finite(g_at1.data, "gradient at flatness point", rows)
-    ghat1 = g_at1._adopt(g_at1.data / (_col(norm2(g_at1)) + eps))
+    ghat1 = g_at1._adopt(g_at1.data / (_col(norm2(g_at1)) + EPS))
     g1 = oracle.hvp(theta1, ghat1, batch)
     _require_finite(g1.data, "hvp at flatness point", rows)
     return g0._adopt(g0.data + cfg.lam * g1.data)
 
 
 def rho_schedule(cfg: OptimConfig, eta_i: float) -> float:
-    """Radius tied linearly to the current learning rate.
+    """Radius tied linearly to the current learning rate ``eta_i``; ``cfg`` is
+    the run's config, which ``train_epochs`` passes.
 
-    rho_i = rho_min + (rho_max - rho_min) / (eta_max - eta_min) * (eta_i - eta_min);
-    a degenerate eta range means a constant schedule at rho_max.
+    rho_i = rho_min + (rho - rho_min) / (eta - eta_min) * (eta_i - eta_min);
+    a degenerate eta range (eta == eta_min) means a constant schedule at rho.
     """
-    if cfg.eta_max == cfg.eta_min:
-        return cfg.rho_max
-    if not cfg.eta_min <= eta_i <= cfg.eta_max:
-        raise ValueError(f"eta_i={eta_i} outside [{cfg.eta_min}, {cfg.eta_max}]")
-    slope = (cfg.rho_max - cfg.rho_min) / (cfg.eta_max - cfg.eta_min)
+    if cfg.eta == cfg.eta_min:
+        return cfg.rho
+    if not cfg.eta_min <= eta_i <= cfg.eta:
+        raise ValueError(f"eta_i={eta_i} outside [{cfg.eta_min}, {cfg.eta}]")
+    slope = (cfg.rho - cfg.rho_min) / (cfg.eta - cfg.eta_min)
     return cfg.rho_min + slope * (eta_i - cfg.eta_min)
 
 
@@ -474,14 +471,12 @@ def train_epochs(
     epochs: int,
     batch_size: int,
     rng,
-    milestones: tuple[int, ...] = (),
-    lr_decay: float = 0.1,
 ) -> tuple[ParamVector, np.ndarray]:
-    """Shuffled mini-batch training with learning-rate milestones.
+    """Shuffled mini-batch training on ``cfg``'s step-size schedule.
 
-    The learning rate multiplies by lr_decay at each milestone epoch. Steps
-    take it clamped to [eta_min, eta_max], the schedule's floor and ceiling,
-    and the radius follows rho_schedule at that rate. The ragged tail of each
+    The learning rate multiplies by cfg.lr_decay at each epoch in
+    cfg.milestones. Steps take it floored at cfg.eta_min, and the radius
+    follows rho_schedule at that rate. The ragged tail of each
     epoch (fewer than batch_size rows) is dropped. ``x`` and ``y`` are checked
     once, as one ``Batch``, before any step; each step's batch is a row
     selection of the checked arrays. Returns the trained theta and the run's
@@ -516,9 +511,9 @@ def train_epochs(
     record["epoch"] = np.repeat(np.arange(epochs), steps_per_epoch)[:, None]
     eta = cfg.eta
     for epoch in range(epochs):
-        if epoch in milestones:
-            eta *= lr_decay
-        eta_i = min(max(eta, cfg.eta_min), cfg.eta_max)
+        if epoch in cfg.milestones:
+            eta *= cfg.lr_decay
+        eta_i = max(eta, cfg.eta_min)
         cfg_i = replace(cfg, eta=eta_i, rho=rho_schedule(cfg, eta_i))
         order = np.stack([r.permutation(n) for r in rngs]).reshape(theta.data.shape[:-1] + (n,))
         for b in range(steps_per_epoch):

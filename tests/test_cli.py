@@ -167,6 +167,24 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "optim.lambda" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("optim.rho_max", 0.2),
+    ("optim.eta_max", 0.5),
+    ("optim.eps_guard", 1e-12),
+    ("train.milestones", [1]),
+    ("train.lr_decay", 0.1),
+])
+def test_a_removed_or_moved_schedule_key_fails_at_load(tmp_path, capsys, field, value):
+    out = tmp_path / "run"
+    doc = base_config(out)
+    section, key = field.split(".")
+    doc[section][key] = value
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and error["field"] == field
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -239,8 +257,8 @@ def test_manifest_mean_matrix_averages_seeds(tmp_path):
 
 def test_lr_milestones_below_eta_min_train_at_the_floor(tmp_path):
     out = tmp_path / "run"
-    doc = base_config(out, optim={"eta": 0.5, "eta_min": 0.1, "rho_min": 0.05},
-                      train={"epochs": 2, "batch_size": 16, "milestones": [1], "lr_decay": 0.1})
+    doc = base_config(out, optim={"eta": 0.5, "eta_min": 0.1, "rho_min": 0.05,
+                                  "milestones": [1], "lr_decay": 0.1})
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
     assert (out / "metrics.csv").exists()
 
@@ -706,7 +724,7 @@ def test_run_and_sweep_reject_a_bad_seeds_or_jobs_flag(tmp_path, capsys, command
     ("gpm.sample", 0),
     ("gpm.eta2", -0.5),
     ("icarl.temperature", 0.0),
-    ("train.lr_decay", -1.0),
+    ("optim.lr_decay", -1.0),
     ("train.epochs", 0),
     ("train.batch_size", 0),
     ("optim.eta", -1.0),
@@ -715,7 +733,7 @@ def test_run_and_sweep_reject_a_bad_seeds_or_jobs_flag(tmp_path, capsys, command
     ("model.hidden", [0]),
     ("increment", 0),
     ("dataset.classes", 1),
-    ("optim", {"rho": 0.5, "rho_max": 0.3}),
+    ("optim", {"rho": 0.1, "rho_min": 0.15}),
     ("seeds", [3, 0, 3]),
     ("dataset.per_class", 2),
 ])
@@ -909,7 +927,7 @@ def test_csv_test_fraction_outside_the_open_unit_interval_fails_at_load(tmp_path
 @pytest.mark.parametrize("field, literal", [
     ("optim.eta", "Infinity"),
     ("optim.rho", "1e999"),
-    ("optim.rho_max", "-Infinity"),
+    ("optim.rho_min", "-Infinity"),
     ("dataset.cluster_std", "NaN"),
     pytest.param("optim.eta_min", "1" + "0" * 400, id="optim.eta_min-huge_integer"),
 ])

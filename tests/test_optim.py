@@ -144,9 +144,9 @@ def test_sgd_divergence_reports():
 
 
 def test_sam_perturb_hand_value_and_guard():
-    out = sam_perturb(ParamVector([3.0, 4.0]), 0.5, EPS)
+    out = sam_perturb(ParamVector([3.0, 4.0]), 0.5)
     np.testing.assert_allclose(out.data, [0.3, 0.4], rtol=1e-12)
-    zero = sam_perturb(ParamVector([0.0, 0.0]), 0.5, EPS)
+    zero = sam_perturb(ParamVector([0.0, 0.0]), 0.5)
     assert np.array_equal(zero.data, [0.0, 0.0])
 
 
@@ -154,7 +154,7 @@ def test_sam_perturb_norm_property():
     rng = SeededRng(1)
     for _ in range(50):
         g = ParamVector(rng.normal(size=7))
-        eps0 = sam_perturb(g, 0.3, EPS)
+        eps0 = sam_perturb(g, 0.3)
         assert 0.3 * (1 - 1e-6) <= norm2(eps0) <= 0.3 + 1e-15
 
 
@@ -273,7 +273,7 @@ def test_perturbation_norm_bounded_by_rho():
         theta = ParamVector(rng.normal(size=oracle.dim), oracle.manifest)
         batch = dummy_batch(6, 4, 3, seed=100 + trial)
         g = oracle.grad(theta, batch)
-        eps0 = sam_perturb(g, cfg.rho, cfg.eps_guard)
+        eps0 = sam_perturb(g, cfg.rho)
         assert norm2(eps0) <= cfg.rho + 1e-15
         h = oracle.hvp(theta, g.with_data(g.data / (norm2(g) + EPS)), batch)
         eps1 = h.with_data(cfg.rho * h.data / (norm2(h) + EPS))
@@ -327,21 +327,19 @@ def test_monotone_loss_decrease_small_eta_all_optimizers():
 
 
 def test_rho_schedule_endpoints_and_midpoint():
-    cfg = OptimConfig(eta=1.0, rho=0.2, rho_min=0.05, rho_max=0.2,
-                      eta_min=0.0, eta_max=1.0)
+    cfg = OptimConfig(eta=1.0, rho=0.2, rho_min=0.05, eta_min=0.0)
     assert rho_schedule(cfg, 1.0) == pytest.approx(0.2)
     assert rho_schedule(cfg, 0.0) == pytest.approx(0.05)
     assert rho_schedule(cfg, 0.5) == pytest.approx(0.125)
 
 
 def test_rho_schedule_constant_when_eta_range_degenerate():
-    cfg = OptimConfig(eta=0.3, rho=0.2, eta_min=0.3, eta_max=0.3)
+    cfg = OptimConfig(eta=0.3, rho=0.2, eta_min=0.3)
     assert rho_schedule(cfg, 0.3) == 0.2
 
 
 def test_rho_schedule_rejects_out_of_range_eta():
-    cfg = OptimConfig(eta=1.0, rho=0.2, rho_min=0.05, rho_max=0.2,
-                      eta_min=0.1, eta_max=1.0)
+    cfg = OptimConfig(eta=1.0, rho=0.2, rho_min=0.05, eta_min=0.1)
     with pytest.raises(ValueError, match="outside"):
         rho_schedule(cfg, 0.01)
 
@@ -508,10 +506,10 @@ def test_train_epochs_milestone_decay():
     q = QuadraticOracle(np.eye(2))
     x = np.zeros((2, 2))
     y = np.zeros(2, dtype=int)
-    cfg = OptimConfig(eta=0.5)
+    cfg = OptimConfig(eta=0.5, milestones=(1,), lr_decay=0.1)
     theta, _ = train_epochs(
         q, ParamVector([1.0, 0.0]), x, y, cfg, make_stepper("sgd"),
-        epochs=2, batch_size=2, rng=SeededRng(2), milestones=(1,), lr_decay=0.1,
+        epochs=2, batch_size=2, rng=SeededRng(2),
     )
     # epoch 0 at eta=0.5, epoch 1 at eta=0.05
     expected = 1.0 * (1 - 0.5) * (1 - 0.05)
@@ -522,10 +520,10 @@ def test_train_epochs_milestone_decay_stops_at_eta_min():
     q = QuadraticOracle(np.eye(2))
     x = np.zeros((2, 2))
     y = np.zeros(2, dtype=int)
-    cfg = OptimConfig(eta=0.5, eta_min=0.1, rho_min=0.05)
+    cfg = OptimConfig(eta=0.5, eta_min=0.1, rho_min=0.05, milestones=(1, 2), lr_decay=0.1)
     theta, _ = train_epochs(
         q, ParamVector([1.0, 0.0]), x, y, cfg, make_stepper("sgd"),
-        epochs=3, batch_size=2, rng=SeededRng(2), milestones=(1, 2), lr_decay=0.1,
+        epochs=3, batch_size=2, rng=SeededRng(2),
     )
     # epoch 0 at eta=0.5; the decayed 0.05 and 0.005 step at the floor, 0.1
     expected = 1.0 * (1 - 0.5) * (1 - 0.1) * (1 - 0.1)
@@ -637,7 +635,7 @@ def test_optimizer_vectors_are_read_only():
     batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
     cfg = OptimConfig(eta=0.1)
     g = oracle.grad(theta, batch)
-    vectors = [sam_perturb(g, 0.2, EPS), ascent_point(theta, g, cfg)]
+    vectors = [sam_perturb(g, 0.2), ascent_point(theta, g, cfg)]
     for name in OPTIMIZER_NAMES:
         d, _ = make_stepper(name).direction(oracle, theta, batch, cfg)
         vectors += [d, make_stepper(name).step(oracle, theta, batch, cfg)[0]]
@@ -678,6 +676,10 @@ def test_optim_config_validation():
     with pytest.raises(ValueError):
         OptimConfig(eta=0.1, lam=-1.0)
     with pytest.raises(ValueError):
-        OptimConfig(eta=0.1, rho=0.5, rho_min=0.6, rho_max=0.7)
+        OptimConfig(eta=0.1, rho=0.5, rho_min=0.6)
+    with pytest.raises(ValueError, match="eta_min <= eta"):
+        OptimConfig(eta=0.1, eta_min=0.2)
+    with pytest.raises(ValueError, match="lr_decay"):
+        OptimConfig(lr_decay=1.5)
     with pytest.raises(ValueError, match="unknown optimizer"):
         make_stepper("adam")
