@@ -14,10 +14,20 @@ and the exact trace read that pass. The sampled sharpness R0 and flatness R1
 share one set of ball points (``ball_sharpness``), streamed a block at a
 time, and each point's loss is read after its gradient, so such an oracle
 evaluates every point once.
+
+The ball points and the slice's grid rows run on every CPU the process may
+use, on threads that live for one call (numpy's kernels release the GIL).
+Values are reduced in index order, so every result and error is the same at
+any CPU count; one CPU (say, under ``taskset -c 0``) starts no thread.
 """
 from __future__ import annotations
 
+import copy
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -211,8 +221,38 @@ def hutchinson_trace(
 
 
 # Rows drawn, normalised and scaled per block in _ball_samples; the one
-# reused block buffer bounds the stream's memory.
+# reused block buffer bounds the stream's memory. A block runs as units of
+# _BALL_UNIT_ROWS rows, one thread each.
 _BALL_BLOCK_ROWS = 64
+_BALL_UNIT_ROWS = 32
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _pool(units: int):
+    """A pool of min(CPUs, ``units``) - 1 threads, or a null context (None) for 0."""
+    threads = min(_cpus(), units) - 1
+    return ThreadPoolExecutor(threads) if threads > 0 else nullcontext()
+
+
+def _in_order(pool: ThreadPoolExecutor | None, fn, items) -> list:
+    """``[fn(item) for item in items]``, the first item on the calling thread
+    and the rest on ``pool`` under the caller's numpy error state (a new
+    thread does not inherit it); the first exception in item order is raised."""
+    if pool is None:
+        return [fn(item) for item in items]
+    err = np.geterr()
+
+    def quiet(item):
+        with np.errstate(**err):
+            return fn(item)
+
+    rest = [pool.submit(quiet, item) for item in items[1:]]
+    return [fn(items[0]), *(future.result() for future in rest)]
 
 
 def _ball_samples(rng: SeededRng, d: int, rho: float, n: int) -> Iterator[np.ndarray]:
@@ -249,10 +289,16 @@ def ball_sharpness(
     rho times the worst gradient norm, rho * max ||grad L(theta+delta)||. Each
     point's gradient is evaluated before its loss, so an oracle that keeps its
     last forward pass (``MlpOracle``) costs one gradient per point. The points
-    come from the ``_ball_samples`` stream, each used before the next is
-    drawn, so memory holds one block of offsets and the n radii. A
-    non-finite gradient norm or loss raises ``DivergenceError`` naming the
-    estimator and the ball sample, since ``max`` would drop a NaN.
+    come from the ``_ball_samples`` stream, a block drawn only after the one
+    before it is reduced, so memory holds one block of offsets and the n
+    radii. A block's units run on every available CPU, each point on its own
+    shallow copy of the oracle so that no point evicts another's kept pass,
+    and are reduced in index order: (R0, R1) and the rng's position do not
+    depend on the CPU count.
+    A non-finite gradient norm or loss raises ``DivergenceError`` naming the
+    estimator and the first such ball sample, since ``max`` would drop a NaN:
+    no later sample of its unit is evaluated and no later block is drawn, but
+    the other units of its block finish.
     """
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
@@ -261,11 +307,24 @@ def ball_sharpness(
     base = oracle.loss(theta, batch)
     worst_loss = -np.inf
     worst_grad = 0.0
-    for index, row in enumerate(_ball_samples(rng, theta.dim, rho, n_samples)):
-        point = theta._adopt(theta.data + row)
-        grad_norm = _finite(norm2(oracle.grad(point, batch)), "R1 gradient norm", index)
-        worst_grad = max(worst_grad, grad_norm)
-        worst_loss = max(worst_loss, _finite(oracle.loss(point, batch), "R0 loss", index))
+    rows = _ball_samples(rng, theta.dim, rho, n_samples)
+
+    def unit(first: int) -> list[tuple[float, float]]:  # (gradient norm, loss) per row
+        values = []
+        for index, row in enumerate(block[first:first + _BALL_UNIT_ROWS], start + first):
+            point, local = theta._adopt(theta.data + row), copy.copy(oracle)
+            grad_norm = _finite(norm2(local.grad(point, batch)), "R1 gradient norm", index)
+            values.append((grad_norm, _finite(local.loss(point, batch), "R0 loss", index)))
+        return values
+
+    with _pool(-(-min(n_samples, _BALL_BLOCK_ROWS) // _BALL_UNIT_ROWS)) as pool:
+        for start in range(0, n_samples, _BALL_BLOCK_ROWS):
+            # the block's rows are views of one buffer, valid until the next block
+            block = list(islice(rows, _BALL_BLOCK_ROWS))
+            units = _in_order(pool, unit, range(0, len(block), _BALL_UNIT_ROWS))
+            for grad_norm, loss in chain.from_iterable(units):
+                worst_grad = max(worst_grad, grad_norm)
+                worst_loss = max(worst_loss, loss)
     return float(worst_loss - base), float(rho * worst_grad)
 
 
@@ -299,7 +358,9 @@ def landscape_slice_2d(
     """Loss grid over theta + a*dir1 + b*dir2 for a, b in [-extent, extent].
 
     Returns (a_axis, b_axis, losses) with losses[i, j] at (a_axis[i], b_axis[j]).
-    Directions are normalized if they are not already unit norm.
+    Directions are normalized if they are not already unit norm. The grid
+    rows run on every available CPU, each thread's on its own shallow copy
+    of the oracle; the losses do not depend on the CPU count.
     """
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
@@ -308,11 +369,15 @@ def landscape_slice_2d(
     d1 = dir1.data / (norm2(dir1) or 1.0)
     d2 = dir2.data / (norm2(dir2) or 1.0)
     axis = np.linspace(-extent, extent, grid_n)
-    losses = np.empty((grid_n, grid_n))
-    for i, a in enumerate(axis):
-        for j, b in enumerate(axis):
-            point = theta._adopt(theta.data + a * d1 + b * d2)
-            losses[i, j] = oracle.loss(point, batch)
+
+    def grid_rows(part: np.ndarray) -> list[list[float]]:
+        local = copy.copy(oracle)
+        return [[local.loss(theta._adopt(theta.data + a * d1 + b * d2), batch) for b in axis]
+                for a in part]
+
+    parts = np.array_split(axis, min(_cpus(), grid_n))
+    with _pool(len(parts)) as pool:
+        losses = np.vstack(_in_order(pool, grid_rows, parts))
     return axis.copy(), axis.copy(), losses
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,28 @@ def test_landscape_fails_on_a_non_finite_ball_value(tmp_path, capsys, mlp_checkp
     out = tmp_path / "land"
     assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--rho", "1e308",
                  "--samples", "4", "--probes", "3", "--iters", "5", "--grid", "3"]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "divergence"
+    assert "at ball sample 0" in error["message"]
+    assert not (out / "flatness.json").exists()
+
+
+def test_landscape_ball_workers_keep_the_quiet_float_state(tmp_path, capsys, monkeypatch,
+                                                           mlp_checkpoint):
+    from cflat import landscape
+
+    # 100 samples are one block of two units: on two CPUs the second, whose
+    # points overflow too, runs on a pool thread, which starts with numpy's
+    # default error state unless it takes the caller's
+    monkeypatch.setattr(landscape, "_cpus", lambda: 2)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(mlp_checkpoint), encoding="utf-8")
+    out = tmp_path / "land"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["landscape", "--checkpoint", str(ckpt), "--out", str(out), "--rho", "1e308",
+                     "--samples", "100", "--probes", "3", "--iters", "5", "--grid", "3"]) == 3
+    assert [str(w.message) for w in caught] == []
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "divergence"
     assert "at ball sample 0" in error["message"]

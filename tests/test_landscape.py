@@ -1,10 +1,13 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cflat import landscape
 from cflat.landscape import (
     _BALL_BLOCK_ROWS,
+    _BALL_UNIT_ROWS,
     _ball_samples,
     ball_sharpness,
     flatness_report,
@@ -451,6 +454,74 @@ def test_flatness_report_does_not_depend_on_call_history():
     first = report(oracle)
     assert report(oracle) == first
     assert report(MlpOracle(spec)) == first
+
+
+class _ThreadNoting(MlpOracle):
+    """An MlpOracle that notes the threads its gradients and losses run on;
+    its shallow copies share the set."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.threads = set()
+
+    def grad(self, theta, batch=None):
+        self.threads.add(threading.get_ident())
+        return super().grad(theta, batch)
+
+    def loss(self, theta, batch=None):
+        self.threads.add(threading.get_ident())
+        return super().loss(theta, batch)
+
+
+def test_ball_and_slice_do_not_depend_on_the_cpu_count(monkeypatch):
+    rng = SeededRng(40)
+    spec = MlpSpec(4, (6,), 3, l2=0.01)
+    theta = MlpOracle(spec).init_theta(rng.spawn(0))
+    batch = Batch(rng.normal(size=(16, 4)), rng.integers(0, 3, 16))
+    dir1, dir2 = (theta.with_data(rng.normal(size=theta.dim)) for _ in range(2))
+    n = 3 * _BALL_BLOCK_ROWS + 11  # three full blocks and a ragged tail
+    runs, threads = {}, {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(landscape, "_cpus", lambda: cpus)
+        ball_oracle, slice_oracle = _ThreadNoting(spec), _ThreadNoting(spec)
+        probe = SeededRng(41)
+        ball = ball_sharpness(ball_oracle, theta, batch, 0.4, n, probe)
+        grid = landscape_slice_2d(slice_oracle, theta, batch, dir1, dir2, extent=0.5, grid_n=7)
+        runs[cpus] = ball, [a.tobytes() for a in grid], probe.normal(0.0, 1.0, 3).tobytes()
+        threads[cpus] = len(ball_oracle.threads), len(slice_oracle.threads)
+    assert runs[1] == runs[2] == runs[3]
+    # a block has two units, so the ball takes at most two threads; a pool
+    # thread that is idle again may take a second part of the slice
+    assert threads[1] == (1, 1) and threads[2] == (2, 2)
+    assert threads[3][0] == 2 and threads[3][1] in (2, 3)
+
+
+@pytest.mark.parametrize("bad, named", [((40,), 40), ((5, 40), 5), ((40, 70), 40)])
+def test_ball_sharpness_names_the_first_non_finite_sample_across_units(monkeypatch, bad, named):
+    # on two CPUs a block's second unit, samples 32-63, runs on a pool thread
+    monkeypatch.setattr(landscape, "_cpus", lambda: 2)
+    theta, rho, n = ParamVector([0.1, 0.2]), 0.5, 3 * _BALL_BLOCK_ROWS
+    rows = [row.copy() for row in _ball_samples(SeededRng(29), theta.dim, rho, n)]
+    caller, on_pool = threading.get_ident(), {}
+
+    class NanAt(QuadraticOracle):
+        def grad(self, point, batch=None):
+            g = super().grad(point, batch)
+            for k in bad:
+                if np.array_equal(point.data, theta.data + rows[k]):
+                    on_pool[k] = threading.get_ident() != caller
+                    return g._adopt(g.data * np.nan)
+            return g
+
+    probe = SeededRng(29)
+    with pytest.raises(DivergenceError, match=f"R1 gradient norm is nan at ball sample {named}$"):
+        ball_sharpness(NanAt(np.eye(2)), theta, None, rho, n, probe)
+    # sample 40 ran on a pool thread, and sample 70's block was never drawn
+    assert on_pool == {k: k >= _BALL_UNIT_ROWS for k in bad if k < _BALL_BLOCK_ROWS}
+    reference = SeededRng(29)
+    reference.uniform(0.0, 1.0, n)
+    reference.fill_normal(np.empty((_BALL_BLOCK_ROWS, theta.dim)))
+    assert probe.normal(0.0, 1.0, 3).tobytes() == reference.normal(0.0, 1.0, 3).tobytes()
 
 
 # ---------------------------------------------------------------------------
